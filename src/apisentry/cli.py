@@ -51,6 +51,7 @@ from .metrics import (
     weighted_metrics,
 )
 from .ngrams import (
+    _fmt,
     build_vocabulary,
     corpus_matrix,
     load_labels,
@@ -70,13 +71,6 @@ from .seqmodel import (
     save_model,
     train,
 )
-
-_FLOAT = ".17g"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), _FLOAT)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 (not 2) on usage errors."""
@@ -207,7 +201,7 @@ def _cmd_adapt(args, s: _Settings) -> list[Path]:
         corpus = convert_seq_csv(
             text, seq_col=s.get("seq_col", "calls"),
             delimiter=s.get("delimiter", " "),
-            label_col=s.get("label_col_opt", "") or None,
+            label_col=s.get("label_col", "") or None,
             constant_label=s.get("constant_label", 1),
             id_col=s.get("id_col", "hash"),
             vocabulary_size=vocab)
@@ -407,14 +401,15 @@ def _cmd_evaluate(args, s: _Settings) -> list[Path]:
         truths = _read_int_lines(Path(args.truth))
         cm = confusion(preds, truths, 2)
         m = binary_metrics(cm)
-        auc_pos = None
         score_col = scores
         if args.scores:
             score_col = np.array([float(t) for t in
                                   Path(args.scores).read_text().split()])
-        if len(score_col) == len(truths):
-            stacked = np.stack([1.0 - score_col, score_col], axis=1)
-            auc_pos = roc_auc_per_label(stacked, truths, 2).per_label_auc[1]
+        if len(score_col) != len(truths):
+            raise CorpusError(f"{args.scores or args.pred} has {len(score_col)} scores "
+                              f"but {args.truth} has {len(truths)} truths")
+        stacked = np.stack([1.0 - score_col, score_col], axis=1)
+        auc_pos = roc_auc_per_label(stacked, truths, 2).per_label_auc[1]
         report = {
             "task": "detect", "n_samples": int(cm.total()),
             "accuracy": m.accuracy, "precision": m.precision,

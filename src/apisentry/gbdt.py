@@ -13,26 +13,30 @@ node's candidate splits are scored from bucket histograms of g and h, which
 is equivalent to scanning the sorted column but shares work across features.
 Thresholds are midpoints between adjacent distinct values; samples with
 value <= threshold go left. Ties are broken toward the lowest feature index,
-then the lowest threshold, so training is deterministic.
+then the lowest threshold, so training is deterministic. A round adds to
+each training row the weight of the leaf growth put it in; nothing is
+re-predicted.
+
+Prediction has one path for any number of rows (one vector is a 1-row
+matrix): a member's trees, packed once into flat node arrays, descend
+together level by level over a dense block of the columns they split on,
+and leaf weights are summed in tree order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .ngrams import FeatureVector, NGramVocabulary
+from .ngrams import FeatureVector, NGramVocabulary, _fmt, _sigmoid, _stack_vectors
 
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -700, 700)))
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# Rows descended together; bounds the dense split-column block and the
+# (rows, trees) node matrix whatever the number of rows scored.
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -80,38 +84,18 @@ class RegressionTree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def predict_one(self, counts: dict[int, int]) -> float:
-        node = 0
-        while self.feature[node] >= 0:
-            value = counts.get(int(self.feature[node]), 0)
-            node = int(self.left[node] if value <= self.threshold[node]
-                       else self.right[node])
-        return float(self.weight[node])
-
 
 def as_feature_matrix(X, dim: int | None = None) -> sparse.csr_matrix:
-    """Accept a list of FeatureVector, a dense array, or a CSR matrix."""
+    """Accept a list of FeatureVector, a dense array, or a CSR matrix. A
+    float64 CSR matrix is returned as is, not copied."""
     if sparse.issparse(X):
-        return X.tocsr().astype(np.float64)
+        return X.tocsr().astype(np.float64, copy=False)
     if isinstance(X, np.ndarray):
         return sparse.csr_matrix(X.astype(np.float64))
     vectors = list(X)
     if not vectors:
         raise ValueError("empty feature matrix")
-    if dim is None:
-        dim = vectors[0].dim
-    rows, cols, vals = [], [], []
-    for r, fv in enumerate(vectors):
-        if fv.dim != dim:
-            raise ValueError(f"feature dimension mismatch: {fv.dim} != {dim}")
-        for c, v in fv.counts.items():
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-    return sparse.csr_matrix(
-        (np.asarray(vals, dtype=np.float64),
-         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(len(vectors), dim))
+    return _stack_vectors(vectors, len(vectors), vectors[0].dim if dim is None else dim)
 
 
 class _CodedMatrix:
@@ -226,7 +210,9 @@ def _best_split(coded: _CodedMatrix, hist_g, hist_h, hist_n,
 
 
 def _grow_tree(coded: _CodedMatrix, rows: np.ndarray, g: np.ndarray,
-               h: np.ndarray, cfg: GbdtConfig) -> RegressionTree:
+               h: np.ndarray, cfg: GbdtConfig) -> tuple[RegressionTree, np.ndarray]:
+    """Grow one tree; also returns each row's leaf weight (0 outside rows)."""
+    row_weight = np.zeros(coded.n)
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -256,6 +242,7 @@ def _grow_tree(coded: _CodedMatrix, rows: np.ndarray, g: np.ndarray,
                                 len(node_rows), cfg)
         if split is None:
             weight[node] = -total_g / (total_h + cfg.reg_lambda)
+            row_weight[node_rows] = weight[node]
             continue
         j, c, best_gain = split
         uniq = coded.uniques[j]
@@ -272,13 +259,49 @@ def _grow_tree(coded: _CodedMatrix, rows: np.ndarray, g: np.ndarray,
         stack.append((r_id, node_rows[~go_left], depth + 1))
         stack.append((l_id, node_rows[go_left], depth + 1))
 
-    return RegressionTree(
+    tree = RegressionTree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int32),
         right=np.asarray(right, dtype=np.int32),
         weight=np.asarray(weight, dtype=np.float64),
         gain=np.asarray(gain, dtype=np.float64))
+    return tree, row_weight
+
+
+class _Forest:
+    """A member's trees packed into flat node arrays, built once per model.
+
+    Child indices are global and a leaf is its own left and right child, so
+    `depth` levels of descent leave every row of every tree at its leaf.
+    `position` maps each matrix column to its index in `columns`, the
+    columns the trees split on, or to -1; `feature` holds those indices.
+    """
+
+    def __init__(self, trees: list[RegressionTree], n_features: int):
+        offsets = np.cumsum([0] + [t.n_nodes() for t in trees])
+
+        def cat(attr: str, dtype) -> np.ndarray:
+            return np.concatenate([getattr(t, attr) for t in trees] + [np.zeros(0, dtype)])
+
+        self.roots = offsets[:-1]
+        own = np.arange(offsets[-1])
+        node_offset = np.repeat(self.roots, np.diff(offsets))
+        feature = cat("feature", np.int64)
+        split = feature >= 0
+        self.left = np.where(split, cat("left", np.int64) + node_offset, own)
+        self.right = np.where(split, cat("right", np.int64) + node_offset, own)
+        self.threshold = cat("threshold", np.float64)
+        self.weight = cat("weight", np.float64)
+        self.columns = np.unique(feature[split])
+        self.position = np.full(n_features, -1)
+        self.position[self.columns] = np.arange(len(self.columns))
+        self.feature = np.where(split, self.position[feature], 0)
+        self.depth, frontier = 0, self.roots[split[self.roots]]
+        while len(frontier):
+            frontier = np.concatenate([self.left[frontier], self.right[frontier]])
+            frontier = frontier[split[frontier]]
+            self.depth += 1
 
 
 @dataclass
@@ -290,59 +313,38 @@ class GbdtModel:
     feature_gain: dict[int, float]
     train_loss: list[float]  # mean logistic loss after each round; not persisted
 
-
-class _ColumnCache:
-    """Dense columns of a CSR matrix, materialized on demand."""
-
-    def __init__(self, X: sparse.csr_matrix, max_columns: int = 512):
-        self._csc = X.tocsc()
-        self._cols: dict[int, np.ndarray] = {}
-        self._max = max_columns
-        self.n = X.shape[0]
-
-    def __call__(self, j: int) -> np.ndarray:
-        col = self._cols.get(j)
-        if col is None:
-            if len(self._cols) >= self._max:
-                self._cols.clear()
-            col = np.asarray(self._csc[:, j].todense()).ravel()
-            self._cols[j] = col
-        return col
-
-
-def _tree_predict_rows(tree: RegressionTree, col_getter, n: int) -> np.ndarray:
-    out = np.zeros(n)
-    node = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
-    while len(active):
-        feats = tree.feature[node[active]]
-        at_leaf = feats < 0
-        if at_leaf.any():
-            done = active[at_leaf]
-            out[done] = tree.weight[node[done]]
-            active = active[~at_leaf]
-            feats = feats[~at_leaf]
-            if not len(active):
-                break
-        thr = tree.threshold[node[active]]
-        values = np.empty(len(active))
-        for fj in np.unique(feats):
-            m = feats == fj
-            values[m] = col_getter(int(fj))[active[m]]
-        node[active] = np.where(values <= thr,
-                                tree.left[node[active]],
-                                tree.right[node[active]])
-    return out
+    @cached_property
+    def _forest(self) -> _Forest:
+        return _Forest(self.trees, self.n_features)
 
 
 def predict_margin_rows(model: GbdtModel, X) -> np.ndarray:
+    """Margins of every row: all trees descend at once, level by level, and
+    the leaf weights are summed in tree order after the base score."""
     X = as_feature_matrix(X, model.n_features)
     if X.shape[1] != model.n_features:
         raise ValueError(f"feature dimension mismatch: {X.shape[1]} != {model.n_features}")
-    cache = _ColumnCache(X)
-    margins = np.full(X.shape[0], model.base_score)
-    for tree in model.trees:
-        margins += model.config.learning_rate * _tree_predict_rows(tree, cache, X.shape[0])
+    forest = model._forest
+    margins = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, X.shape[0])
+        # the block's rows, dense over the split columns only
+        lo, hi = X.indptr[start], X.indptr[stop]
+        pos = forest.position[X.indices[lo:hi]]
+        rows = np.repeat(np.arange(stop - start), np.diff(X.indptr[start:stop + 1]))
+        block = np.zeros((stop - start, len(forest.columns)))
+        np.add.at(block, (rows[pos >= 0], pos[pos >= 0]), X.data[lo:hi][pos >= 0])
+        row_offset = np.arange(stop - start)[:, None] * block.shape[1]
+        node = np.tile(forest.roots, (stop - start, 1))
+        for _ in range(forest.depth):
+            values = block.take(forest.feature[node] + row_offset)
+            node = np.where(values <= forest.threshold[node],
+                            forest.left[node], forest.right[node])
+        terms = np.empty((stop - start, len(forest.roots) + 1))
+        terms[:, 0] = model.base_score
+        terms[:, 1:] = model.config.learning_rate * forest.weight[node]
+        # cumsum adds left to right, the order of one-tree-at-a-time updates
+        margins[start:stop] = np.cumsum(terms, axis=1)[:, -1]
     return margins
 
 
@@ -352,12 +354,7 @@ def predict_proba_rows(model: GbdtModel, X) -> np.ndarray:
 
 def predict_proba(model: GbdtModel, x: FeatureVector) -> float:
     """Probability of the positive (malware) class for one feature vector."""
-    if x.dim != model.n_features:
-        raise ValueError(f"feature dimension mismatch: {x.dim} != {model.n_features}")
-    margin = model.base_score
-    for tree in model.trees:
-        margin += model.config.learning_rate * tree.predict_one(x.counts)
-    return float(_sigmoid(margin))
+    return float(predict_proba_rows(model, as_feature_matrix([x], model.n_features))[0])
 
 
 def _mean_logloss(y: np.ndarray, p: np.ndarray) -> float:
@@ -393,10 +390,9 @@ def train_gbdt(X, y, config: GbdtConfig, base_score: float | None = None) -> Gbd
         p = _sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
-        tree = _grow_tree(coded, all_rows, g, h, config)
+        tree, row_weight = _grow_tree(coded, all_rows, g, h, config)
         trees.append(tree)
-        margins = margins + config.learning_rate * _tree_predict_rows(
-            tree, coded.column_values, Xc.shape[0])
+        margins = margins + config.learning_rate * row_weight
         losses.append(_mean_logloss(y, _sigmoid(margins)))
     gain_map: dict[int, float] = {}
     for tree in trees:
@@ -467,8 +463,7 @@ def _combine(detector: BaggedDetector, probs: np.ndarray) -> tuple[np.ndarray, n
 
 
 def ensemble_predict(detector: BaggedDetector, x: FeatureVector) -> tuple[int, float]:
-    probs = np.array([[predict_proba(m, x)] for m in detector.members])
-    label, score = _combine(detector, probs)
+    label, score = ensemble_predict_rows(detector, as_feature_matrix([x], detector.n_features))
     return int(label[0]), float(score[0])
 
 

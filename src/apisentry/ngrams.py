@@ -19,6 +19,17 @@ from .corpus import Corpus, CorpusError, LabeledTrace
 NGram = tuple[int, ...]
 
 
+def _sigmoid(z):
+    """Logistic function. z is clipped below at -700 so exp(-z) never
+    overflows; above 700, exp(-z) < 1e-304 and the result is already 1.0."""
+    return 1.0 / (1.0 + np.exp(-np.maximum(z, -700.0)))
+
+
+def _fmt(x: float) -> str:
+    """Float text with 17 significant digits, so a reload is bit-exact."""
+    return format(float(x), ".17g")
+
+
 @dataclass(frozen=True)
 class NGramVocabulary:
     """Bijection between observed n-grams and dense column indices."""
@@ -148,24 +159,26 @@ def pad_prefix(prefix, max_len: int, pad_id: int) -> list[int]:
     return [pad_id] * (max_len - len(seq)) + seq
 
 
-def corpus_matrix(corpus: Corpus, vocab: NGramVocabulary) -> tuple[sparse.csr_matrix, list[int | None]]:
-    """Vectorize a whole corpus into a CSR count matrix plus its labels."""
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[int] = []
-    labels: list[int | None] = []
-    for r, trace in enumerate(corpus.traces):
-        fv = vectorize(trace, vocab)
-        for c, v in fv.counts.items():
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-        labels.append(trace.label)
-    mat = sparse.csr_matrix(
+def _stack_vectors(vectors, n_rows: int, dim: int) -> sparse.csr_matrix:
+    """CSR count matrix with one row per feature vector (any iterable)."""
+    rows, cols, vals = [], [], []
+    for r, fv in enumerate(vectors):
+        if fv.dim != dim:
+            raise ValueError(f"feature dimension mismatch: {fv.dim} != {dim}")
+        rows.extend([r] * len(fv.counts))
+        cols.extend(fv.counts)
+        vals.extend(fv.counts.values())
+    return sparse.csr_matrix(
         (np.asarray(vals, dtype=np.float64),
          (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(len(corpus), len(vocab)))
-    return mat, labels
+        shape=(n_rows, dim))
+
+
+def corpus_matrix(corpus: Corpus, vocab: NGramVocabulary) -> tuple[sparse.csr_matrix, list[int | None]]:
+    """Vectorize a whole corpus into a CSR count matrix plus its labels."""
+    vectors = (vectorize(trace, vocab) for trace in corpus.traces)
+    return (_stack_vectors(vectors, len(corpus), len(vocab)),
+            [trace.label for trace in corpus.traces])
 
 
 # --- persistence -------------------------------------------------------------
@@ -220,22 +233,41 @@ def save_matrix(matrix: sparse.spmatrix, path: str | Path) -> None:
 
 
 def load_matrix(path: str | Path) -> sparse.csr_matrix:
+    """Read a matrix written by save_matrix. Each (row, col) appears at most
+    once, inside the header's shape, with a count >= 0."""
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text:
         raise ValueError(f"{path}: empty matrix file")
-    n_rows, n_cols = (int(tok) for tok in text[0].split(","))
+    try:
+        n_rows, n_cols = (int(tok) for tok in text[0].split(","))
+    except ValueError:
+        raise ValueError(f"{path}: line 1: expected a 'rows,cols' header") from None
     rows, cols, vals = [], [], []
     for lineno, line in enumerate(text[1:], 2):
         if not line.strip():
             continue
-        r, c, v = (int(tok) for tok in line.split(","))
+        try:
+            r, c, v = (int(tok) for tok in line.split(","))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: expected 'row,col,count'") from None
+        if not (0 <= r < n_rows and 0 <= c < n_cols):
+            raise ValueError(
+                f"{path}: line {lineno}: entry ({r},{c}) outside the {n_rows}x{n_cols} shape")
+        if v < 0:
+            raise ValueError(f"{path}: line {lineno}: negative count {v}")
         rows.append(r)
         cols.append(c)
         vals.append(v)
-    return sparse.csr_matrix(
+    matrix = sparse.csr_matrix(
         (np.asarray(vals, dtype=np.float64),
          (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
         shape=(n_rows, n_cols))
+    if matrix.nnz < len(vals):  # the conversion summed repeated entries
+        _, first = np.unique(np.asarray(rows) * n_cols + np.asarray(cols), return_index=True)
+        k = int(np.setdiff1d(np.arange(len(vals)), first)[0])
+        lineno = [i for i, line in enumerate(text[1:], 2) if line.strip()][k]
+        raise ValueError(f"{path}: line {lineno}: duplicate entry ({rows[k]},{cols[k]})")
+    return matrix
 
 
 def save_labels(labels, path: str | Path) -> None:

@@ -10,6 +10,10 @@ under a fixed seed.
 Sequences are left-padded with the reserved id ``vocab_size``; padded
 positions are skipped by carrying the recurrent state through them, so
 prepending extra padding never changes the output.
+
+One cell function serves ``lstm_cell`` and the scan, and hands the scan the
+gate activations BPTT reuses. One batching helper clips, pads and chunks
+samples for the loss, the gradients, the accuracy and the distributions.
 """
 
 from __future__ import annotations
@@ -20,16 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ngrams import PrefixSample
+from .ngrams import PrefixSample, _fmt, _sigmoid
 from .seeding import derive_seed
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -138,6 +134,19 @@ def init_adam(model: BiLstmModel) -> AdamState:
     return AdamState(m=zeros, v={k: np.zeros_like(p) for k, p in model.params.items()})
 
 
+def _cell_step(x, h, c, cell: dict[str, np.ndarray]):
+    """The LSTM cell; returns h', c' and the activations BPTT needs. The
+    three sigmoid gates share one call, as at batch size 1 the per-call
+    cost outweighs the arithmetic."""
+    i, f, o = _sigmoid(np.array([x @ cell["W_i"] + h @ cell["U_i"] + cell["b_i"],
+                                 x @ cell["W_f"] + h @ cell["U_f"] + cell["b_f"],
+                                 x @ cell["W_o"] + h @ cell["U_o"] + cell["b_o"]]))
+    g = np.tanh(x @ cell["W_g"] + h @ cell["U_g"] + cell["b_g"])
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    return o * tanh_c, c_new, {"i": i, "f": f, "o": o, "g": g, "tanh_c": tanh_c}
+
+
 def lstm_cell(x, h, c, cell: dict[str, np.ndarray]):
     """One step of the standard LSTM cell.
 
@@ -145,31 +154,13 @@ def lstm_cell(x, h, c, cell: dict[str, np.ndarray]):
     pre-activation through tanh; then c' = f*c + i*g and h' = o*tanh(c').
     Accepts single vectors or batches (leading batch axis).
     """
-    a_i = x @ cell["W_i"] + h @ cell["U_i"] + cell["b_i"]
-    a_f = x @ cell["W_f"] + h @ cell["U_f"] + cell["b_f"]
-    a_o = x @ cell["W_o"] + h @ cell["U_o"] + cell["b_o"]
-    a_g = x @ cell["W_g"] + h @ cell["U_g"] + cell["b_g"]
-    i = _sigmoid(a_i)
-    f = _sigmoid(a_f)
-    o = _sigmoid(a_o)
-    g = np.tanh(a_g)
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
+    h_new, c_new, _ = _cell_step(x, h, c, cell)
     return h_new, c_new
 
 
 def _cell_params(params: dict[str, np.ndarray], direction: str) -> dict[str, np.ndarray]:
     return {f"{m}_{gate}": params[f"{direction}.{m}_{gate}"]
             for m in ("W", "U", "b") for gate in _GATES}
-
-
-def _pad_batch(prefixes, pad_id: int, width: int | None = None) -> np.ndarray:
-    longest = max(len(p) for p in prefixes)
-    width = longest if width is None else width
-    ids = np.full((len(prefixes), width), pad_id, dtype=np.int64)
-    for r, p in enumerate(prefixes):
-        ids[r, width - len(p):] = p
-    return ids
 
 
 def _validate_ids(ids: np.ndarray, cfg: BiLstmConfig) -> np.ndarray:
@@ -198,21 +189,9 @@ def _scan(params, direction, X, mask, reverse: bool):
     times = range(T - 1, -1, -1) if reverse else range(T)
     steps = []
     for t in times:
-        x = X[:, t]
-        a_i = x @ cell["W_i"] + h @ cell["U_i"] + cell["b_i"]
-        a_f = x @ cell["W_f"] + h @ cell["U_f"] + cell["b_f"]
-        a_o = x @ cell["W_o"] + h @ cell["U_o"] + cell["b_o"]
-        a_g = x @ cell["W_g"] + h @ cell["U_g"] + cell["b_g"]
-        i = _sigmoid(a_i)
-        f = _sigmoid(a_f)
-        o = _sigmoid(a_o)
-        g = np.tanh(a_g)
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
+        h_new, c_new, acts = _cell_step(X[:, t], h, c, cell)
         m = mask[:, t][:, None]
-        steps.append({"t": t, "h_prev": h, "c_prev": c, "i": i, "f": f,
-                      "o": o, "g": g, "tanh_c": tanh_c, "m": m})
+        steps.append({"t": t, "h_prev": h, "c_prev": c, "m": m, **acts})
         h = np.where(m, h_new, h)
         c = np.where(m, c_new, c)
     return h, steps
@@ -309,8 +288,16 @@ def _as_pairs(samples) -> list[tuple[tuple[int, ...], int]]:
     return pairs
 
 
-def _clip_prefix(prefix: tuple[int, ...], max_len: int) -> tuple[int, ...]:
-    return prefix[-max_len:] if len(prefix) > max_len else prefix
+def _batches(pairs, cfg: BiLstmConfig, size: int):
+    """Yield (ids, targets) per `size` pairs, each prefix clipped to its last
+    max_prefix_len calls and left-padded to the batch's longest."""
+    for start in range(0, len(pairs), size):
+        part = pairs[start:start + size]
+        prefixes = [p[-cfg.max_prefix_len:] for p, _ in part]
+        ids = np.full((len(part), max(map(len, prefixes))), cfg.pad_id, dtype=np.int64)
+        for r, p in enumerate(prefixes):
+            ids[r, ids.shape[1] - len(p):] = p
+        yield ids, np.array([y for _, y in part], dtype=np.int64)
 
 
 def batch_loss(model: BiLstmModel, samples, train: bool = False,
@@ -319,16 +306,10 @@ def batch_loss(model: BiLstmModel, samples, train: bool = False,
     pairs = _as_pairs(samples)
     if not pairs:
         raise ValueError("empty batch")
-    cfg = model.config
     total = 0.0
-    chunk = max(1, cfg.batch_size)
-    for start in range(0, len(pairs), chunk):
-        part = pairs[start:start + chunk]
-        ids = _pad_batch([_clip_prefix(p, cfg.max_prefix_len) for p, _ in part],
-                         cfg.pad_id)
-        targets = np.array([y for _, y in part], dtype=np.int64)
+    for ids, targets in _batches(pairs, model.config, model.config.batch_size):
         _, cache = _forward_batch(model, ids, train, dropout_seed, want_cache=True)
-        total += float(-cache["log_probs"][np.arange(len(part)), targets].sum())
+        total += float(-cache["log_probs"][np.arange(len(targets)), targets].sum())
     return total / len(pairs)
 
 
@@ -338,9 +319,7 @@ def loss_and_grads(model: BiLstmModel, samples, train: bool = True,
     time across both directions, the embedding, dropout and the softmax."""
     pairs = _as_pairs(samples)
     cfg = model.config
-    ids = _pad_batch([_clip_prefix(p, cfg.max_prefix_len) for p, _ in pairs],
-                     cfg.pad_id)
-    targets = np.array([y for _, y in pairs], dtype=np.int64)
+    [(ids, targets)] = _batches(pairs, cfg, max(1, len(pairs)))
     _, cache = _forward_batch(model, ids, train, dropout_seed, want_cache=True)
     B = len(pairs)
     loss = float(-cache["log_probs"][np.arange(B), targets].sum() / B)
@@ -477,32 +456,19 @@ def next_call_accuracy(model: BiLstmModel, samples) -> float:
     pairs = _as_pairs(samples)
     if not pairs:
         raise ValueError("empty sample set")
-    cfg = model.config
     hits = 0
-    chunk = max(1, cfg.batch_size)
-    for start in range(0, len(pairs), chunk):
-        part = pairs[start:start + chunk]
-        ids = _pad_batch([_clip_prefix(p, cfg.max_prefix_len) for p, _ in part],
-                         cfg.pad_id)
+    for ids, targets in _batches(pairs, model.config, model.config.batch_size):
         probs, _ = _forward_batch(model, ids, False, None, want_cache=False)
-        preds = probs.argmax(axis=1)
-        hits += int((preds == np.array([y for _, y in part])).sum())
+        hits += int((probs.argmax(axis=1) == targets).sum())
     return hits / len(pairs)
 
 
 def predict_distributions(model: BiLstmModel, samples) -> np.ndarray:
     """Per-sample next-call distributions, one row per sample."""
     pairs = _as_pairs(samples)
-    cfg = model.config
-    rows = []
-    chunk = max(1, cfg.batch_size)
-    for start in range(0, len(pairs), chunk):
-        part = pairs[start:start + chunk]
-        ids = _pad_batch([_clip_prefix(p, cfg.max_prefix_len) for p, _ in part],
-                         cfg.pad_id)
-        probs, _ = _forward_batch(model, ids, False, None, want_cache=False)
-        rows.append(probs)
-    return np.concatenate(rows, axis=0)
+    return np.concatenate([
+        _forward_batch(model, ids, False, None, want_cache=False)[0]
+        for ids, _ in _batches(pairs, model.config, model.config.batch_size)])
 
 
 # --- persistence -------------------------------------------------------------

@@ -133,6 +133,39 @@ class TestValidation:
     def test_version_flag(self, capsys):
         assert run("--version") == 0
 
+    def test_duplicate_matrix_triplet_exits_one(self, demo, tmp_path, capsys):
+        paths = detector_pipeline(tmp_path, demo)
+        bad = tmp_path / "dup.mat"
+        lines = paths["test_mat"].read_text().splitlines()
+        bad.write_text("\n".join(lines + [lines[1]]) + "\n")
+        assert run("detect", "--model", paths["model"], "--in", bad,
+                   "--out", tmp_path / "p.csv") == 1
+        assert f"line {len(lines) + 1}: duplicate entry" in capsys.readouterr().err
+
+    def test_evaluate_detect_score_count_mismatch_exits_one(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("row,label,score\n0,1,0.9\n1,0,0.2\n")
+        truth = tmp_path / "truth.txt"
+        truth.write_text("1\n0\n")
+        scores = tmp_path / "scores.txt"
+        scores.write_text("0.9\n0.2\n0.4\n")
+        out = tmp_path / "report.json"
+        assert run("evaluate", "--task", "detect", "--pred", pred, "--truth", truth,
+                   "--scores", scores, "--out", out) == 1
+        assert "3 scores" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestAdapt:
+    def test_seqcol_label_col_is_read(self, tmp_path):
+        raw = tmp_path / "seq.csv"
+        raw.write_text("hash,calls,y\na,1 2 3,0\nb,3 2 1,1\n")
+        out = tmp_path / "out.csv"
+        assert run("adapt", "--in", raw, "--out", out, "--layout", "seqcol",
+                   "--label-col", "y") == 0
+        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert rows == ["0,1,2,3", "1,3,2,1"]
+
 
 class TestSettings:
     def test_config_file_supplies_defaults(self, demo, tmp_path):

@@ -217,3 +217,24 @@ class TestMatrixIO:
         path = tmp_path / "m.txt"
         save_matrix(matrix, path)
         assert path.read_text().splitlines()[0] == "2,2"
+
+    @pytest.mark.parametrize("body, message", [
+        ("0,1,2\n0,1,5\n", "line 3: duplicate entry (0,1)"),
+        ("0,1,-1\n", "line 2: negative count -1"),
+        ("2,0,1\n", "line 2: entry (2,0) outside the 2x3 shape"),
+        ("0,3,1\n", "line 2: entry (0,3) outside the 2x3 shape"),
+        ("-1,0,1\n", "line 2: entry (-1,0) outside the 2x3 shape"),
+        ("0,1\n", "line 2: expected 'row,col,count'"),
+    ])
+    def test_bad_triplets_rejected_with_line(self, tmp_path, body, message):
+        path = tmp_path / "m.txt"
+        path.write_text("2,3\n" + body)
+        with pytest.raises(ValueError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2;3\n")
+        with pytest.raises(ValueError, match="line 1"):
+            load_matrix(path)
