@@ -18,6 +18,7 @@ import os
 import sys
 import time
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -81,54 +82,57 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_config_file(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_flags(path: str, commands: dict[str, _Parser], command: str) -> list[str]:
+    """The flags of `command` that a --config file stands for. Each
+    `key=value` line names an option dest; keys that only other commands
+    have are skipped, so one file can serve a whole pipeline."""
+    parser = commands[command]
+    actions = {a.dest: a for a in parser._actions}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"--config: {exc}")
+    flags = []
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise CorpusError(f"{path}: line {lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+        key, eq, value = (part.strip() for part in line.partition("="))
+        where = f"{path}: line {lineno}"
+        if not eq:
+            parser.error(f"{where}: expected key=value")
+        if key in ("config", "help"):
+            parser.error(f"{where}: {key!r} cannot be set from a config file")
+        if key not in actions:
+            if any(key in (a.dest for a in p._actions) for p in commands.values()):
+                continue
+            parser.error(f"{where}: unknown key {key!r}")
+        option = actions[key].option_strings[-1]
+        if actions[key].nargs == 0:
+            if value.lower() not in _SWITCH_VALUES:
+                parser.error(f"{where}: {key} must be one of "
+                             f"{'/'.join(_SWITCH_VALUES)}, got {value!r}")
+            if _SWITCH_VALUES[value.lower()]:
+                flags.append(option)
+        else:
+            flags.append(f"{option}={value}" if option.startswith("--") else option + value)
+    return flags
 
 
-def _coerce(value: str, like):
-    if isinstance(like, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    return type(like)(value)
+def _count(text: str) -> int:
+    """argparse type of count options: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
-class _Settings:
-    """Resolution order: explicit flag, then config file, then default.
-
-    The seed additionally consults APISENTRY_SEED between the config file
-    and the built-in default of 42.
-    """
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        self.file = _load_config_file(self.args.get("config"))
-        self.resolved: dict[str, object] = {}
-
-    def get(self, key: str, default):
-        value = self.args.get(key)
-        if value is None:
-            raw = self.file.get(key)
-            value = _coerce(raw, default) if raw is not None else default
-        self.resolved[key] = value
-        return value
-
-    def seed(self) -> int:
-        value = self.args.get("seed")
-        if value is None:
-            raw = self.file.get("seed") or os.environ.get("APISENTRY_SEED")
-            value = int(raw) if raw is not None else 42
-        self.resolved["seed"] = value
-        return value
+class _InFile(str):
+    """argparse type of options that name a file the command may read; the
+    manifest digests each one that is not also an output."""
 
 
 def _require_inputs(*paths) -> None:
@@ -141,21 +145,19 @@ def _digest(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifests(command: str, settings: _Settings, inputs, outputs, t0: float) -> None:
+def _write_manifests(command: str, config: dict, inputs, outputs, t0: float) -> None:
     manifest = {
         "tool": "apisentry",
         "version": __version__,
         "command": command,
-        "config": {k: str(v) if isinstance(v, Path) else v
-                   for k, v in sorted(settings.resolved.items())},
-        "inputs": {str(p): _digest(Path(p)) for p in inputs if p},
-        "outputs": {str(p): _digest(Path(p)) for p in outputs if p},
+        "config": config,
+        "inputs": {str(p): _digest(Path(p)) for p in inputs},
+        "outputs": {str(p): _digest(Path(p)) for p in outputs},
         "wall_time_s": round(time.monotonic() - t0, 3),
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     for out in outputs:
-        if out:
-            Path(str(out) + ".manifest.json").write_text(text, encoding="utf-8")
+        Path(str(out) + ".manifest.json").write_text(text, encoding="utf-8")
 
 
 def _load_names(path: str | None) -> dict[int, str] | None:
@@ -176,77 +178,64 @@ def _load_names(path: str | None) -> dict[int, str] | None:
 # --- command implementations --------------------------------------------------
 
 
-def _cmd_ingest(args, s: _Settings) -> list[Path]:
-    fmt = s.get("format", "csv")
+def _cmd_ingest(args) -> list[Path]:
     _require_inputs(args.infile)
-    corpus = load_corpus(args.infile, format="jsonl" if fmt == "jsonl" else "canonical_csv")
-    corpus = canonicalize(corpus, collapse=bool(s.get("collapse", False)),
-                          max_len=s.get("max_len", 100))
+    corpus = load_corpus(args.infile,
+                         format="jsonl" if args.format == "jsonl" else "canonical_csv")
+    corpus = canonicalize(corpus, collapse=args.collapse, max_len=args.max_len)
     save_corpus(corpus, args.out)
     return [Path(args.out)]
 
 
-def _cmd_adapt(args, s: _Settings) -> list[Path]:
+def _cmd_adapt(args) -> list[Path]:
     _require_inputs(args.infile)
     text = Path(args.infile).read_text(encoding="utf-8")
-    layout = s.get("layout", "wide")
-    vocab = s.get("vocab_size", 0) or None
-    if layout == "wide":
+    vocab = args.vocab_size or None
+    if args.layout == "wide":
         corpus = convert_wide_csv(
-            text, label_col=s.get("label_col", "malware"),
-            call_prefix=s.get("call_prefix", "t_"),
-            id_col=s.get("id_col", "hash"),
-            vocabulary_size=vocab)
-    elif layout == "seqcol":
-        corpus = convert_seq_csv(
-            text, seq_col=s.get("seq_col", "calls"),
-            delimiter=s.get("delimiter", " "),
-            label_col=s.get("label_col", "") or None,
-            constant_label=s.get("constant_label", 1),
-            id_col=s.get("id_col", "hash"),
-            vocabulary_size=vocab)
+            text, label_col="malware" if args.label_col is None else args.label_col,
+            call_prefix=args.call_prefix, id_col=args.id_col, vocabulary_size=vocab)
     else:
-        raise CorpusError(f"unknown layout {layout!r}")
+        corpus = convert_seq_csv(
+            text, seq_col=args.seq_col, delimiter=args.delimiter,
+            label_col=args.label_col or None, constant_label=args.constant_label,
+            id_col=args.id_col, vocabulary_size=vocab)
     save_corpus(corpus, args.out)
     return [Path(args.out)]
 
 
-def _cmd_split(args, s: _Settings) -> list[Path]:
+def _cmd_split(args) -> list[Path]:
     _require_inputs(args.infile)
     corpus = load_corpus(args.infile)
-    spec = SplitSpec(
-        test_fraction=s.get("test_frac", 0.2),
-        seed=derive_seed(s.seed(), "split"),
-        stratified=not bool(s.get("no_stratify", False)))
+    spec = SplitSpec(test_fraction=args.test_frac, seed=derive_seed(args.seed, "split"),
+                     stratified=not args.no_stratify)
     train_c, test_c = stratified_split(corpus, spec)
     save_corpus(train_c, args.out_train)
     save_corpus(test_c, args.out_test)
     return [Path(args.out_train), Path(args.out_test)]
 
 
-def _cmd_balance(args, s: _Settings) -> list[Path]:
+def _cmd_balance(args) -> list[Path]:
     _require_inputs(args.infile, args.test_in)
-    seed = s.seed()
     corpus = load_corpus(args.infile)
-    save_corpus(random_oversample(corpus, derive_seed(seed, "balance-train")), args.out)
+    save_corpus(random_oversample(corpus, derive_seed(args.seed, "balance-train")), args.out)
     outputs = [Path(args.out)]
     if args.test_in:
         if not args.test_out:
             raise CorpusError("--test-out is required with --test-in")
         test_c = load_corpus(args.test_in)
-        if not bool(s.get("skip_test", False)):
-            test_c = random_oversample(test_c, derive_seed(seed, "balance-test"))
+        if not args.skip_test:
+            test_c = random_oversample(test_c, derive_seed(args.seed, "balance-test"))
         save_corpus(test_c, args.test_out)
         outputs.append(Path(args.test_out))
     return outputs
 
 
-def _cmd_featurize(args, s: _Settings) -> list[Path]:
+def _cmd_featurize(args) -> list[Path]:
     _require_inputs(args.infile)
     corpus = load_corpus(args.infile)
-    if bool(s.get("fit", False)):
-        vocab = build_vocabulary(corpus, min_count=s.get("min_count", 1),
-                                 top_k=s.get("top_k", 0) or None)
+    if args.fit:
+        vocab = build_vocabulary(corpus, min_count=args.min_count, top_k=args.top_k or None)
         save_vocabulary(vocab, args.vocab)
     else:
         _require_inputs(args.vocab)
@@ -254,7 +243,7 @@ def _cmd_featurize(args, s: _Settings) -> list[Path]:
     matrix, labels = corpus_matrix(corpus, vocab)
     save_matrix(matrix, args.out)
     outputs = [Path(args.out)]
-    if bool(s.get("fit", False)):
+    if args.fit:
         outputs.append(Path(args.vocab))
     if args.labels_out:
         save_labels(labels, args.labels_out)
@@ -262,20 +251,13 @@ def _cmd_featurize(args, s: _Settings) -> list[Path]:
     return outputs
 
 
-def _member_configs(s: _Settings) -> list[GbdtConfig]:
-    lam = s.get("reg_lambda", 1.0)
-    gam = s.get("gamma", 0.0)
-    mch = s.get("min_child_hessian", 1.0)
-    out = []
-    for cfg in default_bagging_configs():
-        out.append(GbdtConfig(
-            learning_rate=cfg.learning_rate, max_depth=cfg.max_depth,
-            n_estimators=cfg.n_estimators, reg_lambda=lam, gamma=gam,
-            min_child_hessian=mch))
-    return out
+def _member_configs(args) -> list[GbdtConfig]:
+    return [replace(cfg, reg_lambda=args.reg_lambda, gamma=args.gamma,
+                    min_child_hessian=args.min_child_hessian)
+            for cfg in default_bagging_configs()]
 
 
-def _cmd_train_detector(args, s: _Settings) -> list[Path]:
+def _cmd_train_detector(args) -> list[Path]:
     _require_inputs(args.train, args.labels)
     X = load_matrix(args.train)
     labels = load_labels(args.labels)
@@ -284,17 +266,14 @@ def _cmd_train_detector(args, s: _Settings) -> list[Path]:
     if len(labels) != X.shape[0]:
         raise CorpusError(f"{X.shape[0]} matrix rows but {len(labels)} labels")
     detector = train_bagged(
-        X, np.array(labels), configs=_member_configs(s),
-        seed=derive_seed(s.seed(), "bootstrap"),
-        bootstrap=not bool(s.get("no_bootstrap", False)),
-        combine=s.get("vote", "mean"),
-        threshold=s.get("threshold", 0.5),
-        vocab_ref=s.get("vocab_ref", ""))
+        X, np.array(labels), configs=_member_configs(args),
+        seed=derive_seed(args.seed, "bootstrap"), bootstrap=not args.no_bootstrap,
+        combine=args.vote, threshold=args.threshold, vocab_ref=args.vocab_ref)
     save_detector(detector, args.out)
     return [Path(args.out)]
 
 
-def _cmd_detect(args, s: _Settings) -> list[Path]:
+def _cmd_detect(args) -> list[Path]:
     _require_inputs(args.model, args.infile)
     detector = load_detector(args.model)
     X = load_matrix(args.infile)
@@ -306,14 +285,14 @@ def _cmd_detect(args, s: _Settings) -> list[Path]:
     return [Path(args.out)]
 
 
-def _cmd_rank_features(args, s: _Settings) -> list[Path]:
+def _cmd_rank_features(args) -> list[Path]:
     _require_inputs(args.model, args.vocab)
     detector = load_detector(args.model)
     vocab = load_vocabulary(args.vocab)
     if len(vocab) != detector.n_features:
         raise CorpusError(
             f"vocabulary has {len(vocab)} columns, detector expects {detector.n_features}")
-    ranked = rank_features(detector, vocab, k=s.get("k", 10))
+    ranked = rank_features(detector, vocab, k=args.k)
     lines = ["rank\tngram\timportance"]
     for rank, (ngram, importance) in enumerate(ranked, start=1):
         ids = ",".join(str(i) for i in ngram)
@@ -326,30 +305,22 @@ def _cmd_rank_features(args, s: _Settings) -> list[Path]:
     return []
 
 
-def _cmd_train_predictor(args, s: _Settings) -> list[Path]:
+def _cmd_train_predictor(args) -> list[Path]:
     _require_inputs(args.infile)
     corpus = load_corpus(args.infile)
-    vocab_size = s.get("vocab_size", 0) or corpus.vocabulary_size
-    trace_cap = s.get("trace_cap", 0)
+    vocab_size = args.vocab_size or corpus.vocabulary_size
     samples = []
     for trace in corpus.traces:
-        calls = trace.calls[-trace_cap:] if trace_cap else trace.calls
+        calls = trace.calls[-args.trace_cap:] if args.trace_cap else trace.calls
         if max(calls) >= vocab_size:
             raise CorpusError(
                 f"trace {trace.id} has call id >= vocab size {vocab_size}")
         samples.extend(prefix_samples(calls))
     config = BiLstmConfig(
-        vocab_size=vocab_size,
-        embed_dim=s.get("embed", 64),
-        hidden=s.get("hidden", 150),
-        dropout_rate=s.get("dropout", 0.3),
-        learning_rate=s.get("lr", 0.01),
-        batch_size=s.get("batch_size", 128),
-        max_epochs=s.get("max_epochs", 50),
-        patience=s.get("patience", 3),
-        val_fraction=s.get("val_frac", 0.1),
-        max_prefix_len=s.get("max_prefix_len", 99),
-        seed=derive_seed(s.seed(), "predictor"))
+        vocab_size=vocab_size, embed_dim=args.embed, hidden=args.hidden,
+        dropout_rate=args.dropout, learning_rate=args.lr, batch_size=args.batch_size,
+        max_epochs=args.max_epochs, patience=args.patience, val_fraction=args.val_frac,
+        max_prefix_len=args.max_prefix_len, seed=derive_seed(args.seed, "predictor"))
     model, report = train(samples, config)
     save_model(model, args.out)
     outputs = [Path(args.out)]
@@ -359,7 +330,7 @@ def _cmd_train_predictor(args, s: _Settings) -> list[Path]:
     return outputs
 
 
-def _cmd_predict_next(args, s: _Settings) -> list[Path]:
+def _cmd_predict_next(args) -> list[Path]:
     _require_inputs(args.model)
     model = load_model(args.model)
     try:
@@ -370,7 +341,7 @@ def _cmd_predict_next(args, s: _Settings) -> list[Path]:
         raise CorpusError("--seq is empty")
     if min(seq) < 0 or max(seq) >= model.config.vocab_size:
         raise CorpusError(f"sequence ids must be in [0, {model.config.vocab_size})")
-    preds = predict_next_k(model, seq, k=s.get("k", 1))
+    preds = predict_next_k(model, seq, k=args.k)
     sys.stdout.write(",".join(str(p) for p in preds) + "\n")
     return []
 
@@ -392,11 +363,10 @@ def _read_int_lines(path: Path) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _cmd_evaluate(args, s: _Settings) -> list[Path]:
+def _cmd_evaluate(args) -> list[Path]:
     _require_inputs(args.pred, args.truth, args.scores, args.names, args.corpus)
-    task = s.get("task", "detect")
     report: dict[str, object]
-    if task == "detect":
+    if args.task == "detect":
         preds, scores = _read_predictions_csv(Path(args.pred))
         truths = _read_int_lines(Path(args.truth))
         cm = confusion(preds, truths, 2)
@@ -418,7 +388,7 @@ def _cmd_evaluate(args, s: _Settings) -> list[Path]:
             "support": {str(k): v for k, v in sorted(m.support.items())},
             "auc_positive": auc_pos,
         }
-    elif task == "next-call":
+    else:
         preds = _read_int_lines(Path(args.pred))
         truths = _read_int_lines(Path(args.truth))
         scores = None
@@ -448,169 +418,170 @@ def _cmd_evaluate(args, s: _Settings) -> list[Path]:
                 corpus = load_corpus(args.corpus)
                 rare = rare_label_report(
                     corpus, auc,
-                    freq_threshold=s.get("rare_threshold", 0) or None,
+                    freq_threshold=args.rare_threshold or None,
                     names=_load_names(args.names))
                 report["rare_labels"] = [
                     {"label": r.label, "name": r.name, "frequency": r.frequency,
                      "auc": r.auc} for r in rare]
-    else:
-        raise CorpusError(f"unknown evaluate task {task!r}")
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
     return [Path(args.out)]
 
 
-def _cmd_reproduce(args, s: _Settings) -> list[Path]:
+def _cmd_reproduce(args) -> list[Path]:
     from .reproduce import run_reproduction
 
     _require_inputs(args.dataset1, args.dataset2)
     return run_reproduction(
-        dataset1=args.dataset1, dataset2=args.dataset2,
-        outdir=Path(args.outdir), seed=s.seed(),
-        top_k_features=s.get("top_k", 4000),
-        seq_traces=s.get("seq_traces", 2000),
-        quick=bool(s.get("quick", False)))
+        dataset1=args.dataset1, dataset2=args.dataset2, outdir=Path(args.outdir),
+        seed=args.seed, top_k_features=args.top_k, seq_traces=args.seq_traces,
+        quick=args.quick)
 
 
 # --- parser -------------------------------------------------------------------
 
 
 def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", help="flat key=value settings file")
-    p.add_argument("--seed", type=int, help="task seed (default 42; APISENTRY_SEED respected)")
+    p.add_argument("--config", type=_InFile,
+                   help="flat key=value file of option dests; flags given here win")
+    p.add_argument("--seed", type=int, default=os.environ.get("APISENTRY_SEED", 42),
+                   help="task seed (default %(default)s, taken from APISENTRY_SEED if set)")
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="apisentry", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"apisentry {__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("ingest", help="parse, canonicalize and rewrite a corpus")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=["csv", "jsonl"])
-    p.add_argument("--collapse", action="store_true", default=None,
-                   help="drop consecutive repeated calls")
-    p.add_argument("--max-len", dest="max_len", type=int, help="prefix cap (default 100)")
+    p.add_argument("--in", dest="infile", type=_InFile, required=True)
+    p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+    p.add_argument("--collapse", action="store_true", help="drop consecutive repeated calls")
+    p.add_argument("--max-len", dest="max_len", type=int, default=100,
+                   help="prefix cap (default %(default)s)")
     p.add_argument("--out", required=True)
     _add_common(p)
 
     p = sub.add_parser("adapt", help="convert an upstream dataset file to canonical CSV")
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--in", dest="infile", type=_InFile, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--layout", choices=["wide", "seqcol"])
-    p.add_argument("--label-col", dest="label_col")
-    p.add_argument("--call-prefix", dest="call_prefix")
-    p.add_argument("--id-col", dest="id_col")
-    p.add_argument("--seq-col", dest="seq_col")
-    p.add_argument("--delimiter", dest="delimiter")
-    p.add_argument("--constant-label", dest="constant_label", type=int)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
+    p.add_argument("--layout", choices=["wide", "seqcol"], default="wide")
+    p.add_argument("--label-col", dest="label_col",
+                   help="label column (default: malware for wide, none for seqcol)")
+    p.add_argument("--call-prefix", dest="call_prefix", default="t_")
+    p.add_argument("--id-col", dest="id_col", default="hash")
+    p.add_argument("--seq-col", dest="seq_col", default="calls")
+    p.add_argument("--delimiter", dest="delimiter", default=" ")
+    p.add_argument("--constant-label", dest="constant_label", type=int, default=1)
+    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=0)
     _add_common(p)
 
     p = sub.add_parser("split", help="stratified train/test split")
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--in", dest="infile", type=_InFile, required=True)
     p.add_argument("--out-train", dest="out_train", required=True)
     p.add_argument("--out-test", dest="out_test", required=True)
-    p.add_argument("--test-frac", dest="test_frac", type=float)
-    p.add_argument("--no-stratify", dest="no_stratify", action="store_true", default=None)
+    p.add_argument("--test-frac", dest="test_frac", type=float, default=0.2)
+    p.add_argument("--no-stratify", dest="no_stratify", action="store_true")
     _add_common(p)
 
     p = sub.add_parser("balance", help="random-oversample the minority class")
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--in", dest="infile", type=_InFile, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--test-in", dest="test_in")
+    p.add_argument("--test-in", dest="test_in", type=_InFile)
     p.add_argument("--test-out", dest="test_out")
-    p.add_argument("--skip-test", dest="skip_test", action="store_true", default=None,
+    p.add_argument("--skip-test", dest="skip_test", action="store_true",
                    help="copy the test corpus through unbalanced")
     _add_common(p)
 
     p = sub.add_parser("featurize", help="build/apply an n-gram vocabulary and vectorize")
-    p.add_argument("--vocab", required=True, help="vocabulary file (written with --fit)")
-    p.add_argument("--fit", action="store_true", default=None,
-                   help="build the vocabulary from this corpus")
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--vocab", type=_InFile, required=True,
+                   help="vocabulary file (written with --fit)")
+    p.add_argument("--fit", action="store_true", help="build the vocabulary from this corpus")
+    p.add_argument("--min-count", dest="min_count", type=_count, default=1)
+    p.add_argument("--top-k", dest="top_k", type=_count, default=0)
+    p.add_argument("--in", dest="infile", type=_InFile, required=True)
     p.add_argument("--out", required=True, help="sparse count-matrix file")
     p.add_argument("--labels-out", dest="labels_out")
     _add_common(p)
 
     p = sub.add_parser("train-detector", help="train the 3-member boosted-tree ensemble")
-    p.add_argument("--train", required=True, help="count-matrix file")
-    p.add_argument("--labels", required=True)
+    p.add_argument("--train", type=_InFile, required=True, help="count-matrix file")
+    p.add_argument("--labels", type=_InFile, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--vote", choices=["mean", "majority"])
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--no-bootstrap", dest="no_bootstrap", action="store_true", default=None)
-    p.add_argument("--reg-lambda", dest="reg_lambda", type=float)
-    p.add_argument("--gamma", dest="gamma", type=float)
-    p.add_argument("--min-child-hessian", dest="min_child_hessian", type=float)
-    p.add_argument("--vocab-ref", dest="vocab_ref")
+    p.add_argument("--vote", choices=["mean", "majority"], default="mean")
+    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--no-bootstrap", dest="no_bootstrap", action="store_true")
+    p.add_argument("--reg-lambda", dest="reg_lambda", type=float, default=1.0)
+    p.add_argument("--gamma", dest="gamma", type=float, default=0.0)
+    p.add_argument("--min-child-hessian", dest="min_child_hessian", type=float, default=1.0)
+    p.add_argument("--vocab-ref", dest="vocab_ref", default="")
     _add_common(p)
 
     p = sub.add_parser("detect", help="score feature vectors with a trained detector")
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--model", type=_InFile, required=True)
+    p.add_argument("--in", dest="infile", type=_InFile, required=True)
     p.add_argument("--out", required=True)
     _add_common(p)
 
     p = sub.add_parser("rank-features", help="top n-grams by gain importance")
-    p.add_argument("--model", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("-k", dest="k", type=int)
+    p.add_argument("--model", type=_InFile, required=True)
+    p.add_argument("--vocab", type=_InFile, required=True)
+    p.add_argument("-k", dest="k", type=_count, default=10)
     p.add_argument("--out")
     _add_common(p)
 
     p = sub.add_parser("train-predictor", help="train the next-call sequence model")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
+    p.add_argument("--in", dest="infile", type=_InFile, required=True)
+    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--embed", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--val-frac", dest="val_frac", type=float)
-    p.add_argument("--max-prefix-len", dest="max_prefix_len", type=int)
-    p.add_argument("--trace-cap", dest="trace_cap", type=int,
+    p.add_argument("--embed", type=int, default=64)
+    p.add_argument("--hidden", type=int, default=150)
+    p.add_argument("--dropout", type=float, default=0.3)
+    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--batch-size", dest="batch_size", type=int, default=128)
+    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=50)
+    p.add_argument("--patience", type=int, default=3)
+    p.add_argument("--val-frac", dest="val_frac", type=float, default=0.1)
+    p.add_argument("--max-prefix-len", dest="max_prefix_len", type=int, default=99)
+    p.add_argument("--trace-cap", dest="trace_cap", type=_count, default=0,
                    help="keep only each trace's last N calls (0 disables)")
     p.add_argument("--curves", help="write per-epoch loss curves CSV here")
     _add_common(p)
 
     p = sub.add_parser("predict-next", help="predict the next k calls for a sequence")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", type=_InFile, required=True)
     p.add_argument("--seq", required=True, help="comma-separated call ids")
-    p.add_argument("-k", dest="k", type=int)
+    p.add_argument("-k", dest="k", type=int, default=1)
     _add_common(p)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
-    p.add_argument("--task", choices=["detect", "next-call"])
-    p.add_argument("--pred", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--scores")
-    p.add_argument("--names", help="id,name CSV for display")
-    p.add_argument("--corpus", help="corpus for rare-label frequencies")
-    p.add_argument("--rare-threshold", dest="rare_threshold", type=int)
+    p.add_argument("--task", choices=["detect", "next-call"], default="detect")
+    p.add_argument("--pred", type=_InFile, required=True)
+    p.add_argument("--truth", type=_InFile, required=True)
+    p.add_argument("--scores", type=_InFile)
+    p.add_argument("--names", type=_InFile, help="id,name CSV for display")
+    p.add_argument("--corpus", type=_InFile, help="corpus for rare-label frequencies")
+    p.add_argument("--rare-threshold", dest="rare_threshold", type=_count, default=0)
     p.add_argument("--out", required=True)
     _add_common(p)
 
     p = sub.add_parser("reproduce", help="run both reference pipelines and compare "
                                          "against the bundled target metrics")
-    p.add_argument("--dataset1", help="canonical CSV for the detection corpus (vocab 307)")
-    p.add_argument("--dataset2", help="canonical CSV for the malware-families corpus (vocab 342)")
+    p.add_argument("--dataset1", type=_InFile,
+                   help="canonical CSV for the detection corpus (vocab 307)")
+    p.add_argument("--dataset2", type=_InFile,
+                   help="canonical CSV for the malware-families corpus (vocab 342)")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--top-k", dest="top_k", type=int,
-                   help="feature cap for the detector (default 4000)")
-    p.add_argument("--seq-traces", dest="seq_traces", type=int,
-                   help="trace cap for the sequence model (0 = all; default 2000)")
-    p.add_argument("--quick", action="store_true", default=None,
+    p.add_argument("--top-k", dest="top_k", type=_count, default=4000,
+                   help="feature cap for the detector (default %(default)s)")
+    p.add_argument("--seq-traces", dest="seq_traces", type=_count, default=2000,
+                   help="trace cap for the sequence model (0 = all; default %(default)s)")
+    p.add_argument("--quick", action="store_true",
                    help="smaller models for a fast sanity pass")
     _add_common(p)
 
-    return parser
+    return parser, sub.choices
 
 
 _COMMANDS = {
@@ -630,18 +601,26 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else [str(a) for a in argv]
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command and args.config:
+            # file settings go in front of the flags, so explicit flags win
+            flags = _config_flags(args.config, commands, args.command)
+            try:
+                args = parser.parse_args(argv[:1] + flags + argv[1:])
+            except SystemExit:
+                sys.stderr.write(f"apisentry: the rejected value is from {args.config}\n")
+                raise
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if not getattr(args, "command", None):
+    if not args.command:
         parser.print_usage(sys.stderr)
         return 1
     t0 = time.monotonic()
-    settings = _Settings(args)
     try:
-        result = _COMMANDS[args.command](args, settings)
+        result = _COMMANDS[args.command](args)
     except (CorpusError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"apisentry: error: {exc}\n")
         return 1
@@ -650,10 +629,9 @@ def main(argv=None) -> int:
         return 2
     if isinstance(result, int):
         return result
-    inputs = [args.__dict__.get(k) for k in
-              ("infile", "train", "labels", "model", "vocab", "pred", "truth",
-               "scores", "names", "corpus", "test_in", "config")]
-    _write_manifests(args.command, settings, [p for p in inputs if p], result, t0)
+    config = {k: v for k, v in vars(args).items() if k != "command"}
+    inputs = [v for v in config.values() if isinstance(v, _InFile) and Path(v) not in result]
+    _write_manifests(args.command, config, inputs, result, t0)
     return 0
 
 

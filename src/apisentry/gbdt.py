@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .ngrams import FeatureVector, NGramVocabulary, _fmt, _sigmoid, _stack_vectors
+from .ngrams import (FeatureVector, NGramVocabulary, _fmt, _LineReader, _sigmoid,
+                     _stack_vectors)
 
 # Rows descended together; bounds the dense split-column block and the
 # (rows, trees) node matrix whatever the number of rows scored.
@@ -525,74 +526,55 @@ def save_detector(detector: BaggedDetector, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-class _LineReader:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise ValueError("unexpected end of model file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def field(self, name: str) -> str:
-        line = self.next()
-        if not line.startswith(name + " ") and line != name:
-            raise ValueError(f"expected {name!r}, got {line!r}")
-        return line[len(name) + 1:]
-
-
 def load_detector(path: str | Path) -> BaggedDetector:
-    reader = _LineReader(Path(path).read_text(encoding="utf-8"))
-    if reader.next() != _FORMAT_TAG:
-        raise ValueError(f"{path}: not a detector file")
-    combine = reader.field("combine")
-    threshold = float(reader.field("threshold"))
-    n_features = int(reader.field("n_features"))
-    vocab_ref = reader.field("vocab_ref")
-    n_members = int(reader.field("members"))
-    members = []
-    for i in range(n_members):
-        reader.field("member")
-        cfg = GbdtConfig(
-            learning_rate=float(reader.field("learning_rate")),
-            max_depth=int(reader.field("max_depth")),
-            n_estimators=int(reader.field("n_estimators")),
-            reg_lambda=float(reader.field("reg_lambda")),
-            gamma=float(reader.field("gamma")),
-            min_child_hessian=float(reader.field("min_child_hessian")),
-            seed=int(reader.field("seed")))
-        base_score = float(reader.field("base_score"))
-        n_trees = int(reader.field("trees"))
-        trees = []
-        gain_map: dict[int, float] = {}
-        for _ in range(n_trees):
-            header = reader.field("tree").split()
-            n_nodes = int(header[1])
-            feature = np.full(n_nodes, -1, dtype=np.int32)
-            thresholds = np.zeros(n_nodes)
-            left = np.full(n_nodes, -1, dtype=np.int32)
-            right = np.full(n_nodes, -1, dtype=np.int32)
-            weight = np.zeros(n_nodes)
-            gains = np.zeros(n_nodes)
-            for node in range(n_nodes):
-                parts = reader.next().split()
-                if parts[0] == "s":
-                    feature[node] = int(parts[1])
-                    thresholds[node] = float(parts[2])
-                    left[node] = int(parts[3])
-                    right[node] = int(parts[4])
-                    gains[node] = float(parts[5])
-                    gain_map[int(parts[1])] = gain_map.get(int(parts[1]), 0.0) + float(parts[5])
-                elif parts[0] == "l":
-                    weight[node] = float(parts[1])
-                else:
-                    raise ValueError(f"{path}: bad node line {parts!r}")
-            trees.append(RegressionTree(feature, thresholds, left, right, weight, gains))
-        members.append(GbdtModel(trees=trees, base_score=base_score, config=cfg,
-                                 n_features=n_features, feature_gain=gain_map,
-                                 train_loss=[]))
-    return BaggedDetector(members=members, threshold=threshold,
-                          combine=combine, vocab_ref=vocab_ref)
+    with _LineReader(path) as reader:
+        if reader.next() != _FORMAT_TAG:
+            raise ValueError("not a detector file")
+        combine = reader.field("combine")
+        threshold = float(reader.field("threshold"))
+        n_features = int(reader.field("n_features"))
+        vocab_ref = reader.field("vocab_ref")
+        n_members = int(reader.field("members"))
+        members = []
+        for i in range(n_members):
+            reader.field("member")
+            cfg = GbdtConfig(
+                learning_rate=float(reader.field("learning_rate")),
+                max_depth=int(reader.field("max_depth")),
+                n_estimators=int(reader.field("n_estimators")),
+                reg_lambda=float(reader.field("reg_lambda")),
+                gamma=float(reader.field("gamma")),
+                min_child_hessian=float(reader.field("min_child_hessian")),
+                seed=int(reader.field("seed")))
+            base_score = float(reader.field("base_score"))
+            n_trees = int(reader.field("trees"))
+            trees = []
+            gain_map: dict[int, float] = {}
+            for _ in range(n_trees):
+                header = reader.field("tree").split()
+                n_nodes = int(header[1])
+                feature = np.full(n_nodes, -1, dtype=np.int32)
+                thresholds = np.zeros(n_nodes)
+                left = np.full(n_nodes, -1, dtype=np.int32)
+                right = np.full(n_nodes, -1, dtype=np.int32)
+                weight = np.zeros(n_nodes)
+                gains = np.zeros(n_nodes)
+                for node in range(n_nodes):
+                    parts = reader.next().split()
+                    if parts[:1] == ["s"]:
+                        f = feature[node] = int(parts[1])
+                        thresholds[node] = float(parts[2])
+                        left[node] = int(parts[3])
+                        right[node] = int(parts[4])
+                        gains[node] = float(parts[5])
+                        gain_map[f] = gain_map.get(f, 0.0) + float(parts[5])
+                    elif parts[:1] == ["l"]:
+                        weight[node] = float(parts[1])
+                    else:
+                        raise ValueError(f"bad node line {parts!r}")
+                trees.append(RegressionTree(feature, thresholds, left, right, weight, gains))
+            members.append(GbdtModel(trees=trees, base_score=base_score, config=cfg,
+                                     n_features=n_features, feature_gain=gain_map,
+                                     train_loss=[]))
+        return BaggedDetector(members=members, threshold=threshold,
+                              combine=combine, vocab_ref=vocab_ref)

@@ -125,17 +125,16 @@ def weighted_metrics(preds, truths, n_labels: int) -> MetricsReport:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1, ties sharing the average of their positions."""
+    """Ranks starting at 1, ties sharing the average of their positions:
+    scipy.stats.rankdata's "average" method, bit for bit, without importing
+    scipy.stats (about 0.9 s and 50 MB)."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
     sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    new_group = np.r_[True, sorted_vals[1:] != sorted_vals[:-1]]
+    bounds = np.r_[np.flatnonzero(new_group), len(values)]  # group starts, then n
+    group = np.cumsum(new_group)  # 1-based group of each sorted value
+    ranks = np.empty(len(values))
+    ranks[order] = 0.5 * (bounds[group - 1] + bounds[group] + 1)
     return ranks
 
 
@@ -152,6 +151,8 @@ def roc_auc_per_label(scores, truths, n_labels: int) -> AucReport:
         raise ValueError(f"scores must be (n_samples, {n_labels})")
     if scores.shape[0] != truths.shape[0]:
         raise ValueError("length mismatch between scores and truths")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     per_label: dict[int, float | None] = {}
     supports: dict[int, int] = {}
     for lab in range(n_labels):

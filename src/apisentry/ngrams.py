@@ -30,6 +30,36 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _LineReader:
+    """Reads a line-oriented model file front to back. As a context manager
+    it prefixes any ValueError or IndexError raised in its block with the
+    file and the number of the line last read."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self.lines = Path(path).read_text(encoding="utf-8").splitlines()
+        self.pos = 0
+
+    def __enter__(self) -> "_LineReader":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, (ValueError, IndexError)):
+            raise ValueError(f"{self.path}: line {self.pos}: {exc}") from exc
+
+    def next(self) -> str:
+        self.pos += 1
+        if self.pos > len(self.lines):
+            raise ValueError("unexpected end of file")
+        return self.lines[self.pos - 1]
+
+    def field(self, name: str) -> str:
+        line = self.next()
+        if not line.startswith(name + " ") and line != name:
+            raise ValueError(f"expected {name!r}, got {line!r}")
+        return line[len(name) + 1:]
+
+
 @dataclass(frozen=True)
 class NGramVocabulary:
     """Bijection between observed n-grams and dense column indices."""

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ngrams import PrefixSample, _fmt, _sigmoid
+from .ngrams import PrefixSample, _fmt, _LineReader, _sigmoid
 from .seeding import derive_seed
 
 
@@ -500,33 +500,18 @@ def save_model(model: BiLstmModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BiLstmModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != _FORMAT_TAG:
-        raise ValueError(f"{path}: not a sequence model file")
-    pos = 1
-    kwargs = {}
-    for name, kind in _CONFIG_FIELDS:
-        key, value = lines[pos].split(" ", 1)
-        if key != name:
-            raise ValueError(f"{path}: expected config field {name!r}, got {key!r}")
-        kwargs[name] = kind(value)
-        pos += 1
-    cfg = BiLstmConfig(**kwargs)
-    params: dict[str, np.ndarray] = {}
-    for key in _param_keys(cfg):
-        header = lines[pos].split()
-        if header[0] != "tensor" or header[1] != key:
-            raise ValueError(f"{path}: expected tensor {key!r}, got {lines[pos]!r}")
-        shape = tuple(int(d) for d in header[2:])
-        pos += 1
-        n_rows = shape[0] if len(shape) > 1 else 1
-        rows = []
-        for _ in range(n_rows):
-            rows.append(np.array(lines[pos].split(), dtype=np.float64))
-            pos += 1
-        params[key] = np.vstack(rows).reshape(shape)
-        if params[key].shape != _param_shape(key, cfg):
-            raise ValueError(f"{path}: tensor {key!r} has wrong shape {shape}")
+    with _LineReader(path) as reader:
+        if reader.next() != _FORMAT_TAG:
+            raise ValueError("not a sequence model file")
+        cfg = BiLstmConfig(**{name: kind(reader.field(name)) for name, kind in _CONFIG_FIELDS})
+        params: dict[str, np.ndarray] = {}
+        for key in _param_keys(cfg):
+            shape = tuple(int(d) for d in reader.field(f"tensor {key}").split())
+            n_rows = shape[0] if len(shape) > 1 else 1
+            rows = [np.array(reader.next().split(), dtype=np.float64) for _ in range(n_rows)]
+            params[key] = np.vstack(rows).reshape(shape)
+            if params[key].shape != _param_shape(key, cfg):
+                raise ValueError(f"tensor {key!r} has wrong shape {shape}")
     return BiLstmModel(params=params, config=cfg)
 
 

@@ -1,10 +1,15 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from apisentry.cli import main
 from apisentry.data import demo_corpus_path, generate_demo_corpus
+from apisentry.gbdt import GbdtConfig, save_detector, train_bagged
+from apisentry.ngrams import save_matrix
+from apisentry.seqmodel import BiLstmConfig, init_model, save_model
 
 
 @pytest.fixture()
@@ -82,6 +87,24 @@ class TestPipeline:
         assert str(cooked) in manifest["outputs"]
         assert all(d.startswith("sha256:") for d in manifest["outputs"].values())
 
+    def test_featurize_manifests_place_the_vocabulary(self, demo, tmp_path):
+        vocab = tmp_path / "vocab.tsv"
+        assert run("featurize", "--vocab", vocab, "--fit", "--in", demo,
+                   "--out", tmp_path / "fit.mat") == 0
+        assert run("featurize", "--vocab", vocab, "--in", demo,
+                   "--out", tmp_path / "apply.mat") == 0
+        fit = json.loads((tmp_path / "fit.mat.manifest.json").read_text())
+        apply = json.loads((tmp_path / "apply.mat.manifest.json").read_text())
+        assert str(vocab) in fit["outputs"] and str(vocab) not in fit["inputs"]
+        assert str(vocab) in apply["inputs"] and str(vocab) not in apply["outputs"]
+
+    def test_reproduce_manifest_lists_the_dataset(self, demo, tmp_path):
+        outdir = tmp_path / "repro"
+        assert run("reproduce", "--dataset1", demo, "--outdir", outdir, "--quick",
+                   "--seq-traces", 5, "--top-k", 50) == 0
+        manifest = json.loads((outdir / "summary.txt.manifest.json").read_text())
+        assert list(manifest["inputs"]) == [str(demo)]
+
     def test_rank_features_finds_planted_trigram(self, demo, tmp_path, capsys):
         paths = detector_pipeline(tmp_path, demo)
         out = tmp_path / "rank.tsv"
@@ -155,6 +178,44 @@ class TestValidation:
         assert "3 scores" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_truncated_sequence_model_exits_one(self, tmp_path, capsys):
+        model = tmp_path / "model.seq"
+        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
+        model.write_text("\n".join(model.read_text().splitlines()[:20]) + "\n")
+        assert run("predict-next", "--model", model, "--seq", "1,2") == 1
+        assert f"{model}: line 21: unexpected end of file" in capsys.readouterr().err
+
+    def test_blank_detector_node_line_exits_one(self, tmp_path, capsys):
+        X = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [0.0, 3.0]]))
+        model, matrix = tmp_path / "model.det", tmp_path / "x.mat"
+        config = GbdtConfig(n_estimators=2, max_depth=2)
+        save_detector(train_bagged(X, np.array([0, 1, 1, 0]), configs=[config] * 3), model)
+        save_matrix(X, matrix)
+        lines = model.read_text().splitlines()
+        node = next(i for i, ln in enumerate(lines) if ln.startswith(("s ", "l ")))
+        lines[node] = ""
+        model.write_text("\n".join(lines) + "\n")
+        assert run("detect", "--model", model, "--in", matrix,
+                   "--out", tmp_path / "p.csv") == 1
+        assert f"line {node + 1}: bad node line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["featurize", "--vocab", "v.tsv", "--in", "c.csv", "--out", "m.mat", "--top-k", "-5"],
+    ["featurize", "--vocab", "v.tsv", "--in", "c.csv", "--out", "m.mat", "--min-count", "-1"],
+    ["rank-features", "--model", "m.det", "--vocab", "v.tsv", "-k", "-1"],
+    ["train-predictor", "--in", "c.csv", "--out", "m.seq", "--trace-cap", "-3"],
+    ["evaluate", "--pred", "p.csv", "--truth", "t.txt", "--out", "r.json",
+     "--rare-threshold", "-1"],
+    ["reproduce", "--outdir", "repro", "--seq-traces", "-1"],
+])
+def test_negative_count_exits_one(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 1
+    assert f"{argv[-2]}: expected a non-negative integer, got '{argv[-1]}'" \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
 
 class TestAdapt:
     def test_seqcol_label_col_is_read(self, tmp_path):
@@ -195,3 +256,36 @@ class TestSettings:
         assert run("split", "--in", demo, "--out-train", out_b,
                    "--out-test", tmp_path / "b_test.csv", "--seed", 9) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("line, message", [
+        ("format=xml", "argument --format: invalid choice: 'xml'"),
+        ("max_len=abc", "argument --max-len: invalid int value: 'abc'"),
+        ("collapse=maybe", "line 2: collapse must be one of"),
+        ("max_lenn=5", "line 2: unknown key 'max_lenn'"),
+        ("config=other.cfg", "line 2: 'config' cannot be set from a config file"),
+        ("max_len 5", "line 2: expected key=value"),
+    ])
+    def test_bad_config_line_exits_one(self, demo, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# ingest settings\n{line}\n")
+        out = tmp_path / "out.csv"
+        assert run("ingest", "--in", demo, "--out", out, "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert str(cfg) in err
+        assert not out.exists()
+
+    def test_other_commands_keys_are_skipped(self, demo, tmp_path):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("top_k=50\nno_bootstrap=true\nmax_len=5\n")
+        out = tmp_path / "out.csv"
+        assert run("ingest", "--in", demo, "--out", out, "--config", cfg) == 0
+        first_trace = out.read_text().splitlines()[1]
+        assert len(first_trace.split(",")) == 1 + 5
+
+    def test_manifest_records_unpassed_defaults(self, demo, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run("ingest", "--in", demo, "--out", out) == 0
+        config = json.loads((tmp_path / "out.csv.manifest.json").read_text())["config"]
+        assert config["max_len"] == 100
+        assert config["format"] == "csv" and config["collapse"] is False

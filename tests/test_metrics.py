@@ -175,6 +175,12 @@ class TestRocAuc:
         for lab in range(2):
             assert a.per_label_auc[lab] + b.per_label_auc[lab] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        scores = np.array([[0.4, 0.6], [0.3, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            roc_auc_per_label(scores, [1, 0], 2)
+
 
 class TestRareLabels:
     def make_corpus(self):

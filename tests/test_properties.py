@@ -1,6 +1,6 @@
 """Property tests: the packed-forest prediction path against a scalar
-per-row descent, the one-vector wrappers against the rows path, and the
-shared sigmoid at extreme inputs."""
+per-row descent, the one-vector wrappers against the rows path, the
+shared sigmoid at extreme inputs, and the AUC midranks against scipy."""
 
 import warnings
 from unittest import mock
@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.stats import rankdata
 
 from apisentry import gbdt, seqmodel
 from apisentry.gbdt import (
@@ -22,6 +23,7 @@ from apisentry.gbdt import (
     predict_proba,
     predict_proba_rows,
 )
+from apisentry.metrics import _midranks
 from apisentry.ngrams import FeatureVector
 
 N_FEATURES = 5
@@ -126,3 +128,11 @@ def test_seqmodel_sigmoid_extremes_do_not_overflow():
         warnings.simplefilter("error", RuntimeWarning)
         out = seqmodel._sigmoid(np.array([-800.0, 0.0, 800.0]))
     assert out[0] < 1e-300 and out[1] == 0.5 and out[2] == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from([-1.5, 0.0, 0.25, 0.5, 3.0]) | st.floats(-9, 9),
+                       min_size=1, max_size=60))
+def test_midranks_equal_scipy_average_ranks(values):
+    values = np.array(values)
+    assert np.array_equal(_midranks(values), rankdata(values, method="average"))
