@@ -27,6 +27,7 @@ from . import __version__
 from .corpus import (
     CorpusError,
     SplitSpec,
+    _LineReader,
     canonicalize,
     convert_seq_csv,
     convert_wide_csv,
@@ -93,16 +94,16 @@ def _config_flags(path: str, commands: dict[str, _Parser], command: str) -> list
     parser = commands[command]
     actions = {a.dest: a for a in parser._actions}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        reader = _LineReader(path)
+    except (OSError, ValueError) as exc:
         parser.error(f"--config: {exc}")
     flags = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for line in reader:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, eq, value = (part.strip() for part in line.partition("="))
-        where = f"{path}: line {lineno}"
+        where = f"{path}: line {reader.pos}"
         if not eq:
             parser.error(f"{where}: expected key=value")
         if key in ("config", "help"):
@@ -163,16 +164,9 @@ def _write_manifests(command: str, config: dict, inputs, outputs, t0: float) -> 
 def _load_names(path: str | None) -> dict[int, str] | None:
     if not path:
         return None
-    names: dict[int, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        ident, _, name = line.partition(",")
-        if not ident.isdigit():
-            continue  # header or junk line
-        names[int(ident)] = name.strip()
-    return names
+    # a line that does not start with a number is a header, blank or junk
+    rows = (line.strip().partition(",") for line in _LineReader(path))
+    return {int(ident): name.strip() for ident, _, name in rows if ident.isdecimal()}
 
 
 # --- command implementations --------------------------------------------------
@@ -189,15 +183,15 @@ def _cmd_ingest(args) -> list[Path]:
 
 def _cmd_adapt(args) -> list[Path]:
     _require_inputs(args.infile)
-    text = Path(args.infile).read_text(encoding="utf-8")
+    reader = _LineReader(args.infile)
     vocab = args.vocab_size or None
     if args.layout == "wide":
         corpus = convert_wide_csv(
-            text, label_col="malware" if args.label_col is None else args.label_col,
+            reader, label_col="malware" if args.label_col is None else args.label_col,
             call_prefix=args.call_prefix, id_col=args.id_col, vocabulary_size=vocab)
     else:
         corpus = convert_seq_csv(
-            text, seq_col=args.seq_col, delimiter=args.delimiter,
+            reader, seq_col=args.seq_col, delimiter=args.delimiter,
             label_col=args.label_col or None, constant_label=args.constant_label,
             id_col=args.id_col, vocabulary_size=vocab)
     save_corpus(corpus, args.out)
@@ -348,19 +342,35 @@ def _cmd_predict_next(args) -> list[Path]:
 
 def _read_predictions_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     labels, scores = [], []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        _, label, score = line.split(",")
-        labels.append(int(label))
-        scores.append(float(score))
+    with _LineReader(path) as reader:
+        reader.next()  # the row,label,score header
+        for line in reader:
+            if line.strip():
+                _, label, score = line.split(",")
+                labels.append(int(label))
+                scores.append(float(score))
     return np.array(labels, dtype=np.int64), np.array(scores)
 
 
-def _read_int_lines(path: Path) -> np.ndarray:
-    return np.array([int(tok) for tok in path.read_text(encoding="utf-8").split()],
-                    dtype=np.int64)
+def _read_numbers(path: Path, kind=int) -> np.ndarray:
+    """Every whitespace-separated number in the file, read as `kind`."""
+    with _LineReader(path) as reader:
+        return np.array([kind(tok) for line in reader for tok in line.split()],
+                        dtype=np.int64 if kind is int else np.float64)
+
+
+def _read_score_rows(path: Path) -> np.ndarray:
+    """Comma-separated scores, a row per non-blank line, all as long as the first."""
+    rows: list[list[float]] = []
+    with _LineReader(path) as reader:
+        for line in reader:
+            if line.strip():
+                rows.append([float(tok) for tok in line.split(",")])
+                if len(rows[-1]) != len(rows[0]):
+                    raise ValueError(f"expected {len(rows[0])} scores, got {len(rows[-1])}")
+        if not rows:
+            raise ValueError("no score rows")
+    return np.array(rows)
 
 
 def _cmd_evaluate(args) -> list[Path]:
@@ -368,13 +378,10 @@ def _cmd_evaluate(args) -> list[Path]:
     report: dict[str, object]
     if args.task == "detect":
         preds, scores = _read_predictions_csv(Path(args.pred))
-        truths = _read_int_lines(Path(args.truth))
+        truths = _read_numbers(Path(args.truth))
         cm = confusion(preds, truths, 2)
         m = binary_metrics(cm)
-        score_col = scores
-        if args.scores:
-            score_col = np.array([float(t) for t in
-                                  Path(args.scores).read_text().split()])
+        score_col = _read_numbers(Path(args.scores), float) if args.scores else scores
         if len(score_col) != len(truths):
             raise CorpusError(f"{args.scores or args.pred} has {len(score_col)} scores "
                               f"but {args.truth} has {len(truths)} truths")
@@ -389,14 +396,11 @@ def _cmd_evaluate(args) -> list[Path]:
             "auc_positive": auc_pos,
         }
     else:
-        preds = _read_int_lines(Path(args.pred))
-        truths = _read_int_lines(Path(args.truth))
+        preds = _read_numbers(Path(args.pred))
+        truths = _read_numbers(Path(args.truth))
         scores = None
         if args.scores:
-            scores = np.array(
-                [[float(tok) for tok in line.split(",")]
-                 for line in Path(args.scores).read_text(encoding="utf-8").splitlines()
-                 if line.strip()])
+            scores = _read_score_rows(Path(args.scores))
         n_labels = int(max(preds.max(), truths.max())) + 1 if len(preds) else 1
         if scores is not None:
             n_labels = max(n_labels, scores.shape[1])

@@ -80,25 +80,95 @@ class SplitSpec:
             raise CorpusError(f"test_fraction must be in (0,1), got {self.test_fraction}")
 
 
-def _parse_label(token: str, where: str) -> int | None:
+class _LineReader:
+    """Reads a file, or text, front to back and keeps `pos` on the number of
+    the line being parsed (0 while none is, so also once every line has been
+    read). As a context manager it prefixes any ValueError or IndexError
+    raised in its block, once, with the file's name and that line:
+    `{path}: line {n}: {message}`. A CorpusError stays a CorpusError; any
+    other error becomes a ValueError."""
+
+    def __init__(self, path: str | Path | None = None, text: str | None = None):
+        self.path = path
+        self.pos = 0
+        if text is None:
+            try:
+                text = Path(path).read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                self.pos = exc.object.count(b"\n", 0, exc.start) + 1
+                self.__exit__(None, exc, None)  # prefixed like an error in a block
+        self.lines = text.splitlines()
+        self._rest = enumerate(self.lines, 1)
+
+    def __enter__(self) -> "_LineReader":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, (ValueError, IndexError)):
+            where = f"{self.path}: " if self.path else ""
+            where += f"line {self.pos}: " if self.pos else ""
+            raise (CorpusError if isinstance(exc, CorpusError) else ValueError)(
+                f"{where}{exc}") from exc
+
+    def __iter__(self):
+        for self.pos, line in self._rest:
+            yield line
+        self.pos = 0
+
+    def next(self) -> str:
+        self.pos, line = next(self._rest, (len(self.lines) + 1, None))
+        if line is None:
+            raise ValueError("unexpected end of file")
+        return line
+
+    def field(self, name: str) -> str:
+        line = self.next()
+        if not line.startswith(name + " ") and line != name:
+            raise ValueError(f"expected {name!r}, got {line!r}")
+        return line[len(name) + 1:]
+
+
+def _reader(source) -> _LineReader:
+    """The reader given, or an unnamed reader over text, bytes or a stream."""
+    if isinstance(source, _LineReader):
+        return source
+    if isinstance(source, Path):
+        raise TypeError("parse_corpus takes a stream or text, not a path; use load_corpus")
+    if not isinstance(source, (str, bytes)):
+        source = source.read()
+    return _LineReader(text=source.decode("utf-8") if isinstance(source, bytes) else source)
+
+
+def _parse_label(token: str) -> int | None:
     if token == "-":
         return None
     if token in ("0", "1"):
         return int(token)
-    raise CorpusError(f"{where}: label must be 0, 1 or '-', got {token!r}")
+    raise CorpusError(f"label must be 0, 1 or '-', got {token!r}")
 
 
-def _as_text_lines(source) -> list[str]:
-    if isinstance(source, Path):
-        raise TypeError("parse_corpus takes a stream or text, not a path; use load_corpus")
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    return text.split("\n")
+def _call_ids(tokens) -> tuple[int, ...]:
+    if not tokens or tokens == [""]:
+        raise CorpusError("empty sequence")
+    try:
+        calls = tuple(map(int, tokens))
+    except ValueError:
+        raise CorpusError("malformed call id") from None
+    if min(calls) < 0:
+        raise CorpusError("negative call id")
+    return calls
+
+
+def _corpus(traces: list[LabeledTrace], vocabulary_size: int | None,
+            provenance: str) -> Corpus:
+    """Whole-file checks: some trace, and every call id below the vocabulary size."""
+    if not traces:
+        raise CorpusError("no traces")
+    max_id = max(max(t.calls) for t in traces)
+    vocab = max_id + 1 if vocabulary_size is None else vocabulary_size
+    if max_id >= vocab:
+        raise CorpusError(f"call id {max_id} exceeds vocabulary size {vocab}")
+    return Corpus(traces=tuple(traces), vocabulary_size=vocab, provenance=provenance)
 
 
 def parse_corpus(source: str | bytes | IO, format: str = "canonical_csv",
@@ -110,69 +180,46 @@ def parse_corpus(source: str | bytes | IO, format: str = "canonical_csv",
     """
     if format not in ("canonical_csv", "jsonl"):
         raise CorpusError(f"unknown corpus format {format!r}")
-    lines = _as_text_lines(source)
-
     traces: list[LabeledTrace] = []
     declared_vocab: int | None = None
-    max_id = -1
-    row = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if format == "canonical_csv" and line.startswith("#"):
-            if row == 0 and line.startswith("#vocab=") and declared_vocab is None:
-                try:
-                    declared_vocab = int(line[len("#vocab="):])
-                except ValueError:
-                    raise CorpusError(f"line {lineno}: bad vocabulary header {line!r}")
-                if declared_vocab < 1:
-                    raise CorpusError(f"line {lineno}: vocabulary size must be >= 1")
+    with _reader(source) as reader:
+        for line in reader:
+            line = line.strip()
+            if not line:
                 continue
-            raise CorpusError(f"line {lineno}: unexpected comment line {line!r}")
-        row += 1
-        where = f"line {lineno}"
-        if format == "canonical_csv":
-            fields = line.split(",")
-            label = _parse_label(fields[0].strip(), where)
-            call_tokens = fields[1:]
-            if not call_tokens or call_tokens == [""]:
-                raise CorpusError(f"{where}: empty sequence")
-            try:
-                calls = tuple(int(tok) for tok in call_tokens)
-            except ValueError:
-                raise CorpusError(f"{where}: malformed call id")
-            trace_id = f"t{row}"
-        else:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{where}: malformed json ({exc.msg})")
-            if not isinstance(obj, dict) or "calls" not in obj:
-                raise CorpusError(f"{where}: object must carry a 'calls' field")
-            raw_calls = obj["calls"]
-            if not isinstance(raw_calls, list) or not raw_calls:
-                raise CorpusError(f"{where}: empty sequence")
-            if not all(isinstance(c, int) and not isinstance(c, bool) for c in raw_calls):
-                raise CorpusError(f"{where}: calls must be integers")
-            calls = tuple(raw_calls)
-            raw_label = obj.get("label")
-            if raw_label not in (None, 0, 1):
-                raise CorpusError(f"{where}: label must be 0, 1 or null")
-            label = raw_label
-            trace_id = str(obj.get("id") or f"t{row}")
-        if any(c < 0 for c in calls):
-            raise CorpusError(f"{where}: negative call id")
-        max_id = max(max_id, max(calls))
-        traces.append(LabeledTrace(id=trace_id, calls=calls, label=label))
-
-    if not traces:
-        raise CorpusError("no traces")
-    if declared_vocab is not None and max_id >= declared_vocab:
-        raise CorpusError(
-            f"call id {max_id} exceeds declared vocabulary size {declared_vocab}")
-    vocab = declared_vocab if declared_vocab is not None else max_id + 1
-    return Corpus(traces=tuple(traces), vocabulary_size=vocab, provenance=provenance)
+            if format == "canonical_csv" and line.startswith("#"):
+                if not traces and line.startswith("#vocab=") and declared_vocab is None:
+                    try:
+                        declared_vocab = int(line[len("#vocab="):])
+                    except ValueError:
+                        raise CorpusError(f"bad vocabulary header {line!r}") from None
+                    if declared_vocab < 1:
+                        raise CorpusError("vocabulary size must be >= 1")
+                    continue
+                raise CorpusError(f"unexpected comment {line!r}")
+            trace_id = f"t{len(traces) + 1}"
+            if format == "canonical_csv":
+                fields = line.split(",")
+                label = _parse_label(fields[0].strip())
+                calls = _call_ids(fields[1:])
+            else:
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"malformed json ({exc.msg})") from None
+                if not isinstance(obj, dict) or "calls" not in obj:
+                    raise CorpusError("object must carry a 'calls' field")
+                calls = obj["calls"]
+                if not isinstance(calls, list) or not all(
+                        isinstance(c, int) and not isinstance(c, bool) for c in calls):
+                    raise CorpusError("calls must be a list of integers")
+                calls = _call_ids(calls)
+                label = obj.get("label")
+                if label not in (None, 0, 1):
+                    raise CorpusError("label must be 0, 1 or null")
+                trace_id = str(obj.get("id") or trace_id)
+            traces.append(LabeledTrace(id=trace_id, calls=calls, label=label))
+        return _corpus(traces, declared_vocab, provenance)
 
 
 def serialize_corpus(corpus: Corpus, format: str = "canonical_csv") -> str:
@@ -195,8 +242,7 @@ def serialize_corpus(corpus: Corpus, format: str = "canonical_csv") -> str:
 def load_corpus(path: str | Path, format: str = "canonical_csv") -> Corpus:
     # provenance keeps the file name only, so artifacts derived from the
     # corpus stay byte-identical across working directories
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_corpus(text, format=format, provenance=Path(path).name)
+    return parse_corpus(_LineReader(path), format=format, provenance=Path(path).name)
 
 
 def save_corpus(corpus: Corpus, path: str | Path, format: str = "canonical_csv") -> None:
@@ -306,71 +352,58 @@ def random_oversample(corpus: Corpus, seed: int) -> Corpus:
 
 # --- adapters for upstream dataset files ------------------------------------
 
-def convert_wide_csv(text: str, label_col: str, call_prefix: str,
+def _column(header: list[str], name: str | None) -> int | None:
+    return header.index(name) if name and name in header else None
+
+
+def convert_wide_csv(text: str | _LineReader, label_col: str, call_prefix: str,
                      id_col: str | None = None, positive_value: str = "1",
                      vocabulary_size: int | None = None) -> Corpus:
     """Adapt a wide CSV (one call per column, columns named
     ``<call_prefix>0..<call_prefix>N``) into a canonical corpus."""
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
-        raise CorpusError("no traces")
-    header = [h.strip() for h in lines[0].split(",")]
-    try:
-        label_pos = header.index(label_col)
-    except ValueError:
-        raise CorpusError(f"label column {label_col!r} not in header")
-    id_pos = header.index(id_col) if id_col and id_col in header else None
-    call_pos = [(int(h[len(call_prefix):]), i) for i, h in enumerate(header)
-                if h.startswith(call_prefix) and h[len(call_prefix):].isdigit()]
-    if not call_pos:
-        raise CorpusError(f"no call columns with prefix {call_prefix!r}")
-    call_pos.sort()
     traces = []
-    for row, line in enumerate(lines[1:], start=1):
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise CorpusError(f"line {row + 1}: expected {len(header)} fields")
-        label = 1 if fields[label_pos].strip() == positive_value else 0
-        calls = tuple(int(fields[i]) for _, i in call_pos)
-        trace_id = fields[id_pos].strip() if id_pos is not None else f"t{row}"
-        traces.append(LabeledTrace(id=trace_id, calls=calls, label=label))
-    max_id = max(max(t.calls) for t in traces)
-    vocab = vocabulary_size if vocabulary_size is not None else max_id + 1
-    if max_id >= vocab:
-        raise CorpusError(f"call id {max_id} exceeds vocabulary size {vocab}")
-    return Corpus(traces=tuple(traces), vocabulary_size=vocab, provenance="wide_csv")
+    with _reader(text) as reader:
+        rows = (line.split(",") for line in reader if line.strip())
+        header = [h.strip() for h in next(rows, [])]
+        label_pos, id_pos = _column(header, label_col), _column(header, id_col)
+        if label_pos is None:
+            raise CorpusError(f"label column {label_col!r} not in header" if header
+                              else "no traces")
+        call_pos = sorted((int(h[len(call_prefix):]), i) for i, h in enumerate(header)
+                          if h.startswith(call_prefix) and h[len(call_prefix):].isdigit())
+        if not call_pos:
+            raise CorpusError(f"no call columns with prefix {call_prefix!r}")
+        for fields in rows:
+            if len(fields) != len(header):
+                raise CorpusError(f"expected {len(header)} fields")
+            label = 1 if fields[label_pos].strip() == positive_value else 0
+            calls = _call_ids([fields[i] for _, i in call_pos])
+            trace_id = fields[id_pos].strip() if id_pos is not None else f"t{len(traces) + 1}"
+            traces.append(LabeledTrace(id=trace_id, calls=calls, label=label))
+        return _corpus(traces, vocabulary_size, "wide_csv")
 
 
-def convert_seq_csv(text: str, seq_col: str, delimiter: str = " ",
+def convert_seq_csv(text: str | _LineReader, seq_col: str, delimiter: str = " ",
                     label_col: str | None = None, constant_label: int | None = 1,
                     id_col: str | None = None,
                     vocabulary_size: int | None = None) -> Corpus:
     """Adapt a CSV carrying each trace as one delimited string column."""
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
-        raise CorpusError("no traces")
-    header = [h.strip() for h in lines[0].split(",")]
-    try:
-        seq_pos = header.index(seq_col)
-    except ValueError:
-        raise CorpusError(f"sequence column {seq_col!r} not in header")
-    label_pos = header.index(label_col) if label_col and label_col in header else None
-    id_pos = header.index(id_col) if id_col and id_col in header else None
     traces = []
-    for row, line in enumerate(lines[1:], start=1):
-        fields = line.split(",")
-        tokens = fields[seq_pos].strip().split(delimiter)
-        calls = tuple(int(tok) for tok in tokens if tok)
-        if not calls:
-            raise CorpusError(f"line {row + 1}: empty sequence")
-        if label_pos is not None:
-            label = _parse_label(fields[label_pos].strip(), f"line {row + 1}")
-        else:
-            label = constant_label
-        trace_id = fields[id_pos].strip() if id_pos is not None else f"t{row}"
-        traces.append(LabeledTrace(id=trace_id, calls=calls, label=label))
-    max_id = max(max(t.calls) for t in traces)
-    vocab = vocabulary_size if vocabulary_size is not None else max_id + 1
-    if max_id >= vocab:
-        raise CorpusError(f"call id {max_id} exceeds vocabulary size {vocab}")
-    return Corpus(traces=tuple(traces), vocabulary_size=vocab, provenance="seq_csv")
+    with _reader(text) as reader:
+        rows = (line.split(",") for line in reader if line.strip())
+        header = [h.strip() for h in next(rows, [])]
+        seq_pos, label_pos, id_pos = (_column(header, c) for c in (seq_col, label_col, id_col))
+        if seq_pos is None:
+            raise CorpusError(f"sequence column {seq_col!r} not in header" if header
+                              else "no traces")
+        if label_col and label_pos is None:
+            raise CorpusError(f"label column {label_col!r} not in header")
+        for fields in rows:
+            if len(fields) != len(header):
+                raise CorpusError(f"expected {len(header)} fields")
+            calls = _call_ids([tok for tok in fields[seq_pos].strip().split(delimiter) if tok])
+            label = (_parse_label(fields[label_pos].strip()) if label_pos is not None
+                     else constant_label)
+            trace_id = fields[id_pos].strip() if id_pos is not None else f"t{len(traces) + 1}"
+            traces.append(LabeledTrace(id=trace_id, calls=calls, label=label))
+        return _corpus(traces, vocabulary_size, "seq_csv")

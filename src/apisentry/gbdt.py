@@ -32,8 +32,9 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .ngrams import (FeatureVector, NGramVocabulary, _fmt, _LineReader, _sigmoid,
-                     _stack_vectors)
+from .corpus import _LineReader
+from .ngrams import (FeatureVector, NGramVocabulary, _config_lines, _fmt, _read_config,
+                     _sigmoid, _stack_vectors)
 
 # Rows descended together; bounds the dense split-column block and the
 # (rows, trees) node matrix whatever the number of rows scored.
@@ -503,15 +504,8 @@ def save_detector(detector: BaggedDetector, path: str | Path) -> None:
              f"vocab_ref {detector.vocab_ref}",
              f"members {len(detector.members)}"]
     for i, m in enumerate(detector.members):
-        cfg = m.config
         lines.append(f"member {i}")
-        lines.append(f"learning_rate {_fmt(cfg.learning_rate)}")
-        lines.append(f"max_depth {cfg.max_depth}")
-        lines.append(f"n_estimators {cfg.n_estimators}")
-        lines.append(f"reg_lambda {_fmt(cfg.reg_lambda)}")
-        lines.append(f"gamma {_fmt(cfg.gamma)}")
-        lines.append(f"min_child_hessian {_fmt(cfg.min_child_hessian)}")
-        lines.append(f"seed {cfg.seed}")
+        lines += _config_lines(m.config)
         lines.append(f"base_score {_fmt(m.base_score)}")
         lines.append(f"trees {len(m.trees)}")
         for t, tree in enumerate(m.trees):
@@ -538,40 +532,37 @@ def load_detector(path: str | Path) -> BaggedDetector:
         members = []
         for i in range(n_members):
             reader.field("member")
-            cfg = GbdtConfig(
-                learning_rate=float(reader.field("learning_rate")),
-                max_depth=int(reader.field("max_depth")),
-                n_estimators=int(reader.field("n_estimators")),
-                reg_lambda=float(reader.field("reg_lambda")),
-                gamma=float(reader.field("gamma")),
-                min_child_hessian=float(reader.field("min_child_hessian")),
-                seed=int(reader.field("seed")))
+            cfg = _read_config(reader, GbdtConfig)
             base_score = float(reader.field("base_score"))
             n_trees = int(reader.field("trees"))
             trees = []
             gain_map: dict[int, float] = {}
             for _ in range(n_trees):
-                header = reader.field("tree").split()
-                n_nodes = int(header[1])
-                feature = np.full(n_nodes, -1, dtype=np.int32)
-                thresholds = np.zeros(n_nodes)
-                left = np.full(n_nodes, -1, dtype=np.int32)
-                right = np.full(n_nodes, -1, dtype=np.int32)
-                weight = np.zeros(n_nodes)
-                gains = np.zeros(n_nodes)
+                # node lines are read before any array is sized, so a node
+                # count beyond the end of the file allocates nothing
+                n_nodes = int(reader.field("tree").split()[1])
+                if n_nodes < 1:
+                    raise ValueError("a tree has at least one node")
+                nodes = []
                 for node in range(n_nodes):
                     parts = reader.next().split()
                     if parts[:1] == ["s"]:
-                        f = feature[node] = int(parts[1])
-                        thresholds[node] = float(parts[2])
-                        left[node] = int(parts[3])
-                        right[node] = int(parts[4])
-                        gains[node] = float(parts[5])
-                        gain_map[f] = gain_map.get(f, 0.0) + float(parts[5])
+                        f, thr, lo, hi, g = (int(parts[1]), float(parts[2]), int(parts[3]),
+                                             int(parts[4]), float(parts[5]))
+                        # children come after their parent, so descent ends
+                        if not (0 <= f < n_features and node < lo < n_nodes
+                                and node < hi < n_nodes):
+                            raise ValueError(f"split node out of range {parts!r}")
+                        nodes.append((f, thr, lo, hi, 0.0, g))
+                        gain_map[f] = gain_map.get(f, 0.0) + g
                     elif parts[:1] == ["l"]:
-                        weight[node] = float(parts[1])
+                        nodes.append((-1, 0.0, -1, -1, float(parts[1]), 0.0))
                     else:
                         raise ValueError(f"bad node line {parts!r}")
+                columns = list(zip(*nodes))
+                feature, left, right = (np.array(columns[i], dtype=np.int32) for i in (0, 2, 3))
+                thresholds, weight, gains = (np.array(columns[i], dtype=np.float64)
+                                             for i in (1, 4, 5))
                 trees.append(RegressionTree(feature, thresholds, left, right, weight, gains))
             members.append(GbdtModel(trees=trees, base_score=base_score, config=cfg,
                                      n_features=n_features, feature_gain=gain_map,

@@ -8,13 +8,13 @@ n-grams are dropped at vectorization time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .corpus import Corpus, CorpusError, LabeledTrace
+from .corpus import Corpus, CorpusError, LabeledTrace, _LineReader, _parse_label
 
 NGram = tuple[int, ...]
 
@@ -30,34 +30,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class _LineReader:
-    """Reads a line-oriented model file front to back. As a context manager
-    it prefixes any ValueError or IndexError raised in its block with the
-    file and the number of the line last read."""
+_KINDS = {"int": int, "float": float}
 
-    def __init__(self, path: str | Path):
-        self.path = path
-        self.lines = Path(path).read_text(encoding="utf-8").splitlines()
-        self.pos = 0
 
-    def __enter__(self) -> "_LineReader":
-        return self
+def _config_lines(cfg) -> list[str]:
+    """One `name value` line per field of a config dataclass, in declaration
+    order; float fields go through _fmt."""
+    return [f"{f.name} {(_fmt if _KINDS[f.type] is float else str)(getattr(cfg, f.name))}"
+            for f in fields(cfg)]
 
-    def __exit__(self, kind, exc, tb) -> None:
-        if isinstance(exc, (ValueError, IndexError)):
-            raise ValueError(f"{self.path}: line {self.pos}: {exc}") from exc
 
-    def next(self) -> str:
-        self.pos += 1
-        if self.pos > len(self.lines):
-            raise ValueError("unexpected end of file")
-        return self.lines[self.pos - 1]
-
-    def field(self, name: str) -> str:
-        line = self.next()
-        if not line.startswith(name + " ") and line != name:
-            raise ValueError(f"expected {name!r}, got {line!r}")
-        return line[len(name) + 1:]
+def _read_config(reader: _LineReader, cls):
+    """The config dataclass `cls` from the lines _config_lines wrote."""
+    return cls(**{f.name: _KINDS[f.type](reader.field(f.name)) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -227,26 +212,26 @@ def load_vocabulary(path: str | Path) -> NGramVocabulary:
     min_count = 1
     index: dict[NGram, int] = {}
     counts: list[int] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        if line.startswith("#built_from="):
-            built_from = line[len("#built_from="):]
-            continue
-        if line.startswith("#min_count="):
-            min_count = int(line[len("#min_count="):])
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-        col = int(parts[0])
-        ng = tuple(int(tok) for tok in parts[1].split(","))
-        if len(ng) not in (2, 3):
-            raise ValueError(f"{path}: line {lineno}: n-gram must have 2 or 3 ids")
-        if col != len(counts):
-            raise ValueError(f"{path}: line {lineno}: column indices must be dense and ordered")
-        index[ng] = col
-        counts.append(int(parts[2]))
+    with _LineReader(path) as reader:
+        for line in reader:
+            if line.startswith("#built_from="):
+                built_from = line[len("#built_from="):]
+            elif line.startswith("#min_count="):
+                min_count = int(line[len("#min_count="):])
+            elif line.strip():
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise ValueError("expected 3 tab-separated fields")
+                col = int(parts[0])
+                ng = tuple(map(int, parts[1].split(",")))
+                if len(ng) not in (2, 3):
+                    raise ValueError("n-gram must have 2 or 3 ids")
+                if col != len(counts):
+                    raise ValueError("column indices must be dense and ordered")
+                if ng in index:
+                    raise ValueError(f"duplicate n-gram {ng}")
+                index[ng] = col
+                counts.append(int(parts[2]))
     return NGramVocabulary(index=index, counts=tuple(counts),
                            built_from=built_from, min_count=min_count)
 
@@ -265,38 +250,38 @@ def save_matrix(matrix: sparse.spmatrix, path: str | Path) -> None:
 def load_matrix(path: str | Path) -> sparse.csr_matrix:
     """Read a matrix written by save_matrix. Each (row, col) appears at most
     once, inside the header's shape, with a count >= 0."""
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text:
-        raise ValueError(f"{path}: empty matrix file")
-    try:
-        n_rows, n_cols = (int(tok) for tok in text[0].split(","))
-    except ValueError:
-        raise ValueError(f"{path}: line 1: expected a 'rows,cols' header") from None
     rows, cols, vals = [], [], []
-    for lineno, line in enumerate(text[1:], 2):
-        if not line.strip():
-            continue
+    with _LineReader(path) as reader:
         try:
-            r, c, v = (int(tok) for tok in line.split(","))
+            n_rows, n_cols = map(int, reader.next().split(","))
+            if min(n_rows, n_cols) < 0:
+                raise ValueError
         except ValueError:
-            raise ValueError(f"{path}: line {lineno}: expected 'row,col,count'") from None
-        if not (0 <= r < n_rows and 0 <= c < n_cols):
-            raise ValueError(
-                f"{path}: line {lineno}: entry ({r},{c}) outside the {n_rows}x{n_cols} shape")
-        if v < 0:
-            raise ValueError(f"{path}: line {lineno}: negative count {v}")
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-    matrix = sparse.csr_matrix(
-        (np.asarray(vals, dtype=np.float64),
-         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(n_rows, n_cols))
-    if matrix.nnz < len(vals):  # the conversion summed repeated entries
-        _, first = np.unique(np.asarray(rows) * n_cols + np.asarray(cols), return_index=True)
-        k = int(np.setdiff1d(np.arange(len(vals)), first)[0])
-        lineno = [i for i, line in enumerate(text[1:], 2) if line.strip()][k]
-        raise ValueError(f"{path}: line {lineno}: duplicate entry ({rows[k]},{cols[k]})")
+            raise ValueError("expected a 'rows,cols' header") from None
+        for line in reader:
+            if not line.strip():
+                continue
+            try:
+                r, c, v = map(int, line.split(","))
+            except ValueError:
+                raise ValueError("expected 'row,col,count'") from None
+            if not (0 <= r < n_rows and 0 <= c < n_cols):
+                raise ValueError(f"entry ({r},{c}) outside the {n_rows}x{n_cols} shape")
+            if v < 0:
+                raise ValueError(f"negative count {v}")
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
+        matrix = sparse.csr_matrix(
+            (np.asarray(vals, dtype=np.float64),
+             (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+            shape=(n_rows, n_cols))
+        if matrix.nnz < len(vals):  # the conversion summed repeated entries
+            _, first = np.unique(np.asarray(rows) * n_cols + np.asarray(cols), return_index=True)
+            k = int(np.setdiff1d(np.arange(len(vals)), first)[0])
+            # entry k is on the (k + 2)-th non-blank line: line 1 is the header
+            reader.pos = 1 + int(np.flatnonzero([ln.strip() != "" for ln in reader.lines])[k + 1])
+            raise ValueError(f"duplicate entry ({rows[k]},{cols[k]})")
     return matrix
 
 
@@ -306,10 +291,6 @@ def save_labels(labels, path: str | Path) -> None:
 
 
 def load_labels(path: str | Path) -> list[int | None]:
-    out: list[int | None] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        tok = line.strip()
-        if not tok:
-            continue
-        out.append(None if tok == "-" else int(tok))
-    return out
+    """One label per non-blank line: 0, 1 or - (unlabeled)."""
+    with _LineReader(path) as reader:
+        return [_parse_label(line.strip()) for line in reader if line.strip()]

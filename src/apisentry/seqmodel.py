@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ngrams import PrefixSample, _fmt, _LineReader, _sigmoid
+from .corpus import _LineReader
+from .ngrams import PrefixSample, _config_lines, _fmt, _read_config, _sigmoid
 from .seeding import derive_seed
 
 
@@ -475,21 +476,10 @@ def predict_distributions(model: BiLstmModel, samples) -> np.ndarray:
 
 _FORMAT_TAG = "apisentry-seqmodel v1"
 
-_CONFIG_FIELDS = [
-    ("vocab_size", int), ("embed_dim", int), ("hidden", int),
-    ("dropout_rate", float), ("learning_rate", float),
-    ("adam_beta1", float), ("adam_beta2", float), ("adam_eps", float),
-    ("batch_size", int), ("max_epochs", int), ("patience", int),
-    ("val_fraction", float), ("max_prefix_len", int), ("seed", int),
-]
-
 
 def save_model(model: BiLstmModel, path: str | Path) -> None:
     cfg = model.config
-    lines = [_FORMAT_TAG]
-    for name, kind in _CONFIG_FIELDS:
-        value = getattr(cfg, name)
-        lines.append(f"{name} {value if kind is int else _fmt(value)}")
+    lines = [_FORMAT_TAG] + _config_lines(cfg)
     for key in _param_keys(cfg):
         tensor = model.params[key]
         dims = " ".join(str(d) for d in tensor.shape)
@@ -503,7 +493,7 @@ def load_model(path: str | Path) -> BiLstmModel:
     with _LineReader(path) as reader:
         if reader.next() != _FORMAT_TAG:
             raise ValueError("not a sequence model file")
-        cfg = BiLstmConfig(**{name: kind(reader.field(name)) for name, kind in _CONFIG_FIELDS})
+        cfg = _read_config(reader, BiLstmConfig)
         params: dict[str, np.ndarray] = {}
         for key in _param_keys(cfg):
             shape = tuple(int(d) for d in reader.field(f"tensor {key}").split())

@@ -199,6 +199,105 @@ class TestValidation:
                    "--out", tmp_path / "p.csv") == 1
         assert f"line {node + 1}: bad node line" in capsys.readouterr().err
 
+    @staticmethod
+    def small_detector(tmp_path):
+        """A tiny detector file with split nodes, its matrix and the
+        detector's lines."""
+        X = sparse.csr_matrix(np.array([[i % 4, i // 4] for i in range(8)], dtype=float))
+        model, matrix = tmp_path / "model.det", tmp_path / "x.mat"
+        config = GbdtConfig(n_estimators=2, max_depth=2, min_child_hessian=0.1)
+        save_detector(train_bagged(X, np.arange(8) % 4 // 2, configs=[config] * 3,
+                                   bootstrap=False), model)
+        save_matrix(X, matrix)
+        return model, matrix, model.read_text().splitlines()
+
+    def test_node_count_beyond_the_file_exits_one(self, tmp_path, capsys):
+        model, matrix, lines = self.small_detector(tmp_path)
+        last_tree = max(i for i, ln in enumerate(lines) if ln.startswith("tree "))
+        lines[last_tree] = "tree 1 1000000000000"
+        model.write_text("\n".join(lines) + "\n")
+        assert run("detect", "--model", model, "--in", matrix,
+                   "--out", tmp_path / "p.csv") == 1
+        assert f"{model}: line {len(lines) + 1}: unexpected end of file" \
+            in capsys.readouterr().err
+
+    def test_tree_without_nodes_exits_one(self, tmp_path, capsys):
+        model, matrix, lines = self.small_detector(tmp_path)
+        tree = max(i for i, ln in enumerate(lines) if ln.startswith("tree "))
+        lines[tree:] = ["tree 1 0"]  # the last tree, without its nodes
+        model.write_text("\n".join(lines) + "\n")
+        assert run("detect", "--model", model, "--in", matrix,
+                   "--out", tmp_path / "p.csv") == 1
+        assert f"{model}: line {tree + 1}: a tree has at least one node" \
+            in capsys.readouterr().err
+
+    def test_split_node_pointing_back_exits_one(self, tmp_path, capsys):
+        model, matrix, lines = self.small_detector(tmp_path)
+        node = next(i for i, ln in enumerate(lines) if ln.startswith("s "))
+        parts = lines[node].split()
+        lines[node] = " ".join(parts[:3] + ["0"] + parts[4:])
+        model.write_text("\n".join(lines) + "\n")
+        assert run("detect", "--model", model, "--in", matrix,
+                   "--out", tmp_path / "p.csv") == 1
+        assert f"{model}: line {node + 1}: split node out of range" in capsys.readouterr().err
+
+    def test_label_outside_zero_one_exits_one(self, tmp_path, capsys):
+        _, matrix, _ = self.small_detector(tmp_path)
+        labels = tmp_path / "y.labels"
+        labels.write_text("2\n0\n1\n1\n0\n0\n1\n1\n")
+        out = tmp_path / "m.det"
+        assert run("train-detector", "--train", matrix, "--labels", labels,
+                   "--no-bootstrap", "--out", out) == 1
+        assert f"{labels}: line 1: label must be 0, 1 or '-', got '2'" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+
+MALFORMED_LINE_CASES = {
+    # case: (files to write, argv naming them, the malformed file, its bad line)
+    "prediction row": (
+        {"pred.csv": "row,label,score\n0,1\n", "truth.txt": "1\n"},
+        ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "pred.csv", 2),
+    "truth token": (
+        {"pred.csv": "row,label,score\n0,1,0.9\n1,0,0.1\n", "truth.txt": "1\nx\n"},
+        ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "truth.txt", 2),
+    "detect score token": (
+        {"pred.csv": "row,label,score\n0,1,0.9\n", "truth.txt": "1\n", "s.txt": "high\n"},
+        ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt", "--scores", "s.txt"],
+        "s.txt", 1),
+    "ragged score rows": (
+        {"p.txt": "0\n1\n", "t.txt": "0\n1\n", "s.csv": "0.5,0.5\n0.2\n"},
+        ["evaluate", "--task", "next-call", "--pred", "p.txt", "--truth", "t.txt",
+         "--scores", "s.csv"], "s.csv", 2),
+    "labels token": (
+        {"x.mat": "2,2\n0,1,1\n1,0,2\n", "y.labels": "zero\n1\n"},
+        ["train-detector", "--train", "x.mat", "--labels", "y.labels"], "y.labels", 1),
+    "vocabulary line": (
+        {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=1\nx\t1,2\t1\n"},
+        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 3),
+    "corpus call id": (
+        {"c.csv": "1,2,x\n"}, ["ingest", "--in", "c.csv"], "c.csv", 1),
+    "adapt line after a blank line": (
+        {"s.csv": "hash,calls,y\n\na,1 2,7\n"},
+        ["adapt", "--in", "s.csv", "--layout", "seqcol", "--label-col", "y"], "s.csv", 3),
+    "adapt row without the sequence column": (
+        {"s.csv": "hash,y,calls\na,1\n"},
+        ["adapt", "--in", "s.csv", "--layout", "seqcol"], "s.csv", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LINE_CASES))
+def test_malformed_line_exits_one_naming_file_and_line(case, tmp_path, capsys):
+    files, argv, bad, line = MALFORMED_LINE_CASES[case]
+    paths = {name: tmp_path / name for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    out = tmp_path / "out"
+    argv = [paths.get(arg, arg) for arg in argv] + ["--out", out]
+    assert run(*argv) == 1
+    assert f"{paths[bad]}: line {line}: " in capsys.readouterr().err
+    assert not out.exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["featurize", "--vocab", "v.tsv", "--in", "c.csv", "--out", "m.mat", "--top-k", "-5"],
@@ -226,6 +325,15 @@ class TestAdapt:
                    "--label-col", "y") == 0
         rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert rows == ["0,1,2,3", "1,3,2,1"]
+
+    def test_seqcol_missing_label_col_exits_one(self, tmp_path, capsys):
+        raw = tmp_path / "seq.csv"
+        raw.write_text("hash,calls\na,1 2 3\n")
+        out = tmp_path / "out.csv"
+        assert run("adapt", "--in", raw, "--out", out, "--layout", "seqcol",
+                   "--label-col", "y") == 1
+        assert f"{raw}: line 1: label column 'y' not in header" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSettings:

@@ -221,6 +221,15 @@ class TestAdapters:
         assert corpus.traces[1].label == 0
         assert corpus.vocabulary_size == 307
 
+    @pytest.mark.parametrize("convert, text", [
+        (lambda t: convert_wide_csv(t, label_col="malware", call_prefix="t_"),
+         "t_0,t_1,malware\n4,5,1\n\n4,-5,0\n"),
+        (lambda t: convert_seq_csv(t, seq_col="calls"), "calls\n4 5\n\n4 -5\n"),
+    ])
+    def test_negative_call_id_rejected_with_line(self, convert, text):
+        with pytest.raises(CorpusError, match="^line 4: negative call id$"):
+            convert(text)
+
     def test_seqcol_layout(self):
         text = "hash,calls\nx,10 11 12\ny,3 4\n"
         corpus = convert_seq_csv(text, seq_col="calls", id_col="hash",

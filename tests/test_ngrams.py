@@ -93,6 +93,13 @@ class TestVocabulary:
         assert again.index == vocab.index
         assert again.counts == vocab.counts
 
+    def test_repeated_ngram_rejected_with_line(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("#min_count=1\n0\t1,2\t3\n1\t1,2\t4\n")
+        with pytest.raises(ValueError) as err:
+            load_vocabulary(path)
+        assert str(err.value) == f"{path}: line 3: duplicate n-gram (1, 2)"
+
 
 class TestVectorize:
     def test_direct_count(self):
