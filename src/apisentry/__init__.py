@@ -17,7 +17,6 @@ from .corpus import (
     truncate_prefix,
 )
 from .ngrams import (
-    FeatureVector,
     NGramVocabulary,
     PrefixSample,
     build_vocabulary,

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 from typing import IO
 
@@ -58,11 +60,7 @@ class Corpus:
         return iter(self.traces)
 
     def class_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for t in self.traces:
-            if t.label is not None:
-                counts[t.label] = counts.get(t.label, 0) + 1
-        return counts
+        return dict(Counter(t.label for t in self.traces if t.label is not None))
 
     def content(self) -> list[tuple[int | None, tuple[int, ...]]]:
         """Label/call pairs, ignoring synthetic trace ids and provenance."""
@@ -156,6 +154,8 @@ def _call_ids(tokens) -> tuple[int, ...]:
         raise CorpusError("malformed call id") from None
     if min(calls) < 0:
         raise CorpusError("negative call id")
+    if max(calls) >= 2**63:
+        raise CorpusError(f"call id {max(calls)} does not fit in 64 bits")
     return calls
 
 
@@ -253,13 +253,8 @@ def collapse_consecutive_repeats(trace: LabeledTrace) -> LabeledTrace:
     """Drop every call equal to its immediate predecessor."""
     if not trace.calls:
         raise CorpusError("trace has no calls")
-    kept = [trace.calls[0]]
-    for c in trace.calls[1:]:
-        if c != kept[-1]:
-            kept.append(c)
-    if len(kept) == len(trace.calls):
-        return trace
-    return replace(trace, calls=tuple(kept))
+    kept = tuple(call for call, _ in groupby(trace.calls))
+    return trace if len(kept) == len(trace.calls) else replace(trace, calls=kept)
 
 
 def truncate_prefix(trace: LabeledTrace, max_len: int) -> LabeledTrace:

@@ -33,8 +33,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import _LineReader
-from .ngrams import (FeatureVector, NGramVocabulary, _config_lines, _fmt, _read_config,
-                     _sigmoid, _stack_vectors)
+from .ngrams import NGramVocabulary, _config_lines, _fmt, _read_config, _sigmoid
 
 # Rows descended together; bounds the dense split-column block and the
 # (rows, trees) node matrix whatever the number of rows scored.
@@ -88,16 +87,19 @@ class RegressionTree:
 
 
 def as_feature_matrix(X, dim: int | None = None) -> sparse.csr_matrix:
-    """Accept a list of FeatureVector, a dense array, or a CSR matrix. A
+    """Accept a list of 1-row matrices, a dense array, or a CSR matrix. A
     float64 CSR matrix is returned as is, not copied."""
     if sparse.issparse(X):
         return X.tocsr().astype(np.float64, copy=False)
     if isinstance(X, np.ndarray):
         return sparse.csr_matrix(X.astype(np.float64))
-    vectors = list(X)
-    if not vectors:
+    rows = list(X)
+    if not rows:
         raise ValueError("empty feature matrix")
-    return _stack_vectors(vectors, len(vectors), vectors[0].dim if dim is None else dim)
+    dims = {row.shape[1] for row in rows} | ({dim} if dim is not None else set())
+    if len(dims) > 1:
+        raise ValueError(f"feature dimension mismatch: {sorted(dims)}")
+    return sparse.vstack(rows, format="csr").astype(np.float64, copy=False)
 
 
 class _CodedMatrix:
@@ -354,9 +356,9 @@ def predict_proba_rows(model: GbdtModel, X) -> np.ndarray:
     return _sigmoid(predict_margin_rows(model, X))
 
 
-def predict_proba(model: GbdtModel, x: FeatureVector) -> float:
-    """Probability of the positive (malware) class for one feature vector."""
-    return float(predict_proba_rows(model, as_feature_matrix([x], model.n_features))[0])
+def predict_proba(model: GbdtModel, x: sparse.csr_matrix) -> float:
+    """Probability of the positive (malware) class for one 1-row matrix."""
+    return float(predict_proba_rows(model, x)[0])
 
 
 def _mean_logloss(y: np.ndarray, p: np.ndarray) -> float:
@@ -464,8 +466,8 @@ def _combine(detector: BaggedDetector, probs: np.ndarray) -> tuple[np.ndarray, n
     return label, score
 
 
-def ensemble_predict(detector: BaggedDetector, x: FeatureVector) -> tuple[int, float]:
-    label, score = ensemble_predict_rows(detector, as_feature_matrix([x], detector.n_features))
+def ensemble_predict(detector: BaggedDetector, x: sparse.csr_matrix) -> tuple[int, float]:
+    label, score = ensemble_predict_rows(detector, x)
     return int(label[0]), float(score[0])
 
 
@@ -487,7 +489,6 @@ def rank_features(detector: BaggedDetector, vocab: NGramVocabulary,
     importance = total_gain / total if total > 0 else total_gain
     order = sorted(range(detector.n_features), key=lambda c: (-importance[c], c))
     ngrams = vocab.column_ngrams()
-    k = min(k, detector.n_features)
     return [(ngrams[c], float(importance[c])) for c in order[:k]]
 
 

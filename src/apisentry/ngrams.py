@@ -9,6 +9,8 @@ n-grams are dropped at vectorization time.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -54,26 +56,25 @@ class NGramVocabulary:
     built_from: str = ""
     min_count: int = 1
 
-    @property
-    def size(self) -> int:
-        return len(self.index)
-
     def __len__(self) -> int:
         return len(self.index)
 
+    size = property(__len__)
+
     def column_ngrams(self) -> list[NGram]:
-        out: list[NGram | None] = [None] * len(self.index)
-        for ng, col in self.index.items():
-            out[col] = ng
-        return out  # type: ignore[return-value]
+        return sorted(self.index, key=self.index.__getitem__)
 
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse n-gram counts for one trace."""
-
-    counts: dict[int, int]
-    dim: int
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct call ids, the n-gram keys under them sorted, and their
+        columns. A last key above every window's stops each search in range."""
+        grams = self.column_ngrams()
+        ids = np.unique(np.fromiter(chain.from_iterable(grams), np.int64))
+        # an n-gram's own key is the last of its 2n - 3 windows
+        keys, _ = _windows(grams, ids)
+        keys = keys[np.cumsum([2 * len(g) - 3 for g in grams], dtype=np.int64) - 1]
+        cols = np.argsort(keys)
+        return ids, np.append(keys[cols], np.iinfo(np.int64).max), cols
 
 
 @dataclass(frozen=True)
@@ -96,67 +97,86 @@ def extract_ngrams(calls, n: int) -> list[NGram]:
     return [tuple(seq[i:i + n]) for i in range(len(seq) - n + 1)]
 
 
+_MAX_RADIX = 2**21 - 1  # R² + R³ < 2**63 up to this radix, so no key wraps int64
+
+
+def _windows(seqs, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every 2-gram and 3-gram window of the call sequences `seqs` as one
+    int64 key, ordered by (sequence, n, position), and the sequence of each.
+
+    A call id stands for its rank in the sorted array `ids`, or for len(ids)
+    when absent. Under the radix R = len(ids) + 1 a 2-gram (a, b) is a·R + b
+    and a 3-gram is R² + (a·R + b)·R + c: distinct n-grams get distinct keys,
+    and a window with an absent id matches no n-gram of ids in `ids`."""
+    radix = len(ids) + 1
+    if radix > _MAX_RADIX:
+        raise CorpusError(f"more than {_MAX_RADIX - 1} distinct call ids")
+    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    calls = np.fromiter(chain.from_iterable(seqs), np.int64, int(lengths.sum()))
+    rank = np.searchsorted(ids, calls)
+    rank[np.append(ids, -1)[rank] != calls] = len(ids)
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(calls))  # calls from here on
+    pair = rank[:-1] * radix + rank[1:]  # a·R + b for the window starting at each call
+    two, three = (np.flatnonzero(left >= n) for n in (2, 3))  # where the windows start
+    keys = np.concatenate([pair[two], radix**2 + pair[three] * radix + rank[three + 2]])
+    rows = np.repeat(np.arange(len(seqs)), lengths)[np.concatenate([two, three])]
+    order = np.argsort(rows, kind="stable")  # merges each sequence's 2-gram and 3-gram runs
+    return keys[order], rows[order]
+
+
 def build_vocabulary(corpus: Corpus, min_count: int = 1,
                      top_k: int | None = None) -> NGramVocabulary:
     """Collect every 2-gram and 3-gram occurring at least min_count times.
 
     Columns are numbered in first-occurrence order over the corpus. With
     top_k set, only the k most frequent n-grams are kept (ties broken by
-    first occurrence) and the survivors are renumbered in first-occurrence
-    order.
-    """
+    first occurrence), still numbered in first-occurrence order."""
     if len(corpus) == 0:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
-    counts: dict[NGram, int] = {}
-    first_seen: dict[NGram, int] = {}
-    for trace in corpus.traces:
-        for n in (2, 3):
-            for ng in extract_ngrams(trace.calls, n):
-                if ng not in counts:
-                    first_seen[ng] = len(first_seen)
-                    counts[ng] = 1
-                else:
-                    counts[ng] += 1
-    threshold = max(min_count, 1)
-    kept = [ng for ng, c in counts.items() if c >= threshold]
+    seqs = [trace.calls for trace in corpus.traces]
+    ids = np.unique(np.fromiter(chain.from_iterable(seqs), np.int64))
+    keys, _ = _windows(seqs, ids)
+    unique, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    kept = np.flatnonzero(counts >= max(min_count, 1))
     if top_k is not None and top_k < len(kept):
-        kept.sort(key=lambda ng: (-counts[ng], first_seen[ng]))
-        kept = kept[:top_k]
-    kept.sort(key=lambda ng: first_seen[ng])
-    index = {ng: col for col, ng in enumerate(kept)}
-    return NGramVocabulary(
-        index=index,
-        counts=tuple(counts[ng] for ng in kept),
-        built_from=corpus.provenance,
-        min_count=min_count,
-    )
+        kept = kept[np.lexsort((first[kept], -counts[kept]))][:top_k]
+    kept = kept[np.argsort(first[kept])]
+    # the ranks (a, b, c) of each key [R² +] (a·R + b)·R + c; a 2-gram's a is 0
+    radix = len(ids) + 1
+    is_three = unique[kept] >= radix**2
+    digits = ids[(unique[kept] - radix**2 * is_three)[:, None] // [radix**2, radix, 1] % radix]
+    grams = [tuple(d if three else d[1:]) for d, three in zip(digits.tolist(), is_three.tolist())]
+    return NGramVocabulary(index={ng: col for col, ng in enumerate(grams)},
+                           counts=tuple(counts[kept].tolist()),
+                           built_from=corpus.provenance, min_count=min_count)
 
 
-def vectorize(trace, vocab: NGramVocabulary) -> FeatureVector:
-    """Count the vocabulary n-grams occurring in one trace."""
-    out: dict[int, int] = {}
-    seq = _calls(trace)
-    index = vocab.index
-    for n in (2, 3):
-        for i in range(len(seq) - n + 1):
-            col = index.get(tuple(seq[i:i + n]))
-            if col is not None:
-                out[col] = out.get(col, 0) + 1
-    return FeatureVector(counts=out, dim=len(vocab))
+def _count_matrix(seqs, vocab: NGramVocabulary) -> sparse.csr_matrix:
+    """CSR matrix of vocabulary n-gram counts, one row per call sequence."""
+    ids, keys, cols = vocab._lookup
+    found, rows = _windows(seqs, ids)
+    at = np.searchsorted(keys, found)
+    hit = keys[at] == found
+    cells, counts = np.unique(rows[hit] * len(vocab) + cols[at[hit]], return_counts=True)
+    indptr = np.searchsorted(cells, np.arange(len(seqs) + 1) * len(vocab))
+    return sparse.csr_matrix((counts.astype(np.float64), cells % len(vocab), indptr),
+                             shape=(len(seqs), len(vocab)))
+
+
+def vectorize(trace, vocab: NGramVocabulary) -> sparse.csr_matrix:
+    """Count the vocabulary n-grams occurring in one trace: a 1-row matrix."""
+    return _count_matrix([_calls(trace)], vocab)
 
 
 def class_frequency(corpus: Corpus, ngram: NGram) -> tuple[int, int]:
-    """Total occurrences of one n-gram in class-0 and class-1 traces."""
-    n = len(ngram)
-    target = tuple(ngram)
-    totals = [0, 0]
-    for trace in corpus.traces:
-        if trace.label is None:
-            raise CorpusError("class_frequency requires a labeled corpus")
-        seq = trace.calls
-        hits = sum(1 for i in range(len(seq) - n + 1) if seq[i:i + n] == target)
-        totals[trace.label] += hits
-    return totals[0], totals[1]
+    """Total occurrences of one 2-gram or 3-gram in class-0 and class-1 traces."""
+    if len(ngram) not in (2, 3):
+        raise ValueError(f"n must be 2 or 3, got {len(ngram)}")
+    if any(t.label is None for t in corpus.traces):
+        raise CorpusError("class_frequency requires a labeled corpus")
+    matrix, labels = corpus_matrix(corpus, NGramVocabulary({tuple(ngram): 0}, (1,)))
+    totals = np.bincount(np.asarray(labels, np.int64), matrix.toarray()[:, 0], minlength=2)
+    return int(totals[0]), int(totals[1])
 
 
 def prefix_samples(trace) -> list[PrefixSample]:
@@ -174,25 +194,9 @@ def pad_prefix(prefix, max_len: int, pad_id: int) -> list[int]:
     return [pad_id] * (max_len - len(seq)) + seq
 
 
-def _stack_vectors(vectors, n_rows: int, dim: int) -> sparse.csr_matrix:
-    """CSR count matrix with one row per feature vector (any iterable)."""
-    rows, cols, vals = [], [], []
-    for r, fv in enumerate(vectors):
-        if fv.dim != dim:
-            raise ValueError(f"feature dimension mismatch: {fv.dim} != {dim}")
-        rows.extend([r] * len(fv.counts))
-        cols.extend(fv.counts)
-        vals.extend(fv.counts.values())
-    return sparse.csr_matrix(
-        (np.asarray(vals, dtype=np.float64),
-         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(n_rows, dim))
-
-
 def corpus_matrix(corpus: Corpus, vocab: NGramVocabulary) -> tuple[sparse.csr_matrix, list[int | None]]:
     """Vectorize a whole corpus into a CSR count matrix plus its labels."""
-    vectors = (vectorize(trace, vocab) for trace in corpus.traces)
-    return (_stack_vectors(vectors, len(corpus), len(vocab)),
+    return (_count_matrix([trace.calls for trace in corpus.traces], vocab),
             [trace.label for trace in corpus.traces])
 
 
@@ -200,16 +204,13 @@ def corpus_matrix(corpus: Corpus, vocab: NGramVocabulary) -> tuple[sparse.csr_ma
 
 def save_vocabulary(vocab: NGramVocabulary, path: str | Path) -> None:
     lines = [f"#built_from={vocab.built_from}", f"#min_count={vocab.min_count}"]
-    ngrams = vocab.column_ngrams()
-    for col, ng in enumerate(ngrams):
-        ids = ",".join(str(i) for i in ng)
-        lines.append(f"{col}\t{ids}\t{vocab.counts[col]}")
+    rows = zip(vocab.column_ngrams(), vocab.counts, strict=True)
+    lines += [f"{col}\t{','.join(map(str, ng))}\t{count}" for col, (ng, count) in enumerate(rows)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_vocabulary(path: str | Path) -> NGramVocabulary:
-    built_from = ""
-    min_count = 1
+    built_from, min_count = "", 1
     index: dict[NGram, int] = {}
     counts: list[int] = []
     with _LineReader(path) as reader:
@@ -222,16 +223,19 @@ def load_vocabulary(path: str | Path) -> NGramVocabulary:
                 parts = line.split("\t")
                 if len(parts) != 3:
                     raise ValueError("expected 3 tab-separated fields")
-                col = int(parts[0])
-                ng = tuple(map(int, parts[1].split(",")))
+                col, ng, count = int(parts[0]), tuple(map(int, parts[1].split(","))), int(parts[2])
                 if len(ng) not in (2, 3):
                     raise ValueError("n-gram must have 2 or 3 ids")
+                if not all(0 <= i < 2**63 for i in ng):
+                    raise ValueError(f"call id outside 0..2**63-1 in {parts[1]}")
                 if col != len(counts):
                     raise ValueError("column indices must be dense and ordered")
                 if ng in index:
                     raise ValueError(f"duplicate n-gram {ng}")
+                if count < 1:
+                    raise ValueError(f"count {count} below 1")
                 index[ng] = col
-                counts.append(int(parts[2]))
+                counts.append(count)
     return NGramVocabulary(index=index, counts=tuple(counts),
                            built_from=built_from, min_count=min_count)
 
@@ -240,10 +244,10 @@ def save_matrix(matrix: sparse.spmatrix, path: str | Path) -> None:
     """Write a sparse count matrix as 'row,col,count' triplets under a
     'rows,cols' header."""
     coo = matrix.tocoo()
-    lines = [f"{matrix.shape[0]},{matrix.shape[1]}"]
     order = np.lexsort((coo.col, coo.row))
-    for i in order:
-        lines.append(f"{coo.row[i]},{coo.col[i]},{int(coo.data[i])}")
+    triplets = map("{},{},{}".format, coo.row[order].tolist(), coo.col[order].tolist(),
+                   coo.data[order].astype(np.int64).tolist())
+    lines = chain([f"{matrix.shape[0]},{matrix.shape[1]}"], triplets)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -12,6 +12,7 @@ from apisentry.corpus import (
     collapse_consecutive_repeats,
     convert_seq_csv,
     convert_wide_csv,
+    load_corpus,
     parse_corpus,
     random_oversample,
     serialize_corpus,
@@ -61,6 +62,21 @@ class TestParse:
     def test_empty_sequence_rejected(self):
         with pytest.raises(CorpusError, match="empty sequence"):
             parse_corpus("0,1,2\n1\n")
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("canonical_csv", f"0,1,2\n1,{2**63 - 1},{2**63}\n"),
+        ("jsonl", '{"calls":[1,2]}\n{"calls":[%d,%d]}\n' % (2**63 - 1, 2**63)),
+    ])
+    def test_call_id_beyond_64_bits_rejected_with_file_and_line(self, tmp_path, fmt, text):
+        path = tmp_path / "corpus.txt"
+        path.write_text(text)
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path, format=fmt)
+        assert str(err.value) == f"{path}: line 2: call id {2**63} does not fit in 64 bits"
+
+    def test_largest_64_bit_call_id_accepted(self):
+        corpus = parse_corpus(f"1,{2**63 - 1},0\n")
+        assert corpus.traces[0].calls == (2**63 - 1, 0)
 
     def test_unlabeled_marker(self):
         corpus = parse_corpus("-,4,5\n")

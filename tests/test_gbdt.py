@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from apisentry.gbdt import (
     BaggedDetector,
@@ -21,7 +22,7 @@ from apisentry.gbdt import (
     train_bagged,
     train_gbdt,
 )
-from apisentry.ngrams import FeatureVector, NGramVocabulary
+from apisentry.ngrams import NGramVocabulary
 
 
 def sigmoid(z):
@@ -29,7 +30,9 @@ def sigmoid(z):
 
 
 def fv(counts, dim):
-    return FeatureVector(counts=counts, dim=dim)
+    """A 1-row count matrix with the given {column: count} entries."""
+    return sparse.csr_matrix((list(counts.values()), ([0] * len(counts), list(counts))),
+                             shape=(1, dim), dtype=np.float64)
 
 
 def split_gain(X, g, h, cfg, j, thr):

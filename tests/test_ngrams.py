@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from apisentry import ngrams
 from apisentry.corpus import Corpus, CorpusError, LabeledTrace
 from apisentry.ngrams import (
     NGramVocabulary,
@@ -80,6 +81,12 @@ class TestVocabulary:
         vocab = build_vocabulary(corpus, top_k=1)
         assert set(vocab.index) == {(1, 2)}
 
+    def test_too_many_distinct_ids_refused_before_keys_wrap(self, monkeypatch):
+        monkeypatch.setattr(ngrams, "_MAX_RADIX", 4)
+        assert len(build_vocabulary(make_corpus([(1, [1, 2, 3])]))) == 3
+        with pytest.raises(CorpusError, match="more than 3 distinct call ids"):
+            build_vocabulary(make_corpus([(1, [1, 2, 3, 4])]))
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(CorpusError):
             build_vocabulary(Corpus(traces=(), vocabulary_size=1))
@@ -101,18 +108,51 @@ class TestVocabulary:
         assert str(err.value) == f"{path}: line 3: duplicate n-gram (1, 2)"
 
 
+def vocabulary_file(tmp_path, body):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("#min_count=1\n" + body)
+    return path
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0\t1,2\t3\n1\t-1,2\t5\n", "line 3: call id outside 0..2**63-1 in -1,2"),
+    (f"0\t1,{2**63},2\t3\n", f"line 2: call id outside 0..2**63-1 in 1,{2**63},2"),
+    ("0\t1,2\t3\n1\t2,3\t0\n", "line 3: count 0 below 1"),
+    ("0\t-1,2\t-5\n", "line 2: call id outside 0..2**63-1 in -1,2"),
+    ("0\t1,2\t-5\n", "line 2: count -5 below 1"),
+])
+def test_vocabulary_refuses_ids_and_counts_build_never_writes(tmp_path, body, message):
+    path = vocabulary_file(tmp_path, body)
+    with pytest.raises(ValueError) as err:
+        load_vocabulary(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_vocabulary_accepts_the_largest_64_bit_id(tmp_path):
+    path = vocabulary_file(tmp_path, f"0\t{2**63 - 1},0\t1\n")
+    assert load_vocabulary(path).index == {(2**63 - 1, 0): 0}
+
+
+def counts(row):
+    """{column: count} of a 1-row matrix's stored entries."""
+    assert row.shape[0] == 1
+    return dict(zip(row.indices.tolist(), row.data.tolist()))
+
+
 class TestVectorize:
     def test_direct_count(self):
         fv = vectorize([1, 2, 1, 2], vocab_of([(1, 2), (2, 1)]))
-        assert fv.counts == {0: 2, 1: 1}
+        assert fv.shape == (1, 2)
+        assert counts(fv) == {0: 2, 1: 1}
 
     def test_oov_only(self):
         fv = vectorize([8, 9, 8], vocab_of([(1, 2)]))
-        assert fv.counts == {}
+        assert fv.shape == (1, 1)
+        assert counts(fv) == {}
 
     def test_single_trigram_hit(self):
         fv = vectorize([220, 233, 237], vocab_of([(220, 233, 237)]))
-        assert fv.counts == {0: 1}
+        assert counts(fv) == {0: 1}
 
     def test_every_column_hit_on_building_corpus(self):
         rng = np.random.default_rng(5)
@@ -124,7 +164,7 @@ class TestVectorize:
             vocab = build_vocabulary(corpus, min_count=0)
             totals = np.zeros(len(vocab))
             for t in corpus.traces:
-                for col, cnt in vectorize(t, vocab).counts.items():
+                for col, cnt in counts(vectorize(t, vocab)).items():
                     totals[col] += cnt
             assert (totals >= 1).all()
 
@@ -135,12 +175,9 @@ class TestVectorize:
             b = [int(v) for v in rng.integers(0, 5, size=rng.integers(2, 15))]
             corpus = make_corpus([(1, a + b)])
             vocab = build_vocabulary(corpus, min_count=0)
-            joint = vectorize(a + b, vocab).counts
-            partial = vectorize(a, vocab).counts
-            for col, cnt in vectorize(b, vocab).counts.items():
-                partial[col] = partial.get(col, 0) + cnt
-            diff = sum(abs(joint.get(c, 0) - partial.get(c, 0))
-                       for c in set(joint) | set(partial))
+            joint = vectorize(a + b, vocab).toarray()
+            partial = vectorize(a, vocab).toarray() + vectorize(b, vocab).toarray()
+            diff = np.abs(joint - partial).sum()
             assert diff <= 2 * 1 + 2 * 2  # at most 2(n-1) junction windows per n
 
 
@@ -239,6 +276,18 @@ class TestMatrixIO:
         with pytest.raises(ValueError) as err:
             load_matrix(path)
         assert str(err.value) == f"{path}: {message}"
+
+    def test_text_is_pinned_for_unordered_entries(self, tmp_path):
+        matrix = sparse.coo_matrix(([3.0, 1.0, 2.0, 7.0], ([2, 0, 2, 0], [1, 4, 0, 0])),
+                                   shape=(3, 5))
+        path = tmp_path / "m.txt"
+        save_matrix(matrix, path)
+        assert path.read_text() == "3,5\n0,0,7\n0,4,1\n2,0,2\n2,1,3\n"
+
+    def test_matrix_without_entries_is_the_header_alone(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_matrix(sparse.csr_matrix((2, 4)), path)
+        assert path.read_text() == "2,4\n"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "m.txt"

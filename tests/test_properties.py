@@ -1,5 +1,5 @@
 """Property tests: the packed-forest prediction path against a scalar
-per-row descent, the one-vector wrappers against the rows path, the
+per-row descent, the one-row wrappers against the rows path, the
 shared sigmoid at extreme inputs, and the AUC midranks against scipy."""
 
 import warnings
@@ -24,7 +24,6 @@ from apisentry.gbdt import (
     predict_proba_rows,
 )
 from apisentry.metrics import _midranks
-from apisentry.ngrams import FeatureVector
 
 N_FEATURES = 5
 weights = st.floats(-4.0, 4.0, allow_nan=False)
@@ -85,8 +84,11 @@ def scalar_margin(model, row):
     return margin
 
 
-def feature_vector(row):
-    return FeatureVector(counts={c: v for c, v in enumerate(row) if v}, dim=len(row))
+def one_row(row):
+    """A 1-row matrix built from the nonzero counts of `row` alone."""
+    cols = [c for c, v in enumerate(row) if v]
+    return sparse.csr_matrix(([row[c] for c in cols], ([0] * len(cols), cols)),
+                             shape=(1, len(row)), dtype=np.float64)
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,7 +104,7 @@ def test_forest_equals_scalar_descent(model, rows, block):
 @given(model=random_model(), row=count_rows.map(lambda rows: rows[0]))
 def test_one_vector_equals_one_row(model, row):
     X = sparse.csr_matrix(np.array([row], dtype=float))
-    assert predict_proba(model, feature_vector(row)) == predict_proba_rows(model, X)[0]
+    assert predict_proba(model, one_row(row)) == predict_proba_rows(model, X)[0]
 
 
 def test_zero_trees_predict_base_score():
@@ -120,7 +122,7 @@ def test_ensemble_predict_equals_its_row(members, rows, combine, threshold):
     detector = BaggedDetector(members=members, threshold=threshold, combine=combine)
     labels, scores = ensemble_predict_rows(detector, np.array(rows, dtype=float))
     for r, row in enumerate(rows):
-        assert ensemble_predict(detector, feature_vector(row)) == (labels[r], scores[r])
+        assert ensemble_predict(detector, one_row(row)) == (labels[r], scores[r])
 
 
 def test_seqmodel_sigmoid_extremes_do_not_overflow():
