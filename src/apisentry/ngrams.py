@@ -242,8 +242,15 @@ def load_vocabulary(path: str | Path) -> NGramVocabulary:
 
 def save_matrix(matrix: sparse.spmatrix, path: str | Path) -> None:
     """Write a sparse count matrix as 'row,col,count' triplets under a
-    'rows,cols' header."""
+    'rows,cols' header. Every stored value must be a non-negative integer
+    below 2**63, so load_matrix reads back what was written."""
     coo = matrix.tocoo()
+    bad = np.flatnonzero(~((coo.data >= 0) & (coo.data < 2.0 ** 63)
+                           & (np.floor(coo.data) == coo.data)))
+    if bad.size:
+        k = bad[np.lexsort((coo.col[bad], coo.row[bad]))[0]]
+        raise ValueError(f"entry ({coo.row[k]},{coo.col[k]}) holds {coo.data[k]}; "
+                         "counts must be integers in [0, 2**63)")
     order = np.lexsort((coo.col, coo.row))
     triplets = map("{},{},{}".format, coo.row[order].tolist(), coo.col[order].tolist(),
                    coo.data[order].astype(np.int64).tolist())

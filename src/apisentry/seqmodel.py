@@ -11,6 +11,14 @@ Sequences are left-padded with the reserved id ``vocab_size``; padded
 positions are skipped by carrying the recurrent state through them, so
 prepending extra padding never changes the output.
 
+Each direction holds three tensors, with the blocks of the gates i, f, o
+and g side by side in that order: ``W`` (E,4H), ``U`` (H,4H) and ``b``
+(4H,). A cell step is then two matmuls, and BPTT builds one (B,4H)
+gradient per step. The v1 model file stores each gate's W, U and b as a
+separate tensor; each is a column block of a fused tensor, which
+``save_model`` writes out and ``load_model`` fills in. One key list,
+``_v1_tensors``, drives initialisation, saving and loading.
+
 One cell function serves ``lstm_cell`` and the scan, and hands the scan the
 gate activations BPTT reuses. One batching helper clips, pads and chunks
 samples for the loss, the gradients, the accuracy and the distributions.
@@ -47,14 +55,19 @@ class BiLstmConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0,1)")
+        for name in ("vocab_size", "embed_dim", "hidden", "batch_size", "max_epochs",
+                     "patience", "max_prefix_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("dropout_rate", "adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0,1)")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0,1)")
-        if self.patience < 1 or self.max_epochs < 1 or self.batch_size < 1:
-            raise ValueError("patience, max_epochs and batch_size must be >= 1")
+        if not self.learning_rate >= 0.0:
+            raise ValueError("learning_rate must be >= 0")
+        if not self.adam_eps > 0.0:
+            raise ValueError("adam_eps must be > 0")
 
     @property
     def pad_id(self) -> int:
@@ -64,29 +77,25 @@ class BiLstmConfig:
 _GATES = ("i", "f", "o", "g")
 
 
-def _param_keys(cfg: BiLstmConfig) -> list[str]:
-    keys = ["emb"]
-    for d in ("fw", "bw"):
-        for gate in _GATES:
-            keys += [f"{d}.W_{gate}", f"{d}.U_{gate}", f"{d}.b_{gate}"]
-    keys += ["dense.W", "dense.b"]
-    return keys
-
-
-def _param_shape(key: str, cfg: BiLstmConfig) -> tuple[int, ...]:
+def _param_shapes(cfg: BiLstmConfig) -> dict[str, tuple[int, ...]]:
     v, e, h = cfg.vocab_size, cfg.embed_dim, cfg.hidden
-    if key == "emb":
-        return (v + 1, e)
-    if key == "dense.W":
-        return (2 * h, v)
-    if key == "dense.b":
-        return (v,)
-    kind = key.split(".")[1][0]
-    if kind == "W":
-        return (e, h)
-    if kind == "U":
-        return (h, h)
-    return (h,)
+    shapes = {"emb": (v + 1, e)}
+    for d in ("fw", "bw"):
+        shapes |= {f"{d}.W": (e, 4 * h), f"{d}.U": (h, 4 * h), f"{d}.b": (4 * h,)}
+    return shapes | {"dense.W": (2 * h, v), "dense.b": (v,)}
+
+
+def _v1_tensors(cfg: BiLstmConfig) -> list[tuple[str, str, slice]]:
+    """The tensors of the v1 file in file order, as (file key, parameter
+    key, columns): a gate's W, U and b are its column block of the fused
+    parameter, and the other tensors are whole."""
+    h = cfg.hidden
+    whole = slice(None)
+    out = [("emb", "emb", whole)]
+    for d in ("fw", "bw"):
+        for k, gate in enumerate(_GATES):
+            out += [(f"{d}.{m}_{gate}", f"{d}.{m}", slice(k * h, (k + 1) * h)) for m in "WUb"]
+    return out + [("dense.W", "dense.W", whole), ("dense.b", "dense.b", whole)]
 
 
 @dataclass
@@ -115,17 +124,17 @@ class TrainReport:
 
 def init_model(config: BiLstmConfig, seed: int | None = None) -> BiLstmModel:
     """Glorot-uniform weights, forget-gate biases 1, other biases 0, and a
-    zeroed embedding row for the padding id."""
+    zeroed embedding row for the padding id. Each gate block is drawn on
+    its own with its own bound, in v1 file order."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    params: dict[str, np.ndarray] = {}
-    for key in _param_keys(config):
-        shape = _param_shape(key, config)
-        if key.endswith(".b") or ".b_" in key:
-            fill = 1.0 if key.endswith(".b_f") else 0.0
-            params[key] = np.full(shape, fill)
-            continue
-        bound = math.sqrt(6.0 / (shape[0] + shape[1]))
-        params[key] = rng.uniform(-bound, bound, size=shape)
+    params = {key: np.zeros(shape) for key, shape in _param_shapes(config).items()}
+    for name, key, cols in _v1_tensors(config):
+        block = params[key][..., cols]
+        if block.ndim == 2:
+            bound = math.sqrt(6.0 / (block.shape[0] + block.shape[1]))
+            block[...] = rng.uniform(-bound, bound, size=block.shape)
+        elif name.endswith(".b_f"):
+            block[...] = 1.0
     params["emb"][config.pad_id, :] = 0.0
     return BiLstmModel(params=params, config=config)
 
@@ -135,33 +144,39 @@ def init_adam(model: BiLstmModel) -> AdamState:
     return AdamState(m=zeros, v={k: np.zeros_like(p) for k, p in model.params.items()})
 
 
+def _gates(acts: np.ndarray, h: int) -> list[np.ndarray]:
+    """Views of the i, f, o and g blocks of (..., 4H) gate activations."""
+    return [acts[..., k * h:(k + 1) * h] for k in range(4)]
+
+
 def _cell_step(x, h, c, cell: dict[str, np.ndarray]):
-    """The LSTM cell; returns h', c' and the activations BPTT needs. The
-    three sigmoid gates share one call, as at batch size 1 the per-call
-    cost outweighs the arithmetic."""
-    i, f, o = _sigmoid(np.array([x @ cell["W_i"] + h @ cell["U_i"] + cell["b_i"],
-                                 x @ cell["W_f"] + h @ cell["U_f"] + cell["b_f"],
-                                 x @ cell["W_o"] + h @ cell["U_o"] + cell["b_o"]]))
-    g = np.tanh(x @ cell["W_g"] + h @ cell["U_g"] + cell["b_g"])
+    """The LSTM cell; returns h', c', the (..., 4H) gate activations and
+    tanh(c'), which BPTT reuses. The pre-activation is summed and activated
+    in place in one array: each further (B,4H) temporary raises the
+    process's peak memory at paper shapes."""
+    acts = x @ cell["W"]
+    acts += h @ cell["U"]
+    acts += cell["b"]
+    n = 3 * h.shape[-1]
+    acts[..., :n] = _sigmoid(acts[..., :n])
+    np.tanh(acts[..., n:], out=acts[..., n:])
+    i, f, o, g = _gates(acts, h.shape[-1])
     c_new = f * c + i * g
     tanh_c = np.tanh(c_new)
-    return o * tanh_c, c_new, {"i": i, "f": f, "o": o, "g": g, "tanh_c": tanh_c}
+    return o * tanh_c, c_new, acts, tanh_c
 
 
 def lstm_cell(x, h, c, cell: dict[str, np.ndarray]):
     """One step of the standard LSTM cell.
 
-    Gates i, f, o are sigmoid(x W + h U + b); the candidate g is the same
-    pre-activation through tanh; then c' = f*c + i*g and h' = o*tanh(c').
-    Accepts single vectors or batches (leading batch axis).
+    ``cell`` holds one direction's fused weights: ``W`` (E,4H), ``U``
+    (H,4H) and ``b`` (4H,), each with the gate blocks i, f, o, g side by
+    side. With a = x W + h U + b cut into those blocks, gates i, f, o are
+    sigmoid(a) and the candidate g is tanh(a); then c' = f*c + i*g and
+    h' = o*tanh(c'). Accepts single vectors or batches (leading batch axis).
     """
-    h_new, c_new, _ = _cell_step(x, h, c, cell)
+    h_new, c_new, _, _ = _cell_step(x, h, c, cell)
     return h_new, c_new
-
-
-def _cell_params(params: dict[str, np.ndarray], direction: str) -> dict[str, np.ndarray]:
-    return {f"{m}_{gate}": params[f"{direction}.{m}_{gate}"]
-            for m in ("W", "U", "b") for gate in _GATES}
 
 
 def _validate_ids(ids: np.ndarray, cfg: BiLstmConfig) -> np.ndarray:
@@ -183,61 +198,46 @@ def _scan(params, direction, X, mask, reverse: bool):
     """Run one direction over the batch, carrying state through padded
     positions; returns the final state and the per-step cache for BPTT."""
     B, T, _ = X.shape
-    H = params[f"{direction}.b_i"].shape[0]
-    cell = _cell_params(params, direction)
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+    cell = {m: params[f"{direction}.{m}"] for m in "WUb"}
+    h = np.zeros((B, cell["U"].shape[0]))
+    c = np.zeros_like(h)
     times = range(T - 1, -1, -1) if reverse else range(T)
     steps = []
     for t in times:
-        h_new, c_new, acts = _cell_step(X[:, t], h, c, cell)
+        h_new, c_new, acts, tanh_c = _cell_step(X[:, t], h, c, cell)
         m = mask[:, t][:, None]
-        steps.append({"t": t, "h_prev": h, "c_prev": c, "m": m, **acts})
+        steps.append((t, h, c, m, acts, tanh_c))
         h = np.where(m, h_new, h)
         c = np.where(m, c_new, c)
     return h, steps
 
 
 def _scan_backward(params, direction, steps, X, d_final_h, dX, grads):
-    """Backpropagate one direction; accumulates into grads and dX."""
-    cell = _cell_params(params, direction)
+    """Backpropagate one direction; accumulates into grads and dX. Each
+    step builds da, the (B,4H) gradient of the gate pre-activations, in
+    the gate order of the fused weights."""
+    W, U = params[f"{direction}.W"], params[f"{direction}.U"]
+    gW, gU, gb = (grads[f"{direction}.{m}"] for m in "WUb")
     dh = d_final_h
     dc = np.zeros_like(dh)
-    for step in reversed(steps):
-        m = step["m"]
-        t = step["t"]
+    n = 3 * dh.shape[1]
+    for t, h_prev, c_prev, m, acts, tanh_c in reversed(steps):
+        i, f, o, g = _gates(acts, dh.shape[1])
         dh_new = dh * m
-        dc_new = dc * m
-        dh_pass = dh * (1.0 - m)
-        dc_pass = dc * (1.0 - m)
-        o, i, f, g = step["o"], step["i"], step["f"], step["g"]
-        tanh_c = step["tanh_c"]
-        do = dh_new * tanh_c
-        dc_new = dc_new + dh_new * o * (1.0 - tanh_c ** 2)
-        df = dc_new * step["c_prev"]
-        di = dc_new * g
-        dg = dc_new * i
-        dc_prev = dc_new * f
-        da = {
-            "i": di * i * (1.0 - i),
-            "f": df * f * (1.0 - f),
-            "o": do * o * (1.0 - o),
-            "g": dg * (1.0 - g ** 2),
-        }
+        dc_new = dc * m + dh_new * o * (1.0 - tanh_c ** 2)
+        da = np.concatenate([dc_new * g, dc_new * c_prev, dh_new * tanh_c, dc_new * i],
+                            axis=1)
+        sig = acts[:, :n]
+        da[:, :n] *= sig
+        da[:, :n] *= 1.0 - sig
+        da[:, n:] *= 1.0 - g ** 2
         x = X[:, t]
-        h_prev = step["h_prev"]
-        dx = np.zeros_like(x)
-        dh_prev = dh_pass
-        for gate in _GATES:
-            a = da[gate]
-            grads[f"{direction}.W_{gate}"] += x.T @ a
-            grads[f"{direction}.U_{gate}"] += h_prev.T @ a
-            grads[f"{direction}.b_{gate}"] += a.sum(axis=0)
-            dx += a @ cell[f"W_{gate}"].T
-            dh_prev = dh_prev + a @ cell[f"U_{gate}"].T
-        dX[:, t] += dx
-        dh = dh_prev
-        dc = dc_prev + dc_pass
+        gW += x.T @ da
+        gU += h_prev.T @ da
+        gb += da.sum(axis=0)
+        dX[:, t] += da @ W.T
+        dh = dh * (1.0 - m) + da @ U.T
+        dc = dc_new * f + dc * (1.0 - m)
 
 
 def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
@@ -352,7 +352,7 @@ def apply_adam(model: BiLstmModel, state: AdamState, grads) -> None:
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     corr1 = 1.0 - b1 ** state.t
     corr2 = 1.0 - b2 ** state.t
-    for key in _param_keys(cfg):
+    for key in model.params:
         g = grads[key]
         state.m[key] = b1 * state.m[key] + (1.0 - b1) * g
         state.v[key] = b2 * state.v[key] + (1.0 - b2) * g * g
@@ -480,12 +480,10 @@ _FORMAT_TAG = "apisentry-seqmodel v1"
 def save_model(model: BiLstmModel, path: str | Path) -> None:
     cfg = model.config
     lines = [_FORMAT_TAG] + _config_lines(cfg)
-    for key in _param_keys(cfg):
-        tensor = model.params[key]
-        dims = " ".join(str(d) for d in tensor.shape)
-        lines.append(f"tensor {key} {dims}")
-        for row in tensor.reshape(1, -1) if tensor.ndim == 1 else tensor:
-            lines.append(" ".join(_fmt(x) for x in row))
+    for name, key, cols in _v1_tensors(cfg):
+        tensor = model.params[key][..., cols]
+        lines.append(f"tensor {name} " + " ".join(map(str, tensor.shape)))
+        lines += [" ".join(map(_fmt, row)) for row in np.atleast_2d(tensor)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -494,14 +492,15 @@ def load_model(path: str | Path) -> BiLstmModel:
         if reader.next() != _FORMAT_TAG:
             raise ValueError("not a sequence model file")
         cfg = _read_config(reader, BiLstmConfig)
-        params: dict[str, np.ndarray] = {}
-        for key in _param_keys(cfg):
-            shape = tuple(int(d) for d in reader.field(f"tensor {key}").split())
-            n_rows = shape[0] if len(shape) > 1 else 1
-            rows = [np.array(reader.next().split(), dtype=np.float64) for _ in range(n_rows)]
-            params[key] = np.vstack(rows).reshape(shape)
-            if params[key].shape != _param_shape(key, cfg):
-                raise ValueError(f"tensor {key!r} has wrong shape {shape}")
+        params = {key: np.empty(shape) for key, shape in _param_shapes(cfg).items()}
+        for name, key, cols in _v1_tensors(cfg):
+            block = params[key][..., cols]
+            shape = tuple(int(d) for d in reader.field(f"tensor {name}").split())
+            if shape != block.shape:
+                raise ValueError(f"tensor {name!r} has wrong shape {shape}")
+            rows = [np.array(reader.next().split(), dtype=np.float64)
+                    for _ in np.atleast_2d(block)]
+            block[...] = np.vstack(rows).reshape(shape)
     return BiLstmModel(params=params, config=cfg)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import numpy as np
@@ -184,6 +185,27 @@ class TestValidation:
         model.write_text("\n".join(model.read_text().splitlines()[:20]) + "\n")
         assert run("predict-next", "--model", model, "--seq", "1,2") == 1
         assert f"{model}: line 21: unexpected end of file" in capsys.readouterr().err
+
+    def test_sequence_model_with_zero_hidden_exits_one(self, tmp_path, capsys):
+        model = tmp_path / "model.seq"
+        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
+        model.write_text(model.read_text().replace("\nhidden 2\n", "\nhidden 0\n"))
+        assert run("predict-next", "--model", model, "--seq", "1,2") == 1
+        assert re.search(rf"{re.escape(str(model))}: line \d+: hidden must be >= 1",
+                         capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--max-prefix-len", 0, "max_prefix_len"), ("--max-prefix-len", -3, "max_prefix_len"),
+        ("--hidden", 0, "hidden"), ("--embed", 0, "embed_dim"), ("--lr", -0.5, "learning_rate"),
+    ])
+    def test_nonsense_predictor_size_exits_one(self, demo, tmp_path, capsys, flag, value, field):
+        cooked, model = tmp_path / "cooked.csv", tmp_path / "model.seq"
+        assert run("ingest", "--in", demo, "--collapse", "--out", cooked) == 0
+        capsys.readouterr()
+        assert run("train-predictor", "--in", cooked, "--out", model, "--max-epochs", 1,
+                   flag, value) == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_blank_detector_node_line_exits_one(self, tmp_path, capsys):
         X = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [0.0, 3.0]]))

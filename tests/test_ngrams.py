@@ -284,6 +284,25 @@ class TestMatrixIO:
         save_matrix(matrix, path)
         assert path.read_text() == "3,5\n0,0,7\n0,4,1\n2,0,2\n2,1,3\n"
 
+    @pytest.mark.parametrize("matrix, message", [
+        (sparse.csr_matrix([[0.5, 2.7]]), "entry (0,0) holds 0.5"),
+        (sparse.csr_matrix([[0, 2.7]]), "entry (0,1) holds 2.7"),
+        (sparse.csr_matrix(np.array([[-1, 2]])), "entry (0,0) holds -1"),
+        (sparse.csr_matrix([[3, np.nan]]), "entry (0,1) holds nan"),
+        (sparse.csr_matrix([[np.inf, 1]]), "entry (0,0) holds inf"),
+        (sparse.csr_matrix([[2.0 ** 63, 1]]), "entry (0,0) holds 9.223372036854776e+18"),
+        # the first bad entry in file order, not in storage order
+        (sparse.coo_matrix(([0.5, -1.0], ([2, 0], [0, 1])), shape=(3, 2)),
+         "entry (0,1) holds -1.0"),
+    ])
+    def test_value_that_would_not_read_back_is_refused(self, tmp_path, matrix, message):
+        # whatever save_matrix writes, load_matrix reads back equal
+        path = tmp_path / "m.txt"
+        with pytest.raises(ValueError) as err:
+            save_matrix(matrix, path)
+        assert str(err.value) == f"{message}; counts must be integers in [0, 2**63)"
+        assert not path.exists()
+
     def test_matrix_without_entries_is_the_header_alone(self, tmp_path):
         path = tmp_path / "m.txt"
         save_matrix(sparse.csr_matrix((2, 4)), path)

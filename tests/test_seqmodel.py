@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apisentry.ngrams import PrefixSample
 from apisentry.seeding import derive_seed
@@ -28,24 +30,28 @@ TINY = BiLstmConfig(vocab_size=7, embed_dim=4, hidden=5, dropout_rate=0.0,
 
 
 def scalar_lstm_cell(x, h, c, cell):
-    """Independent oracle: the cell equations evaluated element by element."""
+    """Independent oracle: the cell equations evaluated element by element.
+    Unit k of gate i, f, o, g is column k of that gate's block of the
+    fused W, U and b."""
     H = len(h)
     h_new = np.zeros(H)
     c_new = np.zeros(H)
+    W, U, b = cell["W"], cell["U"], cell["b"]
     for k in range(H):
-        a_i = sum(x[d] * cell["W_i"][d, k] for d in range(len(x)))
-        a_f = sum(x[d] * cell["W_f"][d, k] for d in range(len(x)))
-        a_o = sum(x[d] * cell["W_o"][d, k] for d in range(len(x)))
-        a_g = sum(x[d] * cell["W_g"][d, k] for d in range(len(x)))
+        i, f, o, g = k, H + k, 2 * H + k, 3 * H + k
+        a_i = sum(x[d] * W[d, i] for d in range(len(x)))
+        a_f = sum(x[d] * W[d, f] for d in range(len(x)))
+        a_o = sum(x[d] * W[d, o] for d in range(len(x)))
+        a_g = sum(x[d] * W[d, g] for d in range(len(x)))
         for d in range(H):
-            a_i += h[d] * cell["U_i"][d, k]
-            a_f += h[d] * cell["U_f"][d, k]
-            a_o += h[d] * cell["U_o"][d, k]
-            a_g += h[d] * cell["U_g"][d, k]
-        a_i += cell["b_i"][k]
-        a_f += cell["b_f"][k]
-        a_o += cell["b_o"][k]
-        a_g += cell["b_g"][k]
+            a_i += h[d] * U[d, i]
+            a_f += h[d] * U[d, f]
+            a_o += h[d] * U[d, o]
+            a_g += h[d] * U[d, g]
+        a_i += b[i]
+        a_f += b[f]
+        a_o += b[o]
+        a_g += b[g]
         sig = lambda z: 1.0 / (1.0 + math.exp(-z))
         c_new[k] = sig(a_f) * c[k] + sig(a_i) * math.tanh(a_g)
         h_new[k] = sig(a_o) * math.tanh(c_new[k])
@@ -53,18 +59,40 @@ def scalar_lstm_cell(x, h, c, cell):
 
 
 def zero_cell(embed, hidden):
-    cell = {}
-    for gate in "ifog":
-        cell[f"W_{gate}"] = np.zeros((embed, hidden))
-        cell[f"U_{gate}"] = np.zeros((hidden, hidden))
-        cell[f"b_{gate}"] = np.zeros(hidden)
-    return cell
+    return {"W": np.zeros((embed, 4 * hidden)), "U": np.zeros((hidden, 4 * hidden)),
+            "b": np.zeros(4 * hidden)}
+
+
+def gate_block(tensor, k, hidden):
+    """Gate k's (0=i, 1=f, 2=o, 3=g) columns of a fused W, U or b."""
+    return tensor[..., k * hidden:(k + 1) * hidden]
+
+
+def random_model(cfg, seed, scale=1.0):
+    """init_model(cfg) with every parameter redrawn from a normal of the
+    given scale."""
+    model = init_model(cfg)
+    rng = np.random.default_rng(seed)
+    for key in model.params:
+        model.params[key] = rng.normal(size=model.params[key].shape) * scale
+    return model
 
 
 def tiny_batch():
     return [PrefixSample(prefix=(1, 2), next=3),
             PrefixSample(prefix=(4, 5, 6, 0), next=2),
             PrefixSample(prefix=(2,), next=1)]
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("embed_dim", 0), ("hidden", 0), ("max_prefix_len", 0), ("max_prefix_len", -3),
+        ("learning_rate", -0.5), ("learning_rate", math.nan), ("adam_beta1", 1.0),
+        ("adam_beta2", -0.1), ("adam_eps", 0.0), ("adam_eps", math.nan),
+    ])
+    def test_nonsense_values_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            BiLstmConfig(vocab_size=5, **{field: value})
 
 
 class TestInit:
@@ -80,18 +108,25 @@ class TestInit:
 
     def test_forget_bias_one_others_zero(self):
         model = init_model(TINY)
+        H = TINY.hidden
         for d in ("fw", "bw"):
-            assert (model.params[f"{d}.b_f"] == 1.0).all()
-            for gate in ("i", "o", "g"):
-                assert (model.params[f"{d}.b_{gate}"] == 0.0).all()
+            assert model.params[f"{d}.b"].shape == (4 * H,)
+            assert (gate_block(model.params[f"{d}.b"], 1, H) == 1.0).all()
+            for k in (0, 2, 3):
+                assert (gate_block(model.params[f"{d}.b"], k, H) == 0.0).all()
         assert (model.params["dense.b"] == 0.0).all()
 
     def test_glorot_bounds(self):
+        # every gate block has the bound of its own (rows, H) shape
         model = init_model(TINY)
-        w = model.params["fw.W_i"]
-        bound = math.sqrt(6.0 / (TINY.embed_dim + TINY.hidden))
-        assert np.abs(w).max() <= bound
-        assert np.abs(w).max() > 0.1 * bound
+        H = TINY.hidden
+        for d in ("fw", "bw"):
+            for m, rows in (("W", TINY.embed_dim), ("U", H)):
+                bound = math.sqrt(6.0 / (rows + H))
+                for k in range(4):
+                    w = gate_block(model.params[f"{d}.{m}"], k, H)
+                    assert np.abs(w).max() <= bound
+                    assert np.abs(w).max() > 0.1 * bound
 
 
 class TestLstmCell:
@@ -110,11 +145,8 @@ class TestLstmCell:
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            cell = {}
-            for gate in "ifog":
-                cell[f"W_{gate}"] = rng.normal(size=(3, 4)) * 0.5
-                cell[f"U_{gate}"] = rng.normal(size=(4, 4)) * 0.5
-                cell[f"b_{gate}"] = rng.normal(size=4) * 0.5
+            cell = {"W": rng.normal(size=(3, 16)) * 0.5, "U": rng.normal(size=(4, 16)) * 0.5,
+                    "b": rng.normal(size=16) * 0.5}
             x = rng.normal(size=3)
             h = rng.normal(size=4)
             c = rng.normal(size=4)
@@ -166,11 +198,16 @@ class TestForward:
         with pytest.raises(ValueError, match="left prefix"):
             forward(model, [1, TINY.pad_id, 2])
 
-    def test_pad_neutrality(self):
-        model = init_model(TINY)
-        base = forward(model, [3, 4])
-        padded = forward(model, [TINY.pad_id, TINY.pad_id, 3, 4])
-        assert np.allclose(base, padded, atol=0)
+    @settings(max_examples=60, deadline=None)
+    @given(vocab=st.integers(2, 8), embed=st.integers(1, 4), hidden=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_pad_neutrality(self, vocab, embed, hidden, seed, data):
+        cfg = BiLstmConfig(vocab_size=vocab, embed_dim=embed, hidden=hidden,
+                           dropout_rate=0.0, max_prefix_len=12)
+        model = random_model(cfg, seed)
+        prefix = data.draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=6))
+        pads = [cfg.pad_id] * data.draw(st.integers(0, 5))
+        assert np.array_equal(forward(model, pads + prefix), forward(model, prefix))
 
     def test_direction_symmetry(self):
         rng = np.random.default_rng(23)
@@ -178,10 +215,9 @@ class TestForward:
         for key in model.params:
             model.params[key] = rng.normal(size=model.params[key].shape) * 0.3
         swapped = init_model(TINY)
-        for gate in "ifog":
-            for mat in ("W", "U", "b"):
-                swapped.params[f"fw.{mat}_{gate}"] = model.params[f"bw.{mat}_{gate}"].copy()
-                swapped.params[f"bw.{mat}_{gate}"] = model.params[f"fw.{mat}_{gate}"].copy()
+        for mat in ("W", "U", "b"):
+            swapped.params[f"fw.{mat}"] = model.params[f"bw.{mat}"].copy()
+            swapped.params[f"bw.{mat}"] = model.params[f"fw.{mat}"].copy()
         swapped.params["emb"] = model.params["emb"].copy()
         H = TINY.hidden
         swapped.params["dense.W"] = np.vstack([model.params["dense.W"][H:],
@@ -364,20 +400,152 @@ class TestPredict:
         assert got == tail
 
 
+# The v1 text of init_model(V1_TINY_CONFIG) and that model's distribution
+# for V1_TINY_PREFIX (one left pad, then 1, 3, 0, 2), both written by the
+# implementation that kept each gate's W, U and b as separate parameters.
+V1_TINY_CONFIG = BiLstmConfig(vocab_size=4, embed_dim=2, hidden=3, seed=7)
+V1_TINY_PREFIX = [4, 1, 3, 0, 2]
+V1_TINY_PROBS = [0.3285918489918868, 0.24410931833574678, 0.21930130844290394,
+                 0.2079975242294624]
+V1_TINY = """\
+apisentry-seqmodel v1
+vocab_size 4
+embed_dim 2
+hidden 3
+dropout_rate 0.29999999999999999
+learning_rate 0.01
+adam_beta1 0.90000000000000002
+adam_beta2 0.999
+adam_eps 1e-08
+batch_size 128
+max_epochs 50
+patience 3
+val_fraction 0.10000000000000001
+max_prefix_len 99
+seed 7
+tensor emb 5 2
+0.23163179474605333 0.73549704168937358
+0.5104707064973395 -0.50881741355938004
+-0.37002014008281781 0.69168657617429496
+-0.91607065017608491 0.59479945271382317
+0 0
+tensor fw.W_i 2 3
+-0.43153433171244626 -0.48544516167122465 -0.5370538254895153
+-0.12033178483835305 0.0099647361145838165 0.11720682599198118
+tensor fw.U_i 3 3
+0.99100056686878535 0.58532383842750613 0.24435845888232532
+0.97792029536376979 -0.5693826035288021 -0.6795759322843109
+0.22507920854606156 -0.91211598407723327 -0.92863944245280772
+tensor fw.b_i 3
+0 0 0
+tensor fw.W_f 2 3
+0.032619770869078746 -0.074038888948389836 0.91396879856769653
+0.28312053842651874 0.03093021400575946 -0.0068499598498998893
+tensor fw.U_f 3 3
+-0.50497015594533834 -0.97641194891498828 -0.61519571202937873
+0.38406424176367837 -0.59878655202600961 -0.26092737879558658
+-0.99253151589584809 0.66009545960349114 -0.69107783787712029
+tensor fw.b_f 3
+1 1 1
+tensor fw.W_o 2 3
+-0.50916441308121041 0.83326600031931242 0.021450589684718357
+0.76056808311224966 0.30610497602054676 0.52969360647793295
+tensor fw.U_o 3 3
+-0.81700878987390868 0.082287642752977508 0.01554447260069991
+0.74267875338576128 -0.27747188197168482 0.19636813441442613
+-0.88149671530899276 -0.2247363977785426 -0.3539273074835867
+tensor fw.b_o 3
+0 0 0
+tensor fw.W_g 2 3
+-0.76637399603812839 0.69306206104047541 -0.26412020494200761
+1.0488840625996079 0.19716192099996488 0.23016672011839212
+tensor fw.U_g 3 3
+0.27599316157666443 0.35290048762557658 -0.69842396166326259
+-0.11937306562362493 -0.52087207634095334 -0.19500340379203673
+-0.80659181213650877 0.93565610209764283 -0.56999192528823994
+tensor fw.b_g 3
+0 0 0
+tensor bw.W_i 2 3
+0.37631861662297483 -0.43725769359582511 0.81956170186613386
+0.35539468539107699 -0.80708931003971585 0.75601995823507373
+tensor bw.U_i 3 3
+0.88989634228995906 0.8078335763918536 0.13943829571855448
+-0.70908009247814618 -0.61507301006333526 0.85581136948904879
+0.10465297533452755 -0.63889500310217673 0.76811378839293987
+tensor bw.b_i 3
+0 0 0
+tensor bw.W_f 2 3
+0.31016806581929846 0.15269250503304432 -0.27103977115767341
+-0.19508720235689092 -0.57075053875033721 -1.0120657774174009
+tensor bw.U_f 3 3
+0.75243761621854199 -0.064539566371807799 0.095270398427470537
+-0.35567338043954977 0.50264983970985577 -0.94960625839647927
+-0.2556294548695921 -0.93929941123177674 -0.75421579558998131
+tensor bw.b_f 3
+1 1 1
+tensor bw.W_o 2 3
+1.0234705049034862 0.34563644212230882 -0.1572615608985759
+0.052011970480707603 0.81678405270630039 -0.34131732761984201
+tensor bw.U_o 3 3
+0.18058196457942932 0.36736874667908737 -0.28917244595297587
+0.038196972991980216 0.53049476655704519 0.81835862798110037
+-0.69787544384636901 0.86683878461485708 -0.98964226836913571
+tensor bw.b_o 3
+0 0 0
+tensor bw.W_g 2 3
+0.5542459410473366 0.68033019870133704 -0.79581009066764774
+-0.17767319890464783 0.69069189941202391 -1.0641785049595471
+tensor bw.U_g 3 3
+0.25692389573258145 0.5860473161960682 0.026007165644416963
+0.45169884110217429 -0.54715303460571185 -0.60295770401465432
+-0.2737460988992968 -0.64118794486570696 -0.30787712177504312
+tensor bw.b_g 3
+0 0 0
+tensor dense.W 6 4
+0.69423081075156601 0.11360655761600102 -0.24776548456234193 -0.353952536999593
+0.70029656773532656 -0.086013987755339971 0.74422434790639347 0.024047615574910308
+0.032790426088897151 0.61431793777937527 0.37609366709944769 0.12494687941036642
+-0.11363410003128904 0.58588611250593292 -0.13687719599357118 0.65493631918007233
+-0.66814330348278417 -0.10844839521562144 0.03023222895647415 0.69859044866293085
+-0.38575030834419705 0.47411380825346661 0.27338800747191616 0.33630803679086663
+tensor dense.b 4
+0 0 0 0
+"""
+
+
 class TestPersistence:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        cfg = BiLstmConfig(vocab_size=9, embed_dim=5, hidden=6, seed=3)
-        model = init_model(cfg)
+    @settings(max_examples=40, deadline=None)
+    @given(vocab=st.integers(1, 9), embed=st.integers(1, 6), hidden=st.integers(1, 7),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-12, 1.0, 1e12]),
+           lr=st.floats(0.0, 1.0), dropout=st.floats(0.0, 1.0, exclude_max=True))
+    def test_roundtrip_bit_exact(self, tmp_path_factory, vocab, embed, hidden, seed,
+                                 scale, lr, dropout):
+        cfg = BiLstmConfig(vocab_size=vocab, embed_dim=embed, hidden=hidden,
+                           learning_rate=lr, dropout_rate=dropout, seed=seed)
+        model = random_model(cfg, seed, scale)
+        tmp_path = tmp_path_factory.mktemp("seq")
         p1, p2 = tmp_path / "a.seq", tmp_path / "b.seq"
         save_model(model, p1)
         loaded = load_model(p1)
         save_model(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert loaded.config == cfg
+        assert loaded.params.keys() == model.params.keys()
         for key in model.params:
-            assert (loaded.params[key] == model.params[key]).all()
-        seq = [1, 2, 3]
+            assert np.array_equal(loaded.params[key], model.params[key])
+        seq = [0] * 3
         assert np.array_equal(forward(model, seq), forward(loaded, seq))
+
+    def test_v1_text_is_pinned(self, tmp_path):
+        path = tmp_path / "tiny.seq"
+        save_model(init_model(V1_TINY_CONFIG), path)
+        assert path.read_text() == V1_TINY
+        again = tmp_path / "again.seq"
+        loaded = load_model(path)
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        probs = forward(loaded, V1_TINY_PREFIX)
+        assert np.abs(probs - V1_TINY_PROBS).max() < 1e-12
 
     def test_curves_csv(self, tmp_path):
         from apisentry.seqmodel import TrainReport
