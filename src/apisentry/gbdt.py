@@ -8,14 +8,15 @@ contributes gradient g = p - y and hessian h = p(1 - p); a leaf's weight is
     0.5 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)) - gamma.
 
 Splits are found by exact greedy search over the sorted unique values of
-every feature: each column is pre-coded into per-value buckets once, and a
-node's candidate splits are scored from bucket histograms of g and h, which
-is equivalent to scanning the sorted column but shares work across features.
-Thresholds are midpoints between adjacent distinct values; samples with
-value <= threshold go left. Ties are broken toward the lowest feature index,
-then the lowest threshold, so training is deterministic. A round adds to
-each training row the weight of the leaf growth put it in; nothing is
-re-predicted.
+every feature: each (feature, distinct value) pair, 0.0 included, is coded
+once as a global bin, and a node's candidate splits are scored from per-bin
+histograms of g and h, which is equivalent to scanning the sorted column but
+shares work across features. Thresholds are midpoints between adjacent
+distinct values; samples with value <= threshold go left, in training as in
+prediction, so feature values must be finite. Ties are broken toward the
+lowest feature index, then the lowest threshold, so training is
+deterministic. A round adds to each training row the weight of the leaf
+growth put it in; nothing is re-predicted.
 
 Prediction has one path for any number of rows (one vector is a 1-row
 matrix): a member's trees, packed once into flat node arrays, descend
@@ -102,99 +103,98 @@ def as_feature_matrix(X, dim: int | None = None) -> sparse.csr_matrix:
     return sparse.vstack(rows, format="csr").astype(np.float64, copy=False)
 
 
-class _CodedMatrix:
-    """Per-column bucket coding of a CSR matrix for exact greedy splits.
+def _check_finite(X: sparse.csr_matrix) -> None:
+    """Refuse a nan or infinite entry, naming the first one stored."""
+    bad = np.flatnonzero(~np.isfinite(X.data))[:1]
+    if bad.size:
+        row = np.searchsorted(X.indptr, bad[0], side="right") - 1
+        raise ValueError(f"entry ({row},{X.indices[bad[0]]}) holds {X.data[bad[0]]}; "
+                         "feature values must be finite")
 
-    Column j's observed values (implicit zeros included) are mapped to their
-    rank among the column's sorted unique values. Buckets are laid out as one
-    flat ragged array with per-column offsets, so a single high-cardinality
-    column does not inflate every column's histogram. Stored codes carry a
-    +1 offset so the sparse structure never holds an explicit zero.
+
+class _CodedMatrix:
+    """Global bin coding of a CSR matrix for exact greedy splits.
+
+    Each (column, distinct value) pair, 0.0 included, is one bin; bins run
+    column by column, values ascending. `values[b]` is bin b's value,
+    `offsets[j]` column j's first bin and `zero_bin[j]` its bin for 0.0,
+    which also holds the implicit zeros. The CSR matrix stores each
+    nonzero's bin + 1, so the sparse structure never holds an explicit zero;
+    its CSC twin serves routing.
     """
 
     def __init__(self, X: sparse.csr_matrix):
-        X = X.tocsr().astype(np.float64).copy()
+        X = X.tocsr().astype(np.float64)
         X.sum_duplicates()
         X.eliminate_zeros()
         self.n, self.n_features = X.shape
-        csc = X.tocsc()
-        self._csc_indptr = csc.indptr
-        self._csc_rows = csc.indices
-        self._csc_vals = csc.data
-        self.uniques: list[np.ndarray] = []
-        self.zero_code = np.zeros(self.n_features, dtype=np.int64)
-        lengths = np.zeros(self.n_features, dtype=np.int64)
-        code_data = np.zeros(len(csc.data), dtype=np.int64)
-        for j in range(self.n_features):
-            s, e = csc.indptr[j], csc.indptr[j + 1]
-            vals = csc.data[s:e]
-            u = np.sort(np.append(np.unique(vals), 0.0))
-            self.uniques.append(u)
-            self.zero_code[j] = int(np.searchsorted(u, 0.0))
-            code_data[s:e] = np.searchsorted(u, vals)
-            lengths[j] = len(u)
-        self.offsets = np.zeros(self.n_features + 1, dtype=np.int64)
-        np.cumsum(lengths, out=self.offsets[1:])
-        self.n_bins = int(self.offsets[-1])
-        self.lengths = lengths
-        coded = sparse.csc_matrix(
-            (code_data + 1, csc.indices.copy(), csc.indptr.copy()),
-            shape=(self.n, self.n_features))
-        self._coded_csr = coded.tocsr()
+        # every stored entry, then one 0.0 per column
+        cols = np.concatenate([X.indices, np.arange(self.n_features)])
+        vals = np.concatenate([X.data, np.zeros(self.n_features)])
+        order = np.lexsort((vals, cols))
+        cols, vals = cols[order], vals[order]
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (cols[1:] != cols[:-1]) | (vals[1:] != vals[:-1])
+        bins = np.empty(len(order), dtype=np.int64)
+        bins[order] = np.cumsum(starts) - 1
+        self.values = vals[starts]
+        self.offsets = np.searchsorted(cols[starts], np.arange(self.n_features + 1))
+        self.n_bins = len(self.values)
+        self.zero_bin = bins[X.nnz:]
+        self._coded_csr = sparse.csr_matrix((bins[:X.nnz] + 1, X.indices, X.indptr), X.shape)
+        self._coded_csc = self._coded_csr.tocsc()
 
-    def column_values(self, j: int) -> np.ndarray:
-        out = np.zeros(self.n)
-        s, e = self._csc_indptr[j], self._csc_indptr[j + 1]
-        out[self._csc_rows[s:e]] = self._csc_vals[s:e]
+    def column_bins(self, j: int) -> np.ndarray:
+        """Every row's bin in column j."""
+        out = np.full(self.n, self.zero_bin[j])
+        s, e = self._coded_csc.indptr[j], self._coded_csc.indptr[j + 1]
+        out[self._coded_csc.indices[s:e]] = self._coded_csc.data[s:e] - 1
         return out
 
     def node_histograms(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
-        """Flat per-bucket sums of g, h and sample counts for the given rows,
-        with implicit zeros folded into each column's zero bucket."""
+        """Per-bin sums of g, h and sample counts for the given rows, with
+        implicit zeros folded into each column's zero bin."""
         sub = self._coded_csr[rows]
         per_row = np.diff(sub.indptr)
         g_rows, h_rows = g[rows], h[rows]
         g_rep = np.repeat(g_rows, per_row)
         h_rep = np.repeat(h_rows, per_row)
-        cols = sub.indices.astype(np.int64)
-        key = self.offsets[cols] + sub.data.astype(np.int64) - 1
+        key = sub.data - 1
         # bincount yields int64 on empty input regardless of the weights dtype
         hist_g = np.bincount(key, weights=g_rep, minlength=self.n_bins).astype(np.float64)
         hist_h = np.bincount(key, weights=h_rep, minlength=self.n_bins).astype(np.float64)
         hist_n = np.bincount(key, minlength=self.n_bins)
-        total_g, total_h = g_rows.sum(), h_rows.sum()
+        cols = sub.indices
         col_g = np.bincount(cols, weights=g_rep, minlength=self.n_features).astype(np.float64)
         col_h = np.bincount(cols, weights=h_rep, minlength=self.n_features).astype(np.float64)
         col_n = np.bincount(cols, minlength=self.n_features)
-        zero_pos = self.offsets[:-1] + self.zero_code
-        hist_g[zero_pos] += total_g - col_g
-        hist_h[zero_pos] += total_h - col_h
-        hist_n[zero_pos] += len(rows) - col_n
+        hist_g[self.zero_bin] += g_rows.sum() - col_g
+        hist_h[self.zero_bin] += h_rows.sum() - col_h
+        hist_n[self.zero_bin] += len(rows) - col_n
         return hist_g, hist_h, hist_n
 
 
-def _segment_cumsum(flat: np.ndarray, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Cumulative sums restarting at each column's first bucket."""
+def _segment_cumsum(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Cumulative sums restarting at each column's first bin."""
     cs = np.cumsum(flat)
-    col_start = offsets[:-1]
-    base = np.repeat(cs[col_start] - flat[col_start], lengths)
-    return cs - base
+    starts = offsets[:-1]
+    return cs - np.repeat(cs[starts] - flat[starts], np.diff(offsets))
 
 
 def _best_split(coded: _CodedMatrix, hist_g, hist_h, hist_n,
                 total_g, total_h, n_node, cfg: GbdtConfig):
-    """Scan every candidate split at once; returns (feature, bucket, gain) or
+    """Scan every candidate split at once; returns (feature, bin, gain) or
     None if no candidate has positive gain and admissible child hessians.
 
     Ties resolve to the lowest feature index, then the lowest threshold,
-    because the flat layout orders buckets by (feature, value) and argmax
-    takes the first maximum.
+    because bins are ordered by (feature, value) and argmax takes the first
+    maximum.
     """
     lam = cfg.reg_lambda
-    offsets, lengths = coded.offsets, coded.lengths
-    left_g = _segment_cumsum(hist_g, offsets, lengths)
-    left_h = _segment_cumsum(hist_h, offsets, lengths)
-    left_n = _segment_cumsum(hist_n, offsets, lengths)
+    offsets = coded.offsets
+    left_g = _segment_cumsum(hist_g, offsets)
+    left_h = _segment_cumsum(hist_h, offsets)
+    left_n = _segment_cumsum(hist_n, offsets)
     right_g = total_g - left_g
     right_h = total_h - left_h
     valid = ((left_n > 0) & (left_n < n_node)
@@ -205,12 +205,11 @@ def _best_split(coded: _CodedMatrix, hist_g, hist_h, hist_n,
                       + right_g ** 2 / (right_h + lam)
                       - total_g ** 2 / (total_h + lam)) - cfg.gamma
     gain[~valid] = -np.inf
-    flat = int(np.argmax(gain))
-    best = gain[flat]
+    b = int(np.argmax(gain))
+    best = gain[b]
     if not np.isfinite(best) or best <= 0.0:
         return None
-    j = int(np.searchsorted(offsets, flat, side="right")) - 1
-    return j, int(flat - offsets[j]), float(best)
+    return int(np.searchsorted(offsets, b, side="right")) - 1, b, float(best)
 
 
 def _grow_tree(coded: _CodedMatrix, rows: np.ndarray, g: np.ndarray,
@@ -248,13 +247,11 @@ def _grow_tree(coded: _CodedMatrix, rows: np.ndarray, g: np.ndarray,
             weight[node] = -total_g / (total_h + cfg.reg_lambda)
             row_weight[node_rows] = weight[node]
             continue
-        j, c, best_gain = split
-        uniq = coded.uniques[j]
-        seg = hist_n[coded.offsets[j] + c + 1:coded.offsets[j + 1]]
-        nxt = c + 1 + int(np.nonzero(seg)[0][0])
-        thr = 0.5 * (uniq[c] + uniq[nxt])
-        values = coded.column_values(j)[node_rows]
-        go_left = values <= thr
+        j, b, best_gain = split
+        nxt = b + 1 + int(np.flatnonzero(hist_n[b + 1:coded.offsets[j + 1]])[0])
+        thr = 0.5 * (coded.values[b] + coded.values[nxt])
+        # by value, as prediction routes: a midpoint can round onto values[nxt]
+        go_left = coded.values[coded.column_bins(j)[node_rows]] <= thr
         feature[node] = j
         threshold[node] = thr
         gain[node] = best_gain
@@ -379,6 +376,7 @@ def train_gbdt(X, y, config: GbdtConfig, base_score: float | None = None) -> Gbd
         raise ValueError(f"got {Xc.shape[0]} rows but {len(y)} labels")
     if Xc.shape[1] == 0:
         raise ValueError("empty feature space")
+    _check_finite(Xc)
     positives = float(y.sum())
     if base_score is None:
         if positives == 0 or positives == len(y):
@@ -441,6 +439,7 @@ def train_bagged(X, y, configs: list[GbdtConfig] | None = None, seed: int = 42,
     if len(configs) != 3:
         raise ValueError(f"exactly 3 member configs required, got {len(configs)}")
     Xc = as_feature_matrix(X)
+    _check_finite(Xc)  # before resampling, so the entry keeps its row
     y = np.asarray(y, dtype=np.float64)
     members = []
     for i, cfg in enumerate(configs):

@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -77,8 +78,7 @@ class NGramVocabulary:
         return ids, np.append(keys[cols], np.iinfo(np.int64).max), cols
 
 
-@dataclass(frozen=True)
-class PrefixSample:
+class PrefixSample(NamedTuple):
     """A (prefix, next call) training pair cut from one trace."""
 
     prefix: tuple[int, ...]
@@ -283,10 +283,14 @@ def load_matrix(path: str | Path) -> sparse.csr_matrix:
             rows.append(r)
             cols.append(c)
             vals.append(v)
-        matrix = sparse.csr_matrix(
-            (np.asarray(vals, dtype=np.float64),
-             (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-            shape=(n_rows, n_cols))
+        try:
+            matrix = sparse.csr_matrix(
+                (np.asarray(vals, dtype=np.float64),
+                 (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+                shape=(n_rows, n_cols))
+        except MemoryError:
+            reader.pos = 1
+            raise ValueError(f"cannot allocate the {n_rows}x{n_cols} shape") from None
         if matrix.nnz < len(vals):  # the conversion summed repeated entries
             _, first = np.unique(np.asarray(rows) * n_cols + np.asarray(cols), return_index=True)
             k = int(np.setdiff1d(np.arange(len(vals)), first)[0])

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import _LineReader
-from .ngrams import PrefixSample, _config_lines, _fmt, _read_config, _sigmoid
+from .ngrams import _config_lines, _fmt, _read_config, _sigmoid
 from .seeding import derive_seed
 
 
@@ -194,9 +194,10 @@ def _validate_ids(ids: np.ndarray, cfg: BiLstmConfig) -> np.ndarray:
     return mask
 
 
-def _scan(params, direction, X, mask, reverse: bool):
+def _scan(params, direction, X, mask, reverse: bool, keep_steps: bool):
     """Run one direction over the batch, carrying state through padded
-    positions; returns the final state and the per-step cache for BPTT."""
+    positions; returns the final state and, if keep_steps, the per-step
+    cache for BPTT (else an empty list)."""
     B, T, _ = X.shape
     cell = {m: params[f"{direction}.{m}"] for m in "WUb"}
     h = np.zeros((B, cell["U"].shape[0]))
@@ -206,7 +207,8 @@ def _scan(params, direction, X, mask, reverse: bool):
     for t in times:
         h_new, c_new, acts, tanh_c = _cell_step(X[:, t], h, c, cell)
         m = mask[:, t][:, None]
-        steps.append((t, h, c, m, acts, tanh_c))
+        if keep_steps:
+            steps.append((t, h, c, m, acts, tanh_c))
         h = np.where(m, h_new, h)
         c = np.where(m, c_new, c)
     return h, steps
@@ -242,6 +244,8 @@ def _scan_backward(params, direction, steps, X, d_final_h, dX, grads):
 
 def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
                    dropout_seed: int | None, want_cache: bool):
+    """Next-call probabilities and log-probabilities of a batch, and the BPTT
+    cache if want_cache (else None); only the cache holds every step."""
     cfg = model.config
     mask = _validate_ids(ids, cfg)
     params = model.params
@@ -252,21 +256,19 @@ def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
         keep = 1.0 - cfg.dropout_rate
         drop = (rng.random(X.shape) < keep).astype(np.float64) / keep
         X = X * drop
-    h_f, steps_f = _scan(params, "fw", X, mask, reverse=False)
-    h_b, steps_b = _scan(params, "bw", X, mask, reverse=True)
+    h_f, steps_f = _scan(params, "fw", X, mask, reverse=False, keep_steps=want_cache)
+    h_b, steps_b = _scan(params, "bw", X, mask, reverse=True, keep_steps=want_cache)
     feat = np.concatenate([h_f, h_b], axis=1)
     logits = feat @ params["dense.W"] + params["dense.b"]
     shift = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shift)
     norm = exp.sum(axis=1, keepdims=True)
     probs = exp / norm
-    if not want_cache:
-        return probs, None
     log_probs = shift - np.log(norm)
-    cache = {"ids": ids, "X": X, "drop": drop, "steps_f": steps_f,
-             "steps_b": steps_b, "feat": feat, "probs": probs,
-             "log_probs": log_probs}
-    return probs, cache
+    if not want_cache:
+        return probs, log_probs, None
+    cache = {"X": X, "drop": drop, "steps_f": steps_f, "steps_b": steps_b, "feat": feat}
+    return probs, log_probs, cache
 
 
 def forward(model: BiLstmModel, prefix, train: bool = False,
@@ -274,24 +276,14 @@ def forward(model: BiLstmModel, prefix, train: bool = False,
     """Probability distribution over the next call for one (possibly
     left-padded) prefix."""
     ids = np.asarray(list(prefix), dtype=np.int64).reshape(1, -1)
-    probs, _ = _forward_batch(model, ids, train, dropout_seed, want_cache=False)
+    probs, _, _ = _forward_batch(model, ids, train, dropout_seed, want_cache=False)
     return probs[0]
 
 
-def _as_pairs(samples) -> list[tuple[tuple[int, ...], int]]:
-    pairs = []
-    for s in samples:
-        if isinstance(s, PrefixSample):
-            pairs.append((tuple(s.prefix), int(s.next)))
-        else:
-            prefix, nxt = s
-            pairs.append((tuple(prefix), int(nxt)))
-    return pairs
-
-
 def _batches(pairs, cfg: BiLstmConfig, size: int):
-    """Yield (ids, targets) per `size` pairs, each prefix clipped to its last
-    max_prefix_len calls and left-padded to the batch's longest."""
+    """Yield (ids, targets) per `size` (prefix, next) pairs, such as
+    PrefixSample, each prefix clipped to its last max_prefix_len calls and
+    left-padded to the batch's longest."""
     for start in range(0, len(pairs), size):
         part = pairs[start:start + size]
         prefixes = [p[-cfg.max_prefix_len:] for p, _ in part]
@@ -304,13 +296,13 @@ def _batches(pairs, cfg: BiLstmConfig, size: int):
 def batch_loss(model: BiLstmModel, samples, train: bool = False,
                dropout_seed: int | None = None) -> float:
     """Mean categorical cross-entropy of the true next call over a batch."""
-    pairs = _as_pairs(samples)
+    pairs = list(samples)
     if not pairs:
         raise ValueError("empty batch")
     total = 0.0
     for ids, targets in _batches(pairs, model.config, model.config.batch_size):
-        _, cache = _forward_batch(model, ids, train, dropout_seed, want_cache=True)
-        total += float(-cache["log_probs"][np.arange(len(targets)), targets].sum())
+        _, log_probs, _ = _forward_batch(model, ids, train, dropout_seed, want_cache=False)
+        total += float(-log_probs[np.arange(len(targets)), targets].sum())
     return total / len(pairs)
 
 
@@ -318,18 +310,18 @@ def loss_and_grads(model: BiLstmModel, samples, train: bool = True,
                    dropout_seed: int | None = None):
     """Exact loss and gradients for one batch via backpropagation through
     time across both directions, the embedding, dropout and the softmax."""
-    pairs = _as_pairs(samples)
+    pairs = list(samples)
     cfg = model.config
     [(ids, targets)] = _batches(pairs, cfg, max(1, len(pairs)))
-    _, cache = _forward_batch(model, ids, train, dropout_seed, want_cache=True)
+    probs, log_probs, cache = _forward_batch(model, ids, train, dropout_seed, want_cache=True)
     B = len(pairs)
-    loss = float(-cache["log_probs"][np.arange(B), targets].sum() / B)
+    loss = float(-log_probs[np.arange(B), targets].sum() / B)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss}")
 
     params = model.params
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    dlogits = cache["probs"].copy()
+    dlogits = probs.copy()
     dlogits[np.arange(B), targets] -= 1.0
     dlogits /= B
     grads["dense.W"] += cache["feat"].T @ dlogits
@@ -377,7 +369,7 @@ def train(samples, config: BiLstmConfig) -> tuple[BiLstmModel, TrainReport]:
     consecutive epochs (or at max_epochs) and returns the parameters from
     the best epoch.
     """
-    pairs = _as_pairs(samples)
+    pairs = list(samples)
     if len(pairs) < 2:
         raise ValueError("need at least 2 samples to train")
     n_val = int(math.floor(len(pairs) * config.val_fraction + 0.5))
@@ -454,19 +446,19 @@ def predict_next_k(model: BiLstmModel, sequence, k: int) -> list[int]:
 
 def next_call_accuracy(model: BiLstmModel, samples) -> float:
     """Fraction of samples whose argmax prediction matches the true next call."""
-    pairs = _as_pairs(samples)
+    pairs = list(samples)
     if not pairs:
         raise ValueError("empty sample set")
     hits = 0
     for ids, targets in _batches(pairs, model.config, model.config.batch_size):
-        probs, _ = _forward_batch(model, ids, False, None, want_cache=False)
+        probs, _, _ = _forward_batch(model, ids, False, None, want_cache=False)
         hits += int((probs.argmax(axis=1) == targets).sum())
     return hits / len(pairs)
 
 
 def predict_distributions(model: BiLstmModel, samples) -> np.ndarray:
     """Per-sample next-call distributions, one row per sample."""
-    pairs = _as_pairs(samples)
+    pairs = list(samples)
     return np.concatenate([
         _forward_batch(model, ids, False, None, want_cache=False)[0]
         for ids, _ in _batches(pairs, model.config, model.config.batch_size)])

@@ -263,6 +263,14 @@ class TestValidation:
                    "--out", tmp_path / "p.csv") == 1
         assert f"{model}: line {node + 1}: split node out of range" in capsys.readouterr().err
 
+    def test_matrix_header_too_large_to_allocate_exits_one(self, tmp_path, capsys):
+        matrix, labels = tmp_path / "huge.mat", tmp_path / "y.labels"
+        matrix.write_text("10000000000000,3\n0,0,1\n")
+        labels.write_text("1\n")
+        assert run("train-detector", "--train", matrix, "--labels", labels,
+                   "--out", tmp_path / "m.det") == 1
+        assert f"{matrix}: line 1: cannot allocate" in capsys.readouterr().err
+
     def test_label_outside_zero_one_exits_one(self, tmp_path, capsys):
         _, matrix, _ = self.small_detector(tmp_path)
         labels = tmp_path / "y.labels"

@@ -222,6 +222,23 @@ class TestTraining:
             h = np.full(len(y), p * (1 - p))
             assert_root_split_attains_max(X, g, h, cfg, model.trees[0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_is_refused(self, bad):
+        X = np.arange(6.0).reshape(6, 1)
+        X[3, 0] = bad
+        y = np.array([0.0, 1.0] * 3)
+
+        def refused(row):
+            return pytest.raises(ValueError, match=rf"entry \({row},0\) holds {bad}; "
+                                                   "feature values must be finite")
+
+        with refused(3):
+            train_gbdt(X, y, GbdtConfig(n_estimators=2))
+        # named by its row before the bootstrap resamples
+        X[[3, 5]] = X[[5, 3]]
+        with refused(5):
+            train_bagged(X, y)
+
     def test_leaf_weights_match_replay(self):
         rng = np.random.default_rng(15)
         X, y = random_count_corpus(rng, n_max=100, f_max=5)

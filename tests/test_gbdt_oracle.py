@@ -1,0 +1,147 @@
+"""Property tests: the global bin coding of the boosted trees against the
+per-column `np.unique` coding it replaced, kept here as the oracle. On random
+small CSR matrices each column's values and zero bin, each stored entry's
+bin and the histograms of a random row subset must come out equal; and the
+rows training routes must be the rows prediction routes."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+
+from apisentry.gbdt import (
+    GbdtConfig,
+    _CodedMatrix,
+    _mean_logloss,
+    predict_proba_rows,
+    train_gbdt,
+)
+
+
+class ReferenceCoding:
+    """Column j's observed values, implicit zeros included, mapped to their
+    rank among the column's sorted unique values, one column at a time."""
+
+    def __init__(self, X):
+        X = X.tocsr().astype(np.float64).copy()
+        X.sum_duplicates()
+        X.eliminate_zeros()
+        self.n, self.n_features = X.shape
+        csc = X.tocsc()
+        self.uniques, zero_code, lengths = [], [], []
+        codes = np.zeros(len(csc.data), dtype=np.int64)
+        for j in range(self.n_features):
+            s, e = csc.indptr[j], csc.indptr[j + 1]
+            u = np.sort(np.append(np.unique(csc.data[s:e]), 0.0))
+            self.uniques.append(u)
+            zero_code.append(int(np.searchsorted(u, 0.0)))
+            codes[s:e] = np.searchsorted(u, csc.data[s:e])
+            lengths.append(len(u))
+        self.zero_code = np.array(zero_code, dtype=np.int64)
+        self.offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        self.n_bins = int(self.offsets[-1])
+        self.codes = sparse.csc_matrix((codes + 1, csc.indices.copy(), csc.indptr.copy()),
+                                       shape=X.shape).tocsr()
+
+    def node_histograms(self, rows, g, h):
+        sub = self.codes[rows]
+        per_row = np.diff(sub.indptr)
+        g_rows, h_rows = g[rows], h[rows]
+        g_rep = np.repeat(g_rows, per_row)
+        h_rep = np.repeat(h_rows, per_row)
+        cols = sub.indices.astype(np.int64)
+        key = self.offsets[cols] + sub.data.astype(np.int64) - 1
+        hist_g = np.bincount(key, weights=g_rep, minlength=self.n_bins).astype(np.float64)
+        hist_h = np.bincount(key, weights=h_rep, minlength=self.n_bins).astype(np.float64)
+        hist_n = np.bincount(key, minlength=self.n_bins)
+        col_g = np.bincount(cols, weights=g_rep, minlength=self.n_features).astype(np.float64)
+        col_h = np.bincount(cols, weights=h_rep, minlength=self.n_features).astype(np.float64)
+        col_n = np.bincount(cols, minlength=self.n_features)
+        zero_pos = self.offsets[:-1] + self.zero_code
+        hist_g[zero_pos] += g_rows.sum() - col_g
+        hist_h[zero_pos] += h_rows.sum() - col_h
+        hist_n[zero_pos] += len(rows) - col_n
+        return hist_g, hist_h, hist_n
+
+
+# negatives, ties, explicit zeros and neighbouring floats
+VALUES = [-3.0, -1.0, np.nextafter(-1.0, 0.0), -0.0, 0.0, 5e-324, 0.5, 1.0,
+          np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 2.0, 1e6]
+values = st.sampled_from(VALUES) | st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def matrices(draw):
+    """A CSR matrix built from its parts, so duplicate (row, col) entries,
+    stored zeros and unsorted column indices survive; some columns are
+    empty."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 5))
+    entries = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), values),
+                            max_size=3 * n * m))
+    entries.sort(key=lambda e: e[0])  # stable: columns stay in drawn order
+    rows = np.array([e[0] for e in entries], dtype=np.int64)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    indices = np.array([e[1] for e in entries], dtype=np.int32)
+    data = np.array([e[2] for e in entries], dtype=np.float64)
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, m))
+
+
+def row_subset(data, n):
+    return np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(X=matrices(), data=st.data())
+def test_global_bins_equal_the_per_column_oracle(X, data):
+    coded, ref = _CodedMatrix(X), ReferenceCoding(X)
+    assert coded.n_bins == ref.n_bins
+    for j in range(X.shape[1]):
+        lo, hi = coded.offsets[j], coded.offsets[j + 1]
+        assert np.array_equal(coded.values[lo:hi], ref.uniques[j])
+        assert coded.zero_bin[j] == lo + ref.zero_code[j]
+        dense = ref.codes[:, j].toarray().ravel()
+        want = np.where(dense > 0, dense - 1, ref.zero_code[j]) + lo
+        assert np.array_equal(coded.column_bins(j), want)
+    # each stored entry's bin + 1, at the oracle's entry positions
+    want = ref.codes.copy()
+    want.data = want.data + ref.offsets[want.indices]
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(coded._coded_csr, part), getattr(want, part)), part
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g, h = rng.normal(size=X.shape[0]), rng.random(X.shape[0])
+    rows = row_subset(data, X.shape[0])
+    for got, expect in zip(coded.node_histograms(rows, g, h), ref.node_histograms(rows, g, h)):
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+def assert_training_routes_as_prediction(X, y, cfg):
+    # one class alone has no log-odds; any base score serves then
+    base_score = None if 0 < y.sum() < len(y) else 0.0
+    model = train_gbdt(X, y, cfg, base_score=base_score)
+    assert model.train_loss[-1] == _mean_logloss(y, predict_proba_rows(model, X))
+
+
+@settings(max_examples=300, deadline=None)
+@given(X=matrices(), data=st.data(), n_estimators=st.integers(1, 4),
+       max_depth=st.integers(1, 4), min_child_hessian=st.sampled_from([0.0, 0.1]),
+       learning_rate=st.sampled_from([0.3, 1.0]))
+def test_training_loss_equals_the_loss_of_prediction(X, data, n_estimators, max_depth,
+                                                      min_child_hessian, learning_rate):
+    # summed once, so duplicate entries hold the same value in both paths
+    X.sum_duplicates()
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=X.shape[0],
+                                    max_size=X.shape[0])), dtype=np.float64)
+    cfg = GbdtConfig(learning_rate=learning_rate, max_depth=max_depth,
+                     n_estimators=n_estimators, min_child_hessian=min_child_hessian)
+    assert_training_routes_as_prediction(X, y, cfg)
+
+
+def test_a_midpoint_that_rounds_up_routes_both_values_left():
+    below = np.nextafter(1.0, 0.0)
+    assert 0.5 * (below + 1.0) == 1.0
+    X = sparse.csr_matrix(np.array([[below], [1.0], [below], [1.0]]))
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    cfg = GbdtConfig(learning_rate=1.0, max_depth=1, n_estimators=1, min_child_hessian=0.0)
+    assert train_gbdt(X, y, cfg).trees[0].threshold[0] == 1.0
+    assert_training_routes_as_prediction(X, y, cfg)

@@ -221,6 +221,11 @@ class TestPrefixSamples:
     def test_below_minimum(self):
         assert prefix_samples([1, 2]) == []
 
+    def test_a_sample_is_a_pair(self):
+        [sample] = prefix_samples([1, 2, 3])
+        prefix, nxt = sample
+        assert (prefix, nxt) == ((1, 2), 3) == sample
+
     def test_count_and_reconstruction(self):
         rng = np.random.default_rng(9)
         for _ in range(100):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from apisentry.seqmodel import (
     lstm_cell,
     next_call_accuracy,
     predict_next,
+    predict_distributions,
     predict_next_k,
     save_curves,
     save_model,
@@ -367,6 +369,42 @@ class TestTrain:
         assert next_call_accuracy(model, cyclic_samples(10, seed=9)) >= 0.99
         assert predict_next(model, [1, 2, 3, 1, 2])[0] == 3
         assert predict_next_k(model, [1, 2], 4) == [3, 4, 0, 1]
+
+
+class TestInferenceMemory:
+    """Only loss_and_grads keeps the per-step BPTT cache; inference holds
+    a few steps' arrays, far below one direction's gate activations."""
+
+    B, T, HIDDEN = 32, 64, 16
+    CFG = BiLstmConfig(vocab_size=7, embed_dim=4, hidden=HIDDEN, dropout_rate=0.0,
+                       max_prefix_len=T, batch_size=B, seed=5)
+
+    def traced_peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_no_inference_path_builds_the_step_cache(self):
+        model = init_model(self.CFG)
+        rng = np.random.default_rng(6)
+        samples = [(tuple(rng.integers(0, 7, self.T).tolist()), int(rng.integers(0, 7)))
+                   for _ in range(self.B)]
+        gate_bytes = self.T * 4 * self.HIDDEN * 8  # one direction, one row
+        for fn in (lambda: predict_distributions(model, samples),
+                   lambda: batch_loss(model, samples),
+                   lambda: next_call_accuracy(model, samples)):
+            assert self.traced_peak(fn) < self.B * gate_bytes / 4
+        assert self.traced_peak(lambda: forward(model, samples[0][0])) < gate_bytes
+
+    def test_plain_pairs_and_samples_agree(self):
+        model = init_model(TINY)
+        pairs = [(list(s.prefix), s.next) for s in tiny_batch()]
+        assert batch_loss(model, pairs) == batch_loss(model, tiny_batch())
+        assert np.array_equal(predict_distributions(model, iter(pairs)),
+                              predict_distributions(model, tiny_batch()))
 
 
 class TestPredict:
