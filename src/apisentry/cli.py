@@ -19,6 +19,7 @@ import sys
 import time
 import traceback
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,7 @@ class _Parser(argparse.ArgumentParser):
 
 _SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
                   "0": False, "false": False, "no": False, "off": False}
+_MAX_DECODE = 1000  # predict-next -k: each decoded call is one B=1 model pass
 
 
 def _config_flags(path: str, commands: dict[str, _Parser], command: str) -> list[str]:
@@ -124,10 +126,11 @@ def _config_flags(path: str, commands: dict[str, _Parser], command: str) -> list
     return flags
 
 
-def _count(text: str) -> int:
-    """argparse type of count options: a non-negative integer."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _count(text: str, low: int = 0, high: int | None = None) -> int:
+    """argparse type of count options: an integer from `low` to `high`, if given."""
+    if not text.isdecimal() or int(text) < low or (high is not None and int(text) > high):
+        what = "a non-negative integer" if high is None else f"an integer from {low} to {high}"
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
     return int(text)
 
 
@@ -556,7 +559,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = sub.add_parser("predict-next", help="predict the next k calls for a sequence")
     p.add_argument("--model", type=_InFile, required=True)
     p.add_argument("--seq", required=True, help="comma-separated call ids")
-    p.add_argument("-k", dest="k", type=int, default=1)
+    p.add_argument("-k", dest="k", type=partial(_count, low=1, high=_MAX_DECODE), default=1,
+                   help=f"calls to decode, 1 to {_MAX_DECODE} (default %(default)s)")
     _add_common(p)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")

@@ -45,7 +45,12 @@ def _config_lines(cfg) -> list[str]:
 
 def _read_config(reader: _LineReader, cls):
     """The config dataclass `cls` from the lines _config_lines wrote."""
-    return cls(**{f.name: _KINDS[f.type](reader.field(f.name)) for f in fields(cls)})
+    read = {f.name: (_KINDS[f.type](reader.field(f.name)), reader.pos) for f in fields(cls)}
+    try:
+        return cls(**{name: value for name, (value, _) in read.items()})
+    except ValueError as exc:  # at the line of the field the message names, if any
+        reader.pos = read.get(str(exc).partition(" ")[0], (None, reader.pos))[1]
+        raise
 
 
 @dataclass(frozen=True)

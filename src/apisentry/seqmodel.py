@@ -22,12 +22,16 @@ separate tensor; each is a column block of a fused tensor, which
 One cell function serves ``lstm_cell`` and the scan, and hands the scan the
 gate activations BPTT reuses. One batching helper clips, pads and chunks
 samples for the loss, the gradients, the accuracy and the distributions.
+Greedy decoding carries the forward direction's final (h, c) from step to
+step, one cell step per decoded call, and rescans it only once the window
+slides past max_prefix_len; the backward direction is rescanned each step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -194,14 +198,13 @@ def _validate_ids(ids: np.ndarray, cfg: BiLstmConfig) -> np.ndarray:
     return mask
 
 
-def _scan(params, direction, X, mask, reverse: bool, keep_steps: bool):
-    """Run one direction over the batch, carrying state through padded
-    positions; returns the final state and, if keep_steps, the per-step
-    cache for BPTT (else an empty list)."""
+def _scan(params, direction, X, mask, reverse: bool, keep_steps: bool, state=None):
+    """Run one direction over the batch from `state`, an (h, c) pair or zeros,
+    carrying state through padded positions; returns the final (h, c) and,
+    if keep_steps, the per-step cache for BPTT (else an empty list)."""
     B, T, _ = X.shape
     cell = {m: params[f"{direction}.{m}"] for m in "WUb"}
-    h = np.zeros((B, cell["U"].shape[0]))
-    c = np.zeros_like(h)
+    h, c = state or (np.zeros((B, cell["U"].shape[0])),) * 2
     times = range(T - 1, -1, -1) if reverse else range(T)
     steps = []
     for t in times:
@@ -211,7 +214,7 @@ def _scan(params, direction, X, mask, reverse: bool, keep_steps: bool):
             steps.append((t, h, c, m, acts, tanh_c))
         h = np.where(m, h_new, h)
         c = np.where(m, c_new, c)
-    return h, steps
+    return (h, c), steps
 
 
 def _scan_backward(params, direction, steps, X, d_final_h, dX, grads):
@@ -242,6 +245,16 @@ def _scan_backward(params, direction, steps, X, d_final_h, dX, grads):
         dc = dc_new * f + dc * (1.0 - m)
 
 
+def _softmax_head(params, h_f, h_b):
+    """Probabilities, log-probabilities and (B,2H) features of the dense softmax."""
+    feat = np.concatenate([h_f, h_b], axis=1)
+    logits = feat @ params["dense.W"] + params["dense.b"]
+    shift = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shift)
+    norm = exp.sum(axis=1, keepdims=True)
+    return exp / norm, shift - np.log(norm), feat
+
+
 def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
                    dropout_seed: int | None, want_cache: bool):
     """Next-call probabilities and log-probabilities of a batch, and the BPTT
@@ -256,19 +269,11 @@ def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
         keep = 1.0 - cfg.dropout_rate
         drop = (rng.random(X.shape) < keep).astype(np.float64) / keep
         X = X * drop
-    h_f, steps_f = _scan(params, "fw", X, mask, reverse=False, keep_steps=want_cache)
-    h_b, steps_b = _scan(params, "bw", X, mask, reverse=True, keep_steps=want_cache)
-    feat = np.concatenate([h_f, h_b], axis=1)
-    logits = feat @ params["dense.W"] + params["dense.b"]
-    shift = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shift)
-    norm = exp.sum(axis=1, keepdims=True)
-    probs = exp / norm
-    log_probs = shift - np.log(norm)
-    if not want_cache:
-        return probs, log_probs, None
+    (h_f, _), steps_f = _scan(params, "fw", X, mask, reverse=False, keep_steps=want_cache)
+    (h_b, _), steps_b = _scan(params, "bw", X, mask, reverse=True, keep_steps=want_cache)
+    probs, log_probs, feat = _softmax_head(params, h_f, h_b)
     cache = {"X": X, "drop": drop, "steps_f": steps_f, "steps_b": steps_b, "feat": feat}
-    return probs, log_probs, cache
+    return probs, log_probs, cache if want_cache else None
 
 
 def forward(model: BiLstmModel, prefix, train: bool = False,
@@ -419,29 +424,40 @@ def train(samples, config: BiLstmConfig) -> tuple[BiLstmModel, TrainReport]:
     return model, report
 
 
+def _greedy(model: BiLstmModel, sequence):
+    """Yield each greedy step's id and distribution; see predict_next_k."""
+    cfg, params = model.config, model.params
+    seq = [int(c) for c in sequence]
+    state = None
+    while True:
+        ids = np.asarray(seq[-cfg.max_prefix_len:], dtype=np.int64).reshape(1, -1)
+        mask = _validate_ids(ids, cfg)
+        X = params["emb"][ids]
+        if len(seq) > cfg.max_prefix_len:
+            state = None  # the window slid
+        new = slice(None) if state is None else slice(-1, None)
+        state, _ = _scan(params, "fw", X[:, new], mask[:, new], False, False, state)
+        (h_b, _), _ = _scan(params, "bw", X, mask, reverse=True, keep_steps=False)
+        probs = _softmax_head(params, state[0], h_b)[0][0]
+        seq.append(int(np.argmax(probs)))
+        yield seq[-1], probs
+
+
 def predict_next(model: BiLstmModel, sequence) -> tuple[int, np.ndarray]:
     """Most likely next call id and the full distribution; ties go to the
     lowest id. Sequences longer than max_prefix_len keep their tail."""
-    seq = [int(c) for c in sequence]
-    if not seq:
-        raise ValueError("empty sequence")
-    seq = seq[-model.config.max_prefix_len:]
-    probs = forward(model, seq)
-    return int(np.argmax(probs)), probs
+    return next(_greedy(model, sequence))
 
 
 def predict_next_k(model: BiLstmModel, sequence, k: int) -> list[int]:
     """Greedy autoregressive decoding: each prediction is appended to the
-    input before predicting the next one."""
+    input before predicting the next one. The forward direction's final
+    (h, c) is carried: one cell step on the appended call extends it, until
+    the input outgrows max_prefix_len and the window slides, when it is
+    rescanned. The backward direction is rescanned every step."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    seq = [int(c) for c in sequence]
-    out: list[int] = []
-    for _ in range(k):
-        nxt, _ = predict_next(model, seq)
-        out.append(nxt)
-        seq.append(nxt)
-    return out
+    return [nxt for nxt, _ in islice(_greedy(model, sequence), k)]
 
 
 def next_call_accuracy(model: BiLstmModel, samples) -> float:

@@ -1,5 +1,4 @@
 import json
-import re
 import shutil
 
 import numpy as np
@@ -191,8 +190,19 @@ class TestValidation:
         save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
         model.write_text(model.read_text().replace("\nhidden 2\n", "\nhidden 0\n"))
         assert run("predict-next", "--model", model, "--seq", "1,2") == 1
-        assert re.search(rf"{re.escape(str(model))}: line \d+: hidden must be >= 1",
-                         capsys.readouterr().err)
+        # line 1 is the format tag, then vocab_size, embed_dim and hidden
+        assert f"{model}: line 4: hidden must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, bad", [("max_depth", "0"), ("learning_rate", "0"),
+                                            ("n_estimators", "-1")])
+    def test_detector_config_value_refused_at_its_own_line(self, tmp_path, capsys, field, bad):
+        model, matrix, lines = self.small_detector(tmp_path)
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(field + " "))
+        lines[at] = f"{field} {bad}"
+        model.write_text("\n".join(lines) + "\n")
+        assert run("detect", "--model", model, "--in", matrix,
+                   "--out", tmp_path / "p.csv") == 1
+        assert f"{model}: line {at + 1}: {field} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--max-prefix-len", 0, "max_prefix_len"), ("--max-prefix-len", -3, "max_prefix_len"),
@@ -344,6 +354,24 @@ def test_negative_count_exits_one(argv, tmp_path, monkeypatch, capsys):
     assert f"{argv[-2]}: expected a non-negative integer, got '{argv[-1]}'" \
         in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("k", ["0", "-3", "abc", "1001"])
+def test_predict_next_k_out_of_range_exits_one(k, tmp_path, capsys):
+    model = tmp_path / "model.seq"
+    save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
+    assert run("predict-next", "--model", model, "--seq", "1,2", "-k", k) == 1
+    captured = capsys.readouterr()
+    assert f"argument -k: expected an integer from 1 to 1000, got '{k}'" in captured.err
+    assert captured.out == ""
+
+
+def test_predict_next_k_at_its_limit_decodes(tmp_path, capsys):
+    model = tmp_path / "model.seq"
+    config = BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2, max_prefix_len=4)
+    save_model(init_model(config, seed=0), model)
+    assert run("predict-next", "--model", model, "--seq", "1,2", "-k", "1000") == 0
+    assert len(capsys.readouterr().out.strip().split(",")) == 1000
 
 
 class TestAdapt:

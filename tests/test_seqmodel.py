@@ -1,15 +1,19 @@
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apisentry import seqmodel
 from apisentry.ngrams import PrefixSample
 from apisentry.seeding import derive_seed
 from apisentry.seqmodel import (
     BiLstmConfig,
+    _cell_step as cell_step,
+    _greedy,
     batch_loss,
     forward,
     init_adam,
@@ -436,6 +440,61 @@ class TestPredict:
         got, _ = predict_next(model, seq)
         tail, _ = predict_next(model, seq[-TINY.max_prefix_len:])
         assert got == tail
+
+    @staticmethod
+    def prefix_length(kind, window, k, draw):
+        """A prefix length of the given kind for a window of max_prefix_len
+        calls and k decoded calls."""
+        if kind == "short":
+            return draw(st.integers(1, window - 1))
+        if kind == "exact":
+            return window
+        if kind == "crossing":  # fits at first, slides during decoding
+            return draw(st.integers(max(1, window - k + 2), window))
+        return draw(st.integers(window + 1, window + 6))
+
+    @pytest.mark.parametrize("kind, pads", [("short", 0), ("exact", 0), ("crossing", 0),
+                                            ("long", 0), ("short", 3), ("crossing", 2),
+                                            ("long", 4)])
+    @settings(max_examples=40, deadline=None)
+    @given(vocab=st.integers(2, 8), embed=st.integers(1, 4), hidden=st.integers(1, 5),
+           window=st.integers(2, 8), k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_carried_state_decoding_is_bit_exact(self, kind, pads, vocab, embed, hidden,
+                                                 window, k, seed, data):
+        cfg = BiLstmConfig(vocab_size=vocab, embed_dim=embed, hidden=hidden,
+                           dropout_rate=0.0, max_prefix_len=window)
+        model = random_model(cfg, seed)
+        length = self.prefix_length(kind, window, k, data.draw)
+        seq = [cfg.pad_id] * pads + data.draw(
+            st.lists(st.integers(0, vocab - 1), min_size=length, max_size=length))
+        decoded = predict_next_k(model, seq, k)
+        carried = [probs for _, probs in islice(_greedy(model, seq), k)]
+        for j in range(k):
+            grown = seq + decoded[:j]
+            nxt, probs = predict_next(model, grown)
+            assert decoded[j] == nxt
+            assert np.array_equal(carried[j], probs)
+            assert np.array_equal(carried[j], forward(model, grown[-window:]))
+
+    @pytest.mark.parametrize("length", [1, 4, 8])
+    def test_decoding_carries_the_forward_state(self, length, monkeypatch):
+        """A pad-free prefix of L calls that stays inside the window while
+        k calls are decoded costs L + k - 1 forward cell steps, and a
+        backward scan of L + j calls at step j."""
+        k = 5
+        model = random_model(BiLstmConfig(vocab_size=7, embed_dim=3, hidden=4,
+                                          max_prefix_len=length + k - 1), seed=length)
+        steps = {"fw": 0, "bw": 0}
+
+        def counted(x, h, c, cell):
+            steps["fw" if cell["W"] is model.params["fw.W"] else "bw"] += 1
+            return cell_step(x, h, c, cell)
+
+        monkeypatch.setattr(seqmodel, "_cell_step", counted)
+        predict_next_k(model, [j % 7 for j in range(length)], k)
+        assert steps == {"fw": length + k - 1, "bw": sum(length + j for j in range(k))}
+        assert sum(steps.values()) == 6 * length + 14
 
 
 # The v1 text of init_model(V1_TINY_CONFIG) and that model's distribution
