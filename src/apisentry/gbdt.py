@@ -22,6 +22,9 @@ Prediction has one path for any number of rows (one vector is a 1-row
 matrix): a member's trees, packed once into flat node arrays, descend
 together level by level over a dense block of the columns they split on,
 and leaf weights are summed in tree order.
+
+A feature's gain importance is the total gain of the split nodes that test
+it, read off the trees: they are a member's only record of its splits.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import _LineReader
-from .ngrams import NGramVocabulary, _config_lines, _fmt, _read_config, _sigmoid
+from .ngrams import NGramVocabulary, _config_lines, _finite, _fmt, _read_config, _sigmoid
 
 # Rows descended together; bounds the dense split-column block and the
 # (rows, trees) node matrix whatever the number of rows scored.
@@ -58,8 +61,9 @@ class GbdtConfig:
             raise ValueError(f"max_depth must be in [1,16], got {self.max_depth}")
         if self.n_estimators < 0:
             raise ValueError("n_estimators must be >= 0")
-        if self.reg_lambda < 0 or self.gamma < 0 or self.min_child_hessian < 0:
-            raise ValueError("regularization parameters must be >= 0")
+        for name in ("reg_lambda", "gamma", "min_child_hessian"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def default_bagging_configs() -> list[GbdtConfig]:
@@ -82,6 +86,14 @@ class RegressionTree:
     right: np.ndarray      # int32
     weight: np.ndarray     # float64, leaf weights
     gain: np.ndarray       # float64, split gains
+
+    @classmethod
+    def from_nodes(cls, nodes: list) -> RegressionTree:
+        """The tree whose node i is the row nodes[i] = [feature, threshold,
+        left, right, weight, gain]; a leaf's feature and children are -1."""
+        feature, threshold, left, right, weight, gain = np.array(nodes, dtype=np.float64).T.copy()
+        return cls(feature.astype(np.int32), threshold, left.astype(np.int32),
+                   right.astype(np.int32), weight, gain)
 
     def n_nodes(self) -> int:
         return len(self.feature)
@@ -212,62 +224,36 @@ def _best_split(coded: _CodedMatrix, hist_g, hist_h, hist_n,
     return int(np.searchsorted(offsets, b, side="right")) - 1, b, float(best)
 
 
-def _grow_tree(coded: _CodedMatrix, rows: np.ndarray, g: np.ndarray,
-               h: np.ndarray, cfg: GbdtConfig) -> tuple[RegressionTree, np.ndarray]:
-    """Grow one tree; also returns each row's leaf weight (0 outside rows)."""
+def _grow_tree(coded: _CodedMatrix, g: np.ndarray, h: np.ndarray,
+               cfg: GbdtConfig) -> tuple[RegressionTree, np.ndarray]:
+    """Grow one tree over every row; also returns each row's leaf weight."""
     row_weight = np.zeros(coded.n)
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    weight: list[float] = []
-    gain: list[float] = []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        weight.append(0.0)
-        gain.append(0.0)
-        return len(feature) - 1
-
-    stack = [(new_node(), rows, 0)]
+    nodes: list = [None]
+    stack = [(0, np.arange(coded.n), 0)]
     while stack:
-        node, node_rows, depth = stack.pop()
-        total_g = float(g[node_rows].sum())
-        total_h = float(h[node_rows].sum())
+        node, rows, depth = stack.pop()
+        total_g = float(g[rows].sum())
+        total_h = float(h[rows].sum())
         split = None
-        hist_n = None
-        if depth < cfg.max_depth and len(node_rows) >= 2:
-            hist_g, hist_h, hist_n = coded.node_histograms(node_rows, g, h)
+        if depth < cfg.max_depth and len(rows) >= 2:
+            hist_g, hist_h, hist_n = coded.node_histograms(rows, g, h)
             split = _best_split(coded, hist_g, hist_h, hist_n, total_g, total_h,
-                                len(node_rows), cfg)
+                                len(rows), cfg)
         if split is None:
-            weight[node] = -total_g / (total_h + cfg.reg_lambda)
-            row_weight[node_rows] = weight[node]
+            leaf = -total_g / (total_h + cfg.reg_lambda)
+            nodes[node] = [-1, 0.0, -1, -1, leaf, 0.0]
+            row_weight[rows] = leaf
             continue
         j, b, best_gain = split
         nxt = b + 1 + int(np.flatnonzero(hist_n[b + 1:coded.offsets[j + 1]])[0])
         thr = 0.5 * (coded.values[b] + coded.values[nxt])
         # by value, as prediction routes: a midpoint can round onto values[nxt]
-        go_left = coded.values[coded.column_bins(j)[node_rows]] <= thr
-        feature[node] = j
-        threshold[node] = thr
-        gain[node] = best_gain
-        l_id, r_id = new_node(), new_node()
-        left[node], right[node] = l_id, r_id
-        stack.append((r_id, node_rows[~go_left], depth + 1))
-        stack.append((l_id, node_rows[go_left], depth + 1))
-
-    tree = RegressionTree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        weight=np.asarray(weight, dtype=np.float64),
-        gain=np.asarray(gain, dtype=np.float64))
-    return tree, row_weight
+        go_left = coded.values[coded.column_bins(j)[rows]] <= thr
+        nodes[node] = [j, thr, len(nodes), len(nodes) + 1, 0.0, best_gain]
+        stack.append((len(nodes) + 1, rows[~go_left], depth + 1))
+        stack.append((len(nodes), rows[go_left], depth + 1))
+        nodes += [None, None]
+    return RegressionTree.from_nodes(nodes), row_weight
 
 
 class _Forest:
@@ -311,7 +297,6 @@ class GbdtModel:
     base_score: float
     config: GbdtConfig
     n_features: int
-    feature_gain: dict[int, float]
     train_loss: list[float]  # mean logistic loss after each round; not persisted
 
     @cached_property
@@ -384,27 +369,31 @@ def train_gbdt(X, y, config: GbdtConfig, base_score: float | None = None) -> Gbd
         rate = positives / len(y)
         base_score = float(np.log(rate / (1.0 - rate)))
     coded = _CodedMatrix(Xc)
-    all_rows = np.arange(Xc.shape[0])
     margins = np.full(Xc.shape[0], base_score)
+    p = _sigmoid(margins)
     trees: list[RegressionTree] = []
     losses: list[float] = []
     for _ in range(config.n_estimators):
-        p = _sigmoid(margins)
-        g = p - y
-        h = p * (1.0 - p)
-        tree, row_weight = _grow_tree(coded, all_rows, g, h, config)
+        tree, row_weight = _grow_tree(coded, p - y, p * (1.0 - p), config)
         trees.append(tree)
         margins = margins + config.learning_rate * row_weight
-        losses.append(_mean_logloss(y, _sigmoid(margins)))
-    gain_map: dict[int, float] = {}
-    for tree in trees:
-        for i in range(tree.n_nodes()):
-            f = int(tree.feature[i])
-            if f >= 0:
-                gain_map[f] = gain_map.get(f, 0.0) + float(tree.gain[i])
+        p = _sigmoid(margins)
+        losses.append(_mean_logloss(y, p))
     return GbdtModel(trees=trees, base_score=float(base_score), config=config,
-                     n_features=Xc.shape[1], feature_gain=gain_map,
-                     train_loss=losses)
+                     n_features=Xc.shape[1], train_loss=losses)
+
+
+_SETTINGS = {"members": (lambda n: n == 3, "3"),
+             "combine": (lambda rule: rule in ("mean", "majority"), "'mean' or 'majority'"),
+             "threshold": (lambda t: 0.0 <= t <= 1.0, "in [0,1]")}
+
+
+def _setting(name: str, value):
+    """value, refused unless it is a valid detector setting `name`."""
+    valid, expected = _SETTINGS[name]
+    if not valid(value):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -415,13 +404,12 @@ class BaggedDetector:
     vocab_ref: str = ""
 
     def __post_init__(self) -> None:
-        if len(self.members) != 3:
-            raise ValueError(f"a bagged detector has exactly 3 members, got {len(self.members)}")
+        _setting("members", len(self.members))
         dims = {m.n_features for m in self.members}
         if len(dims) != 1:
             raise ValueError(f"members trained on different feature spaces: {sorted(dims)}")
-        if self.combine not in ("mean", "majority"):
-            raise ValueError(f"unknown combination rule {self.combine!r}")
+        _setting("combine", self.combine)
+        _setting("threshold", self.threshold)
 
     @property
     def n_features(self) -> int:
@@ -438,6 +426,8 @@ def train_bagged(X, y, configs: list[GbdtConfig] | None = None, seed: int = 42,
         configs = default_bagging_configs()
     if len(configs) != 3:
         raise ValueError(f"exactly 3 member configs required, got {len(configs)}")
+    _setting("combine", combine)  # before training, not after it
+    _setting("threshold", threshold)
     Xc = as_feature_matrix(X)
     _check_finite(Xc)  # before resampling, so the entry keeps its row
     y = np.asarray(y, dtype=np.float64)
@@ -478,12 +468,15 @@ def ensemble_predict_rows(detector: BaggedDetector, X) -> tuple[np.ndarray, np.n
 
 def rank_features(detector: BaggedDetector, vocab: NGramVocabulary,
                   k: int) -> list[tuple[tuple[int, ...], float]]:
-    """Top-k n-grams by gain importance, summed over all members' trees and
-    normalized to total 1. Ties break toward the lower column index."""
+    """Top-k n-grams by gain importance, normalized to total 1: each
+    member's split gains summed per feature in tree-then-node order, then the
+    members added in order. Ties break toward the lower column index."""
     total_gain = np.zeros(detector.n_features)
     for member in detector.members:
-        for col, gval in member.feature_gain.items():
-            total_gain[col] += gval
+        feature = np.concatenate([t.feature for t in member.trees] + [np.zeros(0, np.int32)])
+        gain = np.concatenate([t.gain for t in member.trees] + [np.zeros(0)])
+        split = feature >= 0
+        total_gain += np.bincount(feature[split], gain[split], detector.n_features)
     total = total_gain.sum()
     importance = total_gain / total if total > 0 else total_gain
     order = sorted(range(detector.n_features), key=lambda c: (-importance[c], c))
@@ -510,13 +503,9 @@ def save_detector(detector: BaggedDetector, path: str | Path) -> None:
         lines.append(f"trees {len(m.trees)}")
         for t, tree in enumerate(m.trees):
             lines.append(f"tree {t} {tree.n_nodes()}")
-            for node in range(tree.n_nodes()):
-                if tree.feature[node] >= 0:
-                    lines.append(
-                        f"s {tree.feature[node]} {_fmt(tree.threshold[node])} "
-                        f"{tree.left[node]} {tree.right[node]} {_fmt(tree.gain[node])}")
-                else:
-                    lines.append(f"l {_fmt(tree.weight[node])}")
+            lines += [f"s {f} {_fmt(thr)} {lo} {hi} {_fmt(g)}" if f >= 0 else f"l {_fmt(w)}"
+                      for f, thr, lo, hi, w, g in zip(tree.feature, tree.threshold, tree.left,
+                                                       tree.right, tree.weight, tree.gain)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -524,19 +513,18 @@ def load_detector(path: str | Path) -> BaggedDetector:
     with _LineReader(path) as reader:
         if reader.next() != _FORMAT_TAG:
             raise ValueError("not a detector file")
-        combine = reader.field("combine")
-        threshold = float(reader.field("threshold"))
+        combine = _setting("combine", reader.field("combine"))
+        threshold = _setting("threshold", float(reader.field("threshold")))
         n_features = int(reader.field("n_features"))
         vocab_ref = reader.field("vocab_ref")
-        n_members = int(reader.field("members"))
+        n_members = _setting("members", int(reader.field("members")))
         members = []
         for i in range(n_members):
             reader.field("member")
             cfg = _read_config(reader, GbdtConfig)
-            base_score = float(reader.field("base_score"))
+            base_score = _finite(reader.field("base_score"))
             n_trees = int(reader.field("trees"))
             trees = []
-            gain_map: dict[int, float] = {}
             for _ in range(n_trees):
                 # node lines are read before any array is sized, so a node
                 # count beyond the end of the file allocates nothing
@@ -547,25 +535,18 @@ def load_detector(path: str | Path) -> BaggedDetector:
                 for node in range(n_nodes):
                     parts = reader.next().split()
                     if parts[:1] == ["s"]:
-                        f, thr, lo, hi, g = (int(parts[1]), float(parts[2]), int(parts[3]),
-                                             int(parts[4]), float(parts[5]))
+                        f, lo, hi = int(parts[1]), int(parts[3]), int(parts[4])
                         # children come after their parent, so descent ends
                         if not (0 <= f < n_features and node < lo < n_nodes
                                 and node < hi < n_nodes):
                             raise ValueError(f"split node out of range {parts!r}")
-                        nodes.append((f, thr, lo, hi, 0.0, g))
-                        gain_map[f] = gain_map.get(f, 0.0) + g
+                        nodes.append([f, _finite(parts[2]), lo, hi, 0.0, _finite(parts[5])])
                     elif parts[:1] == ["l"]:
-                        nodes.append((-1, 0.0, -1, -1, float(parts[1]), 0.0))
+                        nodes.append([-1, 0.0, -1, -1, _finite(parts[1]), 0.0])
                     else:
                         raise ValueError(f"bad node line {parts!r}")
-                columns = list(zip(*nodes))
-                feature, left, right = (np.array(columns[i], dtype=np.int32) for i in (0, 2, 3))
-                thresholds, weight, gains = (np.array(columns[i], dtype=np.float64)
-                                             for i in (1, 4, 5))
-                trees.append(RegressionTree(feature, thresholds, left, right, weight, gains))
+                trees.append(RegressionTree.from_nodes(nodes))
             members.append(GbdtModel(trees=trees, base_score=base_score, config=cfg,
-                                     n_features=n_features, feature_gain=gain_map,
-                                     train_loss=[]))
+                                     n_features=n_features, train_loss=[]))
         return BaggedDetector(members=members, threshold=threshold,
                               combine=combine, vocab_ref=vocab_ref)

@@ -8,6 +8,7 @@ n-grams are dropped at vectorization time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
@@ -31,6 +32,14 @@ def _sigmoid(z):
 def _fmt(x: float) -> str:
     """Float text with 17 significant digits, so a reload is bit-exact."""
     return format(float(x), ".17g")
+
+
+def _finite(text: str) -> float:
+    """The number _fmt wrote; nan and infinities are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 _KINDS = {"int": int, "float": float}

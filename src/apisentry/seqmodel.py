@@ -495,6 +495,13 @@ def save_model(model: BiLstmModel, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _finite_row(reader: _LineReader) -> np.ndarray:
+    row = np.array(reader.next().split(), dtype=np.float64)
+    if not np.isfinite(row).all():
+        raise ValueError("a tensor row holds a number that is not finite")
+    return row
+
+
 def load_model(path: str | Path) -> BiLstmModel:
     with _LineReader(path) as reader:
         if reader.next() != _FORMAT_TAG:
@@ -506,8 +513,7 @@ def load_model(path: str | Path) -> BiLstmModel:
             shape = tuple(int(d) for d in reader.field(f"tensor {name}").split())
             if shape != block.shape:
                 raise ValueError(f"tensor {name!r} has wrong shape {shape}")
-            rows = [np.array(reader.next().split(), dtype=np.float64)
-                    for _ in np.atleast_2d(block)]
+            rows = [_finite_row(reader) for _ in np.atleast_2d(block)]
             block[...] = np.vstack(rows).reshape(shape)
     return BiLstmModel(params=params, config=cfg)
 

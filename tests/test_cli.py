@@ -1,10 +1,15 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+import apisentry
 from apisentry.cli import main
 from apisentry.data import demo_corpus_path, generate_demo_corpus
 from apisentry.gbdt import GbdtConfig, save_detector, train_bagged
@@ -21,6 +26,15 @@ def demo(tmp_path):
 
 def test_bundled_demo_corpus_matches_generator():
     assert demo_corpus_path().read_text(encoding="utf-8") == generate_demo_corpus()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """scipy.stats took 0.86 s and 50 MB to import, most of the CLI's start-up."""
+    env = dict(os.environ, PYTHONPATH=str(Path(apisentry.__file__).parents[1]))
+    code = "import sys, apisentry.cli; print(sorted(m for m in sys.modules if 'scipy.stats' in m))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def run(*argv):
@@ -193,8 +207,11 @@ class TestValidation:
         # line 1 is the format tag, then vocab_size, embed_dim and hidden
         assert f"{model}: line 4: hidden must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, bad", [("max_depth", "0"), ("learning_rate", "0"),
-                                            ("n_estimators", "-1")])
+    @pytest.mark.parametrize("field, bad", [
+        ("max_depth", "0"), ("learning_rate", "0"), ("n_estimators", "-1"),
+        ("reg_lambda", "-1"), ("gamma", "nan"), ("min_child_hessian", "-inf"),
+        ("combine", "average"), ("threshold", "7"), ("threshold", "nan"), ("members", "2"),
+    ])
     def test_detector_config_value_refused_at_its_own_line(self, tmp_path, capsys, field, bad):
         model, matrix, lines = self.small_detector(tmp_path)
         at = next(i for i, ln in enumerate(lines) if ln.startswith(field + " "))
@@ -203,6 +220,49 @@ class TestValidation:
         assert run("detect", "--model", model, "--in", matrix,
                    "--out", tmp_path / "p.csv") == 1
         assert f"{model}: line {at + 1}: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, index, bad", [
+        ("base_score ", 1, "inf"), ("l ", 1, "nan"), ("s ", 2, "nan"), ("s ", 5, "-inf"),
+    ])
+    def test_non_finite_detector_number_exits_one(self, tmp_path, capsys, kind, index, bad):
+        model, matrix, lines = self.small_detector(tmp_path)
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(kind))
+        parts = lines[at].split()
+        lines[at] = " ".join(parts[:index] + [bad] + parts[index + 1:])
+        model.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "p.csv"
+        assert run("detect", "--model", model, "--in", matrix, "--out", out) == 1
+        assert f"{model}: line {at + 1}: '{bad}' is not a finite number" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_sequence_model_number_exits_one(self, tmp_path, capsys):
+        model = tmp_path / "model.seq"
+        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
+        lines = model.read_text().splitlines()
+        at = lines.index("tensor dense.b 5") + 1
+        lines[at] = " ".join(["nan"] + lines[at].split()[1:])
+        model.write_text("\n".join(lines) + "\n")
+        assert run("predict-next", "--model", model, "--seq", "1,2", "-k", 3) == 1
+        captured = capsys.readouterr()
+        assert f"{model}: line {at + 1}: a tensor row holds a number that is not finite" \
+            in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--reg-lambda", "nan", "reg_lambda must be >= 0, got nan"),
+        ("--gamma", "-1", "gamma must be >= 0, got -1.0"),
+        ("--threshold", "7", "threshold must be in [0,1], got 7.0"),
+        ("--threshold", "nan", "threshold must be in [0,1], got nan"),
+    ])
+    def test_bad_detector_setting_exits_one(self, tmp_path, capsys, flag, value, message):
+        _, matrix, _ = self.small_detector(tmp_path)
+        labels, out = tmp_path / "y.labels", tmp_path / "m.det"
+        labels.write_text("0\n0\n1\n1\n0\n0\n1\n1\n")
+        assert run("train-detector", "--train", matrix, "--labels", labels,
+                   "--out", out, flag, value) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--max-prefix-len", 0, "max_prefix_len"), ("--max-prefix-len", -3, "max_prefix_len"),

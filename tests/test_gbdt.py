@@ -159,7 +159,7 @@ class TestPredictProba:
             left=np.array([-1], dtype=np.int32), right=np.array([-1], dtype=np.int32),
             weight=np.array([0.4]), gain=np.zeros(1))
         model = GbdtModel(trees=[tree], base_score=0.0, config=cfg, n_features=2,
-                          feature_gain={}, train_loss=[])
+                          train_loss=[])
         assert predict_proba(model, fv({}, 2)) == pytest.approx(sigmoid(0.4), abs=1e-12)
 
     def test_output_strictly_inside_unit_interval(self):
@@ -325,7 +325,7 @@ class TestBagging:
                 right=np.array([-1], dtype=np.int32),
                 weight=np.array([float(w)]), gain=np.zeros(1))
             members.append(GbdtModel(trees=[tree], base_score=0.0, config=cfg,
-                                     n_features=1, feature_gain={}, train_loss=[]))
+                                     n_features=1, train_loss=[]))
         return members
 
     def _stub_detector(self, margins, combine="mean"):
@@ -334,17 +334,17 @@ class TestBagging:
 
 class TestRankFeatures:
     def _detector_with_gains(self, gains_by_member, n_features=5):
+        """One member per dict; each (feature, gain) pair is one tree, a
+        stump splitting on that feature with that gain."""
         cfg = GbdtConfig(n_estimators=1)
         members = []
         for gains in gains_by_member:
-            tree = RegressionTree(
-                feature=np.array([-1], dtype=np.int32), threshold=np.zeros(1),
-                left=np.array([-1], dtype=np.int32),
-                right=np.array([-1], dtype=np.int32),
-                weight=np.zeros(1), gain=np.zeros(1))
-            members.append(GbdtModel(trees=[tree], base_score=0.0, config=cfg,
-                                     n_features=n_features, feature_gain=gains,
-                                     train_loss=[]))
+            trees = [RegressionTree.from_nodes([[f, 0.5, 1, 2, 0.0, g],
+                                                [-1, 0.0, -1, -1, -0.1, 0.0],
+                                                [-1, 0.0, -1, -1, 0.1, 0.0]])
+                     for f, g in gains.items()]
+            members.append(GbdtModel(trees=trees, base_score=0.0, config=cfg,
+                                     n_features=n_features, train_loss=[]))
         return members
 
     def _vocab(self, n):

@@ -2,10 +2,15 @@
 per-column `np.unique` coding it replaced, kept here as the oracle. On random
 small CSR matrices each column's values and zero bin, each stored entry's
 bin and the histograms of a random row subset must come out equal; and the
-rows training routes must be the rows prediction routes."""
+rows training routes must be the rows prediction routes. Gain importance,
+read off the split nodes, must equal the per-member gain dicts that training
+and loading used to fill, for trained and for reloaded detectors."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -13,9 +18,14 @@ from apisentry.gbdt import (
     GbdtConfig,
     _CodedMatrix,
     _mean_logloss,
+    load_detector,
     predict_proba_rows,
+    rank_features,
+    save_detector,
+    train_bagged,
     train_gbdt,
 )
+from apisentry.ngrams import NGramVocabulary
 
 
 class ReferenceCoding:
@@ -145,3 +155,46 @@ def test_a_midpoint_that_rounds_up_routes_both_values_left():
     cfg = GbdtConfig(learning_rate=1.0, max_depth=1, n_estimators=1, min_child_hessian=0.0)
     assert train_gbdt(X, y, cfg).trees[0].threshold[0] == 1.0
     assert_training_routes_as_prediction(X, y, cfg)
+
+
+def reference_rank_features(detector, vocab, k):
+    """rank_features as it was: one gain dict per member, filled node by
+    node in tree order, then the dicts added into one array member by member."""
+    total_gain = np.zeros(detector.n_features)
+    for member in detector.members:
+        gain_map = {}
+        for tree in member.trees:
+            for i in range(tree.n_nodes()):
+                f = int(tree.feature[i])
+                if f >= 0:
+                    gain_map[f] = gain_map.get(f, 0.0) + float(tree.gain[i])
+        for col, gval in gain_map.items():
+            total_gain[col] += gval
+    total = total_gain.sum()
+    importance = total_gain / total if total > 0 else total_gain
+    order = sorted(range(detector.n_features), key=lambda c: (-importance[c], c))
+    ngrams = vocab.column_ngrams()
+    return [(ngrams[c], float(importance[c])) for c in order[:k]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(X=matrices(), data=st.data(),
+       depths=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+       n_estimators=st.integers(0, 5))
+def test_gain_importance_equals_the_gain_dict_oracle(X, data, depths, n_estimators):
+    assume(X.shape[0] >= 2)
+    X.sum_duplicates()
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=X.shape[0],
+                                    max_size=X.shape[0])), dtype=np.float64)
+    y[:2] = [0.0, 1.0]
+    configs = [GbdtConfig(learning_rate=0.3, max_depth=d, n_estimators=n_estimators,
+                          min_child_hessian=0.0) for d in depths]
+    detector = train_bagged(X, y, configs=configs, bootstrap=False)
+    vocab = NGramVocabulary(index={(c, c + 1): c for c in range(X.shape[1])},
+                            counts=(1,) * X.shape[1])
+    k = X.shape[1]
+    assert rank_features(detector, vocab, k) == reference_rank_features(detector, vocab, k)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_detector(detector, Path(tmp) / "model.det")
+        loaded = load_detector(Path(tmp) / "model.det")
+    assert rank_features(loaded, vocab, k) == reference_rank_features(detector, vocab, k)
