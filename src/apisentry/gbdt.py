@@ -18,10 +18,11 @@ lowest feature index, then the lowest threshold, so training is
 deterministic. A round adds to each training row the weight of the leaf
 growth put it in; nothing is re-predicted.
 
-Prediction has one path for any number of rows (one vector is a 1-row
-matrix): a member's trees, packed once into flat node arrays, descend
-together level by level over a dense block of the columns they split on,
-and leaf weights are summed in tree order.
+Feature matrices are ngrams.CsrMatrix records, where a stored 0.0 is an
+absent entry. Prediction has one path for any number of rows (one vector is
+a 1-row matrix): a member's trees, packed once into flat node arrays,
+descend together level by level over a dense block of the columns they
+split on, and leaf weights are summed in tree order.
 
 A feature's gain importance is the total gain of the split nodes that test
 it, read off the trees: they are a member's only record of its splits.
@@ -34,10 +35,9 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import _LineReader
-from .ngrams import NGramVocabulary, _config_lines, _finite, _fmt, _read_config, _sigmoid
+from .ngrams import CsrMatrix, NGramVocabulary, _config_lines, _finite, _fmt, _read_config, _sigmoid
 
 # Rows descended together; bounds the dense split-column block and the
 # (rows, trees) node matrix whatever the number of rows scored.
@@ -64,6 +64,8 @@ class GbdtConfig:
         for name in ("reg_lambda", "gamma", "min_child_hessian"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if getattr(self, name) == np.inf:
+                raise ValueError(f"{name} must be finite, got inf")
 
 
 def default_bagging_configs() -> list[GbdtConfig]:
@@ -99,83 +101,73 @@ class RegressionTree:
         return len(self.feature)
 
 
-def as_feature_matrix(X, dim: int | None = None) -> sparse.csr_matrix:
-    """Accept a list of 1-row matrices, a dense array, or a CSR matrix. A
-    float64 CSR matrix is returned as is, not copied."""
-    if sparse.issparse(X):
-        return X.tocsr().astype(np.float64, copy=False)
-    if isinstance(X, np.ndarray):
-        return sparse.csr_matrix(X.astype(np.float64))
-    rows = list(X)
-    if not rows:
-        raise ValueError("empty feature matrix")
-    dims = {row.shape[1] for row in rows} | ({dim} if dim is not None else set())
+def as_feature_matrix(X, dim: int | None = None) -> CsrMatrix:
+    """A CsrMatrix, returned as is, or a non-empty list of them, stacked row
+    after row. Its values must be finite and, with dim given, its columns dim."""
+    parts = [X] if isinstance(X, CsrMatrix) else list(X)
+    if not parts or not all(isinstance(part, CsrMatrix) for part in parts):
+        raise ValueError("a feature matrix is a CsrMatrix or a non-empty list of them")
+    dims = {part.shape[1] for part in parts} | ({dim} if dim is not None else set())
     if len(dims) > 1:
         raise ValueError(f"feature dimension mismatch: {sorted(dims)}")
-    return sparse.vstack(rows, format="csr").astype(np.float64, copy=False)
-
-
-def _check_finite(X: sparse.csr_matrix) -> None:
-    """Refuse a nan or infinite entry, naming the first one stored."""
-    bad = np.flatnonzero(~np.isfinite(X.data))[:1]
-    if bad.size:
-        row = np.searchsorted(X.indptr, bad[0], side="right") - 1
-        raise ValueError(f"entry ({row},{X.indices[bad[0]]}) holds {X.data[bad[0]]}; "
-                         "feature values must be finite")
+    X = parts[0] if len(parts) == 1 else CsrMatrix(
+        np.concatenate([part.data for part in parts]),
+        np.concatenate([part.indices for part in parts]),
+        np.cumsum(np.concatenate([[0]] + [np.diff(part.indptr) for part in parts])),
+        (sum(part.shape[0] for part in parts), dims.pop()))
+    X.refuse(np.isfinite(X.data), "feature values must be finite")
+    return X
 
 
 class _CodedMatrix:
-    """Global bin coding of a CSR matrix for exact greedy splits.
+    """Global bin coding of a feature matrix for exact greedy splits.
 
     Each (column, distinct value) pair, 0.0 included, is one bin; bins run
     column by column, values ascending. `values[b]` is bin b's value,
     `offsets[j]` column j's first bin and `zero_bin[j]` its bin for 0.0,
-    which also holds the implicit zeros. The CSR matrix stores each
-    nonzero's bin + 1, so the sparse structure never holds an explicit zero;
-    its CSC twin serves routing.
+    which also holds the implicit and the stored zeros. `coded` holds every
+    other entry's bin; sorted by bin, those entries serve routing.
     """
 
-    def __init__(self, X: sparse.csr_matrix):
-        X = X.tocsr().astype(np.float64)
-        X.sum_duplicates()
-        X.eliminate_zeros()
-        self.n, self.n_features = X.shape
-        # every stored entry, then one 0.0 per column
-        cols = np.concatenate([X.indices, np.arange(self.n_features)])
-        vals = np.concatenate([X.data, np.zeros(self.n_features)])
+    def __init__(self, X: CsrMatrix):
+        kept = X.data != 0
+        indptr = np.concatenate([[0], np.cumsum(kept)])[X.indptr]
+        nnz, (self.n, self.n_features) = int(indptr[-1]), X.shape
+        # every kept entry, then one 0.0 per column, in a row n of its own
+        rows = np.repeat(np.arange(self.n + 1), np.diff(indptr, append=nnz + self.n_features))
+        cols = np.concatenate([X.indices[kept], np.arange(self.n_features)])
+        vals = np.concatenate([X.data[kept], np.zeros(self.n_features)])
         order = np.lexsort((vals, cols))
         cols, vals = cols[order], vals[order]
-        starts = np.ones(len(order), dtype=bool)
-        starts[1:] = (cols[1:] != cols[:-1]) | (vals[1:] != vals[:-1])
+        starts = np.append(True, (cols[1:] != cols[:-1]) | (vals[1:] != vals[:-1]))
+        self._sorted_bins, self._sorted_rows = np.cumsum(starts) - 1, rows[order]
         bins = np.empty(len(order), dtype=np.int64)
-        bins[order] = np.cumsum(starts) - 1
+        bins[order] = self._sorted_bins
         self.values = vals[starts]
         self.offsets = np.searchsorted(cols[starts], np.arange(self.n_features + 1))
         self.n_bins = len(self.values)
-        self.zero_bin = bins[X.nnz:]
-        self._coded_csr = sparse.csr_matrix((bins[:X.nnz] + 1, X.indices, X.indptr), X.shape)
-        self._coded_csc = self._coded_csr.tocsc()
+        self.zero_bin = bins[nnz:]
+        self.coded = CsrMatrix(bins[:nnz], X.indices[kept], indptr, X.shape)
 
     def column_bins(self, j: int) -> np.ndarray:
         """Every row's bin in column j."""
-        out = np.full(self.n, self.zero_bin[j])
-        s, e = self._coded_csc.indptr[j], self._coded_csc.indptr[j + 1]
-        out[self._coded_csc.indices[s:e]] = self._coded_csc.data[s:e] - 1
-        return out
+        out = np.full(self.n + 1, self.zero_bin[j])
+        s, e = np.searchsorted(self._sorted_bins, self.offsets[j:j + 2])
+        out[self._sorted_rows[s:e]] = self._sorted_bins[s:e]
+        return out[:-1]
 
     def node_histograms(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
         """Per-bin sums of g, h and sample counts for the given rows, with
         implicit zeros folded into each column's zero bin."""
-        sub = self._coded_csr[rows]
+        sub = self.coded.take(rows)
         per_row = np.diff(sub.indptr)
         g_rows, h_rows = g[rows], h[rows]
         g_rep = np.repeat(g_rows, per_row)
         h_rep = np.repeat(h_rows, per_row)
-        key = sub.data - 1
         # bincount yields int64 on empty input regardless of the weights dtype
-        hist_g = np.bincount(key, weights=g_rep, minlength=self.n_bins).astype(np.float64)
-        hist_h = np.bincount(key, weights=h_rep, minlength=self.n_bins).astype(np.float64)
-        hist_n = np.bincount(key, minlength=self.n_bins)
+        hist_g = np.bincount(sub.data, weights=g_rep, minlength=self.n_bins).astype(np.float64)
+        hist_h = np.bincount(sub.data, weights=h_rep, minlength=self.n_bins).astype(np.float64)
+        hist_n = np.bincount(sub.data, minlength=self.n_bins)
         cols = sub.indices
         col_g = np.bincount(cols, weights=g_rep, minlength=self.n_features).astype(np.float64)
         col_h = np.bincount(cols, weights=h_rep, minlength=self.n_features).astype(np.float64)
@@ -308,8 +300,6 @@ def predict_margin_rows(model: GbdtModel, X) -> np.ndarray:
     """Margins of every row: all trees descend at once, level by level, and
     the leaf weights are summed in tree order after the base score."""
     X = as_feature_matrix(X, model.n_features)
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"feature dimension mismatch: {X.shape[1]} != {model.n_features}")
     forest = model._forest
     margins = np.empty(X.shape[0])
     for start in range(0, X.shape[0], _ROW_BLOCK):
@@ -338,7 +328,7 @@ def predict_proba_rows(model: GbdtModel, X) -> np.ndarray:
     return _sigmoid(predict_margin_rows(model, X))
 
 
-def predict_proba(model: GbdtModel, x: sparse.csr_matrix) -> float:
+def predict_proba(model: GbdtModel, x: CsrMatrix) -> float:
     """Probability of the positive (malware) class for one 1-row matrix."""
     return float(predict_proba_rows(model, x)[0])
 
@@ -361,7 +351,6 @@ def train_gbdt(X, y, config: GbdtConfig, base_score: float | None = None) -> Gbd
         raise ValueError(f"got {Xc.shape[0]} rows but {len(y)} labels")
     if Xc.shape[1] == 0:
         raise ValueError("empty feature space")
-    _check_finite(Xc)
     positives = float(y.sum())
     if base_score is None:
         if positives == 0 or positives == len(y):
@@ -428,8 +417,7 @@ def train_bagged(X, y, configs: list[GbdtConfig] | None = None, seed: int = 42,
         raise ValueError(f"exactly 3 member configs required, got {len(configs)}")
     _setting("combine", combine)  # before training, not after it
     _setting("threshold", threshold)
-    Xc = as_feature_matrix(X)
-    _check_finite(Xc)  # before resampling, so the entry keeps its row
+    Xc = as_feature_matrix(X)  # refuses a non-finite entry before resampling moves its row
     y = np.asarray(y, dtype=np.float64)
     members = []
     for i, cfg in enumerate(configs):
@@ -437,7 +425,7 @@ def train_bagged(X, y, configs: list[GbdtConfig] | None = None, seed: int = 42,
         if bootstrap:
             rng = np.random.default_rng(seed + i)
             picks = rng.integers(0, Xc.shape[0], size=Xc.shape[0])
-            members.append(train_gbdt(Xc[picks], y[picks], cfg))
+            members.append(train_gbdt(Xc.take(picks), y[picks], cfg))
         else:
             members.append(train_gbdt(Xc, y, cfg))
     return BaggedDetector(members=members, threshold=threshold,
@@ -455,7 +443,7 @@ def _combine(detector: BaggedDetector, probs: np.ndarray) -> tuple[np.ndarray, n
     return label, score
 
 
-def ensemble_predict(detector: BaggedDetector, x: sparse.csr_matrix) -> tuple[int, float]:
+def ensemble_predict(detector: BaggedDetector, x: CsrMatrix) -> tuple[int, float]:
     label, score = ensemble_predict_rows(detector, x)
     return int(label[0]), float(score[0])
 

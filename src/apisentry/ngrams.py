@@ -1,9 +1,9 @@
 """N-gram features and next-call training samples.
 
-Traces become either sparse 2-gram/3-gram count vectors (detector input) or
-(prefix, next call) pairs (sequence-model input). The vocabulary is built
-once from a training corpus and is immutable afterwards; out-of-vocabulary
-n-grams are dropped at vectorization time.
+Traces become either 2-gram/3-gram count rows of a CsrMatrix, the package's
+one sparse matrix type (detector input), or (prefix, next call) pairs
+(sequence-model input). The vocabulary is built once from a training corpus
+and is immutable afterwards; out-of-vocabulary n-grams are dropped.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Corpus, CorpusError, LabeledTrace, _LineReader, _parse_label
 
@@ -92,6 +91,35 @@ class NGramVocabulary:
         return ids, np.append(keys[cols], np.iinfo(np.int64).max), cols
 
 
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """Compressed sparse rows: row r holds data[k] in column indices[k] for k
+    in indptr[r]:indptr[r + 1]. A row names a column at most once."""
+
+    data: np.ndarray     # float64; int64 bins in the boosted trees' coding
+    indices: np.ndarray  # int64 column of each entry
+    indptr: np.ndarray   # int64, shape[0] + 1 offsets into data
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def take(self, rows: np.ndarray) -> CsrMatrix:
+        """The matrix of the given rows, in that order, repeats included."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        at = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return CsrMatrix(self.data[at], self.indices[at], indptr, (len(rows), self.shape[1]))
+
+    def refuse(self, ok: np.ndarray, rule: str) -> None:
+        """Raise ValueError naming the first stored entry whose `ok` is False."""
+        for k in np.flatnonzero(~ok)[:1]:
+            row = np.searchsorted(self.indptr, k, side="right") - 1
+            raise ValueError(f"entry ({row},{self.indices[k]}) holds {self.data[k]}; {rule}")
+
+
 class PrefixSample(NamedTuple):
     """A (prefix, next call) training pair cut from one trace."""
 
@@ -165,19 +193,18 @@ def build_vocabulary(corpus: Corpus, min_count: int = 1,
                            built_from=corpus.provenance, min_count=min_count)
 
 
-def _count_matrix(seqs, vocab: NGramVocabulary) -> sparse.csr_matrix:
-    """CSR matrix of vocabulary n-gram counts, one row per call sequence."""
+def _count_matrix(seqs, vocab: NGramVocabulary) -> CsrMatrix:
+    """The vocabulary n-gram counts, one row per call sequence."""
     ids, keys, cols = vocab._lookup
     found, rows = _windows(seqs, ids)
     at = np.searchsorted(keys, found)
     hit = keys[at] == found
     cells, counts = np.unique(rows[hit] * len(vocab) + cols[at[hit]], return_counts=True)
     indptr = np.searchsorted(cells, np.arange(len(seqs) + 1) * len(vocab))
-    return sparse.csr_matrix((counts.astype(np.float64), cells % len(vocab), indptr),
-                             shape=(len(seqs), len(vocab)))
+    return CsrMatrix(counts.astype(np.float64), cells % len(vocab), indptr, (len(seqs), len(vocab)))
 
 
-def vectorize(trace, vocab: NGramVocabulary) -> sparse.csr_matrix:
+def vectorize(trace, vocab: NGramVocabulary) -> CsrMatrix:
     """Count the vocabulary n-grams occurring in one trace: a 1-row matrix."""
     return _count_matrix([_calls(trace)], vocab)
 
@@ -189,7 +216,8 @@ def class_frequency(corpus: Corpus, ngram: NGram) -> tuple[int, int]:
     if any(t.label is None for t in corpus.traces):
         raise CorpusError("class_frequency requires a labeled corpus")
     matrix, labels = corpus_matrix(corpus, NGramVocabulary({tuple(ngram): 0}, (1,)))
-    totals = np.bincount(np.asarray(labels, np.int64), matrix.toarray()[:, 0], minlength=2)
+    rows = np.repeat(np.asarray(labels, np.int64), np.diff(matrix.indptr))  # each entry's label
+    totals = np.bincount(rows, matrix.data, minlength=2)
     return int(totals[0]), int(totals[1])
 
 
@@ -208,8 +236,8 @@ def pad_prefix(prefix, max_len: int, pad_id: int) -> list[int]:
     return [pad_id] * (max_len - len(seq)) + seq
 
 
-def corpus_matrix(corpus: Corpus, vocab: NGramVocabulary) -> tuple[sparse.csr_matrix, list[int | None]]:
-    """Vectorize a whole corpus into a CSR count matrix plus its labels."""
+def corpus_matrix(corpus: Corpus, vocab: NGramVocabulary) -> tuple[CsrMatrix, list[int | None]]:
+    """Vectorize a whole corpus into a count matrix plus its labels."""
     return (_count_matrix([trace.calls for trace in corpus.traces], vocab),
             [trace.label for trace in corpus.traces])
 
@@ -254,28 +282,24 @@ def load_vocabulary(path: str | Path) -> NGramVocabulary:
                            built_from=built_from, min_count=min_count)
 
 
-def save_matrix(matrix: sparse.spmatrix, path: str | Path) -> None:
-    """Write a sparse count matrix as 'row,col,count' triplets under a
+def save_matrix(matrix: CsrMatrix, path: str | Path) -> None:
+    """Write a count matrix as 'row,col,count' triplets, row by row, under a
     'rows,cols' header. Every stored value must be a non-negative integer
     below 2**63, so load_matrix reads back what was written."""
-    coo = matrix.tocoo()
-    bad = np.flatnonzero(~((coo.data >= 0) & (coo.data < 2.0 ** 63)
-                           & (np.floor(coo.data) == coo.data)))
-    if bad.size:
-        k = bad[np.lexsort((coo.col[bad], coo.row[bad]))[0]]
-        raise ValueError(f"entry ({coo.row[k]},{coo.col[k]}) holds {coo.data[k]}; "
-                         "counts must be integers in [0, 2**63)")
-    order = np.lexsort((coo.col, coo.row))
-    triplets = map("{},{},{}".format, coo.row[order].tolist(), coo.col[order].tolist(),
-                   coo.data[order].astype(np.int64).tolist())
+    data = matrix.data
+    matrix.refuse((data >= 0) & (data < 2.0 ** 63) & (np.floor(data) == data),
+                  "counts must be integers in [0, 2**63)")
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    triplets = map("{},{},{}".format, rows.tolist(), matrix.indices.tolist(),
+                   data.astype(np.int64).tolist())
     lines = chain([f"{matrix.shape[0]},{matrix.shape[1]}"], triplets)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_matrix(path: str | Path) -> sparse.csr_matrix:
-    """Read a matrix written by save_matrix. Each (row, col) appears at most
-    once, inside the header's shape, with a count >= 0."""
-    rows, cols, vals = [], [], []
+def load_matrix(path: str | Path) -> CsrMatrix:
+    """Read a matrix save_matrix wrote, its lines in any order. Each (row, col)
+    appears at most once, inside the header's shape, with a count >= 0."""
+    cells, vals = [], []
     with _LineReader(path) as reader:
         try:
             n_rows, n_cols = map(int, reader.next().split(","))
@@ -294,24 +318,22 @@ def load_matrix(path: str | Path) -> sparse.csr_matrix:
                 raise ValueError(f"entry ({r},{c}) outside the {n_rows}x{n_cols} shape")
             if v < 0:
                 raise ValueError(f"negative count {v}")
-            rows.append(r)
-            cols.append(c)
+            cells.extend((r, c))
             vals.append(v)
         try:
-            matrix = sparse.csr_matrix(
-                (np.asarray(vals, dtype=np.float64),
-                 (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-                shape=(n_rows, n_cols))
-        except MemoryError:
+            rows, cols = np.asarray(cells, np.int64).reshape(-1, 2).T
+            order = np.lexsort((cols, rows))  # stable: a repeated cell's first line comes first
+            indptr = np.searchsorted(rows[order], np.arange(n_rows + 1))
+        except (MemoryError, OverflowError, ValueError):
             reader.pos = 1
             raise ValueError(f"cannot allocate the {n_rows}x{n_cols} shape") from None
-        if matrix.nnz < len(vals):  # the conversion summed repeated entries
-            _, first = np.unique(np.asarray(rows) * n_cols + np.asarray(cols), return_index=True)
-            k = int(np.setdiff1d(np.arange(len(vals)), first)[0])
+        repeat = (np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)
+        if repeat.any():
+            k = int(order[1:][repeat].min())  # the first entry to repeat a cell
             # entry k is on the (k + 2)-th non-blank line: line 1 is the header
             reader.pos = 1 + int(np.flatnonzero([ln.strip() != "" for ln in reader.lines])[k + 1])
             raise ValueError(f"duplicate entry ({rows[k]},{cols[k]})")
-    return matrix
+    return CsrMatrix(np.asarray(vals, np.float64)[order], cols[order], indptr, (n_rows, n_cols))
 
 
 def save_labels(labels, path: str | Path) -> None:

@@ -68,10 +68,10 @@ class BiLstmConfig:
                 raise ValueError(f"{name} must be in [0,1)")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0,1)")
-        if not self.learning_rate >= 0.0:
-            raise ValueError("learning_rate must be >= 0")
-        if not self.adam_eps > 0.0:
-            raise ValueError("adam_eps must be > 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be >= 0 and finite")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be > 0 and finite")
 
     @property
     def pad_id(self) -> int:

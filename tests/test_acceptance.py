@@ -36,6 +36,7 @@ from apisentry.seqmodel import (
     train,
 )
 
+from matrices import csr
 from test_gbdt import (
     assert_root_split_attains_max,
     random_count_corpus,
@@ -125,14 +126,14 @@ def test_criterion_3_split_optimality_and_leaf_replay():
             X, y = random_count_corpus(rng, n_max=100, f_max=10)
             cfg = GbdtConfig(n_estimators=1, max_depth=3,
                              reg_lambda=float(rng.choice([0.5, 1.0, 2.0])))
-            model = train_gbdt(X, y, cfg)
+            model = train_gbdt(csr(X), y, cfg)
             p = 1.0 / (1.0 + math.exp(-model.base_score))
             g = np.full(len(y), p) - y
             h = np.full(len(y), p * (1 - p))
             assert_root_split_attains_max(X, g, h, cfg, model.trees[0])
         for _ in range(10):
             X, y = random_count_corpus(rng, n_max=200, f_max=8)
-            model = train_gbdt(X, y, GbdtConfig(n_estimators=5, max_depth=3))
+            model = train_gbdt(csr(X), y, GbdtConfig(n_estimators=5, max_depth=3))
             for got, expect in replay_leaf_weights(model, X, y):
                 assert got == pytest.approx(expect, abs=1e-10)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
+from matrices import csr
 
 import apisentry
 from apisentry.cli import main
@@ -28,13 +28,61 @@ def test_bundled_demo_corpus_matches_generator():
     assert demo_corpus_path().read_text(encoding="utf-8") == generate_demo_corpus()
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    """scipy.stats took 0.86 s and 50 MB to import, most of the CLI's start-up."""
+def python(code, *args):
+    """Run `code` in a fresh interpreter that imports this checkout's
+    apisentry; returns its standard output."""
     env = dict(os.environ, PYTHONPATH=str(Path(apisentry.__file__).parents[1]))
-    code = "import sys, apisentry.cli; print(sorted(m for m in sys.modules if 'scipy.stats' in m))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """scipy.stats took 0.86 s and 50 MB to import, most of the CLI's
+    start-up, and scipy.sparse 0.25 s; the package needs neither."""
+    code = "import sys, apisentry.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    assert python(code).strip() == "[]"
+
+
+WITHOUT_SCIPY = """
+import sys
+from pathlib import Path
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is not available")
+
+
+sys.meta_path.insert(0, NoScipy())
+from apisentry import gbdt, ngrams
+from apisentry.cli import main
+
+work = Path(sys.argv[1])
+steps = [
+    ["ingest", "--in", sys.argv[2], "--collapse", "--out", work / "cooked.csv"],
+    ["featurize", "--fit", "--vocab", work / "vocab.tsv", "--in", work / "cooked.csv",
+     "--out", work / "x.mat", "--labels-out", work / "y.labels"],
+    ["train-detector", "--train", work / "x.mat", "--labels", work / "y.labels",
+     "--out", work / "model.det"],
+    ["detect", "--model", work / "model.det", "--in", work / "x.mat", "--out", work / "p.csv"],
+    ["evaluate", "--task", "detect", "--pred", work / "p.csv", "--truth", work / "y.labels",
+     "--out", work / "report.json"],
+    ["rank-features", "--model", work / "model.det", "--vocab", work / "vocab.tsv",
+     "-k", "3", "--out", work / "rank.tsv"],
+]
+for argv in steps:
+    assert main([str(a) for a in argv]) == 0, argv
+x = ngrams.vectorize([7, 8, 9, 1], ngrams.load_vocabulary(work / "vocab.tsv"))
+print(*gbdt.ensemble_predict(gbdt.load_detector(work / "model.det"), x))
+"""
+
+
+def test_detection_runs_where_scipy_cannot_be_imported(demo, tmp_path):
+    """An import of scipy anywhere on these paths, even inside a function,
+    fails here."""
+    label, score = python(WITHOUT_SCIPY, tmp_path, demo).splitlines()[-1].split()
+    assert label in ("0", "1") and 0.0 <= float(score) <= 1.0
 
 
 def run(*argv):
@@ -91,6 +139,24 @@ class TestPipeline:
         assert report["task"] == "detect"
         assert report["accuracy"] >= 0.95  # planted 3-gram separates the demo corpus
         assert paths["report"].with_suffix(".json.manifest.json").exists()
+
+    def test_stored_zero_lines_change_no_output(self, demo, tmp_path):
+        paths = detector_pipeline(tmp_path, demo)
+        for name in ("train_mat", "test_mat"):  # a 0 in each row's first empty cell
+            lines = paths[name].read_text().splitlines()
+            cells = {tuple(map(int, ln.split(",")[:2])) for ln in lines[1:]}
+            n_rows, n_cols = map(int, lines[0].split(","))
+            zeros = [f"{r},{min(set(range(n_cols)) - {c for q, c in cells if q == r})},0"
+                     for r in range(n_rows)]
+            (tmp_path / f"{name}.zeros").write_text("\n".join(lines[:1] + zeros + lines[1:]))
+        model, preds = tmp_path / "zeros.det", tmp_path / "zeros.csv"
+        assert run("train-detector", "--train", tmp_path / "train_mat.zeros",
+                   "--labels", paths["train_labels"], "--out", model,
+                   "--config", tmp_path / "gbdt.cfg") == 0
+        assert model.read_bytes() == paths["model"].read_bytes()
+        assert run("detect", "--model", model, "--in", tmp_path / "test_mat.zeros",
+                   "--out", preds) == 0
+        assert preds.read_bytes() == paths["preds"].read_bytes()
 
     def test_manifest_contents(self, demo, tmp_path):
         cooked = tmp_path / "out.csv"
@@ -199,6 +265,18 @@ class TestValidation:
         assert run("predict-next", "--model", model, "--seq", "1,2") == 1
         assert f"{model}: line 21: unexpected end of file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["learning_rate", "adam_eps"])
+    def test_infinite_sequence_model_setting_refused_at_its_own_line(self, tmp_path, capsys,
+                                                                      field):
+        model = tmp_path / "model.seq"
+        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
+        lines = model.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(field + " "))
+        lines[at] = f"{field} inf"
+        model.write_text("\n".join(lines) + "\n")
+        assert run("predict-next", "--model", model, "--seq", "1,2") == 1
+        assert f"{model}: line {at + 1}: {field} must be" in capsys.readouterr().err
+
     def test_sequence_model_with_zero_hidden_exits_one(self, tmp_path, capsys):
         model = tmp_path / "model.seq"
         save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
@@ -210,6 +288,7 @@ class TestValidation:
     @pytest.mark.parametrize("field, bad", [
         ("max_depth", "0"), ("learning_rate", "0"), ("n_estimators", "-1"),
         ("reg_lambda", "-1"), ("gamma", "nan"), ("min_child_hessian", "-inf"),
+        ("reg_lambda", "inf"), ("gamma", "inf"), ("min_child_hessian", "inf"),
         ("combine", "average"), ("threshold", "7"), ("threshold", "nan"), ("members", "2"),
     ])
     def test_detector_config_value_refused_at_its_own_line(self, tmp_path, capsys, field, bad):
@@ -252,6 +331,9 @@ class TestValidation:
     @pytest.mark.parametrize("flag, value, message", [
         ("--reg-lambda", "nan", "reg_lambda must be >= 0, got nan"),
         ("--gamma", "-1", "gamma must be >= 0, got -1.0"),
+        ("--reg-lambda", "inf", "reg_lambda must be finite, got inf"),
+        ("--gamma", "inf", "gamma must be finite, got inf"),
+        ("--min-child-hessian", "inf", "min_child_hessian must be finite, got inf"),
         ("--threshold", "7", "threshold must be in [0,1], got 7.0"),
         ("--threshold", "nan", "threshold must be in [0,1], got nan"),
     ])
@@ -267,6 +349,7 @@ class TestValidation:
     @pytest.mark.parametrize("flag, value, field", [
         ("--max-prefix-len", 0, "max_prefix_len"), ("--max-prefix-len", -3, "max_prefix_len"),
         ("--hidden", 0, "hidden"), ("--embed", 0, "embed_dim"), ("--lr", -0.5, "learning_rate"),
+        ("--lr", "inf", "learning_rate"),
     ])
     def test_nonsense_predictor_size_exits_one(self, demo, tmp_path, capsys, flag, value, field):
         cooked, model = tmp_path / "cooked.csv", tmp_path / "model.seq"
@@ -278,7 +361,7 @@ class TestValidation:
         assert not model.exists()
 
     def test_blank_detector_node_line_exits_one(self, tmp_path, capsys):
-        X = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [0.0, 3.0]]))
+        X = csr(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [0.0, 3.0]]))
         model, matrix = tmp_path / "model.det", tmp_path / "x.mat"
         config = GbdtConfig(n_estimators=2, max_depth=2)
         save_detector(train_bagged(X, np.array([0, 1, 1, 0]), configs=[config] * 3), model)
@@ -295,7 +378,7 @@ class TestValidation:
     def small_detector(tmp_path):
         """A tiny detector file with split nodes, its matrix and the
         detector's lines."""
-        X = sparse.csr_matrix(np.array([[i % 4, i // 4] for i in range(8)], dtype=float))
+        X = csr(np.array([[i % 4, i // 4] for i in range(8)], dtype=float))
         model, matrix = tmp_path / "model.det", tmp_path / "x.mat"
         config = GbdtConfig(n_estimators=2, max_depth=2, min_child_hessian=0.1)
         save_detector(train_bagged(X, np.arange(8) % 4 // 2, configs=[config] * 3,

@@ -23,6 +23,7 @@ from apisentry.gbdt import (
     train_gbdt,
 )
 from apisentry.ngrams import NGramVocabulary
+from matrices import csr, to_scipy
 
 
 def sigmoid(z):
@@ -31,8 +32,8 @@ def sigmoid(z):
 
 def fv(counts, dim):
     """A 1-row count matrix with the given {column: count} entries."""
-    return sparse.csr_matrix((list(counts.values()), ([0] * len(counts), list(counts))),
-                             shape=(1, dim), dtype=np.float64)
+    return csr(sparse.coo_matrix((list(counts.values()), ([0] * len(counts), list(counts))),
+                                 shape=(1, dim)))
 
 
 def split_gain(X, g, h, cfg, j, thr):
@@ -148,7 +149,7 @@ class TestLeafFormula:
     def test_empty_feature_space_rejected(self):
         cfg = GbdtConfig(n_estimators=1)
         with pytest.raises(ValueError, match="empty feature space"):
-            train_gbdt(np.zeros((4, 0)), [0, 1, 0, 1], cfg)
+            train_gbdt(csr(np.zeros((4, 0))), [0, 1, 0, 1], cfg)
 
 
 class TestPredictProba:
@@ -165,15 +166,15 @@ class TestPredictProba:
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(10)
         X, y = random_count_corpus(rng)
-        model = train_gbdt(X, y, GbdtConfig(n_estimators=10, max_depth=3))
-        probs = predict_proba_rows(model, X)
+        model = train_gbdt(csr(X), y, GbdtConfig(n_estimators=10, max_depth=3))
+        probs = predict_proba_rows(model, csr(X))
         assert (probs > 0).all() and (probs < 1).all()
 
     def test_constant_on_untested_features(self):
         rng = np.random.default_rng(11)
         X, y = random_count_corpus(rng, n_max=60, f_max=4)
         X = np.hstack([X, np.zeros((X.shape[0], 1))])  # constant column is never split on
-        model = train_gbdt(X, y, GbdtConfig(n_estimators=5, max_depth=2))
+        model = train_gbdt(csr(X), y, GbdtConfig(n_estimators=5, max_depth=2))
         tested = {int(f) for t in model.trees for f in t.feature if f >= 0}
         untested = [j for j in range(X.shape[1]) if j not in tested]
         assert X.shape[1] - 1 in untested
@@ -198,8 +199,8 @@ class TestTraining:
         g = np.full(n, 0.0) + (0.5 - y)  # p=0.5 at a balanced base score
         oracle = brute_force_best_split(X, -(y - 0.5), np.full(n, 0.25), cfg)
         assert oracle is not None and oracle[1] == 0
-        model = train_gbdt(X, y, cfg)
-        preds = (predict_proba_rows(model, X) >= 0.5).astype(float)
+        model = train_gbdt(csr(X), y, cfg)
+        preds = (predict_proba_rows(model, csr(X)) >= 0.5).astype(float)
         assert (preds == y).all()
         assert len(model.trees) <= 50
 
@@ -207,7 +208,7 @@ class TestTraining:
         rng = np.random.default_rng(13)
         for _ in range(5):
             X, y = random_count_corpus(rng, n_max=80, f_max=6)
-            model = train_gbdt(X, y, GbdtConfig(n_estimators=30, max_depth=3))
+            model = train_gbdt(csr(X), y, GbdtConfig(n_estimators=30, max_depth=3))
             losses = np.array(model.train_loss)
             assert (np.diff(losses) <= 1e-12).all()
 
@@ -216,7 +217,7 @@ class TestTraining:
         for _ in range(20):
             X, y = random_count_corpus(rng, n_max=60, f_max=6)
             cfg = GbdtConfig(n_estimators=1, max_depth=3)
-            model = train_gbdt(X, y, cfg)
+            model = train_gbdt(csr(X), y, cfg)
             p = sigmoid(model.base_score)
             g = np.full(len(y), p) - y
             h = np.full(len(y), p * (1 - p))
@@ -233,16 +234,16 @@ class TestTraining:
                                                    "feature values must be finite")
 
         with refused(3):
-            train_gbdt(X, y, GbdtConfig(n_estimators=2))
+            train_gbdt(csr(X), y, GbdtConfig(n_estimators=2))
         # named by its row before the bootstrap resamples
         X[[3, 5]] = X[[5, 3]]
         with refused(5):
-            train_bagged(X, y)
+            train_bagged(csr(X), y)
 
     def test_leaf_weights_match_replay(self):
         rng = np.random.default_rng(15)
         X, y = random_count_corpus(rng, n_max=100, f_max=5)
-        model = train_gbdt(X, y, GbdtConfig(n_estimators=8, max_depth=3))
+        model = train_gbdt(csr(X), y, GbdtConfig(n_estimators=8, max_depth=3))
         for got, expect in replay_leaf_weights(model, X, y):
             assert got == pytest.approx(expect, abs=1e-10)
 
@@ -265,8 +266,8 @@ class TestBagging:
     def test_deterministic_under_seed(self, tmp_path):
         X, y = self.separable_data()
         cfgs = [GbdtConfig(learning_rate=0.1, max_depth=2, n_estimators=5)] * 3
-        a = train_bagged(X, y, configs=cfgs, seed=7)
-        b = train_bagged(X, y, configs=cfgs, seed=7)
+        a = train_bagged(csr(X), y, configs=cfgs, seed=7)
+        b = train_bagged(csr(X), y, configs=cfgs, seed=7)
         pa, pb = tmp_path / "a.det", tmp_path / "b.det"
         save_detector(a, pa)
         save_detector(b, pb)
@@ -275,8 +276,8 @@ class TestBagging:
     def test_separable_corpus_perfect_train_accuracy(self):
         X, y = self.separable_data()
         cfgs = [GbdtConfig(learning_rate=0.1, max_depth=2, n_estimators=30)] * 3
-        det = train_bagged(X, y, configs=cfgs, seed=5)
-        labels, _ = ensemble_predict_rows(det, X)
+        det = train_bagged(csr(X), y, configs=cfgs, seed=5)
+        labels, _ = ensemble_predict_rows(det, csr(X))
         assert (labels == y).all()
 
     def test_mean_combination_and_boundary(self):
@@ -307,12 +308,12 @@ class TestBagging:
     def test_score_equals_member_mean_any_order(self):
         X, y = self.separable_data()
         cfgs = [GbdtConfig(learning_rate=0.1, max_depth=2, n_estimators=10)] * 3
-        det = train_bagged(X, y, configs=cfgs, seed=9)
-        member_probs = np.stack([predict_proba_rows(m, X) for m in det.members])
-        _, score = ensemble_predict_rows(det, X)
+        det = train_bagged(csr(X), y, configs=cfgs, seed=9)
+        member_probs = np.stack([predict_proba_rows(m, csr(X)) for m in det.members])
+        _, score = ensemble_predict_rows(det, csr(X))
         assert np.allclose(score, member_probs.mean(axis=0), atol=1e-12)
         flipped = BaggedDetector(members=det.members[::-1], threshold=det.threshold)
-        _, score2 = ensemble_predict_rows(flipped, X)
+        _, score2 = ensemble_predict_rows(flipped, csr(X))
         assert np.allclose(score, score2, atol=1e-12)
 
     def _stub_members(self, weights=(0.0, 0.0, 0.0)):
@@ -373,7 +374,7 @@ class TestPersistence:
         rng = np.random.default_rng(17)
         X, y = random_count_corpus(rng, n_max=50, f_max=4)
         cfgs = [GbdtConfig(learning_rate=0.1, max_depth=3, n_estimators=7)] * 3
-        det = train_bagged(X, y, configs=cfgs, seed=3, vocab_ref="vocab v1")
+        det = train_bagged(csr(X), y, configs=cfgs, seed=3, vocab_ref="vocab v1")
         p1 = tmp_path / "one.det"
         p2 = tmp_path / "two.det"
         save_detector(det, p1)
@@ -381,8 +382,8 @@ class TestPersistence:
         save_detector(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert loaded.vocab_ref == "vocab v1"
-        _, score_a = ensemble_predict_rows(det, X)
-        _, score_b = ensemble_predict_rows(loaded, X)
+        _, score_a = ensemble_predict_rows(det, csr(X))
+        _, score_b = ensemble_predict_rows(loaded, csr(X))
         assert (score_a == score_b).all()
 
 
@@ -390,8 +391,52 @@ class TestFeatureMatrix:
     def test_accepts_feature_vectors(self):
         X = as_feature_matrix([fv({0: 2}, 3), fv({2: 1}, 3)])
         assert X.shape == (2, 3)
-        assert X[0, 0] == 2 and X[1, 2] == 1
+        assert to_scipy(X).toarray().tolist() == [[2, 0, 0], [0, 0, 1]]
+
+    def test_stacks_multi_row_items_row_after_row(self):
+        parts = [np.array([[0, 1, 2], [3, 0, 0]]), np.zeros((2, 3)), np.array([[0, 0, 4]])]
+        X = as_feature_matrix([csr(part) for part in parts])
+        assert X.shape == (5, 3) and X.nnz == 4 and X.indptr[-1] == 4
+        assert np.array_equal(to_scipy(X).toarray(), np.vstack(parts))
+
+    def test_matrix_is_returned_as_is(self):
+        X = fv({1: 3}, 2)
+        assert as_feature_matrix(X, 2) is X
+
+    @pytest.mark.parametrize("X", [np.ones((2, 3)), [np.ones((1, 3))], [[1.0, 2.0]], []])
+    def test_anything_else_is_refused(self, X):
+        with pytest.raises(ValueError, match="a feature matrix is a CsrMatrix"):
+            as_feature_matrix(X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_is_refused_in_prediction_too(self, bad):
+        model = train_gbdt(csr(np.eye(2)), [0, 1], GbdtConfig(n_estimators=1))
+        with pytest.raises(ValueError, match=rf"entry \(1,0\) holds {bad}; .* finite"):
+            predict_proba_rows(model, csr(np.array([[1.0, 0.0], [bad, 1.0]])))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             as_feature_matrix([fv({0: 1}, 2), fv({0: 1}, 3)])
+        with pytest.raises(ValueError, match=r"mismatch: \[2, 3\]"):
+            as_feature_matrix(fv({0: 1}, 2), 3)
+
+    def test_stored_zeros_are_inert(self, tmp_path):
+        rng = np.random.default_rng(18)
+        X, y = random_count_corpus(rng, n_max=40, f_max=4)
+        plain = csr(X)
+        # a stored 0.0 or -0.0 in every cell the matrix leaves empty
+        holes = np.argwhere(X == 0)
+        signed = np.where(np.arange(len(holes)) % 2, -0.0, 0.0)
+        zeros = sparse.coo_matrix((np.concatenate([plain.data, signed]),
+                                   (np.concatenate([np.nonzero(X)[0], holes[:, 0]]),
+                                    np.concatenate([np.nonzero(X)[1], holes[:, 1]]))), X.shape)
+        stored = csr(zeros)
+        assert stored.nnz == X.size and np.signbit(stored.data).any()
+        cfgs = [GbdtConfig(learning_rate=0.3, max_depth=3, n_estimators=4)] * 3
+        for name, matrix in (("plain", plain), ("stored", stored)):
+            save_detector(train_bagged(matrix, y, configs=cfgs, seed=2), tmp_path / name)
+        assert (tmp_path / "plain").read_bytes() == (tmp_path / "stored").read_bytes()
+        detector = load_detector(tmp_path / "plain")
+        for a, b in zip(ensemble_predict_rows(detector, plain),
+                        ensemble_predict_rows(detector, stored)):
+            assert a.tobytes() == b.tobytes()

@@ -25,7 +25,8 @@ from apisentry.gbdt import (
     train_bagged,
     train_gbdt,
 )
-from apisentry.ngrams import NGramVocabulary
+from apisentry.ngrams import CsrMatrix, NGramVocabulary
+from matrices import csr, to_scipy
 
 
 class ReferenceCoding:
@@ -33,7 +34,7 @@ class ReferenceCoding:
     rank among the column's sorted unique values, one column at a time."""
 
     def __init__(self, X):
-        X = X.tocsr().astype(np.float64).copy()
+        X = to_scipy(X).copy()
         X.sum_duplicates()
         X.eliminate_zeros()
         self.n, self.n_features = X.shape
@@ -82,19 +83,19 @@ values = st.sampled_from(VALUES) | st.floats(-1e6, 1e6, allow_nan=False, allow_i
 
 @st.composite
 def matrices(draw):
-    """A CSR matrix built from its parts, so duplicate (row, col) entries,
-    stored zeros and unsorted column indices survive; some columns are
-    empty."""
+    """A CsrMatrix built from its parts, so stored zeros and unsorted column
+    indices survive; some columns are empty. No (row, col) cell repeats: no
+    producer makes one and load_matrix refuses one."""
     n = draw(st.integers(1, 7))
     m = draw(st.integers(1, 5))
     entries = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), values),
-                            max_size=3 * n * m))
+                            max_size=n * m, unique_by=lambda e: e[:2]))
     entries.sort(key=lambda e: e[0])  # stable: columns stay in drawn order
     rows = np.array([e[0] for e in entries], dtype=np.int64)
     indptr = np.searchsorted(rows, np.arange(n + 1))
-    indices = np.array([e[1] for e in entries], dtype=np.int32)
+    indices = np.array([e[1] for e in entries], dtype=np.int64)
     data = np.array([e[2] for e in entries], dtype=np.float64)
-    return sparse.csr_matrix((data, indices, indptr), shape=(n, m))
+    return CsrMatrix(data, indices, indptr, (n, m))
 
 
 def row_subset(data, n):
@@ -113,11 +114,14 @@ def test_global_bins_equal_the_per_column_oracle(X, data):
         dense = ref.codes[:, j].toarray().ravel()
         want = np.where(dense > 0, dense - 1, ref.zero_code[j]) + lo
         assert np.array_equal(coded.column_bins(j), want)
-    # each stored entry's bin + 1, at the oracle's entry positions
+    # each entry's bin + 1, at the oracle's entry positions: stored zeros dropped
     want = ref.codes.copy()
     want.data = want.data + ref.offsets[want.indices]
+    got = to_scipy(coded.coded)
+    got.data = got.data + 1
+    got.sort_indices()
     for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(coded._coded_csr, part), getattr(want, part)), part
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     g, h = rng.normal(size=X.shape[0]), rng.random(X.shape[0])
     rows = row_subset(data, X.shape[0])
@@ -138,8 +142,6 @@ def assert_training_routes_as_prediction(X, y, cfg):
        learning_rate=st.sampled_from([0.3, 1.0]))
 def test_training_loss_equals_the_loss_of_prediction(X, data, n_estimators, max_depth,
                                                       min_child_hessian, learning_rate):
-    # summed once, so duplicate entries hold the same value in both paths
-    X.sum_duplicates()
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=X.shape[0],
                                     max_size=X.shape[0])), dtype=np.float64)
     cfg = GbdtConfig(learning_rate=learning_rate, max_depth=max_depth,
@@ -150,7 +152,7 @@ def test_training_loss_equals_the_loss_of_prediction(X, data, n_estimators, max_
 def test_a_midpoint_that_rounds_up_routes_both_values_left():
     below = np.nextafter(1.0, 0.0)
     assert 0.5 * (below + 1.0) == 1.0
-    X = sparse.csr_matrix(np.array([[below], [1.0], [below], [1.0]]))
+    X = csr(np.array([[below], [1.0], [below], [1.0]]))
     y = np.array([0.0, 1.0, 0.0, 1.0])
     cfg = GbdtConfig(learning_rate=1.0, max_depth=1, n_estimators=1, min_child_hessian=0.0)
     assert train_gbdt(X, y, cfg).trees[0].threshold[0] == 1.0
@@ -183,7 +185,6 @@ def reference_rank_features(detector, vocab, k):
        n_estimators=st.integers(0, 5))
 def test_gain_importance_equals_the_gain_dict_oracle(X, data, depths, n_estimators):
     assume(X.shape[0] >= 2)
-    X.sum_duplicates()
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=X.shape[0],
                                     max_size=X.shape[0])), dtype=np.float64)
     y[:2] = [0.0, 1.0]

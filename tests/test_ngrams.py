@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from apisentry import ngrams
@@ -18,6 +20,7 @@ from apisentry.ngrams import (
     save_vocabulary,
     vectorize,
 )
+from matrices import csr, to_scipy
 
 
 def trace(calls, label=1, tid="t"):
@@ -175,8 +178,9 @@ class TestVectorize:
             b = [int(v) for v in rng.integers(0, 5, size=rng.integers(2, 15))]
             corpus = make_corpus([(1, a + b)])
             vocab = build_vocabulary(corpus, min_count=0)
-            joint = vectorize(a + b, vocab).toarray()
-            partial = vectorize(a, vocab).toarray() + vectorize(b, vocab).toarray()
+            joint = to_scipy(vectorize(a + b, vocab)).toarray()
+            partial = (to_scipy(vectorize(a, vocab)).toarray()
+                       + to_scipy(vectorize(b, vocab)).toarray())
             diff = np.abs(joint - partial).sum()
             assert diff <= 2 * 1 + 2 * 2  # at most 2(n-1) junction windows per n
 
@@ -249,6 +253,77 @@ class TestPadPrefix:
             pad_prefix([1, 2, 3, 4, 5], 4, 0)
 
 
+def assert_same_matrix(got, want):
+    assert got.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
+
+
+@st.composite
+def count_cells(draw):
+    """A shape, 0 rows and 0 columns included, and distinct cells of it with
+    integer counts, 0 included, in row-major order."""
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cells = sorted(draw(st.sets(st.tuples(st.integers(0, max(n_rows - 1, 0)),
+                                          st.integers(0, max(n_cols - 1, 0))),
+                                max_size=n_rows * n_cols)))
+    counts = draw(st.lists(st.integers(0, 3) | st.integers(0, 2**53), min_size=len(cells),
+                           max_size=len(cells)))
+    return (n_rows, n_cols), cells, counts
+
+
+def cells_matrix(shape, cells, counts):
+    rows = np.array([r for r, _ in cells], dtype=np.int64)
+    return ngrams.CsrMatrix(np.array(counts, dtype=np.float64),
+                            np.array([c for _, c in cells], dtype=np.int64),
+                            np.searchsorted(rows, np.arange(shape[0] + 1)), shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=count_cells())
+def test_a_saved_matrix_loads_back_array_by_array(tmp_path_factory, case):
+    matrix = cells_matrix(*case)
+    path = tmp_path_factory.mktemp("m") / "m.txt"
+    save_matrix(matrix, path)
+    assert_same_matrix(load_matrix(path), matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=count_cells(), data=st.data())
+def test_shuffled_triplets_load_as_scipy_sorts_them(tmp_path_factory, case, data):
+    (n_rows, n_cols), cells, counts = case
+    lines = data.draw(st.permutations([f"{r},{c},{v}" for (r, c), v in zip(cells, counts)]))
+    path = tmp_path_factory.mktemp("m") / "m.txt"
+    path.write_text("\n".join([f"{n_rows},{n_cols}"] + lines) + "\n")
+    want = sparse.coo_matrix((np.array(counts, dtype=np.float64),
+                              ([r for r, _ in cells], [c for _, c in cells])),
+                             shape=(n_rows, n_cols)).tocsr()
+    want.sort_indices()
+    got = load_matrix(path)
+    assert got.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=count_cells(), data=st.data())
+def test_a_repeated_cell_is_refused_at_its_second_line(tmp_path_factory, case, data):
+    (n_rows, n_cols), cells, counts = case
+    assume(cells)
+    lines = data.draw(st.permutations([f"{r},{c},{v}" for (r, c), v in zip(cells, counts)]))
+    first = data.draw(st.integers(0, len(lines) - 1))
+    again = data.draw(st.integers(first + 1, len(lines)))
+    r, c, _ = lines[first].split(",")
+    lines.insert(again, f"{r},{c},{data.draw(st.integers(0, 9))}")
+    path = tmp_path_factory.mktemp("m") / "m.txt"
+    path.write_text("\n".join([f"{n_rows},{n_cols}"] + lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_matrix(path)
+    # line 1 is the header
+    assert str(err.value) == f"{path}: line {again + 2}: duplicate entry ({r},{c})"
+
+
 class TestMatrixIO:
     def test_roundtrip(self, tmp_path):
         corpus = make_corpus([(1, [1, 2, 3]), (0, [2, 3, 2])])
@@ -256,13 +331,11 @@ class TestMatrixIO:
         matrix, labels = corpus_matrix(corpus, vocab)
         path = tmp_path / "m.txt"
         save_matrix(matrix, path)
-        again = load_matrix(path)
-        assert again.shape == matrix.shape
-        assert (again != matrix).nnz == 0
+        assert_same_matrix(load_matrix(path), matrix)
         assert labels == [1, 0]
 
     def test_header_has_dimensions(self, tmp_path):
-        matrix = sparse.csr_matrix(np.array([[0, 2], [1, 0]]))
+        matrix = csr(np.array([[0, 2], [1, 0]]))
         path = tmp_path / "m.txt"
         save_matrix(matrix, path)
         assert path.read_text().splitlines()[0] == "2,2"
@@ -283,22 +356,24 @@ class TestMatrixIO:
         assert str(err.value) == f"{path}: {message}"
 
     def test_text_is_pinned_for_unordered_entries(self, tmp_path):
-        matrix = sparse.coo_matrix(([3.0, 1.0, 2.0, 7.0], ([2, 0, 2, 0], [1, 4, 0, 0])),
-                                   shape=(3, 5))
+        matrix = csr(sparse.coo_matrix(([3.0, 1.0, 2.0, 7.0], ([2, 0, 2, 0], [1, 4, 0, 0])),
+                                       shape=(3, 5)))
         path = tmp_path / "m.txt"
         save_matrix(matrix, path)
         assert path.read_text() == "3,5\n0,0,7\n0,4,1\n2,0,2\n2,1,3\n"
 
     @pytest.mark.parametrize("matrix, message", [
-        (sparse.csr_matrix([[0.5, 2.7]]), "entry (0,0) holds 0.5"),
-        (sparse.csr_matrix([[0, 2.7]]), "entry (0,1) holds 2.7"),
-        (sparse.csr_matrix(np.array([[-1, 2]])), "entry (0,0) holds -1"),
-        (sparse.csr_matrix([[3, np.nan]]), "entry (0,1) holds nan"),
-        (sparse.csr_matrix([[np.inf, 1]]), "entry (0,0) holds inf"),
-        (sparse.csr_matrix([[2.0 ** 63, 1]]), "entry (0,0) holds 9.223372036854776e+18"),
-        # the first bad entry in file order, not in storage order
-        (sparse.coo_matrix(([0.5, -1.0], ([2, 0], [0, 1])), shape=(3, 2)),
+        (csr([[0.5, 2.7]]), "entry (0,0) holds 0.5"),
+        (csr([[0, 2.7]]), "entry (0,1) holds 2.7"),
+        (csr(np.array([[-1, 2]])), "entry (0,0) holds -1.0"),
+        (csr([[3, np.nan]]), "entry (0,1) holds nan"),
+        (csr([[np.inf, 1]]), "entry (0,0) holds inf"),
+        (csr([[2.0 ** 63, 1]]), "entry (0,0) holds 9.223372036854776e+18"),
+        (csr(sparse.coo_matrix(([0.5, -1.0], ([2, 0], [0, 1])), shape=(3, 2))),
          "entry (0,1) holds -1.0"),
+        # the first bad entry stored, the first line save_matrix would write
+        (ngrams.CsrMatrix(np.array([-1.0, 0.5]), np.array([2, 0]), np.array([0, 2, 2]), (2, 3)),
+         "entry (0,2) holds -1.0"),
     ])
     def test_value_that_would_not_read_back_is_refused(self, tmp_path, matrix, message):
         # whatever save_matrix writes, load_matrix reads back equal
@@ -310,7 +385,7 @@ class TestMatrixIO:
 
     def test_matrix_without_entries_is_the_header_alone(self, tmp_path):
         path = tmp_path / "m.txt"
-        save_matrix(sparse.csr_matrix((2, 4)), path)
+        save_matrix(csr(np.zeros((2, 4))), path)
         assert path.read_text() == "2,4\n"
 
     def test_bad_header_rejected(self, tmp_path):

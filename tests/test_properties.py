@@ -8,7 +8,6 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 from scipy.stats import rankdata
 
 from apisentry import gbdt, seqmodel
@@ -24,6 +23,8 @@ from apisentry.gbdt import (
     predict_proba_rows,
 )
 from apisentry.metrics import _midranks
+from apisentry.ngrams import CsrMatrix
+from matrices import csr
 
 N_FEATURES = 5
 weights = st.floats(-4.0, 4.0, allow_nan=False)
@@ -87,15 +88,15 @@ def scalar_margin(model, row):
 def one_row(row):
     """A 1-row matrix built from the nonzero counts of `row` alone."""
     cols = [c for c, v in enumerate(row) if v]
-    return sparse.csr_matrix(([row[c] for c in cols], ([0] * len(cols), cols)),
-                             shape=(1, len(row)), dtype=np.float64)
+    return CsrMatrix(np.array([row[c] for c in cols], dtype=np.float64),
+                     np.array(cols, dtype=np.int64), np.array([0, len(cols)]), (1, len(row)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(model=random_model(), rows=count_rows, block=st.sampled_from([1, 2, 7, 64]))
 def test_forest_equals_scalar_descent(model, rows, block):
     with mock.patch.object(gbdt, "_ROW_BLOCK", block):
-        got = predict_margin_rows(model, sparse.csr_matrix(np.array(rows, dtype=float)))
+        got = predict_margin_rows(model, csr(np.array(rows, dtype=float)))
     want = np.array([scalar_margin(model, row) for row in rows])
     assert got.tobytes() == want.tobytes()
 
@@ -103,14 +104,14 @@ def test_forest_equals_scalar_descent(model, rows, block):
 @settings(max_examples=40, deadline=None)
 @given(model=random_model(), row=count_rows.map(lambda rows: rows[0]))
 def test_one_vector_equals_one_row(model, row):
-    X = sparse.csr_matrix(np.array([row], dtype=float))
+    X = csr(np.array([row], dtype=float))
     assert predict_proba(model, one_row(row)) == predict_proba_rows(model, X)[0]
 
 
 def test_zero_trees_predict_base_score():
     model = GbdtModel(trees=[], base_score=0.25, config=GbdtConfig(n_estimators=0),
                       n_features=N_FEATURES, train_loss=[])
-    X = sparse.csr_matrix(np.ones((3, N_FEATURES)))
+    X = csr(np.ones((3, N_FEATURES)))
     assert predict_margin_rows(model, X).tolist() == [0.25, 0.25, 0.25]
 
 
@@ -120,7 +121,7 @@ def test_zero_trees_predict_base_score():
        threshold=st.sampled_from([0.3, 0.5, 0.7]))
 def test_ensemble_predict_equals_its_row(members, rows, combine, threshold):
     detector = BaggedDetector(members=members, threshold=threshold, combine=combine)
-    labels, scores = ensemble_predict_rows(detector, np.array(rows, dtype=float))
+    labels, scores = ensemble_predict_rows(detector, csr(np.array(rows, dtype=float)))
     for r, row in enumerate(rows):
         assert ensemble_predict(detector, one_row(row)) == (labels[r], scores[r])
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from apisentry import cli
 from apisentry.corpus import (
@@ -36,6 +35,7 @@ from apisentry.ngrams import (
     save_vocabulary,
 )
 from apisentry.seqmodel import BiLstmConfig, init_model, load_model, save_model
+from matrices import csr
 
 # Errors about a whole file rather than one of its lines.
 WHOLE_FILE = r"no traces|call id \d+ exceeds vocabulary size \d+|no score rows"
@@ -43,7 +43,7 @@ WHOLE_FILE = r"no traces|call id \d+ exceeds vocabulary size \d+|no score rows"
 
 def _detector_check(path):
     detector = load_detector(path)
-    ensemble_predict_rows(detector, sparse.csr_matrix(np.ones((2, detector.n_features))))
+    ensemble_predict_rows(detector, csr(np.ones((2, detector.n_features))))
 
 
 READERS = {
@@ -78,8 +78,8 @@ def valid(tmp_path_factory):
     (d / "seq.csv").write_text("hash,calls,y\na,1 2 3,0\nb,3 2 1,1\n")
     vocab = build_vocabulary(corpus)
     save_vocabulary(vocab, d / "vocab.tsv")
-    X = sparse.csr_matrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0],
-                                    [2.0, 1.0, 0.0], [0.0, 3.0, 1.0]]))
+    X = csr(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0],
+                      [2.0, 1.0, 0.0], [0.0, 3.0, 1.0]]))
     save_matrix(X, d / "train.mat")
     save_labels([0, 1, None, 1], d / "train.labels")
     config = GbdtConfig(n_estimators=2, max_depth=2)

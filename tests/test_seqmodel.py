@@ -95,6 +95,7 @@ class TestConfig:
         ("embed_dim", 0), ("hidden", 0), ("max_prefix_len", 0), ("max_prefix_len", -3),
         ("learning_rate", -0.5), ("learning_rate", math.nan), ("adam_beta1", 1.0),
         ("adam_beta2", -0.1), ("adam_eps", 0.0), ("adam_eps", math.nan),
+        ("learning_rate", math.inf), ("adam_eps", math.inf),
     ])
     def test_nonsense_values_refused(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
