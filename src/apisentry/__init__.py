@@ -21,8 +21,6 @@ from .ngrams import (
     PrefixSample,
     build_vocabulary,
     class_frequency,
-    extract_ngrams,
-    pad_prefix,
     prefix_samples,
     vectorize,
 )

@@ -582,7 +582,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="canonical CSV for the malware-families corpus (vocab 342)")
     p.add_argument("--outdir", required=True)
     p.add_argument("--top-k", dest="top_k", type=_count, default=4000,
-                   help="feature cap for the detector (default %(default)s)")
+                   help="feature cap for the detector (0 = no cap; default %(default)s)")
     p.add_argument("--seq-traces", dest="seq_traces", type=_count, default=2000,
                    help="trace cap for the sequence model (0 = all; default %(default)s)")
     p.add_argument("--quick", action="store_true",
@@ -635,8 +635,6 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return 2
-    if isinstance(result, int):
-        return result
     config = {k: v for k, v in vars(args).items() if k != "command"}
     inputs = [v for v in config.values() if isinstance(v, _InFile) and Path(v) not in result]
     _write_manifests(args.command, config, inputs, result, t0)

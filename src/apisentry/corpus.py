@@ -25,9 +25,6 @@ from typing import IO
 
 import numpy as np
 
-GOODWARE = 0
-MALWARE = 1
-
 DEFAULT_MAX_LEN = 100
 
 
@@ -352,10 +349,11 @@ def _column(header: list[str], name: str | None) -> int | None:
 
 
 def convert_wide_csv(text: str | _LineReader, label_col: str, call_prefix: str,
-                     id_col: str | None = None, positive_value: str = "1",
+                     id_col: str | None = None,
                      vocabulary_size: int | None = None) -> Corpus:
     """Adapt a wide CSV (one call per column, columns named
-    ``<call_prefix>0..<call_prefix>N``) into a canonical corpus."""
+    ``<call_prefix>0..<call_prefix>N``) into a canonical corpus. The label
+    column holds 0, 1 or - (unlabeled), as in the canonical format."""
     traces = []
     with _reader(text) as reader:
         rows = (line.split(",") for line in reader if line.strip())
@@ -371,7 +369,7 @@ def convert_wide_csv(text: str | _LineReader, label_col: str, call_prefix: str,
         for fields in rows:
             if len(fields) != len(header):
                 raise CorpusError(f"expected {len(header)} fields")
-            label = 1 if fields[label_pos].strip() == positive_value else 0
+            label = _parse_label(fields[label_pos].strip())
             calls = _call_ids([fields[i] for _, i in call_pos])
             trace_id = fields[id_pos].strip() if id_pos is not None else f"t{len(traces) + 1}"
             traces.append(LabeledTrace(id=trace_id, calls=calls, label=label))

@@ -73,8 +73,6 @@ class NGramVocabulary:
     def __len__(self) -> int:
         return len(self.index)
 
-    size = property(__len__)
-
     def column_ngrams(self) -> list[NGram]:
         return sorted(self.index, key=self.index.__getitem__)
 
@@ -129,14 +127,6 @@ class PrefixSample(NamedTuple):
 
 def _calls(trace) -> tuple[int, ...]:
     return tuple(trace.calls) if isinstance(trace, LabeledTrace) else tuple(trace)
-
-
-def extract_ngrams(calls, n: int) -> list[NGram]:
-    """All length-n sliding windows, in order; empty if the trace is shorter."""
-    if n not in (2, 3):
-        raise ValueError(f"n must be 2 or 3, got {n}")
-    seq = _calls(calls)
-    return [tuple(seq[i:i + n]) for i in range(len(seq) - n + 1)]
 
 
 _MAX_RADIX = 2**21 - 1  # R² + R³ < 2**63 up to this radix, so no key wraps int64
@@ -226,14 +216,6 @@ def prefix_samples(trace) -> list[PrefixSample]:
     n from 2 to len-1. Traces shorter than 3 yield nothing."""
     seq = _calls(trace)
     return [PrefixSample(prefix=seq[:n], next=seq[n]) for n in range(2, len(seq))]
-
-
-def pad_prefix(prefix, max_len: int, pad_id: int) -> list[int]:
-    """Left-pad a prefix with pad_id up to max_len."""
-    seq = list(_calls(prefix))
-    if len(seq) > max_len:
-        raise ValueError(f"prefix of length {len(seq)} exceeds max_len {max_len}")
-    return [pad_id] * (max_len - len(seq)) + seq
 
 
 def corpus_matrix(corpus: Corpus, vocab: NGramVocabulary) -> tuple[CsrMatrix, list[int | None]]:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, SplitSpec, canonicalize, load_corpus, \
+from .corpus import Corpus, CorpusError, SplitSpec, canonicalize, load_corpus, \
     random_oversample, stratified_split
 from .gbdt import default_bagging_configs, ensemble_predict_rows, rank_features, \
     save_detector, train_bagged
@@ -59,9 +59,20 @@ REFERENCE_RARE_CALLS = [
     "InternetGetConnectedState", "sendto", "RtlDecompressBuffer",
 ]
 
-DATASET1_VOCAB = 307
-DATASET2_VOCAB = 342
-DATASET2_TRACE_CAP = 200
+# Per dataset: its name, vocabulary cap, the sequence model's trace cap
+# (0 = whole traces) and the summary line written when it is not supplied.
+# Dataset 1 also feeds the detector.
+DATASETS = (
+    ("dataset1", 307, 0, "dataset 1 not supplied: detection half skipped"),
+    ("dataset2", 342, 200, "dataset 2 not supplied: its next-call half skipped"),
+)
+
+NO_DATASETS = (
+    "reproduce: no datasets supplied.\n"
+    "Convert the public corpora to canonical CSV first, e.g.\n"
+    "  apisentry adapt --layout wide --in calls.csv --vocab-size 307 --out d1.csv\n"
+    "  apisentry adapt --layout seqcol --in families.csv --vocab-size 342 --out d2.csv\n"
+    "then rerun with --dataset1 d1.csv and/or --dataset2 d2.csv.")
 
 
 def _pct(x: float) -> float:
@@ -79,16 +90,14 @@ def _compare_rows(rows, out_lines) -> None:
 
 def _detection_pipeline(corpus: Corpus, outdir: Path, seed: int,
                         top_k_features: int, quick: bool, lines: list[str]) -> None:
-    lines.append("")
-    lines.append("== dataset 1: early detection ==")
-    corpus = canonicalize(corpus, collapse=True, max_len=100)
+    lines += ["", "== dataset 1: early detection =="]
     spec = SplitSpec(test_fraction=0.2, seed=derive_seed(seed, "split"), stratified=True)
     train_c, test_c = stratified_split(corpus, spec)
     # faithful default: both sides are oversampled to balance
     train_c = random_oversample(train_c, derive_seed(seed, "balance-train"))
     test_c = random_oversample(test_c, derive_seed(seed, "balance-test"))
 
-    vocab = build_vocabulary(train_c, min_count=1, top_k=top_k_features)
+    vocab = build_vocabulary(train_c, min_count=1, top_k=top_k_features or None)
     save_vocabulary(vocab, outdir / "d1_vocab.tsv")
     X_train, y_train = corpus_matrix(train_c, vocab)
     X_test, y_test = corpus_matrix(test_c, vocab)
@@ -128,8 +137,7 @@ def _detection_pipeline(corpus: Corpus, outdir: Path, seed: int,
 def _nextcall_pipeline(corpus: Corpus, tag: str, vocab_size: int, outdir: Path,
                        seed: int, seq_traces: int, trace_cap: int,
                        quick: bool, lines: list[str]) -> float:
-    lines.append("")
-    lines.append(f"== {tag}: next-call prediction ==")
+    lines += ["", f"== {tag}: next-call prediction =="]
     spec = SplitSpec(test_fraction=0.2, seed=derive_seed(seed, f"{tag}-seq-split"),
                      stratified=False)
     train_c, test_c = stratified_split(corpus, spec)
@@ -187,54 +195,34 @@ def _nextcall_pipeline(corpus: Corpus, tag: str, vocab_size: int, outdir: Path,
 
 def run_reproduction(dataset1: str | None, dataset2: str | None, outdir: Path,
                      seed: int = 42, top_k_features: int = 4000,
-                     seq_traces: int = 2000, quick: bool = False):
-    """Returns the list of written outputs, or the int exit code 1 when no
-    dataset was supplied."""
+                     seq_traces: int = 2000, quick: bool = False) -> list[Path]:
+    """Run the halves whose datasets are supplied; returns the written
+    summary. top_k_features=0 keeps every n-gram, seq_traces=0 every trace."""
     if not dataset1 and not dataset2:
-        sys.stderr.write(
-            "apisentry reproduce: no datasets supplied.\n"
-            "Convert the public corpora to canonical CSV first, e.g.\n"
-            "  apisentry adapt --layout wide --in calls.csv --vocab-size 307 --out d1.csv\n"
-            "  apisentry adapt --layout seqcol --in families.csv --vocab-size 342 --out d2.csv\n"
-            "then rerun with --dataset1 d1.csv and/or --dataset2 d2.csv.\n")
-        return 1
+        raise CorpusError(NO_DATASETS)
     outdir.mkdir(parents=True, exist_ok=True)
     lines: list[str] = [f"apisentry reproduction run (seed {seed})"]
-    acc1 = None
-    if dataset1:
-        corpus1 = load_corpus(dataset1)
-        if corpus1.vocabulary_size > DATASET1_VOCAB:
-            raise ValueError(
-                f"dataset 1 should have vocabulary size <= {DATASET1_VOCAB}, "
-                f"got {corpus1.vocabulary_size}")
-        _detection_pipeline(corpus1, outdir, seed, top_k_features, quick, lines)
-        corpus1 = canonicalize(corpus1, collapse=True, max_len=100)
-        acc1 = _nextcall_pipeline(corpus1, "dataset1", DATASET1_VOCAB, outdir, seed,
-                                  seq_traces, trace_cap=0, quick=quick, lines=lines)
-    else:
-        lines.append("")
-        lines.append("dataset 1 not supplied: detection half skipped")
-    if dataset2:
-        corpus2 = load_corpus(dataset2)
-        if corpus2.vocabulary_size > DATASET2_VOCAB:
-            raise ValueError(
-                f"dataset 2 should have vocabulary size <= {DATASET2_VOCAB}, "
-                f"got {corpus2.vocabulary_size}")
-        acc2 = _nextcall_pipeline(corpus2, "dataset2", DATASET2_VOCAB, outdir, seed,
-                                  seq_traces, trace_cap=DATASET2_TRACE_CAP,
-                                  quick=quick, lines=lines)
-        if acc1 is not None:
-            lines.append("")
-            ordering = "holds" if acc1 > acc2 else "DOES NOT HOLD"
-            lines.append(f"dataset1 accuracy > dataset2 accuracy: {ordering} "
-                         f"({acc1:.2f} vs {acc2:.2f})")
-    else:
-        lines.append("")
-        lines.append("dataset 2 not supplied: its next-call half skipped")
-    lines.append("")
-    lines.append("reference rare-call names (id mapping is corpus specific):")
-    for name in REFERENCE_RARE_CALLS:
-        lines.append(f"  {name}")
+    accuracy = {}
+    for (tag, vocab_cap, trace_cap, skipped), path in zip(DATASETS, (dataset1, dataset2)):
+        if not path:
+            lines += ["", skipped]
+            continue
+        corpus = load_corpus(path)
+        if corpus.vocabulary_size > vocab_cap:
+            raise CorpusError(f"{path}: {tag} should have vocabulary size <= {vocab_cap}, "
+                              f"got {corpus.vocabulary_size}")
+        if tag == "dataset1":
+            corpus = canonicalize(corpus, collapse=True, max_len=100)
+            _detection_pipeline(corpus, outdir, seed, top_k_features, quick, lines)
+        accuracy[tag] = _nextcall_pipeline(corpus, tag, vocab_cap, outdir, seed, seq_traces,
+                                           trace_cap, quick, lines)
+    if len(accuracy) == 2:
+        acc1, acc2 = accuracy.values()
+        ordering = "holds" if acc1 > acc2 else "DOES NOT HOLD"
+        lines += ["", f"dataset1 accuracy > dataset2 accuracy: {ordering} "
+                      f"({acc1:.2f} vs {acc2:.2f})"]
+    lines += ["", "reference rare-call names (id mapping is corpus specific):"]
+    lines += [f"  {name}" for name in REFERENCE_RARE_CALLS]
     summary = "\n".join(lines) + "\n"
     sys.stdout.write(summary)
     (outdir / "summary.txt").write_text(summary, encoding="utf-8")

@@ -300,7 +300,7 @@ def reproduction(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("reproduction")
     result = run_reproduction(dataset1=_D1, dataset2=_D2, outdir=outdir,
                               seed=42, seq_traces=0)
-    assert result != 1
+    assert result == [outdir / "summary.txt"]
     return outdir
 
 

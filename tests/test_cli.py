@@ -185,6 +185,14 @@ class TestPipeline:
         manifest = json.loads((outdir / "summary.txt.manifest.json").read_text())
         assert list(manifest["inputs"]) == [str(demo)]
 
+    def test_reproduce_top_k_zero_keeps_every_ngram(self, demo, tmp_path):
+        for top_k in (0, 10**9):
+            assert run("reproduce", "--dataset1", demo, "--outdir", tmp_path / str(top_k),
+                       "--quick", "--seq-traces", 5, "--top-k", top_k) == 0
+        vocab = (tmp_path / "0" / "d1_vocab.tsv").read_bytes()
+        assert vocab == (tmp_path / str(10**9) / "d1_vocab.tsv").read_bytes()
+        assert vocab.count(b"\n") > 50
+
     def test_rank_features_finds_planted_trigram(self, demo, tmp_path, capsys):
         paths = detector_pipeline(tmp_path, demo)
         out = tmp_path / "rank.tsv"
@@ -231,6 +239,17 @@ class TestValidation:
 
     def test_reproduce_without_datasets_exits_one(self, tmp_path, capsys):
         assert run("reproduce", "--outdir", tmp_path / "repro") == 1
+        assert not (tmp_path / "repro").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("apisentry: error: reproduce: no datasets supplied.\n")
+        assert "--dataset1 d1.csv and/or --dataset2 d2.csv" in err
+
+    def test_reproduce_dataset_beyond_its_vocabulary_cap_exits_one(self, tmp_path, capsys):
+        big = tmp_path / "d2.csv"
+        big.write_text("#vocab=343\n1,1,2,3\n")
+        assert run("reproduce", "--dataset2", big, "--outdir", tmp_path / "repro") == 1
+        assert f"{big}: dataset2 should have vocabulary size <= 342, got 343" \
+            in capsys.readouterr().err
         assert not (tmp_path / "repro" / "summary.txt").exists()
 
     def test_version_flag(self, capsys):
@@ -463,6 +482,9 @@ MALFORMED_LINE_CASES = {
     "adapt line after a blank line": (
         {"s.csv": "hash,calls,y\n\na,1 2,7\n"},
         ["adapt", "--in", "s.csv", "--layout", "seqcol", "--label-col", "y"], "s.csv", 3),
+    "adapt wide label other than 0, 1 or -": (
+        {"w.csv": "hash,t_0,t_1,malware\na,1,2,1\nb,3,4,yes\n"},
+        ["adapt", "--in", "w.csv"], "w.csv", 3),
     "adapt row without the sequence column": (
         {"s.csv": "hash,y,calls\na,1\n"},
         ["adapt", "--in", "s.csv", "--layout", "seqcol"], "s.csv", 2),
@@ -518,6 +540,14 @@ def test_predict_next_k_at_its_limit_decodes(tmp_path, capsys):
 
 
 class TestAdapt:
+    def test_wide_labels_read_as_in_a_corpus(self, tmp_path):
+        raw = tmp_path / "wide.csv"
+        raw.write_text("hash,t_0,t_1,malware\na,1,2,0\nb,3,4,1\nc,5,6,-\n")
+        out = tmp_path / "out.csv"
+        assert run("adapt", "--in", raw, "--out", out) == 0
+        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert rows == ["0,1,2", "1,3,4", "-,5,6"]
+
     def test_seqcol_label_col_is_read(self, tmp_path):
         raw = tmp_path / "seq.csv"
         raw.write_text("hash,calls,y\na,1 2 3,0\nb,3 2 1,1\n")

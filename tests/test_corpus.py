@@ -237,6 +237,13 @@ class TestAdapters:
         assert corpus.traces[1].label == 0
         assert corpus.vocabulary_size == 307
 
+    @pytest.mark.parametrize("label", ["yes", "", "2", "true"])
+    def test_wide_label_other_than_0_1_or_dash_rejected_with_line(self, label):
+        text = f"t_0,t_1,malware\n4,5,1\n6,7,{label}\n"
+        with pytest.raises(CorpusError,
+                           match=f"^line 3: label must be 0, 1 or '-', got '{label}'$"):
+            convert_wide_csv(text, label_col="malware", call_prefix="t_")
+
     @pytest.mark.parametrize("convert, text", [
         (lambda t: convert_wide_csv(t, label_col="malware", call_prefix="t_"),
          "t_0,t_1,malware\n4,5,1\n\n4,-5,0\n"),

@@ -11,10 +11,8 @@ from apisentry.ngrams import (
     build_vocabulary,
     class_frequency,
     corpus_matrix,
-    extract_ngrams,
     load_matrix,
     load_vocabulary,
-    pad_prefix,
     prefix_samples,
     save_matrix,
     save_vocabulary,
@@ -35,23 +33,6 @@ def make_corpus(specs, vocab=400):
 def vocab_of(entries):
     return NGramVocabulary(index={tuple(ng): i for i, ng in enumerate(entries)},
                            counts=tuple(1 for _ in entries))
-
-
-class TestExtract:
-    def test_bigrams(self):
-        assert extract_ngrams([1, 2, 3], 2) == [(1, 2), (2, 3)]
-
-    def test_trigram_first_window(self):
-        grams = extract_ngrams([220, 233, 237, 220, 233, 290, 260], 3)
-        assert grams[0] == (220, 233, 237)
-        assert len(grams) == 5
-
-    def test_too_short(self):
-        assert extract_ngrams([7], 2) == []
-
-    def test_bad_n(self):
-        with pytest.raises(ValueError):
-            extract_ngrams([1, 2, 3], 4)
 
 
 class TestVocabulary:
@@ -239,18 +220,6 @@ class TestPrefixSamples:
             for s in samples:
                 joined = list(s.prefix) + [s.next]
                 assert calls[:len(joined)] == joined
-
-
-class TestPadPrefix:
-    def test_left_pad(self):
-        assert pad_prefix([5, 6], 4, 0) == [0, 0, 5, 6]
-
-    def test_exact_fit(self):
-        assert pad_prefix([1, 2, 3, 4], 4, 0) == [1, 2, 3, 4]
-
-    def test_overflow(self):
-        with pytest.raises(ValueError):
-            pad_prefix([1, 2, 3, 4, 5], 4, 0)
 
 
 def assert_same_matrix(got, want):

@@ -1,8 +1,11 @@
 """Property tests: the packed-forest prediction path against a scalar
 per-row descent, the one-row wrappers against the rows path, the
-shared sigmoid at extreme inputs, and the AUC midranks against scipy."""
+shared sigmoid at extreme inputs, the AUC midranks against scipy, and
+save/load round trips of the corpus, vocabulary and detector files."""
 
 import warnings
+from pathlib import Path
+from tempfile import TemporaryDirectory
 from unittest import mock
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from apisentry import gbdt, seqmodel
+from apisentry.corpus import Corpus, LabeledTrace, parse_corpus, serialize_corpus
 from apisentry.gbdt import (
     BaggedDetector,
     GbdtConfig,
@@ -18,12 +22,14 @@ from apisentry.gbdt import (
     RegressionTree,
     ensemble_predict,
     ensemble_predict_rows,
+    load_detector,
     predict_margin_rows,
     predict_proba,
     predict_proba_rows,
+    save_detector,
 )
 from apisentry.metrics import _midranks
-from apisentry.ngrams import CsrMatrix
+from apisentry.ngrams import CsrMatrix, NGramVocabulary, load_vocabulary, save_vocabulary
 from matrices import csr
 
 N_FEATURES = 5
@@ -34,7 +40,7 @@ weights = st.floats(-4.0, 4.0, allow_nan=False)
 def random_tree(draw):
     """A random valid tree in the layout _grow_tree builds; thresholds
     include integers so rows can land exactly on them."""
-    feature, threshold, left, right, weight = [], [], [], [], []
+    feature, threshold, left, right, weight, gain = [], [], [], [], [], []
 
     def grow(depth):
         node = len(feature)
@@ -43,11 +49,13 @@ def random_tree(draw):
         left.append(-1)
         right.append(-1)
         weight.append(0.0)
+        gain.append(0.0)
         if depth < 4 and draw(st.booleans()):
             feature[node] = draw(st.integers(0, N_FEATURES - 1))
             threshold[node] = draw(st.sampled_from([0.5, 1.0, 1.5, 2.5, 3.0]))
             left[node] = grow(depth + 1)
             right[node] = grow(depth + 1)
+            gain[node] = draw(st.floats(0.0, 50.0))
         else:
             weight[node] = draw(weights)
         return node
@@ -57,7 +65,7 @@ def random_tree(draw):
     return RegressionTree(
         feature=np.array(feature, dtype=np.int32), threshold=np.array(threshold),
         left=np.array(left, dtype=np.int32), right=np.array(right, dtype=np.int32),
-        weight=np.array(weight), gain=np.zeros(n))
+        weight=np.array(weight), gain=np.array(gain))
 
 
 @st.composite
@@ -139,3 +147,55 @@ def test_seqmodel_sigmoid_extremes_do_not_overflow():
 def test_midranks_equal_scipy_average_ranks(values):
     values = np.array(values)
     assert np.array_equal(_midranks(values), rankdata(values, method="average"))
+
+
+call_ids = st.integers(0, 2**63 - 1) | st.integers(0, 9)
+# one line of text: no character that str.splitlines breaks at
+line_text = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces=st.lists(st.tuples(st.sampled_from([0, 1, None]),
+                                 st.lists(call_ids, min_size=1, max_size=8)),
+                       min_size=1, max_size=6),
+       spare_ids=st.integers(0, 5), format=st.sampled_from(["canonical_csv", "jsonl"]))
+def test_corpus_text_round_trip(traces, spare_ids, format):
+    # jsonl declares no vocabulary: its size is one past the largest call id
+    vocab = max(max(calls) for _, calls in traces) + 1 + (format == "canonical_csv") * spare_ids
+    corpus = Corpus(traces=tuple(LabeledTrace(id=f"t{i + 1}", calls=tuple(calls), label=label)
+                                 for i, (label, calls) in enumerate(traces)),
+                    vocabulary_size=vocab)
+    back = parse_corpus(serialize_corpus(corpus, format), format=format)
+    assert back.content() == corpus.content()
+    assert back.vocabulary_size == corpus.vocabulary_size
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=st.dictionaries(st.lists(call_ids, min_size=2, max_size=3).map(tuple),
+                              st.integers(1, 10**12), max_size=12),
+       built_from=line_text, min_count=st.integers(0, 50))
+def test_vocabulary_file_round_trip(counts, built_from, min_count):
+    vocab = NGramVocabulary(index={ng: col for col, ng in enumerate(counts)},
+                            counts=tuple(counts.values()), built_from=built_from,
+                            min_count=min_count)
+    with TemporaryDirectory() as tmp:
+        save_vocabulary(vocab, Path(tmp) / "v.tsv")
+        assert load_vocabulary(Path(tmp) / "v.tsv") == vocab
+
+
+@settings(max_examples=40, deadline=None)
+@given(members=st.lists(random_model(), min_size=3, max_size=3), rows=count_rows,
+       combine=st.sampled_from(["mean", "majority"]), threshold=st.floats(0.0, 1.0),
+       vocab_ref=line_text)
+def test_detector_file_round_trip(members, rows, combine, threshold, vocab_ref):
+    detector = BaggedDetector(members=members, threshold=threshold, combine=combine,
+                              vocab_ref=vocab_ref)
+    X = csr(np.array(rows, dtype=float))
+    with TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.det", Path(tmp) / "b.det"
+        save_detector(detector, first)
+        loaded = load_detector(first)
+        save_detector(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    want, got = ensemble_predict_rows(detector, X), ensemble_predict_rows(loaded, X)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(want, got))
