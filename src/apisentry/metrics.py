@@ -9,6 +9,7 @@ functions are pure and operate on immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -71,6 +72,12 @@ def _ratio(num: float, den: float) -> tuple[float, bool]:
     return num / den, False
 
 
+def _ratios(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_ratio per element: num / den, 0 where den is 0, and where that was."""
+    zero = den == 0
+    return np.divide(num, den, out=np.zeros_like(num), where=~zero), zero
+
+
 def binary_metrics(cm: ConfusionMatrix, positive: int = 1) -> MetricsReport:
     """Precision/recall/F1 for the positive class plus overall accuracy."""
     if cm.n_labels != 2:
@@ -103,16 +110,9 @@ def weighted_metrics(preds, truths, n_labels: int) -> MetricsReport:
     pred_per_label = cm.counts.sum(axis=0).astype(np.float64)
     true_per_label = cm.counts.sum(axis=1).astype(np.float64)
 
-    degenerate = False
-    precision = np.zeros(n_labels)
-    recall = np.zeros(n_labels)
-    f1 = np.zeros(n_labels)
-    for lab in range(n_labels):
-        precision[lab], d1 = _ratio(diag[lab], pred_per_label[lab])
-        recall[lab], d2 = _ratio(diag[lab], true_per_label[lab])
-        f1[lab], d3 = _ratio(2 * precision[lab] * recall[lab], precision[lab] + recall[lab])
-        if true_per_label[lab] > 0:
-            degenerate = degenerate or d1 or d3
+    precision, d1 = _ratios(diag, pred_per_label)
+    recall, _ = _ratios(diag, true_per_label)
+    f1, d3 = _ratios(2 * precision * recall, precision + recall)
     weights = true_per_label / total
     return MetricsReport(
         accuracy=float(diag.sum() / total),
@@ -121,7 +121,7 @@ def weighted_metrics(preds, truths, n_labels: int) -> MetricsReport:
         f1=float((weights * f1).sum()),
         averaging="weighted",
         support={lab: int(true_per_label[lab]) for lab in range(n_labels)},
-        degenerate=degenerate)
+        degenerate=bool(((d1 | d3) & (true_per_label > 0)).any()))
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -174,14 +174,10 @@ def rare_label_report(corpus: Corpus, auc: AucReport,
                       names: dict[int, str] | None = None) -> list[RareLabel]:
     """Labels called fewer than freq_threshold times across the corpus,
     sorted by ascending frequency. Defaults to 0.1% of all calls."""
-    freq = np.zeros(corpus.vocabulary_size, dtype=np.int64)
-    total = 0
-    for trace in corpus.traces:
-        for c in trace.calls:
-            freq[c] += 1
-        total += len(trace.calls)
+    calls = np.fromiter(chain.from_iterable(t.calls for t in corpus.traces), dtype=np.int64)
+    freq = np.bincount(calls, minlength=corpus.vocabulary_size)
     if freq_threshold is None:
-        freq_threshold = 0.001 * total
+        freq_threshold = 0.001 * len(calls)
     out = []
     for lab in range(corpus.vocabulary_size):
         if freq[lab] < freq_threshold:

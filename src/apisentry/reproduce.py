@@ -200,17 +200,19 @@ def run_reproduction(dataset1: str | None, dataset2: str | None, outdir: Path,
     summary. top_k_features=0 keeps every n-gram, seq_traces=0 every trace."""
     if not dataset1 and not dataset2:
         raise CorpusError(NO_DATASETS)
+    # every supplied dataset is loaded and checked before anything is written
+    corpora = [load_corpus(path) if path else None for path in (dataset1, dataset2)]
+    for (tag, vocab_cap, _, _), path, corpus in zip(DATASETS, (dataset1, dataset2), corpora):
+        if corpus is not None and corpus.vocabulary_size > vocab_cap:
+            raise CorpusError(f"{path}: {tag} should have vocabulary size <= {vocab_cap}, "
+                              f"got {corpus.vocabulary_size}")
     outdir.mkdir(parents=True, exist_ok=True)
     lines: list[str] = [f"apisentry reproduction run (seed {seed})"]
     accuracy = {}
-    for (tag, vocab_cap, trace_cap, skipped), path in zip(DATASETS, (dataset1, dataset2)):
-        if not path:
+    for (tag, vocab_cap, trace_cap, skipped), corpus in zip(DATASETS, corpora):
+        if corpus is None:
             lines += ["", skipped]
             continue
-        corpus = load_corpus(path)
-        if corpus.vocabulary_size > vocab_cap:
-            raise CorpusError(f"{path}: {tag} should have vocabulary size <= {vocab_cap}, "
-                              f"got {corpus.vocabulary_size}")
         if tag == "dataset1":
             corpus = canonicalize(corpus, collapse=True, max_len=100)
             _detection_pipeline(corpus, outdir, seed, top_k_features, quick, lines)

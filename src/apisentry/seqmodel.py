@@ -20,11 +20,13 @@ separate tensor; each is a column block of a fused tensor, which
 ``_v1_tensors``, drives initialisation, saving and loading.
 
 One cell function serves ``lstm_cell`` and the scan, and hands the scan the
-gate activations BPTT reuses. One batching helper clips, pads and chunks
-samples for the loss, the gradients, the accuracy and the distributions.
-Greedy decoding carries the forward direction's final (h, c) from step to
-step, one cell step per decoded call, and rescans it only once the window
-slides past max_prefix_len; the backward direction is rescanned each step.
+gate activations BPTT reuses. ``_forward_batch`` is the one forward pass:
+validation, embedding, both scans and the softmax. ``_batches`` alone turns
+samples into arrays and refuses bad ones; ``_evaluate`` is the one loop over
+it, which the loss, the accuracy and the distributions reduce. Greedy
+decoding hands the pass the forward (h, c) of the previous step, so each
+decoded call costs one forward cell step until the window slides past
+max_prefix_len; the backward direction is rescanned each step.
 """
 
 from __future__ import annotations
@@ -245,20 +247,12 @@ def _scan_backward(params, direction, steps, X, d_final_h, dX, grads):
         dc = dc_new * f + dc * (1.0 - m)
 
 
-def _softmax_head(params, h_f, h_b):
-    """Probabilities, log-probabilities and (B,2H) features of the dense softmax."""
-    feat = np.concatenate([h_f, h_b], axis=1)
-    logits = feat @ params["dense.W"] + params["dense.b"]
-    shift = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shift)
-    norm = exp.sum(axis=1, keepdims=True)
-    return exp / norm, shift - np.log(norm), feat
-
-
 def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
-                   dropout_seed: int | None, want_cache: bool):
-    """Next-call probabilities and log-probabilities of a batch, and the BPTT
-    cache if want_cache (else None); only the cache holds every step."""
+                   dropout_seed: int | None, want_cache: bool, state=None):
+    """Next-call probabilities and log-probabilities of a batch, the BPTT
+    cache if want_cache (else None; only the cache holds every step) and the
+    forward direction's final (h, c). A carried `state`, that (h, c) after
+    every column but the last, is extended over the last column alone."""
     cfg = model.config
     mask = _validate_ids(ids, cfg)
     params = model.params
@@ -269,11 +263,16 @@ def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
         keep = 1.0 - cfg.dropout_rate
         drop = (rng.random(X.shape) < keep).astype(np.float64) / keep
         X = X * drop
-    (h_f, _), steps_f = _scan(params, "fw", X, mask, reverse=False, keep_steps=want_cache)
+    new = slice(None) if state is None else slice(-1, None)
+    state, steps_f = _scan(params, "fw", X[:, new], mask[:, new], False, want_cache, state)
     (h_b, _), steps_b = _scan(params, "bw", X, mask, reverse=True, keep_steps=want_cache)
-    probs, log_probs, feat = _softmax_head(params, h_f, h_b)
+    feat = np.concatenate([state[0], h_b], axis=1)
+    logits = feat @ params["dense.W"] + params["dense.b"]
+    shift = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shift)
+    norm = exp.sum(axis=1, keepdims=True)
     cache = {"X": X, "drop": drop, "steps_f": steps_f, "steps_b": steps_b, "feat": feat}
-    return probs, log_probs, cache if want_cache else None
+    return exp / norm, shift - np.log(norm), cache if want_cache else None, state
 
 
 def forward(model: BiLstmModel, prefix, train: bool = False,
@@ -281,45 +280,55 @@ def forward(model: BiLstmModel, prefix, train: bool = False,
     """Probability distribution over the next call for one (possibly
     left-padded) prefix."""
     ids = np.asarray(list(prefix), dtype=np.int64).reshape(1, -1)
-    probs, _, _ = _forward_batch(model, ids, train, dropout_seed, want_cache=False)
-    return probs[0]
+    return _forward_batch(model, ids, train, dropout_seed, want_cache=False)[0][0]
 
 
-def _batches(pairs, cfg: BiLstmConfig, size: int):
+def _batches(samples, cfg: BiLstmConfig, size: int | None):
     """Yield (ids, targets) per `size` (prefix, next) pairs, such as
-    PrefixSample, each prefix clipped to its last max_prefix_len calls and
-    left-padded to the batch's longest."""
+    PrefixSample, or one batch of all if size is None, each prefix clipped
+    to its last max_prefix_len calls and left-padded to the batch's longest."""
+    pairs = list(samples)
+    if not pairs:
+        raise ValueError("no samples")
+    size = size or len(pairs)
     for start in range(0, len(pairs), size):
         part = pairs[start:start + size]
+        targets = np.array([y for _, y in part], dtype=np.int64)
+        bad = (targets < 0) | (targets >= cfg.vocab_size)
+        if bad.any():
+            raise ValueError(f"next call id {targets[bad][0]} is outside [0, {cfg.vocab_size})")
         prefixes = [p[-cfg.max_prefix_len:] for p, _ in part]
         ids = np.full((len(part), max(map(len, prefixes))), cfg.pad_id, dtype=np.int64)
         for r, p in enumerate(prefixes):
             ids[r, ids.shape[1] - len(p):] = p
-        yield ids, np.array([y for _, y in part], dtype=np.int64)
+        yield ids, targets
+
+
+def _evaluate(model: BiLstmModel, samples, train: bool = False,
+              dropout_seed: int | None = None):
+    """The one evaluation loop: (probs, log_probs, targets) per batch."""
+    for ids, targets in _batches(samples, model.config, model.config.batch_size):
+        yield *_forward_batch(model, ids, train, dropout_seed, want_cache=False)[:2], targets
 
 
 def batch_loss(model: BiLstmModel, samples, train: bool = False,
                dropout_seed: int | None = None) -> float:
     """Mean categorical cross-entropy of the true next call over a batch."""
-    pairs = list(samples)
-    if not pairs:
-        raise ValueError("empty batch")
-    total = 0.0
-    for ids, targets in _batches(pairs, model.config, model.config.batch_size):
-        _, log_probs, _ = _forward_batch(model, ids, train, dropout_seed, want_cache=False)
+    total, count = 0.0, 0
+    for _, log_probs, targets in _evaluate(model, samples, train, dropout_seed):
         total += float(-log_probs[np.arange(len(targets)), targets].sum())
-    return total / len(pairs)
+        count += len(targets)
+    return total / count
 
 
 def loss_and_grads(model: BiLstmModel, samples, train: bool = True,
                    dropout_seed: int | None = None):
     """Exact loss and gradients for one batch via backpropagation through
     time across both directions, the embedding, dropout and the softmax."""
-    pairs = list(samples)
     cfg = model.config
-    [(ids, targets)] = _batches(pairs, cfg, max(1, len(pairs)))
-    probs, log_probs, cache = _forward_batch(model, ids, train, dropout_seed, want_cache=True)
-    B = len(pairs)
+    [(ids, targets)] = _batches(samples, cfg, None)
+    probs, log_probs, cache, _ = _forward_batch(model, ids, train, dropout_seed, True)
+    B = len(targets)
     loss = float(-log_probs[np.arange(B), targets].sum() / B)
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss}")
@@ -426,21 +435,16 @@ def train(samples, config: BiLstmConfig) -> tuple[BiLstmModel, TrainReport]:
 
 def _greedy(model: BiLstmModel, sequence):
     """Yield each greedy step's id and distribution; see predict_next_k."""
-    cfg, params = model.config, model.params
+    window = model.config.max_prefix_len
     seq = [int(c) for c in sequence]
     state = None
     while True:
-        ids = np.asarray(seq[-cfg.max_prefix_len:], dtype=np.int64).reshape(1, -1)
-        mask = _validate_ids(ids, cfg)
-        X = params["emb"][ids]
-        if len(seq) > cfg.max_prefix_len:
+        ids = np.asarray(seq[-window:], dtype=np.int64).reshape(1, -1)
+        if len(seq) > window:
             state = None  # the window slid
-        new = slice(None) if state is None else slice(-1, None)
-        state, _ = _scan(params, "fw", X[:, new], mask[:, new], False, False, state)
-        (h_b, _), _ = _scan(params, "bw", X, mask, reverse=True, keep_steps=False)
-        probs = _softmax_head(params, state[0], h_b)[0][0]
-        seq.append(int(np.argmax(probs)))
-        yield seq[-1], probs
+        probs, _, _, state = _forward_batch(model, ids, False, None, False, state)
+        seq.append(int(np.argmax(probs[0])))
+        yield seq[-1], probs[0]
 
 
 def predict_next(model: BiLstmModel, sequence) -> tuple[int, np.ndarray]:
@@ -462,22 +466,16 @@ def predict_next_k(model: BiLstmModel, sequence, k: int) -> list[int]:
 
 def next_call_accuracy(model: BiLstmModel, samples) -> float:
     """Fraction of samples whose argmax prediction matches the true next call."""
-    pairs = list(samples)
-    if not pairs:
-        raise ValueError("empty sample set")
-    hits = 0
-    for ids, targets in _batches(pairs, model.config, model.config.batch_size):
-        probs, _, _ = _forward_batch(model, ids, False, None, want_cache=False)
+    hits, count = 0, 0
+    for probs, _, targets in _evaluate(model, samples):
         hits += int((probs.argmax(axis=1) == targets).sum())
-    return hits / len(pairs)
+        count += len(targets)
+    return hits / count
 
 
 def predict_distributions(model: BiLstmModel, samples) -> np.ndarray:
     """Per-sample next-call distributions, one row per sample."""
-    pairs = list(samples)
-    return np.concatenate([
-        _forward_batch(model, ids, False, None, want_cache=False)[0]
-        for ids, _ in _batches(pairs, model.config, model.config.batch_size)])
+    return np.concatenate([probs for probs, _, _ in _evaluate(model, samples)])
 
 
 # --- persistence -------------------------------------------------------------

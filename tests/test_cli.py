@@ -252,6 +252,17 @@ class TestValidation:
             in capsys.readouterr().err
         assert not (tmp_path / "repro" / "summary.txt").exists()
 
+    def test_reproduce_checks_every_dataset_before_writing(self, demo, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("#vocab=343\n1,1,2,3\n")
+        outdir = tmp_path / "repro"
+        assert run("reproduce", "--dataset1", demo, "--dataset2", big, "--outdir", outdir,
+                   "--quick", "--seq-traces", 5, "--top-k", 50) == 1
+        assert f"{big}: dataset2 should have vocabulary size <= 342, got 343" \
+            in capsys.readouterr().err
+        assert not outdir.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "raw.csv"]
+
     def test_version_flag(self, capsys):
         assert run("--version") == 0
 

@@ -68,23 +68,24 @@ def brute_force_best_split(X, g, h, cfg):
     return best
 
 
-def assert_root_split_attains_max(X, g, h, cfg, tree):
-    """The chosen root split must reach the exhaustive-enumeration maximum
-    gain. Distinct features can induce identical partitions, so equally-good
+def assert_root_split_attains_max(X, g, h, cfg, tree, node=0):
+    """The chosen root split, or the split at `node` when X, g and h are the
+    rows routed to it, must reach the exhaustive-enumeration maximum gain.
+    Distinct features can induce identical partitions, so equally-good
     splits are accepted as ties; the exact (feature, threshold) is required
     whenever the maximum is unique."""
     oracle = brute_force_best_split(X, g, h, cfg)
     if oracle is None:
-        assert tree.feature[0] < 0
+        assert tree.feature[node] < 0
         return
     max_gain, j, thr = oracle
-    assert tree.feature[0] >= 0, "implementation refused a positive-gain split"
-    chosen = split_gain(X, g, h, cfg, int(tree.feature[0]), float(tree.threshold[0]))
+    assert tree.feature[node] >= 0, "implementation refused a positive-gain split"
+    chosen = split_gain(X, g, h, cfg, int(tree.feature[node]), float(tree.threshold[node]))
     assert chosen is not None
     tol = 1e-9 * max(1.0, abs(max_gain))
     assert chosen >= max_gain - tol, (
         f"split gain {chosen} below enumerated maximum {max_gain}")
-    if tree.feature[0] != j or abs(tree.threshold[0] - thr) > 1e-12:
+    if tree.feature[node] != j or abs(tree.threshold[node] - thr) > 1e-12:
         assert abs(chosen - max_gain) <= tol, "non-tied split differs from oracle"
 
 

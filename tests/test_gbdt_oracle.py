@@ -4,9 +4,12 @@ small CSR matrices each column's values and zero bin, each stored entry's
 bin and the histograms of a random row subset must come out equal; and the
 rows training routes must be the rows prediction routes. Gain importance,
 read off the split nodes, must equal the per-member gain dicts that training
-and loading used to fill, for trained and for reloaded detectors."""
+and loading used to fill, for trained and for reloaded detectors. Every split
+of a one-tree model must reach the brute-force maximum gain over the rows
+routed to it."""
 
 import tempfile
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +28,9 @@ from apisentry.gbdt import (
     train_bagged,
     train_gbdt,
 )
-from apisentry.ngrams import CsrMatrix, NGramVocabulary
+from apisentry.ngrams import CsrMatrix, NGramVocabulary, _sigmoid
 from matrices import csr, to_scipy
+from test_gbdt import assert_root_split_attains_max, split_gain
 
 
 class ReferenceCoding:
@@ -199,3 +203,46 @@ def test_gain_importance_equals_the_gain_dict_oracle(X, data, depths, n_estimato
         save_detector(detector, Path(tmp) / "model.det")
         loaded = load_detector(Path(tmp) / "model.det")
     assert rank_features(loaded, vocab, k) == reference_rank_features(detector, vocab, k)
+
+
+# few distinct values, so columns repeat them; zeros and negatives included
+SPLIT_VALUES = [-2.0, -1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 3.0]
+
+
+def best_gain_is_zero(X, g, h, cfg):
+    """Whether the best admissible split's gain is 0 up to rounding, as in a
+    node whose rows are of one class with gamma 0: both training and the
+    oracle may then round it to either side of 0, so either may split."""
+    gains = [split_gain(X, g, h, cfg, j, 0.5 * (a + b))
+             for j in range(X.shape[1]) for a, b in pairwise(np.unique(X[:, j]))]
+    best = max((gain for gain in gains if gain is not None), default=None)
+    return best is not None and abs(best) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12), m=st.integers(1, 4),
+       max_depth=st.integers(1, 4), reg_lambda=st.floats(0.0, 4.0),
+       gamma=st.floats(0.0, 0.5), min_child_hessian=st.floats(0.0, 1.5))
+def test_every_split_attains_the_brute_force_maximum(data, n, m, max_depth, reg_lambda,
+                                                     gamma, min_child_hessian):
+    X = np.array(data.draw(st.lists(st.lists(st.sampled_from(SPLIT_VALUES), min_size=m,
+                                             max_size=m), min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), float)
+    assume(0 < y.sum() < n)
+    cfg = GbdtConfig(n_estimators=1, max_depth=max_depth, reg_lambda=reg_lambda,
+                     gamma=gamma, min_child_hessian=min_child_hessian)
+    model = train_gbdt(csr(X), y, cfg)
+    tree = model.trees[0]
+    p = _sigmoid(np.full(n, model.base_score))  # the gradients training used
+    g, h = p - y, p * (1.0 - p)
+    stack = [(0, np.arange(n), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        if depth == max_depth:  # a leaf by depth alone
+            continue
+        if not best_gain_is_zero(X[rows], g[rows], h[rows], cfg):
+            assert_root_split_attains_max(X[rows], g[rows], h[rows], cfg, tree, node)
+        if tree.feature[node] >= 0:
+            left = X[rows, tree.feature[node]] <= tree.threshold[node]
+            stack += [(tree.left[node], rows[left], depth + 1),
+                      (tree.right[node], rows[~left], depth + 1)]

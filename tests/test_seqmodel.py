@@ -261,6 +261,28 @@ class TestBatchLoss:
         assert both == pytest.approx(singles, abs=1e-12)
 
 
+class TestSampleChecks:
+    """Samples become arrays in one place, so every function that takes
+    samples refuses the same bad input with the same message."""
+
+    @pytest.mark.parametrize("fn", [batch_loss, loss_and_grads, next_call_accuracy,
+                                    predict_distributions])
+    def test_no_samples_is_refused_alike(self, fn):
+        with pytest.raises(ValueError, match="^no samples$"):
+            fn(init_model(TINY), iter([]))
+
+    @pytest.mark.parametrize("target", [-1, TINY.vocab_size])
+    def test_out_of_range_next_call_is_refused(self, target):
+        model = init_model(TINY)
+        samples = tiny_batch() + [PrefixSample(prefix=(1, 2), next=target)]
+        refused = rf"^next call id {target} is outside \[0, {TINY.vocab_size}\)$"
+        for fn in (batch_loss, loss_and_grads):
+            with pytest.raises(ValueError, match=refused):
+                fn(model, samples)
+        with pytest.raises(ValueError, match=refused):
+            train(samples * 2, TINY)
+
+
 def finite_difference_check(cfg, samples, dropout_seed=None):
     """Central finite differences (eps 1e-4) against analytic gradients;
     returns the worst relative error over every parameter tensor."""
