@@ -15,8 +15,13 @@ shares work across features. Thresholds are midpoints between adjacent
 distinct values; samples with value <= threshold go left, in training as in
 prediction, so feature values must be finite. Ties are broken toward the
 lowest feature index, then the lowest threshold, so training is
-deterministic. A round adds to each training row the weight of the leaf
-growth put it in; nothing is re-predicted.
+deterministic. A gain within a few ulps of the parent term is rounding and
+makes no split. Growth skips work whose answer is known: a node whose
+hessian sum is below twice min_child_hessian (less a few ulps) cannot have
+two admissible children, so it becomes a leaf with no histogram built and
+no split scanned, and the root, the one node that holds every row, reuses
+per-bin sample counts kept once per member. A round adds to each training
+row the weight of the leaf growth put it in; nothing is re-predicted.
 
 Feature matrices are ngrams.CsrMatrix records, where a stored 0.0 is an
 absent entry. Prediction has one path for any number of rows (one vector is
@@ -42,6 +47,7 @@ from .ngrams import CsrMatrix, NGramVocabulary, _config_lines, _finite, _fmt, _r
 # Rows descended together; bounds the dense split-column block and the
 # (rows, trees) node matrix whatever the number of rows scored.
 _ROW_BLOCK = 64
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -156,10 +162,27 @@ class _CodedMatrix:
         out[self._sorted_rows[s:e]] = self._sorted_bins[s:e]
         return out[:-1]
 
-    def node_histograms(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
-        """Per-bin sums of g, h and sample counts for the given rows, with
+    def _counts(self, sub: CsrMatrix) -> np.ndarray:
+        """Per-bin sample counts of `sub`, a row gather of `coded`, with
         implicit zeros folded into each column's zero bin."""
-        sub = self.coded.take(rows)
+        hist_n = np.bincount(sub.data, minlength=self.n_bins)
+        hist_n[self.zero_bin] += sub.shape[0] - np.bincount(sub.indices, minlength=self.n_features)
+        return hist_n
+
+    @cached_property
+    def _root_counts(self) -> np.ndarray:
+        """The root's per-bin counts: it holds every row, so they never change."""
+        hist_n = self._counts(self.coded)
+        hist_n.flags.writeable = False
+        return hist_n
+
+    def node_histograms(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
+        """Per-bin sums of g, h and sample counts for the given distinct,
+        ascending rows, with implicit zeros folded into each column's zero
+        bin. The root, which alone holds all n rows, is `coded` itself and
+        reuses its counts."""
+        root = len(rows) == self.n
+        sub = self.coded if root else self.coded.take(rows)
         per_row = np.diff(sub.indptr)
         g_rows, h_rows = g[rows], h[rows]
         g_rep = np.repeat(g_rows, per_row)
@@ -167,15 +190,12 @@ class _CodedMatrix:
         # bincount yields int64 on empty input regardless of the weights dtype
         hist_g = np.bincount(sub.data, weights=g_rep, minlength=self.n_bins).astype(np.float64)
         hist_h = np.bincount(sub.data, weights=h_rep, minlength=self.n_bins).astype(np.float64)
-        hist_n = np.bincount(sub.data, minlength=self.n_bins)
         cols = sub.indices
         col_g = np.bincount(cols, weights=g_rep, minlength=self.n_features).astype(np.float64)
         col_h = np.bincount(cols, weights=h_rep, minlength=self.n_features).astype(np.float64)
-        col_n = np.bincount(cols, minlength=self.n_features)
         hist_g[self.zero_bin] += g_rows.sum() - col_g
         hist_h[self.zero_bin] += h_rows.sum() - col_h
-        hist_n[self.zero_bin] += len(rows) - col_n
-        return hist_g, hist_h, hist_n
+        return hist_g, hist_h, self._root_counts if root else self._counts(sub)
 
 
 def _segment_cumsum(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -188,7 +208,8 @@ def _segment_cumsum(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def _best_split(coded: _CodedMatrix, hist_g, hist_h, hist_n,
                 total_g, total_h, n_node, cfg: GbdtConfig):
     """Scan every candidate split at once; returns (feature, bin, gain) or
-    None if no candidate has positive gain and admissible child hessians.
+    None if no candidate has admissible child hessians and a gain above the
+    rounding of the parent term.
 
     Ties resolve to the lowest feature index, then the lowest threshold,
     because bins are ordered by (feature, value) and argmax takes the first
@@ -204,14 +225,16 @@ def _best_split(coded: _CodedMatrix, hist_g, hist_h, hist_n,
     valid = ((left_n > 0) & (left_n < n_node)
              & (left_h >= cfg.min_child_hessian)
              & (right_h >= cfg.min_child_hessian))
+    parent = total_g ** 2 / (total_h + lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = 0.5 * (left_g ** 2 / (left_h + lam)
                       + right_g ** 2 / (right_h + lam)
-                      - total_g ** 2 / (total_h + lam)) - cfg.gamma
+                      - parent) - cfg.gamma
     gain[~valid] = -np.inf
     b = int(np.argmax(gain))
     best = gain[b]
-    if not np.isfinite(best) or best <= 0.0:
+    # a gain within a few ulps of the parent term is rounding, not a split
+    if not np.isfinite(best) or best <= 4 * _EPS * parent:
         return None
     return int(np.searchsorted(offsets, b, side="right")) - 1, b, float(best)
 
@@ -227,7 +250,9 @@ def _grow_tree(coded: _CodedMatrix, g: np.ndarray, h: np.ndarray,
         total_g = float(g[rows].sum())
         total_h = float(h[rows].sum())
         split = None
-        if depth < cfg.max_depth and len(rows) >= 2:
+        # below this, fl(total_h - left_h) < mch whenever left_h >= mch: _best_split finds nothing
+        if (depth < cfg.max_depth and len(rows) >= 2
+                and total_h >= 2 * cfg.min_child_hessian * (1 - 4 * _EPS)):
             hist_g, hist_h, hist_n = coded.node_histograms(rows, g, h)
             split = _best_split(coded, hist_g, hist_h, hist_n, total_g, total_h,
                                 len(rows), cfg)

@@ -168,7 +168,10 @@ def build_vocabulary(corpus: Corpus, min_count: int = 1,
     seqs = [trace.calls for trace in corpus.traces]
     ids = np.unique(np.fromiter(chain.from_iterable(seqs), np.int64))
     keys, _ = _windows(seqs, ids)
-    unique, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    # first occurrences from the inverse: return_index would argsort the keys stably
+    unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    first = np.full(len(unique), len(keys))
+    np.minimum.at(first, inverse, np.arange(len(keys)))
     kept = np.flatnonzero(counts >= max(min_count, 1))
     if top_k is not None and top_k < len(kept):
         kept = kept[np.lexsort((first[kept], -counts[kept]))][:top_k]

@@ -9,6 +9,7 @@ from apisentry.gbdt import (
     GbdtConfig,
     GbdtModel,
     RegressionTree,
+    _CodedMatrix,
     _combine,
     as_feature_matrix,
     default_bagging_configs,
@@ -247,6 +248,57 @@ class TestTraining:
         model = train_gbdt(csr(X), y, GbdtConfig(n_estimators=8, max_depth=3))
         for got, expect in replay_leaf_weights(model, X, y):
             assert got == pytest.approx(expect, abs=1e-10)
+
+    def test_a_gain_positive_only_by_rounding_is_no_split(self):
+        # with lambda and gamma 0 the node of the three class-1 rows has
+        # gain 0 exactly, which rounds to 2.2e-16 on column 2
+        X = np.array([[-2, -2, -2], [-2, -2, -2], [-2, -2, -1], [-2, -2, -1], [-2, -2, -0.5]])
+        y = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+        cfg = GbdtConfig(n_estimators=1, max_depth=2, reg_lambda=0.0, gamma=0.0,
+                         min_child_hessian=0.0)
+        tree = train_gbdt(csr(X), y, cfg).trees[0]
+        assert tree.feature.tolist() == [2, -1, -1]
+        assert tree.threshold[0] == -1.5
+
+
+class TestHopelessNodes:
+    # one separating column; at base score 0 every row has h = 0.25, so the
+    # root's hessian sum is 1.0 and each 2-row child's is 0.5
+    X = np.array([[0.0], [0.0], [1.0], [1.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The size of every node that builds histograms."""
+        sizes, node_histograms = [], _CodedMatrix.node_histograms
+
+        def counted(coded, rows, g, h):
+            sizes.append(len(rows))
+            return node_histograms(coded, rows, g, h)
+
+        monkeypatch.setattr(_CodedMatrix, "node_histograms", counted)
+        return sizes
+
+    def tree(self, min_child_hessian):
+        cfg = GbdtConfig(n_estimators=1, max_depth=2, min_child_hessian=min_child_hessian)
+        return train_gbdt(csr(self.X), self.y, cfg).trees[0]
+
+    def test_hessian_sum_of_exactly_twice_the_minimum_still_splits(self, built):
+        tree = self.tree(0.5)
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.threshold[0] == 0.5
+        # the children's 0.5 is below 2 * 0.5: leaves, unscanned
+        assert built == [4]
+
+    @pytest.mark.parametrize("mch", [0.6, 1.0])
+    def test_a_node_below_the_margin_builds_no_histogram(self, built, mch):
+        tree = self.tree(mch)
+        assert tree.n_nodes() == 1 and tree.weight[0] == 0.0
+        assert built == []
+
+    def test_without_a_minimum_every_node_is_scanned(self, built):
+        assert self.tree(0.0).feature.tolist() == [0, -1, -1]
+        assert sorted(built) == [2, 2, 4]
 
 
 class TestBagging:

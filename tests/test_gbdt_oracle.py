@@ -6,20 +6,25 @@ rows training routes must be the rows prediction routes. Gain importance,
 read off the split nodes, must equal the per-member gain dicts that training
 and loading used to fill, for trained and for reloaded detectors. Every split
 of a one-tree model must reach the brute-force maximum gain over the rows
-routed to it."""
+routed to it. Tree growth that builds no histogram for a node that cannot
+split, and reuses the root's counts, must grow the trees that growth which
+scans every node grew, kept here as the oracle too."""
 
 import tempfile
 from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
 from apisentry.gbdt import (
     GbdtConfig,
+    RegressionTree,
     _CodedMatrix,
+    _best_split,
     _mean_logloss,
     load_detector,
     predict_proba_rows,
@@ -246,3 +251,100 @@ def test_every_split_attains_the_brute_force_maximum(data, n, m, max_depth, reg_
             left = X[rows, tree.feature[node]] <= tree.threshold[node]
             stack += [(tree.left[node], rows[left], depth + 1),
                       (tree.right[node], rows[~left], depth + 1)]
+
+
+def reference_node_histograms(coded, rows, g, h):
+    """_CodedMatrix.node_histograms as it was: every node, the root
+    included, gathers its rows' entries and counts them."""
+    sub = coded.coded.take(rows)
+    per_row = np.diff(sub.indptr)
+    g_rows, h_rows = g[rows], h[rows]
+    g_rep = np.repeat(g_rows, per_row)
+    h_rep = np.repeat(h_rows, per_row)
+    hist_g = np.bincount(sub.data, weights=g_rep, minlength=coded.n_bins).astype(np.float64)
+    hist_h = np.bincount(sub.data, weights=h_rep, minlength=coded.n_bins).astype(np.float64)
+    hist_n = np.bincount(sub.data, minlength=coded.n_bins)
+    cols = sub.indices
+    col_g = np.bincount(cols, weights=g_rep, minlength=coded.n_features).astype(np.float64)
+    col_h = np.bincount(cols, weights=h_rep, minlength=coded.n_features).astype(np.float64)
+    col_n = np.bincount(cols, minlength=coded.n_features)
+    hist_g[coded.zero_bin] += g_rows.sum() - col_g
+    hist_h[coded.zero_bin] += h_rows.sum() - col_h
+    hist_n[coded.zero_bin] += len(rows) - col_n
+    return hist_g, hist_h, hist_n
+
+
+def reference_grow_tree(coded, g, h, cfg):
+    """_grow_tree as it was: every node above max_depth with two rows builds
+    its histograms and is scanned, whatever its hessian sum."""
+    row_weight = np.zeros(coded.n)
+    nodes = [None]
+    stack = [(0, np.arange(coded.n), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        total_g = float(g[rows].sum())
+        total_h = float(h[rows].sum())
+        split = None
+        if depth < cfg.max_depth and len(rows) >= 2:
+            hist_g, hist_h, hist_n = reference_node_histograms(coded, rows, g, h)
+            split = _best_split(coded, hist_g, hist_h, hist_n, total_g, total_h,
+                                len(rows), cfg)
+        if split is None:
+            leaf = -total_g / (total_h + cfg.reg_lambda)
+            nodes[node] = [-1, 0.0, -1, -1, leaf, 0.0]
+            row_weight[rows] = leaf
+            continue
+        j, b, best_gain = split
+        nxt = b + 1 + int(np.flatnonzero(hist_n[b + 1:coded.offsets[j + 1]])[0])
+        thr = 0.5 * (coded.values[b] + coded.values[nxt])
+        go_left = coded.values[coded.column_bins(j)[rows]] <= thr
+        nodes[node] = [j, thr, len(nodes), len(nodes) + 1, 0.0, best_gain]
+        stack.append((len(nodes) + 1, rows[~go_left], depth + 1))
+        stack.append((len(nodes), rows[go_left], depth + 1))
+        nodes += [None, None]
+    return RegressionTree.from_nodes(nodes), row_weight
+
+
+def reference_boost(X, y, cfg, base_score):
+    """The trees of train_gbdt's boosting loop over reference_grow_tree.
+    Each round's root histograms must equal the reference's too."""
+    coded = _CodedMatrix(X)
+    root = np.arange(coded.n)
+    margins = np.full(coded.n, base_score)
+    trees = []
+    for _ in range(cfg.n_estimators):
+        p = _sigmoid(margins)
+        g, h = p - y, p * (1.0 - p)
+        for got, expect in zip(coded.node_histograms(root, g, h),
+                               reference_node_histograms(coded, root, g, h)):
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+        tree, row_weight = reference_grow_tree(coded, g, h, cfg)
+        trees.append(tree)
+        margins = margins + cfg.learning_rate * row_weight
+    return trees
+
+
+@settings(max_examples=300, deadline=None)
+@given(X=matrices(), data=st.data(), n_estimators=st.integers(1, 20),
+       max_depth=st.integers(1, 4), min_child_hessian=st.floats(0.0, 1.5),
+       learning_rate=st.sampled_from([0.3, 1.0]), reg_lambda=st.sampled_from([0.0, 1.0]))
+def test_growth_that_skips_hopeless_nodes_equals_growth_that_scans_every_node(
+        X, data, n_estimators, max_depth, min_child_hessian, learning_rate, reg_lambda):
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=X.shape[0],
+                                    max_size=X.shape[0])), dtype=np.float64)
+    rate = y.sum() / len(y)
+    base_score = float(np.log(rate / (1.0 - rate))) if 0 < rate < 1 else 0.0
+    cfg = GbdtConfig(learning_rate=learning_rate, max_depth=max_depth,
+                     n_estimators=n_estimators, reg_lambda=reg_lambda,
+                     min_child_hessian=min_child_hessian)
+    try:
+        trees = train_gbdt(X, y, cfg, base_score=base_score).trees
+    except ZeroDivisionError:
+        # at reg_lambda 0, the leaf of a child that a midpoint rounded onto
+        # the upper value left empty: the reference fails alike
+        with pytest.raises(ZeroDivisionError):
+            reference_boost(X, y, cfg, base_score)
+        return
+    for got, expect in zip(trees, reference_boost(X, y, cfg, base_score), strict=True):
+        for name in ("feature", "threshold", "left", "right", "weight", "gain"):
+            assert np.array_equal(getattr(got, name), getattr(expect, name)), name
