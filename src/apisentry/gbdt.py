@@ -12,7 +12,8 @@ every feature: each (feature, distinct value) pair, 0.0 included, is coded
 once as a global bin, and a node's candidate splits are scored from per-bin
 histograms of g and h, which is equivalent to scanning the sorted column but
 shares work across features. Thresholds are midpoints between adjacent
-distinct values; samples with value <= threshold go left, in training as in
+distinct values, or the lower value where the midpoint rounds onto the
+upper one; samples with value <= threshold go left, in training as in
 prediction, so feature values must be finite. Ties are broken toward the
 lowest feature index, then the lowest threshold, so training is
 deterministic. A gain within a few ulps of the parent term is rounding and
@@ -264,7 +265,9 @@ def _grow_tree(coded: _CodedMatrix, g: np.ndarray, h: np.ndarray,
         j, b, best_gain = split
         nxt = b + 1 + int(np.flatnonzero(hist_n[b + 1:coded.offsets[j + 1]])[0])
         thr = 0.5 * (coded.values[b] + coded.values[nxt])
-        # by value, as prediction routes: a midpoint can round onto values[nxt]
+        if thr == coded.values[nxt]:  # the midpoint rounded up: only values[b] separates
+            thr = coded.values[b]
+        # by value, as prediction routes
         go_left = coded.values[coded.column_bins(j)[rows]] <= thr
         nodes[node] = [j, thr, len(nodes), len(nodes) + 1, 0.0, best_gain]
         stack.append((len(nodes) + 1, rows[~go_left], depth + 1))

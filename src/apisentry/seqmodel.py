@@ -7,17 +7,21 @@ and stops early on stalled validation loss. Everything is plain numpy with
 hand-written backpropagation through time, so runs are bit-reproducible
 under a fixed seed.
 
-Sequences are left-padded with the reserved id ``vocab_size``; padded
-positions are skipped by carrying the recurrent state through them, so
-prepending extra padding never changes the output.
+Sequences are left-padded with the reserved id ``vocab_size``. The scans
+see a batch's rows sorted by real length, longest first, so the rows live
+at any step are a prefix of them: the cell, and BPTT, run on that prefix
+alone, while the other rows carry their state (zeros not yet started going
+forward, finished rows going backward). Pad cells cost no work, prepending
+extra padding never changes the output, and results come back in the
+caller's row order.
 
 Each direction holds three tensors, with the blocks of the gates i, f, o
 and g side by side in that order: ``W`` (E,4H), ``U`` (H,4H) and ``b``
-(4H,). A cell step is then two matmuls, and BPTT builds one (B,4H)
-gradient per step. The v1 model file stores each gate's W, U and b as a
-separate tensor; each is a column block of a fused tensor, which
-``save_model`` writes out and ``load_model`` fills in. One key list,
-``_v1_tensors``, drives initialisation, saving and loading.
+(4H,). A cell step is then two matmuls, and BPTT builds one (n,4H)
+gradient per step for its n live rows. The v1 model file stores each
+gate's W, U and b as a separate tensor; each is a column block of a fused
+tensor, which ``save_model`` writes out and ``load_model`` fills in. One
+key list, ``_v1_tensors``, drives initialisation, saving and loading.
 
 One cell function serves ``lstm_cell`` and the scan, and hands the scan the
 gate activations BPTT reuses. ``_forward_batch`` is the one forward pass:
@@ -200,51 +204,73 @@ def _validate_ids(ids: np.ndarray, cfg: BiLstmConfig) -> np.ndarray:
     return mask
 
 
-def _scan(params, direction, X, mask, reverse: bool, keep_steps: bool, state=None):
-    """Run one direction over the batch from `state`, an (h, c) pair or zeros,
-    carrying state through padded positions; returns the final (h, c) and,
-    if keep_steps, the per-step cache for BPTT (else an empty list)."""
+def _carry(live: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`live`, the new values of the first len(live) rows, stacked on the
+    other rows of `rows`, which keep theirs; `live` itself if it is all."""
+    n = len(live)
+    return live if n == len(rows) else np.concatenate([live, rows[n:]])
+
+
+def _scan(params, direction, X, active, reverse: bool, keep_steps: bool, state=None):
+    """Run one direction over a batch whose rows are sorted longest first,
+    from `state`, an (h, c) pair or zeros. At step t only the first
+    active[t] rows are live; the cell runs on those alone and the other rows
+    carry their state: zeros not yet started going forward, finished rows
+    going backward. Returns the final (h, c) and, if keep_steps, the per-step
+    cache of the live rows for BPTT (else an empty list)."""
     B, T, _ = X.shape
     cell = {m: params[f"{direction}.{m}"] for m in "WUb"}
     h, c = state or (np.zeros((B, cell["U"].shape[0])),) * 2
-    times = range(T - 1, -1, -1) if reverse else range(T)
+    first = T - np.count_nonzero(active)  # the steps before hold pads alone
+    times = range(T - 1, first - 1, -1) if reverse else range(first, T)
     steps = []
     for t in times:
-        h_new, c_new, acts, tanh_c = _cell_step(X[:, t], h, c, cell)
-        m = mask[:, t][:, None]
+        n = active[t]
+        h_new, c_new, acts, tanh_c = _cell_step(X[:n, t], h[:n], c[:n], cell)
         if keep_steps:
-            steps.append((t, h, c, m, acts, tanh_c))
-        h = np.where(m, h_new, h)
-        c = np.where(m, c_new, c)
+            steps.append((t, h[:n], c[:n], acts, tanh_c))
+        h, c = _carry(h_new, h), _carry(c_new, c)
     return (h, c), steps
 
 
 def _scan_backward(params, direction, steps, X, d_final_h, dX, grads):
-    """Backpropagate one direction; accumulates into grads and dX. Each
-    step builds da, the (B,4H) gradient of the gate pre-activations, in
-    the gate order of the fused weights."""
+    """Backpropagate one direction over the live rows of each step;
+    accumulates into grads and dX. Each step builds da, the (n,4H) gradient
+    of the live rows' gate pre-activations, in the gate order of the fused
+    weights; the other rows carry dh and dc."""
     W, U = params[f"{direction}.W"], params[f"{direction}.U"]
     gW, gU, gb = (grads[f"{direction}.{m}"] for m in "WUb")
+    H = d_final_h.shape[1]
     dh = d_final_h
     dc = np.zeros_like(dh)
-    n = 3 * dh.shape[1]
-    for t, h_prev, c_prev, m, acts, tanh_c in reversed(steps):
-        i, f, o, g = _gates(acts, dh.shape[1])
-        dh_new = dh * m
-        dc_new = dc * m + dh_new * o * (1.0 - tanh_c ** 2)
-        da = np.concatenate([dc_new * g, dc_new * c_prev, dh_new * tanh_c, dc_new * i],
+    for t, h_prev, c_prev, acts, tanh_c in reversed(steps):
+        n = len(acts)
+        i, f, o, g = _gates(acts, H)
+        dh_live = dh[:n]
+        dc_new = dc[:n] + dh_live * o * (1.0 - tanh_c ** 2)
+        da = np.concatenate([dc_new * g, dc_new * c_prev, dh_live * tanh_c, dc_new * i],
                             axis=1)
-        sig = acts[:, :n]
-        da[:, :n] *= sig
-        da[:, :n] *= 1.0 - sig
-        da[:, n:] *= 1.0 - g ** 2
-        x = X[:, t]
+        sig = acts[:, :3 * H]
+        da[:, :3 * H] *= sig
+        da[:, :3 * H] *= 1.0 - sig
+        da[:, 3 * H:] *= 1.0 - g ** 2
+        x = X[:n, t]
         gW += x.T @ da
         gU += h_prev.T @ da
         gb += da.sum(axis=0)
-        dX[:, t] += da @ W.T
-        dh = dh * (1.0 - m) + da @ U.T
-        dc = dc_new * f + dc * (1.0 - m)
+        dX[:n, t] += da @ W.T
+        dh, dc = _carry(da @ U.T, dh), _carry(dc_new * f, dc)
+
+
+def _length_order(mask: np.ndarray):
+    """The batch's rows by real length, longest first (a stable sort), or
+    None if they already are; and active, where active[t] is the number of
+    rows live at step t. Pads are a left prefix, so the live rows of every
+    step are a prefix of the sorted rows."""
+    order = np.argsort(-mask.sum(axis=1), kind="stable")
+    if np.all(order[1:] > order[:-1]):
+        order = None
+    return order, mask.sum(axis=0)
 
 
 def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
@@ -252,26 +278,41 @@ def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
     """Next-call probabilities and log-probabilities of a batch, the BPTT
     cache if want_cache (else None; only the cache holds every step) and the
     forward direction's final (h, c). A carried `state`, that (h, c) after
-    every column but the last, is extended over the last column alone."""
+    every column but the last, is extended over the last column alone.
+
+    The scans see the rows sorted by length, longest first; everything
+    returned is in the caller's row order but the cache, whose `order`
+    (None for the identity) maps sorted rows back to the caller's."""
     cfg = model.config
     mask = _validate_ids(ids, cfg)
     params = model.params
-    X = params["emb"][ids]
+    order, active = _length_order(mask)
+    X = params["emb"][ids if order is None else ids[order]]
     drop = None
     if train and cfg.dropout_rate > 0.0:
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - cfg.dropout_rate
+        # drawn in the caller's row order, so each sample keeps its mask
         drop = (rng.random(X.shape) < keep).astype(np.float64) / keep
+        if order is not None:
+            drop = drop[order]
         X = X * drop
+    if state is not None and order is not None:
+        state = tuple(a[order] for a in state)
     new = slice(None) if state is None else slice(-1, None)
-    state, steps_f = _scan(params, "fw", X[:, new], mask[:, new], False, want_cache, state)
-    (h_b, _), steps_b = _scan(params, "bw", X, mask, reverse=True, keep_steps=want_cache)
+    state, steps_f = _scan(params, "fw", X[:, new], active[new], False, want_cache, state)
+    (h_b, _), steps_b = _scan(params, "bw", X, active, reverse=True, keep_steps=want_cache)
     feat = np.concatenate([state[0], h_b], axis=1)
+    if order is not None:
+        back = np.argsort(order)
+        feat = feat[back]
+        state = tuple(a[back] for a in state)
     logits = feat @ params["dense.W"] + params["dense.b"]
     shift = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shift)
     norm = exp.sum(axis=1, keepdims=True)
-    cache = {"X": X, "drop": drop, "steps_f": steps_f, "steps_b": steps_b, "feat": feat}
+    cache = {"X": X, "drop": drop, "order": order, "steps_f": steps_f, "steps_b": steps_b,
+             "feat": feat}
     return exp / norm, shift - np.log(norm), cache if want_cache else None, state
 
 
@@ -341,6 +382,9 @@ def loss_and_grads(model: BiLstmModel, samples, train: bool = True,
     grads["dense.W"] += cache["feat"].T @ dlogits
     grads["dense.b"] += dlogits.sum(axis=0)
     dfeat = dlogits @ params["dense.W"].T
+    order = cache["order"]
+    if order is not None:  # into the scans' row order
+        dfeat, ids = dfeat[order], ids[order]
     H = cfg.hidden
     X = cache["X"]
     dX = np.zeros_like(X)

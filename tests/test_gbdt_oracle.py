@@ -8,14 +8,14 @@ and loading used to fill, for trained and for reloaded detectors. Every split
 of a one-tree model must reach the brute-force maximum gain over the rows
 routed to it. Tree growth that builds no histogram for a node that cannot
 split, and reuses the root's counts, must grow the trees that growth which
-scans every node grew, kept here as the oracle too."""
+scans every node grew, kept here as the oracle too, and no split may leave a
+child without a training row."""
 
 import tempfile
 from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -158,14 +158,26 @@ def test_training_loss_equals_the_loss_of_prediction(X, data, n_estimators, max_
     assert_training_routes_as_prediction(X, y, cfg)
 
 
-def test_a_midpoint_that_rounds_up_routes_both_values_left():
+def test_a_midpoint_that_rounds_up_is_replaced_by_the_lower_value():
     below = np.nextafter(1.0, 0.0)
     assert 0.5 * (below + 1.0) == 1.0
     X = csr(np.array([[below], [1.0], [below], [1.0]]))
     y = np.array([0.0, 1.0, 0.0, 1.0])
     cfg = GbdtConfig(learning_rate=1.0, max_depth=1, n_estimators=1, min_child_hessian=0.0)
-    assert train_gbdt(X, y, cfg).trees[0].threshold[0] == 1.0
+    tree = train_gbdt(X, y, cfg).trees[0]
+    assert tree.threshold[0] == below
+    assert tree.weight[tree.left[0]] < 0 < tree.weight[tree.right[0]]
     assert_training_routes_as_prediction(X, y, cfg)
+
+
+def test_a_split_between_adjacent_floats_leaves_no_child_empty():
+    X = csr(np.array([[np.nextafter(1.0, 0.0)], [1.0]]))
+    y = np.array([0.0, 1.0])
+    cfg = GbdtConfig(learning_rate=1.0, max_depth=1, n_estimators=1, min_child_hessian=0.0,
+                     reg_lambda=0.0)
+    tree = train_gbdt(X, y, cfg, base_score=0.0).trees[0]
+    assert tree.feature[0] == 0 and tree.threshold[0] == np.nextafter(1.0, 0.0)
+    assert [tree.weight[tree.left[0]], tree.weight[tree.right[0]]] == [-2.0, 2.0]
 
 
 def reference_rank_features(detector, vocab, k):
@@ -297,12 +309,26 @@ def reference_grow_tree(coded, g, h, cfg):
         j, b, best_gain = split
         nxt = b + 1 + int(np.flatnonzero(hist_n[b + 1:coded.offsets[j + 1]])[0])
         thr = 0.5 * (coded.values[b] + coded.values[nxt])
+        if thr == coded.values[nxt]:
+            thr = coded.values[b]
         go_left = coded.values[coded.column_bins(j)[rows]] <= thr
         nodes[node] = [j, thr, len(nodes), len(nodes) + 1, 0.0, best_gain]
         stack.append((len(nodes) + 1, rows[~go_left], depth + 1))
         stack.append((len(nodes), rows[go_left], depth + 1))
         nodes += [None, None]
     return RegressionTree.from_nodes(nodes), row_weight
+
+
+def nodes_reached(tree, rows):
+    """The nodes of `tree` that some row passes through."""
+    seen = {0}
+    for x in rows:
+        node = 0
+        while tree.feature[node] >= 0:
+            j = tree.feature[node]
+            node = tree.left[node] if x[j] <= tree.threshold[node] else tree.right[node]
+            seen.add(int(node))
+    return seen
 
 
 def reference_boost(X, y, cfg, base_score):
@@ -337,14 +363,10 @@ def test_growth_that_skips_hopeless_nodes_equals_growth_that_scans_every_node(
     cfg = GbdtConfig(learning_rate=learning_rate, max_depth=max_depth,
                      n_estimators=n_estimators, reg_lambda=reg_lambda,
                      min_child_hessian=min_child_hessian)
-    try:
-        trees = train_gbdt(X, y, cfg, base_score=base_score).trees
-    except ZeroDivisionError:
-        # at reg_lambda 0, the leaf of a child that a midpoint rounded onto
-        # the upper value left empty: the reference fails alike
-        with pytest.raises(ZeroDivisionError):
-            reference_boost(X, y, cfg, base_score)
-        return
+    trees = train_gbdt(X, y, cfg, base_score=base_score).trees
+    dense = to_scipy(X).toarray()
+    for tree in trees:  # both children of every split hold a training row
+        assert nodes_reached(tree, dense) == set(range(tree.n_nodes()))
     for got, expect in zip(trees, reference_boost(X, y, cfg, base_score), strict=True):
         for name in ("feature", "threshold", "left", "right", "weight", "gain"):
             assert np.array_equal(getattr(got, name), getattr(expect, name)), name

@@ -520,6 +520,30 @@ class TestPredict:
         assert sum(steps.values()) == 6 * length + 14
 
 
+class TestPackedScan:
+    """The scans run the cell on the live rows of each step alone."""
+
+    @pytest.mark.parametrize("fn", [predict_distributions, loss_and_grads])
+    def test_the_cell_sees_each_non_pad_cell_once_per_direction(self, fn, monkeypatch):
+        cfg = BiLstmConfig(vocab_size=7, embed_dim=3, hidden=4, dropout_rate=0.3,
+                           max_prefix_len=12, batch_size=16)
+        model = random_model(cfg, seed=9)
+        rng = np.random.default_rng(9)
+        samples = [(tuple([7] * int(rng.integers(0, 3)) + rng.integers(0, 7, n).tolist()),
+                    int(rng.integers(0, 7))) for n in (9, 1, 4, 9, 2, 6, 1, 7)]
+        rows = []
+
+        def counted(x, h, c, cell):
+            rows.append(len(x))
+            return cell_step(x, h, c, cell)
+
+        monkeypatch.setattr(seqmodel, "_cell_step", counted)
+        fn(model, samples)
+        calls = sum(sum(1 for x in p if x != cfg.pad_id) for p, _ in samples)
+        assert sum(rows) == 2 * calls
+        assert min(rows) >= 1
+
+
 # The v1 text of init_model(V1_TINY_CONFIG) and that model's distribution
 # for V1_TINY_PREFIX (one left pad, then 1, 3, 0, 2), both written by the
 # implementation that kept each gate's W, U and b as separate parameters.
