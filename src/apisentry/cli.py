@@ -54,7 +54,7 @@ from .metrics import (
     weighted_metrics,
 )
 from .ngrams import (
-    _fmt,
+    _format_rows,
     build_vocabulary,
     corpus_matrix,
     load_labels,
@@ -275,9 +275,8 @@ def _cmd_detect(args) -> list[Path]:
     detector = load_detector(args.model)
     X = load_matrix(args.infile)
     labels, scores = ensemble_predict_rows(detector, X)
-    lines = ["row,label,score"]
-    for i, (lab, sc) in enumerate(zip(labels, scores)):
-        lines.append(f"{i},{int(lab)},{_fmt(sc)}")
+    lines = ["row,label,score"] + _format_rows(
+        "%d,%d,%.17g", zip(range(len(labels)), labels.tolist(), scores.tolist()))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return [Path(args.out)]
 
@@ -290,10 +289,8 @@ def _cmd_rank_features(args) -> list[Path]:
         raise CorpusError(
             f"vocabulary has {len(vocab)} columns, detector expects {detector.n_features}")
     ranked = rank_features(detector, vocab, k=args.k)
-    lines = ["rank\tngram\timportance"]
-    for rank, (ngram, importance) in enumerate(ranked, start=1):
-        ids = ",".join(str(i) for i in ngram)
-        lines.append(f"{rank}\t[{ids}]\t{_fmt(importance)}")
+    lines = ["rank\tngram\timportance"] + _format_rows("%d\t[%s]\t%.17g", (
+        (rank, ",".join(map(str, ngram)), gain) for rank, (ngram, gain) in enumerate(ranked, 1)))
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
@@ -344,36 +341,37 @@ def _cmd_predict_next(args) -> list[Path]:
 
 
 def _read_predictions_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    labels, scores = [], []
+    """Labels and scores under a `row,label,score` header: rows 0, 1, 2, ...
+    in order, each with a label of 0 or 1 and a finite score."""
     with _LineReader(path) as reader:
-        reader.next()  # the row,label,score header
-        for line in reader:
-            if line.strip():
-                _, label, score = line.split(",")
-                labels.append(int(label))
-                scores.append(float(score))
-    return np.array(labels, dtype=np.int64), np.array(scores)
+        if reader.next() != "row,label,score":
+            raise ValueError("expected the header 'row,label,score'")
+        table = reader.table(1, [("row", int), ("label", int), ("score", float)], ",",
+                             what="'row,label,score'")[:, 0]
+        reader.refuse(table["row"] == np.arange(len(table)), "row {0[row]} out of order")
+        reader.refuse(np.isin(table["label"], (0, 1)), "label {0[label]} is not 0 or 1")
+        reader.refuse(np.isfinite(table["score"]), "score {0[score]} is not finite")
+    return table["label"], table["score"]
 
 
 def _read_numbers(path: Path, kind=int) -> np.ndarray:
-    """Every whitespace-separated number in the file, read as `kind`."""
+    """One finite number per non-blank line, read as `kind`."""
     with _LineReader(path) as reader:
-        return np.array([kind(tok) for line in reader for tok in line.split()],
-                        dtype=np.int64 if kind is int else np.float64)
+        numbers = reader.table(1, kind, what="one number per line")[:, 0]
+        reader.refuse(np.isfinite(numbers), "{} is not finite")
+    return numbers
 
 
 def _read_score_rows(path: Path) -> np.ndarray:
-    """Comma-separated scores, a row per non-blank line, all as long as the first."""
-    rows: list[list[float]] = []
+    """Comma-separated finite scores, a row per non-blank line, all as long as the first."""
     with _LineReader(path) as reader:
-        for line in reader:
-            if line.strip():
-                rows.append([float(tok) for tok in line.split(",")])
-                if len(rows[-1]) != len(rows[0]):
-                    raise ValueError(f"expected {len(rows[0])} scores, got {len(rows[-1])}")
-        if not rows:
+        first = next(filter(str.strip, reader.lines), None)
+        if first is None:
             raise ValueError("no score rows")
-    return np.array(rows)
+        width = first.count(",") + 1
+        scores = reader.table(width, float, ",", what=f"{width} scores")
+        reader.refuse(np.isfinite(scores).all(1), "a score row holds a number that is not finite")
+    return scores
 
 
 def _cmd_evaluate(args) -> list[Path]:

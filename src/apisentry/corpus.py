@@ -19,7 +19,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import groupby, islice
 from pathlib import Path
 from typing import IO
 
@@ -121,6 +121,51 @@ class _LineReader:
         if not line.startswith(name + " ") and line != name:
             raise ValueError(f"expected {name!r}, got {line!r}")
         return line[len(name) + 1:]
+
+    def table(self, width: int, dtype=float, sep: str | None = None,
+              n_rows: int | None = None, what: str = "a row") -> np.ndarray:
+        """The next `n_rows` lines, or all the rest but blank ones, as an
+        (n, width) array read by one np.loadtxt; a structured dtype is 1 wide.
+        If that fails, the first line that is blank or does not read alone is
+        refused with `expected {what}`. Leaves `pos` on the last line read."""
+        start = self.pos
+        body = self.lines[start:] if n_rows is None else self.lines[start:start + n_rows]
+        rows = list(filter(str.strip, body))
+        table = _loadtxt(rows, width, dtype, sep)
+        if table is None or n_rows not in (None, len(rows)):
+            for self.pos, line in enumerate(body, start + 1):
+                if (n_rows or line.strip()) and _loadtxt([line], width, dtype, sep) is None:
+                    raise ValueError(f"expected {what}")
+            self.pos = len(self.lines) + 1
+            raise ValueError("unexpected end of file")
+        next(islice(self._rest, len(body), len(body)), None)
+        self.pos = start + len(body)
+        self._table = start, body, table
+        return table
+
+    def refuse(self, ok: np.ndarray, message: str) -> None:
+        """Raise ValueError(message.format(*row)) at the line of the first row
+        of the last table whose `ok` is False."""
+        for k in np.flatnonzero(~ok)[:1]:
+            start, body, table = self._table
+            self.pos = start + 1 + [i for i, line in enumerate(body) if line.strip()][k]
+            raise ValueError(message.format(*table[k]))
+
+
+def _loadtxt(lines: list[str], width: int, dtype, sep: str | None) -> np.ndarray | None:
+    r"""The (len(lines), width) array np.loadtxt reads from the lines, or None.
+    Only printable ASCII is read: np.loadtxt takes '1\u01fe2' for the int64
+    4722, and a '\x1f' beside a field for a space, where int() and float()
+    refuse both."""
+    if not lines:
+        return np.empty((0, width), dtype)
+    text = "".join(lines)
+    try:
+        if text.strip() and text.isascii() and text.isprintable():
+            table = np.loadtxt(lines, dtype, comments=None, delimiter=sep, ndmin=2)
+            return table if table.shape == (len(lines), width) else None
+    except (ValueError, OverflowError):
+        return None
 
 
 def _reader(source) -> _LineReader:

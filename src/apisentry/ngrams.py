@@ -33,6 +33,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _format_rows(fmt: str, rows) -> list[str]:
+    """`fmt % row` for each row, a sequence of fields: one %-format per line,
+    where `%.17g` writes a float as _fmt does."""
+    return list(map(fmt.__mod__, map(tuple, rows)))
+
+
 def _finite(text: str) -> float:
     """The number _fmt wrote; nan and infinities are refused."""
     value = float(text)
@@ -283,8 +289,8 @@ def save_matrix(matrix: CsrMatrix, path: str | Path) -> None:
 
 def load_matrix(path: str | Path) -> CsrMatrix:
     """Read a matrix save_matrix wrote, its lines in any order. Each (row, col)
-    appears at most once, inside the header's shape, with a count >= 0."""
-    cells, vals = [], []
+    appears at most once, inside the header's shape, with a count in
+    [0, 2**63)."""
     with _LineReader(path) as reader:
         try:
             n_rows, n_cols = map(int, reader.next().split(","))
@@ -292,33 +298,20 @@ def load_matrix(path: str | Path) -> CsrMatrix:
                 raise ValueError
         except ValueError:
             raise ValueError("expected a 'rows,cols' header") from None
-        for line in reader:
-            if not line.strip():
-                continue
-            try:
-                r, c, v = map(int, line.split(","))
-            except ValueError:
-                raise ValueError("expected 'row,col,count'") from None
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise ValueError(f"entry ({r},{c}) outside the {n_rows}x{n_cols} shape")
-            if v < 0:
-                raise ValueError(f"negative count {v}")
-            cells.extend((r, c))
-            vals.append(v)
+        rows, cols, counts = reader.table(3, np.int64, ",", what="'row,col,count'").T
+        reader.refuse((rows >= 0) & (rows < n_rows) & (cols >= 0) & (cols < n_cols),
+                      "entry ({},{}) outside the %dx%d shape" % (n_rows, n_cols))
+        reader.refuse(counts >= 0, "negative count {2}")
+        order = np.lexsort((cols, rows))  # stable: a repeated cell's first line comes first
         try:
-            rows, cols = np.asarray(cells, np.int64).reshape(-1, 2).T
-            order = np.lexsort((cols, rows))  # stable: a repeated cell's first line comes first
             indptr = np.searchsorted(rows[order], np.arange(n_rows + 1))
         except (MemoryError, OverflowError, ValueError):
             reader.pos = 1
             raise ValueError(f"cannot allocate the {n_rows}x{n_cols} shape") from None
-        repeat = (np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)
-        if repeat.any():
-            k = int(order[1:][repeat].min())  # the first entry to repeat a cell
-            # entry k is on the (k + 2)-th non-blank line: line 1 is the header
-            reader.pos = 1 + int(np.flatnonzero([ln.strip() != "" for ln in reader.lines])[k + 1])
-            raise ValueError(f"duplicate entry ({rows[k]},{cols[k]})")
-    return CsrMatrix(np.asarray(vals, np.float64)[order], cols[order], indptr, (n_rows, n_cols))
+        first = np.ones(len(order), bool)
+        first[order[1:][(np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)]] = False
+        reader.refuse(first, "duplicate entry ({},{})")
+    return CsrMatrix(counts[order].astype(np.float64), cols[order], indptr, (n_rows, n_cols))
 
 
 def save_labels(labels, path: str | Path) -> None:

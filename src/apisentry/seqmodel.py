@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import _LineReader
-from .ngrams import _config_lines, _fmt, _read_config, _sigmoid
+from .ngrams import _config_lines, _format_rows, _read_config, _sigmoid
 from .seeding import derive_seed
 
 
@@ -532,16 +532,10 @@ def save_model(model: BiLstmModel, path: str | Path) -> None:
     lines = [_FORMAT_TAG] + _config_lines(cfg)
     for name, key, cols in _v1_tensors(cfg):
         tensor = model.params[key][..., cols]
+        rows = np.atleast_2d(tensor)
         lines.append(f"tensor {name} " + " ".join(map(str, tensor.shape)))
-        lines += [" ".join(map(_fmt, row)) for row in np.atleast_2d(tensor)]
+        lines += _format_rows(" ".join(["%.17g"] * rows.shape[1]), rows.tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _finite_row(reader: _LineReader) -> np.ndarray:
-    row = np.array(reader.next().split(), dtype=np.float64)
-    if not np.isfinite(row).all():
-        raise ValueError("a tensor row holds a number that is not finite")
-    return row
 
 
 def load_model(path: str | Path) -> BiLstmModel:
@@ -555,13 +549,16 @@ def load_model(path: str | Path) -> BiLstmModel:
             shape = tuple(int(d) for d in reader.field(f"tensor {name}").split())
             if shape != block.shape:
                 raise ValueError(f"tensor {name!r} has wrong shape {shape}")
-            rows = [_finite_row(reader) for _ in np.atleast_2d(block)]
-            block[...] = np.vstack(rows).reshape(shape)
+            n_rows, width = np.atleast_2d(block).shape
+            rows = reader.table(width, n_rows=n_rows, what=f"a row of {width} numbers")
+            reader.refuse(np.isfinite(rows).all(1),
+                          "a tensor row holds a number that is not finite")
+            block[...] = rows.reshape(shape)
     return BiLstmModel(params=params, config=cfg)
 
 
 def save_curves(report: TrainReport, path: str | Path) -> None:
-    lines = ["epoch,train_loss,val_loss"]
-    for i, (tr, vl) in enumerate(zip(report.train_loss, report.val_loss), start=1):
-        lines.append(f"{i},{_fmt(tr)},{_fmt(vl)}")
+    epochs = range(1, len(report.train_loss) + 1)
+    lines = ["epoch,train_loss,val_loss"] + _format_rows(
+        "%d,%.17g,%.17g", zip(epochs, report.train_loss, report.val_loss))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

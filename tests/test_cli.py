@@ -295,6 +295,17 @@ class TestValidation:
         assert run("predict-next", "--model", model, "--seq", "1,2") == 1
         assert f"{model}: line 21: unexpected end of file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [1, 3])
+    def test_tensor_row_of_wrong_width_is_refused_at_its_line(self, tmp_path, capsys, values):
+        model = tmp_path / "model.seq"
+        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
+        lines = model.read_text().splitlines()
+        at = lines.index("tensor emb 6 2") + 2  # the second of six rows, line at + 1
+        lines[at] = " ".join((lines[at].split() * 2)[:values])
+        model.write_text("\n".join(lines) + "\n")
+        assert run("predict-next", "--model", model, "--seq", "1,2") == 1
+        assert f"{model}: line {at + 1}: expected a row of 2 numbers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["learning_rate", "adam_eps"])
     def test_infinite_sequence_model_setting_refused_at_its_own_line(self, tmp_path, capsys,
                                                                       field):
@@ -499,6 +510,39 @@ MALFORMED_LINE_CASES = {
     "adapt row without the sequence column": (
         {"s.csv": "hash,y,calls\na,1\n"},
         ["adapt", "--in", "s.csv", "--layout", "seqcol"], "s.csv", 2),
+    "prediction label beyond 64 bits": (
+        {"pred.csv": "row,label,score\n0,1,0.9\n1,99999999999999999999,0.1\n",
+         "truth.txt": "1\n0\n"},
+        ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "pred.csv", 3),
+    "truth id beyond 64 bits": (
+        {"p.txt": "0\n1\n", "t.txt": "0\n99999999999999999999\n"},
+        ["evaluate", "--task", "next-call", "--pred", "p.txt", "--truth", "t.txt"], "t.txt", 2),
+    "matrix count beyond 64 bits": (
+        {"x.mat": "2,2\n0,1,1\n1,0,99999999999999999999\n", "y.labels": "0\n1\n"},
+        ["train-detector", "--train", "x.mat", "--labels", "y.labels"], "x.mat", 3),
+    "predictions without their header": (
+        {"pred.csv": "0,1,0.9\n1,0,0.1\n2,1,0.8\n", "truth.txt": "1\n0\n"},
+        ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "pred.csv", 1),
+    "prediction row out of order": (
+        {"pred.csv": "row,label,score\n0,1,0.9\n2,0,0.1\n", "truth.txt": "1\n0\n"},
+        ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "pred.csv", 3),
+    "prediction label other than 0 or 1": (
+        {"pred.csv": "row,label,score\n0,7,0.9\n", "truth.txt": "1\n"},
+        ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "pred.csv", 2),
+    "two truths on one line": (
+        {"pred.csv": "row,label,score\n0,1,0.9\n1,0,0.1\n", "truth.txt": "1 0\n"},
+        ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "truth.txt", 1),
+    "detect score nan": (
+        {"pred.csv": "row,label,score\n0,1,0.9\n", "truth.txt": "1\n", "s.txt": "nan\n"},
+        ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt", "--scores", "s.txt"],
+        "s.txt", 1),
+    "prediction score nan": (
+        {"pred.csv": "row,label,score\n0,1,0.9\n1,0,nan\n", "truth.txt": "1\n0\n"},
+        ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "pred.csv", 3),
+    "score row with nan": (
+        {"p.txt": "0\n1\n", "t.txt": "0\n1\n", "s.csv": "0.5,0.5\n0.2,nan\n"},
+        ["evaluate", "--task", "next-call", "--pred", "p.txt", "--truth", "t.txt",
+         "--scores", "s.csv"], "s.csv", 2),
 }
 
 

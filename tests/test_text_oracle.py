@@ -1,0 +1,348 @@
+"""The whole-file text readers and row writers against the per-line code they
+replaced, kept here as the reference: the writers write the same bytes, the
+readers read equal arrays, and a mutated file that the reference refuses is
+refused at the same line. The new readers refuse more than the reference in
+a few listed ways (TIGHTER), and never accept what it refuses."""
+
+import re
+from itertools import chain
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from test_readers import mutation, valid  # noqa: F401 (valid is a fixture)
+
+from apisentry import cli
+from apisentry.corpus import _LineReader
+from apisentry.ngrams import _config_lines, _fmt, _read_config, load_matrix
+from apisentry.seqmodel import (
+    _FORMAT_TAG,
+    BiLstmConfig,
+    BiLstmModel,
+    TrainReport,
+    _param_shapes,
+    _v1_tensors,
+    init_model,
+    load_model,
+    save_curves,
+    save_model,
+)
+
+# --- the reference: the per-line readers and per-value writers replaced ------
+
+
+def ref_load_matrix(path):
+    cells, vals = [], []
+    with _LineReader(path) as reader:
+        try:
+            n_rows, n_cols = map(int, reader.next().split(","))
+            if min(n_rows, n_cols) < 0:
+                raise ValueError
+        except ValueError:
+            raise ValueError("expected a 'rows,cols' header") from None
+        for line in reader:
+            if not line.strip():
+                continue
+            try:
+                r, c, v = map(int, line.split(","))
+            except ValueError:
+                raise ValueError("expected 'row,col,count'") from None
+            if not (0 <= r < n_rows and 0 <= c < n_cols):
+                raise ValueError(f"entry ({r},{c}) outside the {n_rows}x{n_cols} shape")
+            if v < 0:
+                raise ValueError(f"negative count {v}")
+            cells.extend((r, c))
+            vals.append(v)
+        try:
+            rows, cols = np.asarray(cells, np.int64).reshape(-1, 2).T
+            order = np.lexsort((cols, rows))
+            indptr = np.searchsorted(rows[order], np.arange(n_rows + 1))
+        except (MemoryError, OverflowError, ValueError):
+            reader.pos = 1
+            raise ValueError(f"cannot allocate the {n_rows}x{n_cols} shape") from None
+        repeat = (np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)
+        if repeat.any():
+            k = int(order[1:][repeat].min())
+            reader.pos = 1 + int(np.flatnonzero([ln.strip() != "" for ln in reader.lines])[k + 1])
+            raise ValueError(f"duplicate entry ({rows[k]},{cols[k]})")
+    return np.asarray(vals, np.float64)[order], cols[order], indptr, (n_rows, n_cols)
+
+
+def ref_finite_row(reader):
+    row = np.array(reader.next().split(), dtype=np.float64)
+    if not np.isfinite(row).all():
+        raise ValueError("a tensor row holds a number that is not finite")
+    return row
+
+
+def ref_load_model(path):
+    with _LineReader(path) as reader:
+        if reader.next() != _FORMAT_TAG:
+            raise ValueError("not a sequence model file")
+        cfg = _read_config(reader, BiLstmConfig)
+        params = {key: np.empty(shape) for key, shape in _param_shapes(cfg).items()}
+        for name, key, cols in _v1_tensors(cfg):
+            block = params[key][..., cols]
+            shape = tuple(int(d) for d in reader.field(f"tensor {name}").split())
+            if shape != block.shape:
+                raise ValueError(f"tensor {name!r} has wrong shape {shape}")
+            rows = [ref_finite_row(reader) for _ in np.atleast_2d(block)]
+            block[...] = np.vstack(rows).reshape(shape)
+    return BiLstmModel(params=params, config=cfg)
+
+
+def ref_model_text(model):
+    lines = [_FORMAT_TAG] + _config_lines(model.config)
+    for name, key, cols in _v1_tensors(model.config):
+        tensor = model.params[key][..., cols]
+        lines.append(f"tensor {name} " + " ".join(map(str, tensor.shape)))
+        lines += [" ".join(map(_fmt, row)) for row in np.atleast_2d(tensor)]
+    return "\n".join(lines) + "\n"
+
+
+def ref_detect_text(labels, scores):
+    lines = ["row,label,score"]
+    for i, (lab, sc) in enumerate(zip(labels, scores)):
+        lines.append(f"{i},{int(lab)},{_fmt(sc)}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_curves_text(report):
+    lines = ["epoch,train_loss,val_loss"]
+    for i, (tr, vl) in enumerate(zip(report.train_loss, report.val_loss), start=1):
+        lines.append(f"{i},{_fmt(tr)},{_fmt(vl)}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_read_predictions_csv(path):
+    labels, scores = [], []
+    with _LineReader(path) as reader:
+        reader.next()
+        for line in reader:
+            if line.strip():
+                _, label, score = line.split(",")
+                labels.append(int(label))
+                scores.append(float(score))
+    return np.array(labels, dtype=np.int64), np.array(scores)
+
+
+def ref_read_numbers(path, kind=int):
+    with _LineReader(path) as reader:
+        return np.array([kind(tok) for line in reader for tok in line.split()],
+                        dtype=np.int64 if kind is int else np.float64)
+
+
+def ref_read_score_rows(path):
+    rows = []
+    with _LineReader(path) as reader:
+        for line in reader:
+            if line.strip():
+                rows.append([float(tok) for tok in line.split(",")])
+                if len(rows[-1]) != len(rows[0]):
+                    raise ValueError(f"expected {len(rows[0])} scores, got {len(rows[-1])}")
+        if not rows:
+            raise ValueError("no score rows")
+    return np.array(rows)
+
+
+def _matrix(path):
+    m = load_matrix(path)
+    return m.data, m.indices, m.indptr, m.shape
+
+
+def _params(load):
+    return lambda path: load(path).params
+
+
+# name in test_readers' valid fixture: (new reader, reference, messages the
+# new reader may refuse with where the reference accepts)
+PAIRS = {
+    "train.mat": (_matrix, ref_load_matrix, r"expected 'row,col,count'"),
+    "model.seq": (_params(load_model), _params(ref_load_model), r"expected a row of \d+ numbers"),
+    "pred.csv": (cli._read_predictions_csv, ref_read_predictions_csv,
+                 r"expected the header 'row,label,score'|expected 'row,label,score'|"
+                 r"row \S+ out of order|label \S+ is not 0 or 1|score \S+ is not finite"),
+    "truth.txt": (cli._read_numbers, ref_read_numbers, r"expected one number per line"),
+    "scores.txt": (lambda p: cli._read_numbers(p, float), lambda p: ref_read_numbers(p, float),
+                   r"expected one number per line|\S+ is not finite"),
+    "score_rows.csv": (cli._read_score_rows, ref_read_score_rows,
+                       r"expected \d+ scores|a score row holds a number that is not finite"),
+}
+
+# Where the reference accepts a line that a table refuses as unreadable, the
+# line holds one of these: a character other than printable ASCII (a tab
+# included), an underscore inside a number, a number numpy's parser does not
+# take for an integer, or an integer beyond 64 bits.
+TIGHTER = re.compile(r"[^ -~]|\d_\d|\d[.eE]|[+-]?(inf|nan)|\d{19}", re.IGNORECASE)
+
+
+EARNS = {
+    # the reference ignored the row column, and read every number on a line
+    "pred.csv": lambda line: TIGHTER.search(line) or not re.fullmatch(r" *\+?\d+ *",
+                                                                     line.split(",")[0]),
+    "truth.txt": lambda line: TIGHTER.search(line) or len(line.split()) > 1,
+    "scores.txt": lambda line: TIGHTER.search(line) or len(line.split()) > 1,
+}
+
+
+def _same(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True) \
+        and np.asarray(a).dtype == np.asarray(b).dtype
+
+
+def _outcome(read, path):
+    """The result of reading `path`, or the exception it raised."""
+    try:
+        return read(path), None
+    except Exception as exc:  # the reference raises OverflowError too
+        return None, exc
+
+
+def _line(exc, path):
+    found = re.match(rf"{re.escape(str(path))}: line (\d+): (.*)", str(exc), re.DOTALL)
+    return (int(found.group(1)), found.group(2)) if found else (None, str(exc))
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_file_is_refused_where_the_reference_refuses(valid, tmp_path_factory,  # noqa: F811
+                                                             name, data):
+    new, ref, tighter = PAIRS[name]
+    mutated, _ = data.draw(mutation((valid / name).read_bytes()))
+    path = tmp_path_factory.getbasetemp() / f"oracle-{name}"
+    path.write_bytes(mutated)
+    got, got_exc = _outcome(new, path)
+    want, want_exc = _outcome(ref, path)
+    lines = mutated.decode("utf-8", "replace").splitlines()
+    if got_exc is None:
+        assert want_exc is None, f"accepted what the reference refuses: {want_exc}"
+        assert _same(got, want)
+        return
+    assert isinstance(got_exc, ValueError), got_exc
+    line, message = _line(got_exc, path)
+    if want_exc is None:  # a tightening: a listed message, on a line that earns it
+        assert re.fullmatch(tighter, message), message
+        if message.startswith("expected") and "header" not in message:
+            assert EARNS.get(name, TIGHTER.search)(lines[line - 1]), (lines[line - 1], message)
+        return
+    want_line, want_message = _line(want_exc, path)
+    if not isinstance(want_exc, ValueError):
+        assert line is not None, got_exc  # the reference's OverflowError named no line
+    elif want_line != line:
+        # a tensor row of the wrong width: the reference blamed the block's last row
+        wrong_width = re.search(r"input array dimensions|cannot reshape", want_message) \
+            and message.startswith("expected a row of") and line <= want_line
+        earlier = line is not None and want_line is not None and line < want_line \
+            and TIGHTER.search(lines[line - 1])
+        assert wrong_width or earlier, (got_exc, want_exc)
+    else:
+        assert line == want_line
+
+
+# --- valid files: equal arrays ------------------------------------------------
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+                     1e300, -1e300, 1.7976931348623157e308, 0.1, 1 / 3]))
+COUNTS = st.one_of(st.integers(0, 2**63 - 1),
+                   st.sampled_from([0, 1, 2**53 + 1, 2**62, 2**63 - 1025, 2**63 - 1]))
+SPELLINGS = [lambda x: repr(float(x)), "%.17g".__mod__, "%.3e".__mod__, "%.25f".__mod__,
+             "%+.20E".__mod__]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_model_writes_and_reads_as_the_reference(tmp_path_factory, data):
+    model = init_model(BiLstmConfig(vocab_size=3, embed_dim=2, hidden=1), seed=0)
+    for key, value in model.params.items():
+        model.params[key] = data.draw(arrays(np.float64, value.shape, elements=FLOATS), key)
+    path = tmp_path_factory.mktemp("m") / "model.seq"
+    save_model(model, path)
+    text = path.read_text()
+    assert text == ref_model_text(model)
+    # rewrite every number in another spelling, then read both ways
+    spell = data.draw(st.sampled_from(SPELLINGS))
+    lines = [ln if ln.startswith("tensor ") or not ln[:1] in "-0123456789"
+             else " ".join(spell(float(t)) for t in ln.split()) for ln in text.splitlines()]
+    path.write_text("\n".join(lines) + "\n")  # a shorter spelling may round to inf
+    (got, got_exc), (want, want_exc) = (_outcome(read, path) for read in PAIRS["model.seq"][:2])
+    assert str(got_exc) == str(want_exc)
+    assert want_exc or _same(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_matrix_reads_as_the_reference(tmp_path_factory, data):
+    n_rows, n_cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    cells = data.draw(st.lists(st.tuples(st.integers(0, max(n_rows - 1, 0)),
+                                         st.integers(0, max(n_cols - 1, 0))),
+                               unique=True, max_size=(n_rows * n_cols)))
+    lines = [f"{r},{c},{data.draw(COUNTS)}" for r, c in cells]
+    blanks = data.draw(st.lists(st.sampled_from(["", "  "]), max_size=3))
+    body = data.draw(st.permutations(lines + blanks))
+    path = tmp_path_factory.mktemp("m") / "m.mat"
+    path.write_text("\n".join([f"{n_rows},{n_cols}"] + body) + "\n")
+    assert _same(_matrix(path), ref_load_matrix(path))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_evaluate_inputs_read_as_the_reference(tmp_path_factory, data):
+    n = data.draw(st.integers(0, 6))
+    # bounded, so that no spelling rounds a score to an infinity
+    scores = data.draw(arrays(np.float64, (n, 3), elements=FLOATS.filter(lambda x: abs(x) <= 1e300)))
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    ids = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
+    spell = data.draw(st.sampled_from(SPELLINGS))
+    d = tmp_path_factory.mktemp("e")
+    (d / "pred.csv").write_text("".join(
+        f"{line}\n" for line in chain(["row,label,score"], (
+            f"{i},{y},{spell(s)}" for i, (y, s) in enumerate(zip(labels, scores[:, 0]))))))
+    (d / "truth.txt").write_text("".join(f"{i}\n" for i in ids))
+    (d / "scores.txt").write_text("".join(f"{spell(s)}\n" for s in scores[:, 1]))
+    (d / "rows.csv").write_text("".join(f"{','.join(map(spell, r))}\n" for r in scores))
+    for new, ref, name in [(cli._read_predictions_csv, ref_read_predictions_csv, "pred.csv"),
+                           (cli._read_numbers, ref_read_numbers, "truth.txt"),
+                           (lambda p: cli._read_numbers(p, float),
+                            lambda p: ref_read_numbers(p, float), "scores.txt")]:
+        assert _same(new(d / name), ref(d / name)), name
+    if n:
+        assert _same(cli._read_score_rows(d / "rows.csv"), ref_read_score_rows(d / "rows.csv"))
+
+
+# --- writers: the same bytes --------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_detect_writes_as_the_reference(tmp_path_factory, data):
+    n = data.draw(st.integers(0, 8))
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    scores = data.draw(arrays(np.float64, n, elements=FLOATS))
+    d = tmp_path_factory.mktemp("d")
+    for name in ("model.det", "x.mat"):
+        (d / name).write_text("")
+    with mock.patch.object(cli, "load_detector"), mock.patch.object(cli, "load_matrix"), \
+            mock.patch.object(cli, "ensemble_predict_rows", return_value=(labels, scores)):
+        assert cli.main(["detect", "--model", d / "model.det", "--in", d / "x.mat",
+                         "--out", d / "pred.csv"]) == 0
+    assert (d / "pred.csv").read_text() == ref_detect_text(labels, scores)
+
+
+@settings(max_examples=100, deadline=None)
+@given(losses=st.lists(st.tuples(FLOATS, FLOATS), max_size=6))
+def test_curves_write_as_the_reference(tmp_path_factory, losses):
+    report = TrainReport(train_loss=[a for a, _ in losses], val_loss=[b for _, b in losses],
+                         stopped_epoch=len(losses), best_epoch=1)
+    path = tmp_path_factory.mktemp("c") / "curves.csv"
+    save_curves(report, path)
+    assert path.read_text() == ref_curves_text(report)
