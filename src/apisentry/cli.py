@@ -29,6 +29,7 @@ from .corpus import (
     CorpusError,
     SplitSpec,
     _LineReader,
+    _call_ids,
     canonicalize,
     convert_seq_csv,
     convert_wide_csv,
@@ -60,10 +61,10 @@ from .ngrams import (
     load_labels,
     load_matrix,
     load_vocabulary,
-    prefix_samples,
     save_labels,
     save_matrix,
     save_vocabulary,
+    trace_samples,
 )
 from .seeding import derive_seed
 from .seqmodel import (
@@ -303,13 +304,7 @@ def _cmd_train_predictor(args) -> list[Path]:
     _require_inputs(args.infile)
     corpus = load_corpus(args.infile)
     vocab_size = args.vocab_size or corpus.vocabulary_size
-    samples = []
-    for trace in corpus.traces:
-        calls = trace.calls[-args.trace_cap:] if args.trace_cap else trace.calls
-        if max(calls) >= vocab_size:
-            raise CorpusError(
-                f"trace {trace.id} has call id >= vocab size {vocab_size}")
-        samples.extend(prefix_samples(calls))
+    samples = trace_samples(corpus.traces, args.trace_cap, vocab_size)
     config = BiLstmConfig(
         vocab_size=vocab_size, embed_dim=args.embed, hidden=args.hidden,
         dropout_rate=args.dropout, learning_rate=args.lr, batch_size=args.batch_size,
@@ -328,12 +323,10 @@ def _cmd_predict_next(args) -> list[Path]:
     _require_inputs(args.model)
     model = load_model(args.model)
     try:
-        seq = [int(tok) for tok in args.seq.split(",") if tok.strip()]
-    except ValueError:
-        raise CorpusError(f"--seq must be comma-separated integers, got {args.seq!r}")
-    if not seq:
-        raise CorpusError("--seq is empty")
-    if min(seq) < 0 or max(seq) >= model.config.vocab_size:
+        seq = _call_ids([tok for tok in args.seq.split(",") if tok.strip()], args.seq)
+    except CorpusError as exc:
+        raise CorpusError(f"--seq {args.seq!r}: {exc}") from None
+    if max(seq) >= model.config.vocab_size:
         raise CorpusError(f"sequence ids must be in [0, {model.config.vocab_size})")
     preds = predict_next_k(model, seq, k=args.k)
     sys.stdout.write(",".join(str(p) for p in preds) + "\n")

@@ -187,10 +187,18 @@ def _parse_label(token: str) -> int | None:
     raise CorpusError(f"label must be 0, 1 or '-', got {token!r}")
 
 
-def _call_ids(tokens) -> tuple[int, ...]:
+def _call_ids(tokens, text: str | None = None) -> tuple[int, ...]:
+    """Call ids from ints, or from text tokens by the numeric tables' rule:
+    int() reads '1_0' as 10 and non-ASCII digits as ASCII ones, so '_' and
+    non-ASCII characters are refused, in `text`, the line the tokens were
+    split from at commas, if given (a join costs more than the check)."""
     if not tokens or tokens == [""]:
         raise CorpusError("empty sequence")
+    if text is None:
+        text = "" if isinstance(tokens[0], int) else "".join(tokens)
     try:
+        if "_" in text or not text.isascii():
+            raise ValueError
         calls = tuple(map(int, tokens))
     except ValueError:
         raise CorpusError("malformed call id") from None
@@ -243,7 +251,7 @@ def parse_corpus(source: str | bytes | IO, format: str = "canonical_csv",
             if format == "canonical_csv":
                 fields = line.split(",")
                 label = _parse_label(fields[0].strip())
-                calls = _call_ids(fields[1:])
+                calls = _call_ids(fields[1:], line)
             else:
                 try:
                     obj = json.loads(line)

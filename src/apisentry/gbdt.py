@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import _LineReader
-from .ngrams import CsrMatrix, NGramVocabulary, _config_lines, _finite, _fmt, _read_config, _sigmoid
+from .ngrams import CsrMatrix, NGramVocabulary, _config_lines, _finite, _read_config, _sigmoid
 
 # Rows descended together; bounds the dense split-column block and the
 # (rows, trees) node matrix whatever the number of rows scored.
@@ -447,15 +447,11 @@ def train_bagged(X, y, configs: list[GbdtConfig] | None = None, seed: int = 42,
     _setting("threshold", threshold)
     Xc = as_feature_matrix(X)  # refuses a non-finite entry before resampling moves its row
     y = np.asarray(y, dtype=np.float64)
-    members = []
+    n, members = Xc.shape[0], []
     for i, cfg in enumerate(configs):
-        cfg = replace(cfg, seed=seed + i)
-        if bootstrap:
-            rng = np.random.default_rng(seed + i)
-            picks = rng.integers(0, Xc.shape[0], size=Xc.shape[0])
-            members.append(train_gbdt(Xc.take(picks), y[picks], cfg))
-        else:
-            members.append(train_gbdt(Xc, y, cfg))
+        picks = (np.random.default_rng(seed + i).integers(0, n, size=n) if bootstrap
+                 else np.arange(n))
+        members.append(train_gbdt(Xc.take(picks), y[picks], replace(cfg, seed=seed + i)))
     return BaggedDetector(members=members, threshold=threshold,
                           combine=combine, vocab_ref=vocab_ref)
 
@@ -503,23 +499,24 @@ def rank_features(detector: BaggedDetector, vocab: NGramVocabulary,
 # --- persistence -------------------------------------------------------------
 
 _FORMAT_TAG = "apisentry-detector v1"
+_NODE_FIELDS = {"s": 6, "l": 2}  # s feature threshold left right gain; l weight
 
 
 def save_detector(detector: BaggedDetector, path: str | Path) -> None:
     lines = [_FORMAT_TAG,
              f"combine {detector.combine}",
-             f"threshold {_fmt(detector.threshold)}",
+             "threshold %.17g" % detector.threshold,
              f"n_features {detector.n_features}",
              f"vocab_ref {detector.vocab_ref}",
              f"members {len(detector.members)}"]
     for i, m in enumerate(detector.members):
         lines.append(f"member {i}")
         lines += _config_lines(m.config)
-        lines.append(f"base_score {_fmt(m.base_score)}")
+        lines.append("base_score %.17g" % m.base_score)
         lines.append(f"trees {len(m.trees)}")
         for t, tree in enumerate(m.trees):
             lines.append(f"tree {t} {tree.n_nodes()}")
-            lines += [f"s {f} {_fmt(thr)} {lo} {hi} {_fmt(g)}" if f >= 0 else f"l {_fmt(w)}"
+            lines += ["s %d %.17g %d %d %.17g" % (f, thr, lo, hi, g) if f >= 0 else "l %.17g" % w
                       for f, thr, lo, hi, w, g in zip(tree.feature, tree.threshold, tree.left,
                                                        tree.right, tree.weight, tree.gain)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -550,17 +547,17 @@ def load_detector(path: str | Path) -> BaggedDetector:
                 nodes = []
                 for node in range(n_nodes):
                     parts = reader.next().split()
-                    if parts[:1] == ["s"]:
+                    if len(parts) != _NODE_FIELDS.get(parts[0] if parts else ""):
+                        raise ValueError(f"bad node line {parts!r}")
+                    if parts[0] == "s":
                         f, lo, hi = int(parts[1]), int(parts[3]), int(parts[4])
                         # children come after their parent, so descent ends
                         if not (0 <= f < n_features and node < lo < n_nodes
                                 and node < hi < n_nodes):
                             raise ValueError(f"split node out of range {parts!r}")
                         nodes.append([f, _finite(parts[2]), lo, hi, 0.0, _finite(parts[5])])
-                    elif parts[:1] == ["l"]:
-                        nodes.append([-1, 0.0, -1, -1, _finite(parts[1]), 0.0])
                     else:
-                        raise ValueError(f"bad node line {parts!r}")
+                        nodes.append([-1, 0.0, -1, -1, _finite(parts[1]), 0.0])
                 trees.append(RegressionTree.from_nodes(nodes))
             members.append(GbdtModel(trees=trees, base_score=base_score, config=cfg,
                                      n_features=n_features, train_loss=[]))

@@ -66,14 +66,8 @@ def confusion(preds, truths, n_labels: int) -> ConfusionMatrix:
     return ConfusionMatrix(counts=counts)
 
 
-def _ratio(num: float, den: float) -> tuple[float, bool]:
-    if den == 0:
-        return 0.0, True
-    return num / den, False
-
-
 def _ratios(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_ratio per element: num / den, 0 where den is 0, and where that was."""
+    """num / den per element, 0 where den is 0, and where that was."""
     zero = den == 0
     return np.divide(num, den, out=np.zeros_like(num), where=~zero), zero
 
@@ -87,15 +81,14 @@ def binary_metrics(cm: ConfusionMatrix, positive: int = 1) -> MetricsReport:
     fp = int(cm.counts[neg, positive])
     fn = int(cm.counts[positive, neg])
     tn = int(cm.counts[neg, neg])
-    precision, d1 = _ratio(tp, tp + fp)
-    recall, d2 = _ratio(tp, tp + fn)
-    f1, d3 = _ratio(2 * precision * recall, precision + recall)
-    accuracy, d4 = _ratio(tp + tn, tp + tn + fp + fn)
+    num, den = np.array([[tp, tp + fp], [tp, tp + fn], [tp + tn, cm.total()]], np.float64).T
+    (precision, recall, accuracy), zero = _ratios(num, den)
+    (f1,), zero_f1 = _ratios(np.array([2 * precision * recall]), np.array([precision + recall]))
     return MetricsReport(
-        accuracy=accuracy, precision=precision, recall=recall, f1=f1,
+        accuracy=float(accuracy), precision=float(precision), recall=float(recall), f1=float(f1),
         averaging="binary_positive_class",
         support={neg: tn + fp, positive: tp + fn},
-        degenerate=d1 or d2 or d3 or d4)
+        degenerate=bool(zero.any() or zero_f1[0]))
 
 
 def weighted_metrics(preds, truths, n_labels: int) -> MetricsReport:

@@ -28,19 +28,15 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.maximum(z, -700.0)))
 
 
-def _fmt(x: float) -> str:
-    """Float text with 17 significant digits, so a reload is bit-exact."""
-    return format(float(x), ".17g")
-
-
 def _format_rows(fmt: str, rows) -> list[str]:
-    """`fmt % row` for each row, a sequence of fields: one %-format per line,
-    where `%.17g` writes a float as _fmt does."""
+    """`fmt % row` for each row, a sequence of fields: one %-format per line.
+    Every float in a file is written `%.17g`, 17 significant digits, so a
+    reload is bit-exact."""
     return list(map(fmt.__mod__, map(tuple, rows)))
 
 
 def _finite(text: str) -> float:
-    """The number _fmt wrote; nan and infinities are refused."""
+    """A number written `%.17g`; nan and infinities are refused."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
@@ -52,8 +48,8 @@ _KINDS = {"int": int, "float": float}
 
 def _config_lines(cfg) -> list[str]:
     """One `name value` line per field of a config dataclass, in declaration
-    order; float fields go through _fmt."""
-    return [f"{f.name} {(_fmt if _KINDS[f.type] is float else str)(getattr(cfg, f.name))}"
+    order; float fields are written `%.17g`."""
+    return [("%s %.17g" if _KINDS[f.type] is float else "%s %s") % (f.name, getattr(cfg, f.name))
             for f in fields(cfg)]
 
 
@@ -227,6 +223,19 @@ def prefix_samples(trace) -> list[PrefixSample]:
     return [PrefixSample(prefix=seq[:n], next=seq[n]) for n in range(2, len(seq))]
 
 
+def trace_samples(traces, cap: int, vocab_size: int) -> list[PrefixSample]:
+    """The prefix samples of each trace's last `cap` calls (every call if cap
+    is 0), trace after trace. A call id at or above vocab_size among those
+    calls is refused, naming its trace."""
+    samples = []
+    for trace in traces:
+        calls = trace.calls[-cap:]  # [-0:] is the whole trace
+        if max(calls) >= vocab_size:
+            raise CorpusError(f"trace {trace.id} has call id >= vocab size {vocab_size}")
+        samples.extend(prefix_samples(calls))
+    return samples
+
+
 def corpus_matrix(corpus: Corpus, vocab: NGramVocabulary) -> tuple[CsrMatrix, list[int | None]]:
     """Vectorize a whole corpus into a count matrix plus its labels."""
     return (_count_matrix([trace.calls for trace in corpus.traces], vocab),
@@ -281,9 +290,8 @@ def save_matrix(matrix: CsrMatrix, path: str | Path) -> None:
     matrix.refuse((data >= 0) & (data < 2.0 ** 63) & (np.floor(data) == data),
                   "counts must be integers in [0, 2**63)")
     rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    triplets = map("{},{},{}".format, rows.tolist(), matrix.indices.tolist(),
-                   data.astype(np.int64).tolist())
-    lines = chain([f"{matrix.shape[0]},{matrix.shape[1]}"], triplets)
+    lines = [f"{matrix.shape[0]},{matrix.shape[1]}"] + _format_rows("%d,%d,%d", zip(
+        rows.tolist(), matrix.indices.tolist(), data.astype(np.int64).tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -23,8 +23,8 @@ from .gbdt import default_bagging_configs, ensemble_predict_rows, rank_features,
     save_detector, train_bagged
 from .metrics import binary_metrics, confusion, rare_label_report, roc_auc_per_label, \
     weighted_metrics
-from .ngrams import build_vocabulary, class_frequency, corpus_matrix, prefix_samples, \
-    save_vocabulary
+from .ngrams import build_vocabulary, class_frequency, corpus_matrix, save_vocabulary, \
+    trace_samples
 from .seeding import derive_seed
 from .seqmodel import BiLstmConfig, predict_distributions, \
     save_curves, save_model, train
@@ -142,16 +142,10 @@ def _nextcall_pipeline(corpus: Corpus, tag: str, vocab_size: int, outdir: Path,
                      stratified=False)
     train_c, test_c = stratified_split(corpus, spec)
 
-    def collect(c: Corpus, cap_traces: int):
-        traces = c.traces[:cap_traces] if cap_traces else c.traces
-        samples = []
-        for t in traces:
-            calls = t.calls[-trace_cap:] if trace_cap else t.calls
-            samples.extend(prefix_samples(calls))
-        return samples
-
-    train_samples = collect(train_c, seq_traces)
-    test_samples = collect(test_c, max(1, seq_traces // 4) if seq_traces else 0)
+    # seq_traces 0 keeps every trace, as a slice to None does
+    n_train, n_test = (seq_traces, max(1, seq_traces // 4)) if seq_traces else (None, None)
+    train_samples = trace_samples(train_c.traces[:n_train], trace_cap, vocab_size)
+    test_samples = trace_samples(test_c.traces[:n_test], trace_cap, vocab_size)
     max_prefix = (trace_cap - 1) if trace_cap else 99
     config = BiLstmConfig(
         vocab_size=vocab_size,

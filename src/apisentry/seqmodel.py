@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import _LineReader
+from .corpus import _LineReader, _round_half_up
 from .ngrams import _config_lines, _format_rows, _read_config, _sigmoid
 from .seeding import derive_seed
 
@@ -430,7 +430,7 @@ def train(samples, config: BiLstmConfig) -> tuple[BiLstmModel, TrainReport]:
     pairs = list(samples)
     if len(pairs) < 2:
         raise ValueError("need at least 2 samples to train")
-    n_val = int(math.floor(len(pairs) * config.val_fraction + 0.5))
+    n_val = _round_half_up(len(pairs) * config.val_fraction)
     if n_val < 1 or n_val >= len(pairs):
         raise ValueError(
             f"val_fraction={config.val_fraction} gives a degenerate validation "
@@ -543,17 +543,21 @@ def load_model(path: str | Path) -> BiLstmModel:
         if reader.next() != _FORMAT_TAG:
             raise ValueError("not a sequence model file")
         cfg = _read_config(reader, BiLstmConfig)
-        params = {key: np.empty(shape) for key, shape in _param_shapes(cfg).items()}
+        shapes = _param_shapes(cfg)
+        params: dict[str, np.ndarray] = {}
         for name, key, cols in _v1_tensors(cfg):
-            block = params[key][..., cols]
+            want = shapes[key] if cols == slice(None) else shapes[key][:-1] + (cfg.hidden,)
             shape = tuple(int(d) for d in reader.field(f"tensor {name}").split())
-            if shape != block.shape:
+            if shape != want:
                 raise ValueError(f"tensor {name!r} has wrong shape {shape}")
-            n_rows, width = np.atleast_2d(block).shape
+            n_rows, width = ((1,) + shape)[-2:]
             rows = reader.table(width, n_rows=n_rows, what=f"a row of {width} numbers")
             reader.refuse(np.isfinite(rows).all(1),
                           "a tensor row holds a number that is not finite")
-            block[...] = rows.reshape(shape)
+            # sized once a block is read: config sizes the file lacks allocate nothing
+            if key not in params:
+                params[key] = np.empty(shapes[key])
+            params[key][..., cols] = rows.reshape(shape)
     return BiLstmModel(params=params, config=cfg)
 
 

@@ -10,6 +10,7 @@ import pytest
 from matrices import csr
 
 import apisentry
+from apisentry import cli, seqmodel
 from apisentry.cli import main
 from apisentry.data import demo_corpus_path, generate_demo_corpus
 from apisentry.gbdt import GbdtConfig, save_detector, train_bagged
@@ -326,6 +327,24 @@ class TestValidation:
         # line 1 is the format tag, then vocab_size, embed_dim and hidden
         assert f"{model}: line 4: hidden must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, tensor, shape", [
+        ("vocab_size", "emb", (6, 2)), ("embed_dim", "emb", (6, 2)), ("hidden", "fw.W_i", (2, 2)),
+    ])
+    def test_sequence_model_sizes_the_file_does_not_hold_exit_one(self, tmp_path, capsys,
+                                                                  field, tensor, shape):
+        """Sized from the config lines alone, these parameters would take
+        terabytes; the first tensor header that disagrees is refused."""
+        model = tmp_path / "model.seq"
+        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
+        lines = model.read_text().splitlines()
+        at = lines.index(f"{field} 2" if field != "vocab_size" else "vocab_size 5")
+        lines[at] = f"{field} 100000000000"
+        model.write_text("\n".join(lines) + "\n")
+        assert run("predict-next", "--model", model, "--seq", "1,2") == 1
+        header = lines.index(f"tensor {tensor} {shape[0]} {shape[1]}") + 1
+        assert f"{model}: line {header}: tensor '{tensor}' has wrong shape {shape}" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, bad", [
         ("max_depth", "0"), ("learning_rate", "0"), ("n_estimators", "-1"),
         ("reg_lambda", "-1"), ("gamma", "nan"), ("min_child_hessian", "-inf"),
@@ -427,6 +446,21 @@ class TestValidation:
         save_matrix(X, matrix)
         return model, matrix, model.read_text().splitlines()
 
+    @pytest.mark.parametrize("kind, edit", [
+        ("s", lambda parts: parts + ["123", "junk"]), ("s", lambda parts: parts + ["7"]),
+        ("s", lambda parts: parts[:-1]), ("l", lambda parts: parts + ["7"]),
+        ("l", lambda parts: parts[:1]),
+    ])
+    def test_node_line_with_a_field_too_many_or_too_few_exits_one(self, tmp_path, capsys,
+                                                                  kind, edit):
+        model, matrix, lines = self.small_detector(tmp_path)
+        node = next(i for i, ln in enumerate(lines) if ln.startswith(kind + " "))
+        lines[node] = " ".join(edit(lines[node].split()))
+        model.write_text("\n".join(lines) + "\n")
+        assert run("detect", "--model", model, "--in", matrix,
+                   "--out", tmp_path / "p.csv") == 1
+        assert f"{model}: line {node + 1}: bad node line" in capsys.readouterr().err
+
     def test_node_count_beyond_the_file_exits_one(self, tmp_path, capsys):
         model, matrix, lines = self.small_detector(tmp_path)
         last_tree = max(i for i, ln in enumerate(lines) if ln.startswith("tree "))
@@ -501,6 +535,14 @@ MALFORMED_LINE_CASES = {
         ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 3),
     "corpus call id": (
         {"c.csv": "1,2,x\n"}, ["ingest", "--in", "c.csv"], "c.csv", 1),
+    "corpus call id with an underscore": (
+        {"c.csv": "1,2,3\n0,1_0,2\n"}, ["ingest", "--in", "c.csv"], "c.csv", 2),
+    "adapt wide call id with an underscore": (
+        {"w.csv": "hash,t_0,t_1,malware\na,1,2,1\nb,1_0,4,0\n"},
+        ["adapt", "--in", "w.csv"], "w.csv", 3),
+    "adapt seqcol call id with an underscore": (
+        {"s.csv": "hash,calls\na,1 2\nb,2 1_0\n"},
+        ["adapt", "--in", "s.csv", "--layout", "seqcol"], "s.csv", 3),
     "adapt line after a blank line": (
         {"s.csv": "hash,calls,y\n\na,1 2,7\n"},
         ["adapt", "--in", "s.csv", "--layout", "seqcol", "--label-col", "y"], "s.csv", 3),
@@ -592,6 +634,60 @@ def test_predict_next_k_at_its_limit_decodes(tmp_path, capsys):
     save_model(init_model(config, seed=0), model)
     assert run("predict-next", "--model", model, "--seq", "1,2", "-k", "1000") == 0
     assert len(capsys.readouterr().out.strip().split(",")) == 1000
+
+
+@pytest.mark.parametrize("seq", ["1_0,2", "1,\u0663", "\uff11,2", "1,-2", ",", "1,x"])
+def test_predict_next_seq_token_other_than_ascii_digits_exits_one(seq, tmp_path, capsys):
+    # int() reads '1_0' as 10 and Arabic-Indic or full-width digits as ASCII ones
+    model = tmp_path / "model.seq"
+    save_model(init_model(BiLstmConfig(vocab_size=12, embed_dim=2, hidden=2), seed=0), model)
+    assert run("predict-next", "--model", model, "--seq", seq) == 1
+    captured = capsys.readouterr()
+    assert f"error: --seq {seq!r}: " in captured.err
+    assert captured.out == ""
+
+
+class TestTraceCap:
+    CORPUS = "#vocab=20\n0,1,2,3,4,5,6\n1,15,7,8,9,10\n"
+    FLAGS = ["--embed", 2, "--hidden", 2, "--max-epochs", 1, "--val-frac", 0.5]
+
+    def train_predictor(self, tmp_path, monkeypatch, *flags):
+        """Run train-predictor on CORPUS; returns its exit code and the
+        (prefix, next) pairs it trained on."""
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(self.CORPUS)
+        seen = []
+
+        def train(samples, config):
+            seen.extend(samples)
+            return seqmodel.train(samples, config)
+
+        monkeypatch.setattr(cli, "train", train)
+        code = run("train-predictor", "--in", corpus, "--out", tmp_path / "m.seq",
+                   *self.FLAGS, *flags)
+        return code, [(tuple(prefix), nxt) for prefix, nxt in seen]
+
+    def test_samples_come_from_each_traces_last_calls(self, tmp_path, monkeypatch):
+        code, samples = self.train_predictor(tmp_path, monkeypatch, "--trace-cap", 4)
+        assert code == 0
+        assert samples == [((3, 4), 5), ((3, 4, 5), 6), ((7, 8), 9), ((7, 8, 9), 10)]
+
+    def test_without_a_cap_every_call_is_cut(self, tmp_path, monkeypatch):
+        code, samples = self.train_predictor(tmp_path, monkeypatch)
+        assert code == 0
+        assert len(samples) == 4 + 3 and samples[4] == ((15, 7), 8)
+
+    def test_id_beyond_the_vocabulary_size_exits_one_naming_the_trace(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        code, _ = self.train_predictor(tmp_path, monkeypatch, "--vocab-size", 12)
+        assert code == 1
+        assert "error: trace t2 has call id >= vocab size 12" in capsys.readouterr().err
+        assert not (tmp_path / "m.seq").exists()
+
+    def test_an_id_the_cap_cuts_off_is_not_checked(self, tmp_path, monkeypatch):
+        code, samples = self.train_predictor(tmp_path, monkeypatch, "--vocab-size", 12,
+                                             "--trace-cap", 4)
+        assert code == 0 and samples[2:] == [((7, 8), 9), ((7, 8, 9), 10)]
 
 
 class TestAdapt:

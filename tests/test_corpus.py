@@ -59,6 +59,16 @@ class TestParse:
         with pytest.raises(CorpusError, match="line 2"):
             parse_corpus("0,1,2\n0,x,2\n")
 
+    @pytest.mark.parametrize("text", ["0,1_0,2, 3,\u0663\n", "0,4\n1,1_0,2\n",
+                                      "0,4\n1,2,\u0663\n", "0,4\n1,\uff11\n"])
+    def test_call_id_with_underscore_or_non_ascii_digit_rejected(self, text):
+        # int() reads '1_0' as 10, and Arabic-Indic or full-width digits as ASCII ones
+        with pytest.raises(CorpusError, match=f"^line {text.count(chr(10))}: malformed call id$"):
+            parse_corpus(text)
+
+    def test_call_id_with_spaces_around_is_read(self):
+        assert parse_corpus("0,1, 2 ,3\n").traces[0].calls == (1, 2, 3)
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(CorpusError, match="empty sequence"):
             parse_corpus("0,1,2\n1\n")
@@ -252,6 +262,22 @@ class TestAdapters:
     def test_negative_call_id_rejected_with_line(self, convert, text):
         with pytest.raises(CorpusError, match="^line 4: negative call id$"):
             convert(text)
+
+    @pytest.mark.parametrize("convert, text", [
+        (lambda t: convert_wide_csv(t, label_col="malware", call_prefix="t_"),
+         "t_0,t_1,malware\n4,5,1\n4,1_0,0\n"),
+        (lambda t: convert_wide_csv(t, label_col="malware", call_prefix="t_"),
+         "t_0,t_1,malware\n4,5,1\n4,\u0665,0\n"),
+        (lambda t: convert_seq_csv(t, seq_col="calls"), "calls\n4 5\n4 1_0\n"),
+        (lambda t: convert_seq_csv(t, seq_col="calls"), "calls\n4 5\n\u0664 5\n"),
+    ])
+    def test_call_id_with_underscore_or_non_ascii_digit_rejected_with_line(self, convert, text):
+        with pytest.raises(CorpusError, match="^line 3: malformed call id$"):
+            convert(text)
+
+    def test_seqcol_underscore_delimiter_is_not_part_of_an_id(self):
+        assert convert_seq_csv("calls\n4_5\n", seq_col="calls", delimiter="_").traces[0].calls \
+            == (4, 5)
 
     def test_seqcol_layout(self):
         text = "hash,calls\nx,10 11 12\ny,3 4\n"

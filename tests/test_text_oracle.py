@@ -5,6 +5,7 @@ refused at the same line. The new readers refuse more than the reference in
 a few listed ways (TIGHTER), and never accept what it refuses."""
 
 import re
+from dataclasses import fields
 from itertools import chain
 from unittest import mock
 
@@ -17,7 +18,7 @@ from test_readers import mutation, valid  # noqa: F401 (valid is a fixture)
 
 from apisentry import cli
 from apisentry.corpus import _LineReader
-from apisentry.ngrams import _config_lines, _fmt, _read_config, load_matrix
+from apisentry.ngrams import _read_config, load_matrix
 from apisentry.seqmodel import (
     _FORMAT_TAG,
     BiLstmConfig,
@@ -32,6 +33,16 @@ from apisentry.seqmodel import (
 )
 
 # --- the reference: the per-line readers and per-value writers replaced ------
+
+
+def _fmt(x: float) -> str:
+    """The float spelling the writers replaced: 17 significant digits."""
+    return format(float(x), ".17g")
+
+
+def ref_config_lines(cfg):
+    return [f"{f.name} {(_fmt if f.type == 'float' else str)(getattr(cfg, f.name))}"
+            for f in fields(cfg)]
 
 
 def ref_load_matrix(path):
@@ -95,7 +106,7 @@ def ref_load_model(path):
 
 
 def ref_model_text(model):
-    lines = [_FORMAT_TAG] + _config_lines(model.config)
+    lines = [_FORMAT_TAG] + ref_config_lines(model.config)
     for name, key, cols in _v1_tensors(model.config):
         tensor = model.params[key][..., cols]
         lines.append(f"tensor {name} " + " ".join(map(str, tensor.shape)))
@@ -346,3 +357,35 @@ def test_curves_write_as_the_reference(tmp_path_factory, losses):
     path = tmp_path_factory.mktemp("c") / "curves.csv"
     save_curves(report, path)
     assert path.read_text() == ref_curves_text(report)
+
+
+# --- the one float spelling ---------------------------------------------------
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1e-308, -1e-307, 1e308, -1.7976931348623157e308, 1.7976931348623157e308,
+               float("inf"), float("-inf"), float("nan"), 0.1, 1 / 3, 2.0**53 + 2]
+SPELLED = st.one_of(
+    st.floats(),  # nan, infinities and subnormals included
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(1e300, 1.7976931348623157e308), st.floats(-1.7976931348623157e308, -1e300),
+    st.floats(-1e-300, 1e-300),  # exponents near -308, subnormals included
+    st.integers(),
+    st.sampled_from([2**53 + 1, -(2**63), 2**63 - 1, 2**1023, 2**1024, -(10**400)]),
+    st.floats().map(np.float64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=SPELLED)
+def test_percent_17g_spells_a_number_as_the_reference(x):
+    """Every writer spells a float `%.17g`; for a float, a Python int and a
+    numpy float64 or int32 scalar it is the reference's `_fmt` spelling, and
+    an int beyond the float range is refused by both."""
+    try:
+        want = _fmt(x)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            "%.17g" % x
+        return
+    assert "%.17g" % x == want
