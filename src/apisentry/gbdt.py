@@ -17,12 +17,13 @@ upper one; samples with value <= threshold go left, in training as in
 prediction, so feature values must be finite. Ties are broken toward the
 lowest feature index, then the lowest threshold, so training is
 deterministic. A gain within a few ulps of the parent term is rounding and
-makes no split. Growth skips work whose answer is known: a node whose
-hessian sum is below twice min_child_hessian (less a few ulps) cannot have
-two admissible children, so it becomes a leaf with no histogram built and
-no split scanned, and the root, the one node that holds every row, reuses
-per-bin sample counts kept once per member. A round adds to each training
-row the weight of the leaf growth put it in; nothing is re-predicted.
+makes no split. Growth skips work whose answer is known: a node is a leaf,
+with no histogram built and no split scanned, if its hessian sum is below
+twice min_child_hessian (less a few ulps), so no two children are both
+admissible, or if its rows share one (g, h), so no split gains; the root,
+the one node that holds every row, reuses per-bin sample counts kept once
+per member. A round adds to each training row the weight of the leaf growth
+put it in; nothing is re-predicted.
 
 Feature matrices are ngrams.CsrMatrix records, where a stored 0.0 is an
 absent entry. Prediction has one path for any number of rows (one vector is
@@ -43,7 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import _LineReader
-from .ngrams import CsrMatrix, NGramVocabulary, _config_lines, _finite, _read_config, _sigmoid
+from .ngrams import (CsrMatrix, NGramVocabulary, _config_lines, _finite, _int, _read_config,
+                     _sigmoid)
 
 # Rows descended together; bounds the dense split-column block and the
 # (rows, trees) node matrix whatever the number of rows scored.
@@ -242,18 +244,24 @@ def _best_split(coded: _CodedMatrix, hist_g, hist_h, hist_n,
 
 def _grow_tree(coded: _CodedMatrix, g: np.ndarray, h: np.ndarray,
                cfg: GbdtConfig) -> tuple[RegressionTree, np.ndarray]:
-    """Grow one tree over every row; also returns each row's leaf weight."""
+    """Grow one tree over every row; also returns each row's leaf weight.
+
+    A node whose rows all have g = a and h = b is a leaf unscanned: a split
+    into m and n - m rows gains 0.5 * (f(m) + f(n - m) - f(n)) - gamma with
+    f(m) = a^2 m^2 / (b m + lambda), convex with f(0) = 0, so at most -gamma;
+    at lambda = 0 it is 0 up to rounding, which _best_split refuses."""
     row_weight = np.zeros(coded.n)
     nodes: list = [None]
     stack = [(0, np.arange(coded.n), 0)]
     while stack:
         node, rows, depth = stack.pop()
-        total_g = float(g[rows].sum())
-        total_h = float(h[rows].sum())
+        g_rows, h_rows = g[rows], h[rows]
+        total_g, total_h = float(g_rows.sum()), float(h_rows.sum())
         split = None
         # below this, fl(total_h - left_h) < mch whenever left_h >= mch: _best_split finds nothing
         if (depth < cfg.max_depth and len(rows) >= 2
-                and total_h >= 2 * cfg.min_child_hessian * (1 - 4 * _EPS)):
+                and total_h >= 2 * cfg.min_child_hessian * (1 - 4 * _EPS)
+                and (np.ptp(g_rows) > 0 or np.ptp(h_rows) > 0)):
             hist_g, hist_h, hist_n = coded.node_histograms(rows, g, h)
             split = _best_split(coded, hist_g, hist_h, hist_n, total_g, total_h,
                                 len(rows), cfg)
@@ -528,20 +536,20 @@ def load_detector(path: str | Path) -> BaggedDetector:
             raise ValueError("not a detector file")
         combine = _setting("combine", reader.field("combine"))
         threshold = _setting("threshold", float(reader.field("threshold")))
-        n_features = int(reader.field("n_features"))
+        n_features = _int(reader.field("n_features"))
         vocab_ref = reader.field("vocab_ref")
-        n_members = _setting("members", int(reader.field("members")))
+        n_members = _setting("members", _int(reader.field("members")))
         members = []
         for i in range(n_members):
             reader.field("member")
             cfg = _read_config(reader, GbdtConfig)
             base_score = _finite(reader.field("base_score"))
-            n_trees = int(reader.field("trees"))
+            n_trees = _int(reader.field("trees"))
             trees = []
             for _ in range(n_trees):
                 # node lines are read before any array is sized, so a node
                 # count beyond the end of the file allocates nothing
-                n_nodes = int(reader.field("tree").split()[1])
+                _, n_nodes = map(_int, reader.field("tree").split())
                 if n_nodes < 1:
                     raise ValueError("a tree has at least one node")
                 nodes = []
@@ -550,7 +558,7 @@ def load_detector(path: str | Path) -> BaggedDetector:
                     if len(parts) != _NODE_FIELDS.get(parts[0] if parts else ""):
                         raise ValueError(f"bad node line {parts!r}")
                     if parts[0] == "s":
-                        f, lo, hi = int(parts[1]), int(parts[3]), int(parts[4])
+                        f, lo, hi = _int(parts[1]), _int(parts[3]), _int(parts[4])
                         # children come after their parent, so descent ends
                         if not (0 <= f < n_features and node < lo < n_nodes
                                 and node < hi < n_nodes):

@@ -43,7 +43,15 @@ def _finite(text: str) -> float:
     return value
 
 
-_KINDS = {"int": int, "float": float}
+def _int(text: str) -> int:
+    """An integer in ASCII, by the rule call ids follow: int() also reads
+    '1_0' as 10 and non-ASCII digits as ASCII ones, so both are refused."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+_KINDS = {"int": _int, "float": float}
 
 
 def _config_lines(cfg) -> list[str]:
@@ -260,12 +268,13 @@ def load_vocabulary(path: str | Path) -> NGramVocabulary:
             if line.startswith("#built_from="):
                 built_from = line[len("#built_from="):]
             elif line.startswith("#min_count="):
-                min_count = int(line[len("#min_count="):])
+                min_count = _int(line[len("#min_count="):])
             elif line.strip():
                 parts = line.split("\t")
                 if len(parts) != 3:
                     raise ValueError("expected 3 tab-separated fields")
-                col, ng, count = int(parts[0]), tuple(map(int, parts[1].split(","))), int(parts[2])
+                col, count = _int(parts[0]), _int(parts[2])
+                ng = tuple(map(_int, parts[1].split(",")))
                 if len(ng) not in (2, 3):
                     raise ValueError("n-gram must have 2 or 3 ids")
                 if not all(0 <= i < 2**63 for i in ng):

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import _LineReader, _round_half_up
-from .ngrams import _config_lines, _format_rows, _read_config, _sigmoid
+from .ngrams import _config_lines, _format_rows, _int, _read_config, _sigmoid
 from .seeding import derive_seed
 
 
@@ -547,7 +547,7 @@ def load_model(path: str | Path) -> BiLstmModel:
         params: dict[str, np.ndarray] = {}
         for name, key, cols in _v1_tensors(cfg):
             want = shapes[key] if cols == slice(None) else shapes[key][:-1] + (cfg.hidden,)
-            shape = tuple(int(d) for d in reader.field(f"tensor {name}").split())
+            shape = tuple(map(_int, reader.field(f"tensor {name}").split()))
             if shape != want:
                 raise ValueError(f"tensor {name!r} has wrong shape {shape}")
             n_rows, width = ((1,) + shape)[-2:]

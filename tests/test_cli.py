@@ -218,6 +218,15 @@ class TestPipeline:
         assert all(tok.isdigit() for tok in printed)
 
 
+# int() reads each as the number its ASCII digits spell: '0_5' as 5, and
+# Arabic-Indic or full-width digits as ASCII ones
+OTHER_SPELLINGS = [
+    lambda digits: "0_" + digits,
+    lambda digits: digits.translate({0x30 + i: 0x660 + i for i in range(10)}),
+    lambda digits: digits.translate({0x30 + i: 0xff10 + i for i in range(10)}),
+]
+
+
 class TestValidation:
     def test_missing_required_flag_exits_one(self, capsys):
         assert run("predict-next", "--seq", "1,2") == 1
@@ -499,6 +508,42 @@ class TestValidation:
                    "--out", tmp_path / "m.det") == 1
         assert f"{matrix}: line 1: cannot allocate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spell", OTHER_SPELLINGS)
+    @pytest.mark.parametrize("prefix, index", [
+        ("n_features ", 1), ("members ", 1), ("max_depth ", 1), ("n_estimators ", 1),
+        ("seed ", 1), ("trees ", 1), ("tree ", 1), ("tree ", 2), ("s ", 1), ("s ", 3),
+        ("s ", 4),
+    ])
+    def test_detector_integer_in_another_spelling_exits_one(self, tmp_path, capsys, spell,
+                                                            prefix, index):
+        model, matrix, lines = self.small_detector(tmp_path)
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        parts = lines[at].split()
+        parts[index] = spell(parts[index])
+        lines[at] = " ".join(parts)
+        model.write_text("\n".join(lines) + "\n")
+        assert run("detect", "--model", model, "--in", matrix,
+                   "--out", tmp_path / "p.csv") == 1
+        assert f"{model}: line {at + 1}: {parts[index]!r} is not an integer" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spell", OTHER_SPELLINGS)
+    @pytest.mark.parametrize("line", ["vocab_size 5", "hidden 2", "max_prefix_len 99",
+                                      "tensor emb 6 2", "tensor dense.b 5"])
+    def test_sequence_model_integer_in_another_spelling_exits_one(self, tmp_path, capsys,
+                                                                  spell, line):
+        model = tmp_path / "model.seq"
+        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
+        lines = model.read_text().splitlines()
+        at = lines.index(line)
+        parts = line.split()
+        parts[-1] = spell(parts[-1])
+        lines[at] = " ".join(parts)
+        model.write_text("\n".join(lines) + "\n")
+        assert run("predict-next", "--model", model, "--seq", "1,2") == 1
+        assert f"{model}: line {at + 1}: {parts[-1]!r} is not an integer" \
+            in capsys.readouterr().err
+
     def test_label_outside_zero_one_exits_one(self, tmp_path, capsys):
         _, matrix, _ = self.small_detector(tmp_path)
         labels = tmp_path / "y.labels"
@@ -533,6 +578,21 @@ MALFORMED_LINE_CASES = {
     "vocabulary line": (
         {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=1\nx\t1,2\t1\n"},
         ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 3),
+    "vocabulary n-gram id with an underscore": (
+        {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=1\n0\t1_0,2\t3\n"},
+        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 3),
+    "vocabulary n-gram id with a non-ASCII digit": (
+        {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=1\n0\t\u0663,4\t3\n"},
+        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 3),
+    "vocabulary column with an underscore": (
+        {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=1\n0_0\t1,2\t3\n"},
+        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 3),
+    "vocabulary count with a full-width digit": (
+        {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=1\n0\t1,2\t\uff13\n"},
+        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 3),
+    "vocabulary minimum count with an underscore": (
+        {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=0_1\n0\t1,2\t3\n"},
+        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 2),
     "corpus call id": (
         {"c.csv": "1,2,x\n"}, ["ingest", "--in", "c.csv"], "c.csv", 1),
     "corpus call id with an underscore": (

@@ -261,23 +261,24 @@ class TestTraining:
         assert tree.threshold[0] == -1.5
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The size of every node that builds histograms."""
+    sizes, node_histograms = [], _CodedMatrix.node_histograms
+
+    def counted(coded, rows, g, h):
+        sizes.append(len(rows))
+        return node_histograms(coded, rows, g, h)
+
+    monkeypatch.setattr(_CodedMatrix, "node_histograms", counted)
+    return sizes
+
+
 class TestHopelessNodes:
     # one separating column; at base score 0 every row has h = 0.25, so the
     # root's hessian sum is 1.0 and each 2-row child's is 0.5
     X = np.array([[0.0], [0.0], [1.0], [1.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """The size of every node that builds histograms."""
-        sizes, node_histograms = [], _CodedMatrix.node_histograms
-
-        def counted(coded, rows, g, h):
-            sizes.append(len(rows))
-            return node_histograms(coded, rows, g, h)
-
-        monkeypatch.setattr(_CodedMatrix, "node_histograms", counted)
-        return sizes
 
     def tree(self, min_child_hessian):
         cfg = GbdtConfig(n_estimators=1, max_depth=2, min_child_hessian=min_child_hessian)
@@ -297,8 +298,17 @@ class TestHopelessNodes:
         assert built == []
 
     def test_without_a_minimum_every_node_is_scanned(self, built):
+        # the columns tie at the root, and each 3-row child holds both classes
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        y = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+        cfg = GbdtConfig(n_estimators=1, max_depth=2, min_child_hessian=0.0)
+        assert train_gbdt(csr(X), y, cfg).trees[0].feature.tolist() == [0, 1, 1, -1, -1, -1, -1]
+        assert sorted(built) == [3, 3, 6]
+
+    def test_uniform_children_build_no_histogram(self, built):
+        # each 2-row child holds one class at one margin, so one (g, h): no split gains
         assert self.tree(0.0).feature.tolist() == [0, -1, -1]
-        assert sorted(built) == [2, 2, 4]
+        assert built == [4]
 
 
 class TestBagging:

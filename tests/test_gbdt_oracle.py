@@ -9,13 +9,16 @@ of a one-tree model must reach the brute-force maximum gain over the rows
 routed to it. Tree growth that builds no histogram for a node that cannot
 split, and reuses the root's counts, must grow the trees that growth which
 scans every node grew, kept here as the oracle too, and no split may leave a
-child without a training row."""
+child without a training row. No split of rows that share one gradient and
+hessian may gain, and a separable fit, detect-d1 in small, builds the
+histograms of its roots alone."""
 
 import tempfile
 from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -26,6 +29,7 @@ from apisentry.gbdt import (
     _CodedMatrix,
     _best_split,
     _mean_logloss,
+    as_feature_matrix,
     load_detector,
     predict_proba_rows,
     rank_features,
@@ -35,7 +39,7 @@ from apisentry.gbdt import (
 )
 from apisentry.ngrams import CsrMatrix, NGramVocabulary, _sigmoid
 from matrices import csr, to_scipy
-from test_gbdt import assert_root_split_attains_max, split_gain
+from test_gbdt import assert_root_split_attains_max, built, split_gain  # noqa: F401
 
 
 class ReferenceCoding:
@@ -367,6 +371,58 @@ def test_growth_that_skips_hopeless_nodes_equals_growth_that_scans_every_node(
     dense = to_scipy(X).toarray()
     for tree in trees:  # both children of every split hold a training row
         assert nodes_reached(tree, dense) == set(range(tree.n_nodes()))
-    for got, expect in zip(trees, reference_boost(X, y, cfg, base_score), strict=True):
+    assert_same_trees(trees, reference_boost(X, y, cfg, base_score))
+
+
+def assert_same_trees(trees, expected):
+    for got, expect in zip(trees, expected, strict=True):
         for name in ("feature", "threshold", "left", "right", "weight", "gain"):
             assert np.array_equal(getattr(got, name), getattr(expect, name)), name
+
+
+# p near 0, 1/2 and 1, where h = p(1 - p) is still positive
+MARGINS = st.floats(-40.0, -15.0) | st.floats(-1.0, 1.0) | st.floats(15.0, 36.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(X=matrices(), data=st.data(), copies=st.integers(1, 80), margin=MARGINS,
+       label=st.integers(0, 1), reg_lambda=st.sampled_from([0.0, 1e-12, 1.0]),
+       gamma=st.sampled_from([0.0, 0.1]), root=st.booleans())
+def test_no_split_gains_on_rows_that_share_one_gradient_and_hessian(
+        X, data, copies, margin, label, reg_lambda, gamma, root):
+    X = as_feature_matrix([X] * copies)  # bins of many rows: sums of many equal terms
+    n, p = X.shape[0], float(_sigmoid(margin))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # the rows outside the node hold other gradients, which it must not read
+    g, h = rng.normal(size=n), rng.random(n)
+    rows = np.arange(n) if root else np.flatnonzero(rng.random(n) < rng.random())
+    assume(len(rows) >= 2)
+    g[rows], h[rows] = p - label, p * (1.0 - p)
+    coded = _CodedMatrix(X)
+    cfg = GbdtConfig(reg_lambda=reg_lambda, gamma=gamma, min_child_hessian=0.0)
+    assert _best_split(coded, *coded.node_histograms(rows, g, h), float(g[rows].sum()),
+                       float(h[rows].sum()), len(rows), cfg) is None
+
+
+def planted_corpus(n=48, m=30, seed=18):
+    """detect-d1 in small: count rows over m n-gram columns, three malware
+    rows per goodware row, noise in every column but the first two, and a
+    count planted in column 0 of each goodware row and column 1 of each
+    malware row."""
+    rng = np.random.default_rng(seed)
+    y = (np.arange(n) % 4 != 0).astype(np.float64)
+    D = rng.integers(1, 4, (n, m)) * (rng.random((n, m)) < 0.3)
+    D[:, 0] = (y == 0) * rng.integers(1, 3, n)
+    D[:, 1] = (y == 1) * rng.integers(1, 3, n)
+    return csr(D), y
+
+
+@pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
+def test_a_separable_fit_builds_the_histograms_of_its_roots_alone(built, reg_lambda):
+    X, y = planted_corpus()
+    cfg = GbdtConfig(max_depth=5, n_estimators=40, reg_lambda=reg_lambda)
+    model = train_gbdt(X, y, cfg)
+    # each root splits the classes apart, and each child holds one class at one margin
+    assert built == [X.shape[0]] * sum(tree.n_nodes() > 1 for tree in model.trees)
+    assert any(tree.n_nodes() > 1 for tree in model.trees)
+    assert_same_trees(model.trees, reference_boost(X, y, cfg, model.base_score))
