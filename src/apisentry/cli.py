@@ -30,6 +30,8 @@ from .corpus import (
     SplitSpec,
     _LineReader,
     _call_ids,
+    _float,
+    _int,
     canonicalize,
     convert_seq_csv,
     convert_wide_csv,
@@ -39,7 +41,6 @@ from .corpus import (
     stratified_split,
 )
 from .gbdt import (
-    GbdtConfig,
     default_bagging_configs,
     ensemble_predict_rows,
     load_detector,
@@ -129,10 +130,19 @@ def _config_flags(path: str, commands: dict[str, _Parser], command: str) -> list
 
 def _count(text: str, low: int = 0, high: int | None = None) -> int:
     """argparse type of count options: an integer from `low` to `high`, if given."""
-    if not text.isdecimal() or int(text) < low or (high is not None and int(text) > high):
+    try:
+        value = _int(text)
+        if value < low or (high is not None and value > high):
+            raise ValueError
+    except ValueError:
         what = "a non-negative integer" if high is None else f"an integer from {low} to {high}"
-        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
-    return int(text)
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+    return value
+
+
+# argparse types of the other numeric options, named in argparse's refusals
+_INT, _FLOAT = partial(_int), partial(_float)
+_INT.__name__, _FLOAT.__name__ = "int", "float"
 
 
 class _InFile(str):
@@ -166,11 +176,19 @@ def _write_manifests(command: str, config: dict, inputs, outputs, t0: float) -> 
 
 
 def _load_names(path: str | None) -> dict[int, str] | None:
+    """`id,name` per non-blank line; the first may be a header instead."""
     if not path:
         return None
-    # a line that does not start with a number is a header, blank or junk
-    rows = (line.strip().partition(",") for line in _LineReader(path))
-    return {int(ident): name.strip() for ident, _, name in rows if ident.isdecimal()}
+    names = {}
+    with _LineReader(path) as reader:
+        for n, line in enumerate(filter(str.strip, reader)):
+            ident, _, name = line.strip().partition(",")
+            try:
+                names[_int(ident)] = name.strip()
+            except ValueError:
+                if n:
+                    raise
+    return names
 
 
 # --- command implementations --------------------------------------------------
@@ -249,12 +267,6 @@ def _cmd_featurize(args) -> list[Path]:
     return outputs
 
 
-def _member_configs(args) -> list[GbdtConfig]:
-    return [replace(cfg, reg_lambda=args.reg_lambda, gamma=args.gamma,
-                    min_child_hessian=args.min_child_hessian)
-            for cfg in default_bagging_configs()]
-
-
 def _cmd_train_detector(args) -> list[Path]:
     _require_inputs(args.train, args.labels)
     X = load_matrix(args.train)
@@ -263,8 +275,11 @@ def _cmd_train_detector(args) -> list[Path]:
         raise CorpusError("training labels must all be 0 or 1")
     if len(labels) != X.shape[0]:
         raise CorpusError(f"{X.shape[0]} matrix rows but {len(labels)} labels")
+    configs = [replace(cfg, reg_lambda=args.reg_lambda, gamma=args.gamma,
+                       min_child_hessian=args.min_child_hessian)
+               for cfg in default_bagging_configs()]
     detector = train_bagged(
-        X, np.array(labels), configs=_member_configs(args),
+        X, np.array(labels), configs=configs,
         seed=derive_seed(args.seed, "bootstrap"), bootstrap=not args.no_bootstrap,
         combine=args.vote, threshold=args.threshold, vocab_ref=args.vocab_ref)
     save_detector(detector, args.out)
@@ -392,9 +407,7 @@ def _cmd_evaluate(args) -> list[Path]:
     else:
         preds = _read_numbers(Path(args.pred))
         truths = _read_numbers(Path(args.truth))
-        scores = None
-        if args.scores:
-            scores = _read_score_rows(Path(args.scores))
+        scores = _read_score_rows(Path(args.scores)) if args.scores else None
         n_labels = int(max(preds.max(), truths.max())) + 1 if len(preds) else 1
         if scores is not None:
             n_labels = max(n_labels, scores.shape[1])
@@ -442,7 +455,7 @@ def _cmd_reproduce(args) -> list[Path]:
 def _add_common(p: _Parser) -> None:
     p.add_argument("--config", type=_InFile,
                    help="flat key=value file of option dests; flags given here win")
-    p.add_argument("--seed", type=int, default=os.environ.get("APISENTRY_SEED", 42),
+    p.add_argument("--seed", type=_INT, default=os.environ.get("APISENTRY_SEED", 42),
                    help="task seed (default %(default)s, taken from APISENTRY_SEED if set)")
 
 
@@ -456,7 +469,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--collapse", action="store_true", help="drop consecutive repeated calls")
-    p.add_argument("--max-len", dest="max_len", type=int, default=100,
+    p.add_argument("--max-len", dest="max_len", type=_INT, default=100,
                    help="prefix cap (default %(default)s)")
     p.add_argument("--out", required=True)
     _add_common(p)
@@ -471,15 +484,15 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--id-col", dest="id_col", default="hash")
     p.add_argument("--seq-col", dest="seq_col", default="calls")
     p.add_argument("--delimiter", dest="delimiter", default=" ")
-    p.add_argument("--constant-label", dest="constant_label", type=int, default=1)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=0)
+    p.add_argument("--constant-label", dest="constant_label", type=_INT, default=1)
+    p.add_argument("--vocab-size", dest="vocab_size", type=_INT, default=0)
     _add_common(p)
 
     p = sub.add_parser("split", help="stratified train/test split")
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
     p.add_argument("--out-train", dest="out_train", required=True)
     p.add_argument("--out-test", dest="out_test", required=True)
-    p.add_argument("--test-frac", dest="test_frac", type=float, default=0.2)
+    p.add_argument("--test-frac", dest="test_frac", type=_FLOAT, default=0.2)
     p.add_argument("--no-stratify", dest="no_stratify", action="store_true")
     _add_common(p)
 
@@ -508,11 +521,11 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--labels", type=_InFile, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--vote", choices=["mean", "majority"], default="mean")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_FLOAT, default=0.5)
     p.add_argument("--no-bootstrap", dest="no_bootstrap", action="store_true")
-    p.add_argument("--reg-lambda", dest="reg_lambda", type=float, default=1.0)
-    p.add_argument("--gamma", dest="gamma", type=float, default=0.0)
-    p.add_argument("--min-child-hessian", dest="min_child_hessian", type=float, default=1.0)
+    p.add_argument("--reg-lambda", dest="reg_lambda", type=_FLOAT, default=1.0)
+    p.add_argument("--gamma", dest="gamma", type=_FLOAT, default=0.0)
+    p.add_argument("--min-child-hessian", dest="min_child_hessian", type=_FLOAT, default=1.0)
     p.add_argument("--vocab-ref", dest="vocab_ref", default="")
     _add_common(p)
 
@@ -531,17 +544,17 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("train-predictor", help="train the next-call sequence model")
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=0)
+    p.add_argument("--vocab-size", dest="vocab_size", type=_INT, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--embed", type=int, default=64)
-    p.add_argument("--hidden", type=int, default=150)
-    p.add_argument("--dropout", type=float, default=0.3)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=128)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=50)
-    p.add_argument("--patience", type=int, default=3)
-    p.add_argument("--val-frac", dest="val_frac", type=float, default=0.1)
-    p.add_argument("--max-prefix-len", dest="max_prefix_len", type=int, default=99)
+    p.add_argument("--embed", type=_INT, default=64)
+    p.add_argument("--hidden", type=_INT, default=150)
+    p.add_argument("--dropout", type=_FLOAT, default=0.3)
+    p.add_argument("--lr", type=_FLOAT, default=0.01)
+    p.add_argument("--batch-size", dest="batch_size", type=_INT, default=128)
+    p.add_argument("--max-epochs", dest="max_epochs", type=_INT, default=50)
+    p.add_argument("--patience", type=_INT, default=3)
+    p.add_argument("--val-frac", dest="val_frac", type=_FLOAT, default=0.1)
+    p.add_argument("--max-prefix-len", dest="max_prefix_len", type=_INT, default=99)
     p.add_argument("--trace-cap", dest="trace_cap", type=_count, default=0,
                    help="keep only each trace's last N calls (0 disables)")
     p.add_argument("--curves", help="write per-epoch loss curves CSV here")

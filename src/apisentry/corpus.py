@@ -122,7 +122,7 @@ class _LineReader:
             raise ValueError(f"expected {name!r}, got {line!r}")
         return line[len(name) + 1:]
 
-    def table(self, width: int, dtype=float, sep: str | None = None,
+    def table(self, width: int, dtype=np.float64, sep: str | None = None,
               n_rows: int | None = None, what: str = "a row") -> np.ndarray:
         """The next `n_rows` lines, or all the rest but blank ones, as an
         (n, width) array read by one np.loadtxt; a structured dtype is 1 wide.
@@ -152,16 +152,45 @@ class _LineReader:
             raise ValueError(message.format(*table[k]))
 
 
+def _plain(text: str) -> bool:
+    r"""The number rule: text that holds a number is printable ASCII without
+    '_'. int() and float() read '1_0' as 10 and non-ASCII digits as ASCII
+    ones; np.loadtxt reads '1\u01fe2' as 4722 and a '\x1f' as a space."""
+    return text.isascii() and text.isprintable() and "_" not in text
+
+
+def _int(text: str) -> int:
+    """int(text), for text that keeps the number rule."""
+    if not _plain(text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def _float(text: str) -> float:
+    """float(text), for text that keeps the number rule; nan and the
+    infinities read, for settings whose own checks name them."""
+    if not _plain(text):
+        raise ValueError(f"{text!r} is not a number")
+    return float(text)
+
+
+def _finite(text: str) -> float:
+    """float(text), for text that keeps the number rule; nan and the
+    infinities are refused."""
+    value = _float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _loadtxt(lines: list[str], width: int, dtype, sep: str | None) -> np.ndarray | None:
-    r"""The (len(lines), width) array np.loadtxt reads from the lines, or None.
-    Only printable ASCII is read: np.loadtxt takes '1\u01fe2' for the int64
-    4722, and a '\x1f' beside a field for a space, where int() and float()
-    refuse both."""
+    """The (len(lines), width) array np.loadtxt reads from the lines, or None.
+    Only text that keeps the number rule is read."""
     if not lines:
         return np.empty((0, width), dtype)
     text = "".join(lines)
     try:
-        if text.strip() and text.isascii() and text.isprintable():
+        if text.strip() and _plain(text):
             table = np.loadtxt(lines, dtype, comments=None, delimiter=sep, ndmin=2)
             return table if table.shape == (len(lines), width) else None
     except (ValueError, OverflowError):
@@ -188,16 +217,15 @@ def _parse_label(token: str) -> int | None:
 
 
 def _call_ids(tokens, text: str | None = None) -> tuple[int, ...]:
-    """Call ids from ints, or from text tokens by the numeric tables' rule:
-    int() reads '1_0' as 10 and non-ASCII digits as ASCII ones, so '_' and
-    non-ASCII characters are refused, in `text`, the line the tokens were
-    split from at commas, if given (a join costs more than the check)."""
+    """Call ids from ints, or from text tokens by the number rule (_plain),
+    tested once on `text`, the line the tokens were split from at commas, if
+    given (a join costs more than the test)."""
     if not tokens or tokens == [""]:
         raise CorpusError("empty sequence")
     if text is None:
         text = "" if isinstance(tokens[0], int) else "".join(tokens)
     try:
-        if "_" in text or not text.isascii():
+        if not _plain(text):
             raise ValueError
         calls = tuple(map(int, tokens))
     except ValueError:
@@ -240,7 +268,7 @@ def parse_corpus(source: str | bytes | IO, format: str = "canonical_csv",
             if format == "canonical_csv" and line.startswith("#"):
                 if not traces and line.startswith("#vocab=") and declared_vocab is None:
                     try:
-                        declared_vocab = int(line[len("#vocab="):])
+                        declared_vocab = _int(line[len("#vocab="):])
                     except ValueError:
                         raise CorpusError(f"bad vocabulary header {line!r}") from None
                     if declared_vocab < 1:
@@ -274,17 +302,13 @@ def parse_corpus(source: str | bytes | IO, format: str = "canonical_csv",
 
 def serialize_corpus(corpus: Corpus, format: str = "canonical_csv") -> str:
     if format == "canonical_csv":
-        out = [f"#vocab={corpus.vocabulary_size}"]
-        for t in corpus.traces:
-            label = "-" if t.label is None else str(t.label)
-            out.append(label + "," + ",".join(str(c) for c in t.calls))
+        out = [f"#vocab={corpus.vocabulary_size}"] + [
+            ("-" if t.label is None else str(t.label)) + "," + ",".join(map(str, t.calls))
+            for t in corpus.traces]
         return "\n".join(out) + "\n"
     if format == "jsonl":
-        out = []
-        for t in corpus.traces:
-            out.append(json.dumps(
-                {"id": t.id, "label": t.label, "calls": list(t.calls)},
-                separators=(",", ":")))
+        out = [json.dumps({"id": t.id, "label": t.label, "calls": list(t.calls)},
+                          separators=(",", ":")) for t in corpus.traces]
         return "\n".join(out) + "\n"
     raise CorpusError(f"unknown corpus format {format!r}")
 
@@ -319,12 +343,8 @@ def truncate_prefix(trace: LabeledTrace, max_len: int) -> LabeledTrace:
 def canonicalize(corpus: Corpus, collapse: bool = True,
                  max_len: int = DEFAULT_MAX_LEN) -> Corpus:
     """Apply repeat collapsing and prefix truncation to every trace."""
-    traces = []
-    for t in corpus.traces:
-        if collapse:
-            t = collapse_consecutive_repeats(t)
-        traces.append(truncate_prefix(t, max_len))
-    return replace(corpus, traces=tuple(traces))
+    traces = map(collapse_consecutive_repeats, corpus.traces) if collapse else corpus.traces
+    return replace(corpus, traces=tuple(truncate_prefix(t, max_len) for t in traces))
 
 
 def _round_half_up(x: float) -> int:
@@ -401,32 +421,49 @@ def _column(header: list[str], name: str | None) -> int | None:
     return header.index(name) if name and name in header else None
 
 
+def _convert(text: str | _LineReader, columns, id_col: str | None,
+             vocabulary_size: int | None, provenance: str) -> Corpus:
+    """The adapters' loop: a header, then a trace per non-blank row of as many
+    fields; `columns(header)` returns the reader of a row's (calls, label)."""
+    traces = []
+    with _reader(text) as reader:
+        rows = (line.split(",") for line in reader if line.strip())
+        header = [h.strip() for h in next(rows, [])]
+        if not header:
+            raise CorpusError("no traces")
+        read, id_pos = columns(header), _column(header, id_col)
+        for fields in rows:
+            if len(fields) != len(header):
+                raise CorpusError(f"expected {len(header)} fields")
+            calls, label = read(fields)
+            trace_id = fields[id_pos].strip() if id_pos is not None else f"t{len(traces) + 1}"
+            traces.append(LabeledTrace(id=trace_id, calls=calls, label=label))
+        return _corpus(traces, vocabulary_size, provenance)
+
+
 def convert_wide_csv(text: str | _LineReader, label_col: str, call_prefix: str,
                      id_col: str | None = None,
                      vocabulary_size: int | None = None) -> Corpus:
     """Adapt a wide CSV (one call per column, columns named
     ``<call_prefix>0..<call_prefix>N``) into a canonical corpus. The label
-    column holds 0, 1 or - (unlabeled), as in the canonical format."""
-    traces = []
-    with _reader(text) as reader:
-        rows = (line.split(",") for line in reader if line.strip())
-        header = [h.strip() for h in next(rows, [])]
-        label_pos, id_pos = _column(header, label_col), _column(header, id_col)
+    column holds 0, 1 or - (unlabeled), as in the canonical format. Every
+    other column named with the prefix must end in a non-negative integer."""
+    def columns(header):
+        label_pos = _column(header, label_col)
         if label_pos is None:
-            raise CorpusError(f"label column {label_col!r} not in header" if header
-                              else "no traces")
-        call_pos = sorted((int(h[len(call_prefix):]), i) for i, h in enumerate(header)
-                          if h.startswith(call_prefix) and h[len(call_prefix):].isdigit())
+            raise CorpusError(f"label column {label_col!r} not in header")
+        try:
+            call_pos = sorted((_int(h[len(call_prefix):]), i) for i, h in enumerate(header)
+                              if h.startswith(call_prefix) and h not in (label_col, id_col))
+            if call_pos and call_pos[0][0] < 0:
+                raise ValueError(f"{call_pos[0][0]} is negative")
+        except ValueError as exc:
+            raise CorpusError(f"call column index after {call_prefix!r}: {exc}") from None
         if not call_pos:
             raise CorpusError(f"no call columns with prefix {call_prefix!r}")
-        for fields in rows:
-            if len(fields) != len(header):
-                raise CorpusError(f"expected {len(header)} fields")
-            label = _parse_label(fields[label_pos].strip())
-            calls = _call_ids([fields[i] for _, i in call_pos])
-            trace_id = fields[id_pos].strip() if id_pos is not None else f"t{len(traces) + 1}"
-            traces.append(LabeledTrace(id=trace_id, calls=calls, label=label))
-        return _corpus(traces, vocabulary_size, "wide_csv")
+        return lambda fields: (_call_ids([fields[i] for _, i in call_pos]),
+                               _parse_label(fields[label_pos].strip()))
+    return _convert(text, columns, id_col, vocabulary_size, "wide_csv")
 
 
 def convert_seq_csv(text: str | _LineReader, seq_col: str, delimiter: str = " ",
@@ -434,22 +471,13 @@ def convert_seq_csv(text: str | _LineReader, seq_col: str, delimiter: str = " ",
                     id_col: str | None = None,
                     vocabulary_size: int | None = None) -> Corpus:
     """Adapt a CSV carrying each trace as one delimited string column."""
-    traces = []
-    with _reader(text) as reader:
-        rows = (line.split(",") for line in reader if line.strip())
-        header = [h.strip() for h in next(rows, [])]
-        seq_pos, label_pos, id_pos = (_column(header, c) for c in (seq_col, label_col, id_col))
+    def columns(header):
+        seq_pos, label_pos = _column(header, seq_col), _column(header, label_col)
         if seq_pos is None:
-            raise CorpusError(f"sequence column {seq_col!r} not in header" if header
-                              else "no traces")
+            raise CorpusError(f"sequence column {seq_col!r} not in header")
         if label_col and label_pos is None:
             raise CorpusError(f"label column {label_col!r} not in header")
-        for fields in rows:
-            if len(fields) != len(header):
-                raise CorpusError(f"expected {len(header)} fields")
-            calls = _call_ids([tok for tok in fields[seq_pos].strip().split(delimiter) if tok])
-            label = (_parse_label(fields[label_pos].strip()) if label_pos is not None
-                     else constant_label)
-            trace_id = fields[id_pos].strip() if id_pos is not None else f"t{len(traces) + 1}"
-            traces.append(LabeledTrace(id=trace_id, calls=calls, label=label))
-        return _corpus(traces, vocabulary_size, "seq_csv")
+        return lambda fields: (
+            _call_ids([tok for tok in fields[seq_pos].strip().split(delimiter) if tok]),
+            constant_label if label_pos is None else _parse_label(fields[label_pos].strip()))
+    return _convert(text, columns, id_col, vocabulary_size, "seq_csv")

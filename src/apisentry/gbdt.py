@@ -43,9 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import _LineReader
-from .ngrams import (CsrMatrix, NGramVocabulary, _config_lines, _finite, _int, _read_config,
-                     _sigmoid)
+from .corpus import _LineReader, _finite, _float, _int
+from .ngrams import CsrMatrix, NGramVocabulary, _config_lines, _read_config, _sigmoid
 
 # Rows descended together; bounds the dense split-column block and the
 # (rows, trees) node matrix whatever the number of rows scored.
@@ -233,7 +232,7 @@ def _best_split(coded: _CodedMatrix, hist_g, hist_h, hist_n,
         gain = 0.5 * (left_g ** 2 / (left_h + lam)
                       + right_g ** 2 / (right_h + lam)
                       - parent) - cfg.gamma
-    gain[~valid] = -np.inf
+    gain[~(valid & np.isfinite(gain))] = -np.inf
     b = int(np.argmax(gain))
     best = gain[b]
     # a gain within a few ulps of the parent term is rounding, not a split
@@ -535,7 +534,7 @@ def load_detector(path: str | Path) -> BaggedDetector:
         if reader.next() != _FORMAT_TAG:
             raise ValueError("not a detector file")
         combine = _setting("combine", reader.field("combine"))
-        threshold = _setting("threshold", float(reader.field("threshold")))
+        threshold = _setting("threshold", _float(reader.field("threshold")))
         n_features = _int(reader.field("n_features"))
         vocab_ref = reader.field("vocab_ref")
         n_members = _setting("members", _int(reader.field("members")))

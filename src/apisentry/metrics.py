@@ -171,13 +171,7 @@ def rare_label_report(corpus: Corpus, auc: AucReport,
     freq = np.bincount(calls, minlength=corpus.vocabulary_size)
     if freq_threshold is None:
         freq_threshold = 0.001 * len(calls)
-    out = []
-    for lab in range(corpus.vocabulary_size):
-        if freq[lab] < freq_threshold:
-            out.append(RareLabel(
-                label=lab,
-                frequency=int(freq[lab]),
-                auc=auc.per_label_auc.get(lab),
-                name=names.get(lab) if names else None))
-    out.sort(key=lambda r: (r.frequency, r.label))
-    return out
+    rare = [RareLabel(label=lab, frequency=int(freq[lab]), auc=auc.per_label_auc.get(lab),
+                      name=names.get(lab) if names else None)
+            for lab in range(corpus.vocabulary_size) if freq[lab] < freq_threshold]
+    return sorted(rare, key=lambda r: (r.frequency, r.label))

@@ -8,7 +8,6 @@ and is immutable afterwards; out-of-vocabulary n-grams are dropped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
@@ -17,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, LabeledTrace, _LineReader, _parse_label
+from .corpus import Corpus, CorpusError, LabeledTrace, _LineReader, _float, _int, _parse_label
 
 NGram = tuple[int, ...]
 
@@ -35,29 +34,13 @@ def _format_rows(fmt: str, rows) -> list[str]:
     return list(map(fmt.__mod__, map(tuple, rows)))
 
 
-def _finite(text: str) -> float:
-    """A number written `%.17g`; nan and infinities are refused."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
-
-
-def _int(text: str) -> int:
-    """An integer in ASCII, by the rule call ids follow: int() also reads
-    '1_0' as 10 and non-ASCII digits as ASCII ones, so both are refused."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"{text!r} is not an integer")
-    return int(text)
-
-
-_KINDS = {"int": _int, "float": float}
+_KINDS = {"int": _int, "float": _float}
 
 
 def _config_lines(cfg) -> list[str]:
     """One `name value` line per field of a config dataclass, in declaration
     order; float fields are written `%.17g`."""
-    return [("%s %.17g" if _KINDS[f.type] is float else "%s %s") % (f.name, getattr(cfg, f.name))
+    return [("%s %.17g" if f.type == "float" else "%s %s") % (f.name, getattr(cfg, f.name))
             for f in fields(cfg)]
 
 
@@ -310,7 +293,7 @@ def load_matrix(path: str | Path) -> CsrMatrix:
     [0, 2**63)."""
     with _LineReader(path) as reader:
         try:
-            n_rows, n_cols = map(int, reader.next().split(","))
+            n_rows, n_cols = map(_int, reader.next().split(","))
             if min(n_rows, n_cols) < 0:
                 raise ValueError
         except ValueError:

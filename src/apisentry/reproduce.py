@@ -37,6 +37,7 @@ NEXTCALL_TARGETS = {
     "dataset2": {"accuracy": 88.80, "precision": 88.50, "recall": 88.80, "f1": 88.48},
 }
 NEXTCALL_TOLERANCES = {"dataset1": 4.0, "dataset2": 5.0}
+METRICS = ("accuracy", "precision", "recall", "f1")
 
 # Reference top-10 2-grams/3-grams with (goodware, malware) occurrence counts.
 REFERENCE_TOP_NGRAMS = [
@@ -75,14 +76,9 @@ NO_DATASETS = (
     "then rerun with --dataset1 d1.csv and/or --dataset2 d2.csv.")
 
 
-def _pct(x: float) -> float:
-    return 100.0 * x
-
-
 def _compare_rows(rows, out_lines) -> None:
     header = f"{'metric':<32}{'ours':>10}{'target':>10}{'tolerance':>11}  within"
-    out_lines.append(header)
-    out_lines.append("-" * len(header))
+    out_lines += [header, "-" * len(header)]
     for name, ours, target, tol in rows:
         ok = "yes" if abs(ours - target) <= tol else "NO"
         out_lines.append(f"{name:<32}{ours:>10.2f}{target:>10.2f}{tol:>11.1f}  {ok}")
@@ -102,34 +98,28 @@ def _detection_pipeline(corpus: Corpus, outdir: Path, seed: int,
     X_train, y_train = corpus_matrix(train_c, vocab)
     X_test, y_test = corpus_matrix(test_c, vocab)
 
-    configs = default_bagging_configs()
-    if quick:
-        configs = [replace(cfg, n_estimators=20) for cfg in configs]
+    configs = [replace(cfg, n_estimators=20) if quick else cfg
+               for cfg in default_bagging_configs()]
     detector = train_bagged(X_train, np.array(y_train), configs=configs,
                             seed=derive_seed(seed, "bootstrap"), vocab_ref="d1_vocab.tsv")
     save_detector(detector, outdir / "d1_detector.det")
     preds, scores = ensemble_predict_rows(detector, X_test)
     m = binary_metrics(confusion(preds, np.array(y_test), 2))
-    report = {"accuracy": _pct(m.accuracy), "precision": _pct(m.precision),
-              "recall": _pct(m.recall), "f1": _pct(m.f1)}
+    report = {k: 100.0 * getattr(m, k) for k in METRICS}
     (outdir / "d1_detection_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    rows = [(f"detection {k}", report[k], DETECTION_TARGETS[k], DETECTION_TOLERANCES[k])
-            for k in ("accuracy", "precision", "recall", "f1")]
-    _compare_rows(rows, lines)
+    _compare_rows([(f"detection {k}", report[k], DETECTION_TARGETS[k], DETECTION_TOLERANCES[k])
+                   for k in METRICS], lines)
 
     ranked = rank_features(detector, vocab, k=10)
-    feature_lines = ["rank\tngram\timportance\tclass0_count\tclass1_count"]
-    ours_set = set()
-    for rank, (ngram, importance) in enumerate(ranked, start=1):
-        c0, c1 = class_frequency(train_c, ngram)
-        ours_set.add(ngram)
-        ids = ",".join(str(i) for i in ngram)
-        feature_lines.append(f"{rank}\t[{ids}]\t{importance:.6f}\t{c0}\t{c1}")
+    feature_lines = ["rank\tngram\timportance\tclass0_count\tclass1_count"] + [
+        "%d\t[%s]\t%.6f\t%d\t%d" % (rank, ",".join(map(str, ngram)), importance,
+                                   *class_frequency(train_c, ngram))
+        for rank, (ngram, importance) in enumerate(ranked, start=1)]
     (outdir / "d1_features_top10.tsv").write_text(
         "\n".join(feature_lines) + "\n", encoding="utf-8")
-    overlap = sum(1 for ng, _ in REFERENCE_TOP_NGRAMS if ng in ours_set)
+    overlap = len({ng for ng, _ in ranked} & {ng for ng, _ in REFERENCE_TOP_NGRAMS})
     lines.append(f"top-10 n-gram overlap with reference list: {overlap}/10 "
                  f"(>= 3 expected)")
 
@@ -164,23 +154,18 @@ def _nextcall_pipeline(corpus: Corpus, tag: str, vocab_size: int, outdir: Path,
     m = weighted_metrics(preds, truths, vocab_size)
     auc = roc_auc_per_label(dists, truths, vocab_size)
     rare = rare_label_report(corpus, auc)
-    rare_lines = ["label\tfrequency\tauc"]
-    for r in rare:
-        auc_txt = "undefined" if r.auc is None else f"{r.auc:.4f}"
-        rare_lines.append(f"{r.label}\t{r.frequency}\t{auc_txt}")
+    rare_lines = ["label\tfrequency\tauc"] + [
+        f"{r.label}\t{r.frequency}\t" + ("undefined" if r.auc is None else f"{r.auc:.4f}")
+        for r in rare]
     (outdir / f"{tag}_rare_labels.tsv").write_text(
         "\n".join(rare_lines) + "\n", encoding="utf-8")
 
-    result = {"accuracy": _pct(m.accuracy), "precision": _pct(m.precision),
-              "recall": _pct(m.recall), "f1": _pct(m.f1),
-              "train_samples": len(train_samples), "test_samples": len(test_samples)}
+    result = {k: 100.0 * getattr(m, k) for k in METRICS}
+    result |= {"train_samples": len(train_samples), "test_samples": len(test_samples)}
     (outdir / f"{tag}_nextcall_report.json").write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    targets = NEXTCALL_TARGETS[tag]
-    tol = NEXTCALL_TOLERANCES[tag]
-    rows = [(f"{tag} next-call {k}", result[k], targets[k], tol)
-            for k in ("accuracy", "precision", "recall", "f1")]
-    _compare_rows(rows, lines)
+    _compare_rows([(f"{tag} next-call {k}", result[k], NEXTCALL_TARGETS[tag][k],
+                    NEXTCALL_TOLERANCES[tag]) for k in METRICS], lines)
     if seq_traces:
         lines.append(f"note: trained on the first {seq_traces} traces of the split; "
                      f"run with top-level compute (seq_traces=0) to chase the targets")

@@ -42,8 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import _LineReader, _round_half_up
-from .ngrams import _config_lines, _format_rows, _int, _read_config, _sigmoid
+from .corpus import _LineReader, _int, _round_half_up
+from .ngrams import _config_lines, _format_rows, _read_config, _sigmoid
 from .seeding import derive_seed
 
 
@@ -447,11 +447,8 @@ def train(samples, config: BiLstmConfig) -> tuple[BiLstmModel, TrainReport]:
 
     train_curve: list[float] = []
     val_curve: list[float] = []
-    best_loss = math.inf
-    best_epoch = 0
-    best_params = model.copy_params()
-    stale = 0
-    stopped = 0
+    best_loss, best_epoch, best_params = math.inf, 0, model.copy_params()
+    stale = stopped = 0
     for epoch in range(1, config.max_epochs + 1):
         perm = shuffle_rng.permutation(len(train_set))
         total = 0.0
@@ -463,10 +460,8 @@ def train(samples, config: BiLstmConfig) -> tuple[BiLstmModel, TrainReport]:
         val_curve.append(batch_loss(model, val))
         stopped = epoch
         if val_curve[-1] < best_loss:
-            best_loss = val_curve[-1]
-            best_epoch = epoch
+            best_loss, best_epoch, stale = val_curve[-1], epoch, 0
             best_params = model.copy_params()
-            stale = 0
         else:
             stale += 1
             if stale >= config.patience:

@@ -528,6 +528,25 @@ class TestValidation:
             in capsys.readouterr().err
 
     @pytest.mark.parametrize("spell", OTHER_SPELLINGS)
+    @pytest.mark.parametrize("prefix, index", [
+        ("threshold ", 1), ("learning_rate ", 1), ("reg_lambda ", 1),
+        ("min_child_hessian ", 1), ("base_score ", 1), ("s ", 2), ("s ", 5), ("l ", 1),
+    ])
+    def test_detector_float_in_another_spelling_exits_one(self, tmp_path, capsys, spell,
+                                                          prefix, index):
+        model, matrix, lines = self.small_detector(tmp_path)
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        parts = lines[at].split()
+        sign, digits = parts[index][:parts[index].startswith("-")], parts[index].lstrip("-")
+        parts[index] = sign + spell(digits)
+        lines[at] = " ".join(parts)
+        model.write_text("\n".join(lines) + "\n")
+        assert run("detect", "--model", model, "--in", matrix,
+                   "--out", tmp_path / "p.csv") == 1
+        assert f"{model}: line {at + 1}: {parts[index]!r} is not a number" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spell", OTHER_SPELLINGS)
     @pytest.mark.parametrize("line", ["vocab_size 5", "hidden 2", "max_prefix_len 99",
                                       "tensor emb 6 2", "tensor dense.b 5"])
     def test_sequence_model_integer_in_another_spelling_exits_one(self, tmp_path, capsys,
@@ -543,6 +562,20 @@ class TestValidation:
         assert run("predict-next", "--model", model, "--seq", "1,2") == 1
         assert f"{model}: line {at + 1}: {parts[-1]!r} is not an integer" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spell", OTHER_SPELLINGS)
+    @pytest.mark.parametrize("field", ["dropout_rate", "learning_rate", "adam_eps"])
+    def test_sequence_model_float_in_another_spelling_exits_one(self, tmp_path, capsys,
+                                                                spell, field):
+        model = tmp_path / "model.seq"
+        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
+        lines = model.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(field + " "))
+        bad = spell(lines[at].split()[1])
+        lines[at] = f"{field} {bad}"
+        model.write_text("\n".join(lines) + "\n")
+        assert run("predict-next", "--model", model, "--seq", "1,2") == 1
+        assert f"{model}: line {at + 1}: {bad!r} is not a number" in capsys.readouterr().err
 
     def test_label_outside_zero_one_exits_one(self, tmp_path, capsys):
         _, matrix, _ = self.small_detector(tmp_path)
@@ -641,6 +674,22 @@ MALFORMED_LINE_CASES = {
     "prediction score nan": (
         {"pred.csv": "row,label,score\n0,1,0.9\n1,0,nan\n", "truth.txt": "1\n0\n"},
         ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "pred.csv", 3),
+    "matrix header with an underscore": (
+        {"x.mat": "1_0,2\n0,1,1\n", "y.labels": "1\n"},
+        ["train-detector", "--train", "x.mat", "--labels", "y.labels"], "x.mat", 1),
+    "corpus vocabulary header with an underscore": (
+        {"c.csv": "#vocab=1_0\n1,2,3\n"}, ["ingest", "--in", "c.csv"], "c.csv", 1),
+    "adapt wide call column with a non-ASCII digit": (
+        {"w.csv": "hash,t_0,t_\u0663,malware\na,1,2,1\n"}, ["adapt", "--in", "w.csv"],
+        "w.csv", 1),
+    "adapt wide call column with a negative index": (
+        {"w.csv": "hash,t_0,t_-1,malware\na,1,2,1\n"}, ["adapt", "--in", "w.csv"],
+        "w.csv", 1),
+    "names id with a non-ASCII digit": (
+        {"p.txt": "0\n1\n", "t.txt": "0\n1\n", "s.csv": "0.5,0.5\n0.5,0.5\n",
+         "c.csv": "0,0,1\n", "n.csv": "id,name\n0,NtOpenFile\n\u0661,NtClose\n"},
+        ["evaluate", "--task", "next-call", "--pred", "p.txt", "--truth", "t.txt",
+         "--scores", "s.csv", "--corpus", "c.csv", "--names", "n.csv"], "n.csv", 3),
     "score row with nan": (
         {"p.txt": "0\n1\n", "t.txt": "0\n1\n", "s.csv": "0.5,0.5\n0.2,nan\n"},
         ["evaluate", "--task", "next-call", "--pred", "p.txt", "--truth", "t.txt",
@@ -661,21 +710,41 @@ def test_malformed_line_exits_one_naming_file_and_line(case, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["featurize", "--vocab", "v.tsv", "--in", "c.csv", "--out", "m.mat", "--top-k", "-5"],
-    ["featurize", "--vocab", "v.tsv", "--in", "c.csv", "--out", "m.mat", "--min-count", "-1"],
-    ["rank-features", "--model", "m.det", "--vocab", "v.tsv", "-k", "-1"],
-    ["train-predictor", "--in", "c.csv", "--out", "m.seq", "--trace-cap", "-3"],
-    ["evaluate", "--pred", "p.csv", "--truth", "t.txt", "--out", "r.json",
-     "--rare-threshold", "-1"],
-    ["reproduce", "--outdir", "repro", "--seq-traces", "-1"],
-])
-def test_negative_count_exits_one(argv, tmp_path, monkeypatch, capsys):
+COUNT = "expected a non-negative integer, got {!r}"
+FLAG_CASES = [
+    (["featurize", "--vocab", "v.tsv", "--in", "c.csv", "--out", "m.mat", "--top-k", "-5"],
+     COUNT),
+    (["featurize", "--vocab", "v.tsv", "--in", "c.csv", "--out", "m.mat", "--min-count", "-1"],
+     COUNT),
+    (["rank-features", "--model", "m.det", "--vocab", "v.tsv", "-k", "-1"], COUNT),
+    (["train-predictor", "--in", "c.csv", "--out", "m.seq", "--trace-cap", "-3"], COUNT),
+    (["evaluate", "--pred", "p.csv", "--truth", "t.txt", "--out", "r.json",
+      "--rare-threshold", "-1"], COUNT),
+    (["reproduce", "--outdir", "repro", "--seq-traces", "-1"], COUNT),
+    (["featurize", "--vocab", "v.tsv", "--in", "c.csv", "--out", "m.mat",
+      "--min-count", "\u0663"], COUNT),
+    (["train-predictor", "--in", "c.csv", "--out", "m.seq", "--embed", "1_6"],
+     "invalid int value: {!r}"),
+    (["train-detector", "--train", "x.mat", "--labels", "y.labels", "--out", "m.det",
+      "--gamma", "\uff10.5"], "invalid float value: {!r}"),
+]
+
+
+# each case given directly, then through --config
+@pytest.mark.parametrize("argv, refusal, via_config", [
+    pytest.param(argv, refusal, via_config, id=f"argv{i}" + "-config" * via_config)
+    for via_config in (False, True) for i, (argv, refusal) in enumerate(FLAG_CASES)])
+def test_negative_count_exits_one(argv, refusal, via_config, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    flag, value = argv[-2:]
+    if via_config:
+        Path("run.cfg").write_text(f"{flag.lstrip('-').replace('-', '_')}={value}\n")
+        argv = argv[:-2] + ["--config", "run.cfg"]
     assert run(*argv) == 1
-    assert f"{argv[-2]}: expected a non-negative integer, got '{argv[-1]}'" \
-        in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert f"{flag}: {refusal.format(value)}" in err
+    assert ("the rejected value is from run.cfg" in err) == via_config
+    assert sorted(os.listdir()) == (["run.cfg"] if via_config else [])
 
 
 @pytest.mark.parametrize("k", ["0", "-3", "abc", "1001"])

@@ -404,6 +404,17 @@ def test_no_split_gains_on_rows_that_share_one_gradient_and_hessian(
                        float(h[rows].sum()), len(rows), cfg) is None
 
 
+def test_a_candidate_whose_gain_is_not_finite_leaves_the_others_admissible():
+    # at lambda 0 and min_child_hessian 0, column 0 puts the two rows of zero
+    # hessian alone on its right: a 0/0 gain, beside column 1's gain of 1
+    X = csr(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+    g, h = np.array([0.0, 0.0, 0.5, -0.5]), np.array([0.0, 0.0, 0.25, 0.25])
+    coded = _CodedMatrix(X)
+    cfg = GbdtConfig(reg_lambda=0.0, min_child_hessian=0.0)
+    j, _, gain = _best_split(coded, *coded.node_histograms(np.arange(4), g, h), 0.0, 0.5, 4, cfg)
+    assert (j, gain) == (1, 1.0)
+
+
 def planted_corpus(n=48, m=30, seed=18):
     """detect-d1 in small: count rows over m n-gram columns, three malware
     rows per goodware row, noise in every column but the first two, and a

@@ -1,7 +1,8 @@
 """Property tests: the packed-forest prediction path against a scalar
 per-row descent, the one-row wrappers against the rows path, the
-shared sigmoid at extreme inputs, the AUC midranks against scipy, and
-save/load round trips of the corpus, vocabulary and detector files."""
+shared sigmoid at extreme inputs, the AUC midranks against scipy,
+save/load round trips of the corpus, vocabulary and detector files, and the
+number rule's readers on every integer and float the writers spell."""
 
 import warnings
 from pathlib import Path
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from apisentry import gbdt, seqmodel
-from apisentry.corpus import Corpus, LabeledTrace, parse_corpus, serialize_corpus
+from apisentry.corpus import (Corpus, LabeledTrace, _finite, _int, parse_corpus,
+                              serialize_corpus)
 from apisentry.gbdt import (
     BaggedDetector,
     GbdtConfig,
@@ -199,3 +201,10 @@ def test_detector_file_round_trip(members, rows, combine, threshold, vocab_ref):
         assert first.read_bytes() == second.read_bytes()
     want, got = ensemble_predict_rows(detector, X), ensemble_predict_rows(loaded, X)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(want, got))
+
+
+@settings(max_examples=500, deadline=None)
+@given(n=st.integers(-2**63, 2**63 - 1), x=st.floats(allow_nan=False, allow_infinity=False))
+def test_number_readers_read_what_the_writers_spell(n, x):
+    assert _int(str(n)) == n
+    assert _finite("%.17g" % x) == x

@@ -171,8 +171,10 @@ def _params(load):
 # name in test_readers' valid fixture: (new reader, reference, messages the
 # new reader may refuse with where the reference accepts)
 PAIRS = {
-    "train.mat": (_matrix, ref_load_matrix, r"expected 'row,col,count'"),
-    "model.seq": (_params(load_model), _params(ref_load_model), r"expected a row of \d+ numbers"),
+    "train.mat": (_matrix, ref_load_matrix,
+                  r"expected 'row,col,count'|expected a 'rows,cols' header"),
+    "model.seq": (_params(load_model), _params(ref_load_model),
+                  r"expected a row of \d+ numbers|'.+' is not an integer"),
     "pred.csv": (cli._read_predictions_csv, ref_read_predictions_csv,
                  r"expected the header 'row,label,score'|expected 'row,label,score'|"
                  r"row \S+ out of order|label \S+ is not 0 or 1|score \S+ is not finite"),
