@@ -32,6 +32,7 @@ from .corpus import (
     _call_ids,
     _float,
     _int,
+    _parse_label,
     canonicalize,
     convert_seq_csv,
     convert_wide_csv,
@@ -140,9 +141,10 @@ def _count(text: str, low: int = 0, high: int | None = None) -> int:
     return value
 
 
-# argparse types of the other numeric options, named in argparse's refusals
-_INT, _FLOAT = partial(_int), partial(_float)
-_INT.__name__, _FLOAT.__name__ = "int", "float"
+# argparse types of the other numeric options and of labels, named in
+# argparse's refusals
+_INT, _FLOAT, _LABEL = partial(_int), partial(_float), partial(_parse_label)
+_INT.__name__, _FLOAT.__name__, _LABEL.__name__ = "int", "float", "label"
 
 
 class _InFile(str):
@@ -484,7 +486,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--id-col", dest="id_col", default="hash")
     p.add_argument("--seq-col", dest="seq_col", default="calls")
     p.add_argument("--delimiter", dest="delimiter", default=" ")
-    p.add_argument("--constant-label", dest="constant_label", type=_INT, default=1)
+    p.add_argument("--constant-label", dest="constant_label", type=_LABEL, default=1)
     p.add_argument("--vocab-size", dest="vocab_size", type=_INT, default=0)
     _add_common(p)
 

@@ -76,19 +76,21 @@ class SplitSpec:
 
 
 class _LineReader:
-    """Reads a file, or text, front to back and keeps `pos` on the number of
-    the line being parsed (0 while none is, so also once every line has been
-    read). As a context manager it prefixes any ValueError or IndexError
-    raised in its block, once, with the file's name and that line:
-    `{path}: line {n}: {message}`. A CorpusError stays a CorpusError; any
-    other error becomes a ValueError."""
+    """Reads a file, or text (bytes as UTF-8), front to back and keeps `pos`
+    on the number of the line being parsed (0 while none is, so also once
+    every line has been read). As a context manager it prefixes any
+    ValueError or IndexError raised in its block, once, with the file's name
+    and that line: `{path}: line {n}: {message}`. A CorpusError stays a
+    CorpusError; any other error becomes a ValueError."""
 
-    def __init__(self, path: str | Path | None = None, text: str | None = None):
+    def __init__(self, path: str | Path | None = None, text: str | bytes | None = None):
         self.path = path
         self.pos = 0
         if text is None:
+            text = Path(path).read_bytes()
+        if isinstance(text, bytes):
             try:
-                text = Path(path).read_text(encoding="utf-8")
+                text = text.decode("utf-8")
             except UnicodeDecodeError as exc:
                 self.pos = exc.object.count(b"\n", 0, exc.start) + 1
                 self.__exit__(None, exc, None)  # prefixed like an error in a block
@@ -123,18 +125,17 @@ class _LineReader:
         return line[len(name) + 1:]
 
     def table(self, width: int, dtype=np.float64, sep: str | None = None,
-              n_rows: int | None = None, what: str = "a row") -> np.ndarray:
-        """The next `n_rows` lines, or all the rest but blank ones, as an
-        (n, width) array read by one np.loadtxt; a structured dtype is 1 wide.
-        If that fails, the first line that is blank or does not read alone is
-        refused with `expected {what}`. Leaves `pos` on the last line read."""
+              what: str = "a row") -> np.ndarray:
+        """All the rest of the lines but blank ones as an (n, width) array
+        read by one np.loadtxt; a structured dtype is 1 wide. If that fails,
+        the first line that does not read alone is refused with
+        `expected {what}`. Leaves `pos` on the last line read."""
         start = self.pos
-        body = self.lines[start:] if n_rows is None else self.lines[start:start + n_rows]
-        rows = list(filter(str.strip, body))
-        table = _loadtxt(rows, width, dtype, sep)
-        if table is None or n_rows not in (None, len(rows)):
+        body = self.lines[start:]
+        table = _loadtxt(list(filter(str.strip, body)), width, dtype, sep)
+        if table is None:
             for self.pos, line in enumerate(body, start + 1):
-                if (n_rows or line.strip()) and _loadtxt([line], width, dtype, sep) is None:
+                if line.strip() and _loadtxt([line], width, dtype, sep) is None:
                     raise ValueError(f"expected {what}")
             self.pos = len(self.lines) + 1
             raise ValueError("unexpected end of file")
@@ -205,7 +206,7 @@ def _reader(source) -> _LineReader:
         raise TypeError("parse_corpus takes a stream or text, not a path; use load_corpus")
     if not isinstance(source, (str, bytes)):
         source = source.read()
-    return _LineReader(text=source.decode("utf-8") if isinstance(source, bytes) else source)
+    return _LineReader(text=source)
 
 
 def _parse_label(token: str) -> int | None:

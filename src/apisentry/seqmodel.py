@@ -18,10 +18,9 @@ caller's row order.
 Each direction holds three tensors, with the blocks of the gates i, f, o
 and g side by side in that order: ``W`` (E,4H), ``U`` (H,4H) and ``b``
 (4H,). A cell step is then two matmuls, and BPTT builds one (n,4H)
-gradient per step for its n live rows. The v1 model file stores each
-gate's W, U and b as a separate tensor; each is a column block of a fused
-tensor, which ``save_model`` writes out and ``load_model`` fills in. One
-key list, ``_v1_tensors``, drives initialisation, saving and loading.
+gradient per step for its n live rows. The model file (v2) is a text
+header, the config and one shape line per fused tensor, then the tensors
+as one raw little-endian float64 payload, sized before it is read.
 
 One cell function serves ``lstm_cell`` and the scan, and hands the scan the
 gate activations BPTT reuses. ``_forward_batch`` is the one forward pass:
@@ -36,8 +35,8 @@ max_prefix_len; the backward direction is rescanned each step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, fields
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -84,28 +83,12 @@ class BiLstmConfig:
         return self.vocab_size
 
 
-_GATES = ("i", "f", "o", "g")
-
-
 def _param_shapes(cfg: BiLstmConfig) -> dict[str, tuple[int, ...]]:
     v, e, h = cfg.vocab_size, cfg.embed_dim, cfg.hidden
     shapes = {"emb": (v + 1, e)}
     for d in ("fw", "bw"):
         shapes |= {f"{d}.W": (e, 4 * h), f"{d}.U": (h, 4 * h), f"{d}.b": (4 * h,)}
     return shapes | {"dense.W": (2 * h, v), "dense.b": (v,)}
-
-
-def _v1_tensors(cfg: BiLstmConfig) -> list[tuple[str, str, slice]]:
-    """The tensors of the v1 file in file order, as (file key, parameter
-    key, columns): a gate's W, U and b are its column block of the fused
-    parameter, and the other tensors are whole."""
-    h = cfg.hidden
-    whole = slice(None)
-    out = [("emb", "emb", whole)]
-    for d in ("fw", "bw"):
-        for k, gate in enumerate(_GATES):
-            out += [(f"{d}.{m}_{gate}", f"{d}.{m}", slice(k * h, (k + 1) * h)) for m in "WUb"]
-    return out + [("dense.W", "dense.W", whole), ("dense.b", "dense.b", whole)]
 
 
 @dataclass
@@ -134,17 +117,18 @@ class TrainReport:
 
 def init_model(config: BiLstmConfig, seed: int | None = None) -> BiLstmModel:
     """Glorot-uniform weights, forget-gate biases 1, other biases 0, and a
-    zeroed embedding row for the padding id. Each gate block is drawn on
-    its own with its own bound, in v1 file order."""
+    zeroed embedding row for the padding id. Each gate's W and U blocks are
+    drawn on their own with their own bound, in the order emb, then per
+    direction and gate (i, f, o, g) W and U, then dense.W."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
     params = {key: np.zeros(shape) for key, shape in _param_shapes(config).items()}
-    for name, key, cols in _v1_tensors(config):
-        block = params[key][..., cols]
-        if block.ndim == 2:
-            bound = math.sqrt(6.0 / (block.shape[0] + block.shape[1]))
-            block[...] = rng.uniform(-bound, bound, size=block.shape)
-        elif name.endswith(".b_f"):
-            block[...] = 1.0
+    h, blocks = config.hidden, [params["emb"]]
+    for d in ("fw", "bw"):
+        blocks += chain(*zip(_gates(params[f"{d}.W"], h), _gates(params[f"{d}.U"], h)))
+        _gates(params[f"{d}.b"], h)[1][...] = 1.0
+    for block in blocks + [params["dense.W"]]:
+        bound = math.sqrt(6.0 / (block.shape[0] + block.shape[1]))
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
     params["emb"][config.pad_id, :] = 0.0
     return BiLstmModel(params=params, config=config)
 
@@ -519,40 +503,51 @@ def predict_distributions(model: BiLstmModel, samples) -> np.ndarray:
 
 # --- persistence -------------------------------------------------------------
 
-_FORMAT_TAG = "apisentry-seqmodel v1"
+_FORMAT_TAG = "apisentry-seqmodel v2"
+# the header: the tag, the config, one line per tensor and the payload's size
+_HEADER_LINES = 2 + len(fields(BiLstmConfig)) + len(_param_shapes(BiLstmConfig(1)))
 
 
 def save_model(model: BiLstmModel, path: str | Path) -> None:
-    cfg = model.config
-    lines = [_FORMAT_TAG] + _config_lines(cfg)
-    for name, key, cols in _v1_tensors(cfg):
-        tensor = model.params[key][..., cols]
-        rows = np.atleast_2d(tensor)
-        lines.append(f"tensor {name} " + " ".join(map(str, tensor.shape)))
-        lines += _format_rows(" ".join(["%.17g"] * rows.shape[1]), rows.tolist())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tensors = {key: np.ascontiguousarray(model.params[key], "<f8")
+               for key in _param_shapes(model.config)}
+    lines = [_FORMAT_TAG] + _config_lines(model.config)
+    lines += [f"tensor {key} " + " ".join(map(str, t.shape)) for key, t in tensors.items()]
+    lines.append(f"payload {sum(t.nbytes for t in tensors.values())}")
+    with open(path, "wb") as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
+        for t in tensors.values():
+            f.write(t.data)
 
 
 def load_model(path: str | Path) -> BiLstmModel:
-    with _LineReader(path) as reader:
+    """A v2 model file. Its payload is read only once the header's shapes are
+    the config's and its size theirs; it must be that size, all finite."""
+    with open(path, "rb") as f, _LineReader(path, b"".join(islice(f, _HEADER_LINES))) as reader:
         if reader.next() != _FORMAT_TAG:
-            raise ValueError("not a sequence model file")
+            raise ValueError(f"not an {_FORMAT_TAG!r} file")
         cfg = _read_config(reader, BiLstmConfig)
         shapes = _param_shapes(cfg)
-        params: dict[str, np.ndarray] = {}
-        for name, key, cols in _v1_tensors(cfg):
-            want = shapes[key] if cols == slice(None) else shapes[key][:-1] + (cfg.hidden,)
-            shape = tuple(map(_int, reader.field(f"tensor {name}").split()))
+        for key, want in shapes.items():
+            shape = tuple(map(_int, reader.field(f"tensor {key}").split()))
             if shape != want:
-                raise ValueError(f"tensor {name!r} has wrong shape {shape}")
-            n_rows, width = ((1,) + shape)[-2:]
-            rows = reader.table(width, n_rows=n_rows, what=f"a row of {width} numbers")
-            reader.refuse(np.isfinite(rows).all(1),
-                          "a tensor row holds a number that is not finite")
-            # sized once a block is read: config sizes the file lacks allocate nothing
-            if key not in params:
-                params[key] = np.empty(shapes[key])
-            params[key][..., cols] = rows.reshape(shape)
+                raise ValueError(f"tensor {key!r} has wrong shape {shape}")
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        size = 8 * sum(sizes)
+        claimed = _int(reader.field("payload"))
+        if claimed != size:
+            raise ValueError(f"the tensors take {size} bytes, not {claimed}")
+        payload = f.read()
+        reader.pos = 0  # what follows is about the payload as a whole
+        if len(payload) != size:
+            raise ValueError(f"the payload holds {len(payload)} bytes, not {size}")
+        flat = np.frombuffer(payload, "<f8")
+        params, start = {}, 0
+        for (key, shape), n in zip(shapes.items(), sizes):
+            params[key] = flat[start:start + n].reshape(shape).astype(np.float64)
+            start += n
+            if not np.isfinite(params[key]).all():
+                raise ValueError(f"tensor {key!r} holds a number that is not finite")
     return BiLstmModel(params=params, config=cfg)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from matrices import csr
+from test_seqmodel import model_file, write_model_file
 
 import apisentry
 from apisentry import cli, seqmodel
@@ -298,57 +299,50 @@ class TestValidation:
         assert "3 scores" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_truncated_sequence_model_exits_one(self, tmp_path, capsys):
-        model = tmp_path / "model.seq"
-        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
-        model.write_text("\n".join(model.read_text().splitlines()[:20]) + "\n")
+    def test_truncated_sequence_model_header_exits_one(self, tmp_path, capsys):
+        model, lines, _ = model_file(tmp_path)
+        write_model_file(model, lines[:20], b"")
         assert run("predict-next", "--model", model, "--seq", "1,2") == 1
         assert f"{model}: line 21: unexpected end of file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("values", [1, 3])
-    def test_tensor_row_of_wrong_width_is_refused_at_its_line(self, tmp_path, capsys, values):
-        model = tmp_path / "model.seq"
-        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
-        lines = model.read_text().splitlines()
-        at = lines.index("tensor emb 6 2") + 2  # the second of six rows, line at + 1
-        lines[at] = " ".join((lines[at].split() * 2)[:values])
-        model.write_text("\n".join(lines) + "\n")
+    def test_payload_size_the_tensors_do_not_take_is_refused_at_its_line(self, tmp_path,
+                                                                        capsys):
+        model, lines, payload = model_file(tmp_path)
+        at = len(lines) - 1
+        lines[at] = f"payload {len(payload) + 8}"
+        write_model_file(model, lines, payload + bytes(8))
         assert run("predict-next", "--model", model, "--seq", "1,2") == 1
-        assert f"{model}: line {at + 1}: expected a row of 2 numbers" in capsys.readouterr().err
+        assert f"{model}: line {at + 1}: the tensors take {len(payload)} bytes, " \
+            f"not {len(payload) + 8}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["learning_rate", "adam_eps"])
     def test_infinite_sequence_model_setting_refused_at_its_own_line(self, tmp_path, capsys,
                                                                       field):
-        model = tmp_path / "model.seq"
-        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
-        lines = model.read_text().splitlines()
+        model, lines, payload = model_file(tmp_path)
         at = next(i for i, ln in enumerate(lines) if ln.startswith(field + " "))
         lines[at] = f"{field} inf"
-        model.write_text("\n".join(lines) + "\n")
+        write_model_file(model, lines, payload)
         assert run("predict-next", "--model", model, "--seq", "1,2") == 1
         assert f"{model}: line {at + 1}: {field} must be" in capsys.readouterr().err
 
     def test_sequence_model_with_zero_hidden_exits_one(self, tmp_path, capsys):
-        model = tmp_path / "model.seq"
-        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
-        model.write_text(model.read_text().replace("\nhidden 2\n", "\nhidden 0\n"))
+        model, lines, payload = model_file(tmp_path)
+        write_model_file(model, ["hidden 0" if ln == "hidden 2" else ln for ln in lines], payload)
         assert run("predict-next", "--model", model, "--seq", "1,2") == 1
         # line 1 is the format tag, then vocab_size, embed_dim and hidden
         assert f"{model}: line 4: hidden must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, tensor, shape", [
-        ("vocab_size", "emb", (6, 2)), ("embed_dim", "emb", (6, 2)), ("hidden", "fw.W_i", (2, 2)),
+        ("vocab_size", "emb", (6, 2)), ("embed_dim", "emb", (6, 2)), ("hidden", "fw.W", (2, 8)),
     ])
     def test_sequence_model_sizes_the_file_does_not_hold_exit_one(self, tmp_path, capsys,
                                                                   field, tensor, shape):
         """Sized from the config lines alone, these parameters would take
         terabytes; the first tensor header that disagrees is refused."""
-        model = tmp_path / "model.seq"
-        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
-        lines = model.read_text().splitlines()
+        model, lines, payload = model_file(tmp_path)
         at = lines.index(f"{field} 2" if field != "vocab_size" else "vocab_size 5")
         lines[at] = f"{field} 100000000000"
-        model.write_text("\n".join(lines) + "\n")
+        write_model_file(model, lines, payload)
         assert run("predict-next", "--model", model, "--seq", "1,2") == 1
         header = lines.index(f"tensor {tensor} {shape[0]} {shape[1]}") + 1
         assert f"{model}: line {header}: tensor '{tensor}' has wrong shape {shape}" \
@@ -383,19 +377,6 @@ class TestValidation:
         assert f"{model}: line {at + 1}: '{bad}' is not a finite number" \
             in capsys.readouterr().err
         assert not out.exists()
-
-    def test_non_finite_sequence_model_number_exits_one(self, tmp_path, capsys):
-        model = tmp_path / "model.seq"
-        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
-        lines = model.read_text().splitlines()
-        at = lines.index("tensor dense.b 5") + 1
-        lines[at] = " ".join(["nan"] + lines[at].split()[1:])
-        model.write_text("\n".join(lines) + "\n")
-        assert run("predict-next", "--model", model, "--seq", "1,2", "-k", 3) == 1
-        captured = capsys.readouterr()
-        assert f"{model}: line {at + 1}: a tensor row holds a number that is not finite" \
-            in captured.err
-        assert captured.out == ""
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--reg-lambda", "nan", "reg_lambda must be >= 0, got nan"),
@@ -548,17 +529,15 @@ class TestValidation:
 
     @pytest.mark.parametrize("spell", OTHER_SPELLINGS)
     @pytest.mark.parametrize("line", ["vocab_size 5", "hidden 2", "max_prefix_len 99",
-                                      "tensor emb 6 2", "tensor dense.b 5"])
+                                      "tensor emb 6 2", "tensor dense.b 5", "payload 936"])
     def test_sequence_model_integer_in_another_spelling_exits_one(self, tmp_path, capsys,
                                                                   spell, line):
-        model = tmp_path / "model.seq"
-        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
-        lines = model.read_text().splitlines()
+        model, lines, payload = model_file(tmp_path)
         at = lines.index(line)
         parts = line.split()
         parts[-1] = spell(parts[-1])
         lines[at] = " ".join(parts)
-        model.write_text("\n".join(lines) + "\n")
+        write_model_file(model, lines, payload)
         assert run("predict-next", "--model", model, "--seq", "1,2") == 1
         assert f"{model}: line {at + 1}: {parts[-1]!r} is not an integer" \
             in capsys.readouterr().err
@@ -567,13 +546,11 @@ class TestValidation:
     @pytest.mark.parametrize("field", ["dropout_rate", "learning_rate", "adam_eps"])
     def test_sequence_model_float_in_another_spelling_exits_one(self, tmp_path, capsys,
                                                                 spell, field):
-        model = tmp_path / "model.seq"
-        save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0), model)
-        lines = model.read_text().splitlines()
+        model, lines, payload = model_file(tmp_path)
         at = next(i for i, ln in enumerate(lines) if ln.startswith(field + " "))
         bad = spell(lines[at].split()[1])
         lines[at] = f"{field} {bad}"
-        model.write_text("\n".join(lines) + "\n")
+        write_model_file(model, lines, payload)
         assert run("predict-next", "--model", model, "--seq", "1,2") == 1
         assert f"{model}: line {at + 1}: {bad!r} is not a number" in capsys.readouterr().err
 
@@ -845,6 +822,28 @@ class TestAdapt:
                    "--label-col", "y") == 1
         assert f"{raw}: line 1: label column 'y' not in header" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["7", "-1", "01", "", "٠"])
+    def test_seqcol_constant_label_other_than_a_corpus_label_exits_one(self, tmp_path,
+                                                                       capsys, label):
+        raw = tmp_path / "seq.csv"
+        raw.write_text("hash,calls\na,1 2 3\n")
+        out = tmp_path / "out.csv"
+        assert run("adapt", "--in", raw, "--out", out, "--layout", "seqcol",
+                   "--constant-label", label) == 1
+        assert f"argument --constant-label: invalid label value: {label!r}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label, row", [("0", "0,1,2,3"), ("1", "1,1,2,3"), ("-", "-,1,2,3")])
+    def test_seqcol_constant_label_is_written(self, tmp_path, label, row):
+        raw = tmp_path / "seq.csv"
+        raw.write_text("hash,calls\na,1 2 3\n")
+        out = tmp_path / "out.csv"
+        assert run("adapt", "--in", raw, "--out", out, "--layout", "seqcol",
+                   "--constant-label", label) == 0
+        assert [ln for ln in out.read_text().splitlines() if not ln.startswith("#")] == [row]
+        assert run("ingest", "--in", out, "--out", tmp_path / "cooked.csv") == 0
 
 
 class TestSettings:

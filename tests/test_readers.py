@@ -1,6 +1,8 @@
 """Fuzzing every file reader: a valid small file with one mutation either
 loads, or raises ValueError naming the file and, for a fault on one line,
-that line's number."""
+that line's number. The sequence model file is a text header and a raw
+payload: a mutation of the payload alone loads or is a fault of the whole
+file, and any byte there may be one that is not UTF-8."""
 
 import re
 
@@ -34,11 +36,13 @@ from apisentry.ngrams import (
     save_matrix,
     save_vocabulary,
 )
-from apisentry.seqmodel import BiLstmConfig, init_model, load_model, save_model
+from apisentry.seqmodel import _HEADER_LINES, BiLstmConfig, init_model, load_model, save_model
 from matrices import csr
 
 # Errors about a whole file rather than one of its lines.
-WHOLE_FILE = r"no traces|call id \d+ exceeds vocabulary size \d+|no score rows"
+WHOLE_FILE = (r"no traces|call id \d+ exceeds vocabulary size \d+|no score rows|"
+              r"the payload holds \d+ bytes, not \d+|"
+              r"tensor '[\w.]+' holds a number that is not finite")
 
 
 def _detector_check(path):
@@ -97,10 +101,18 @@ def valid(tmp_path_factory):
     return d
 
 
+def text_end(name: str, data: bytes) -> int:
+    """Where the text of a file ends: at the end of the model.seq header,
+    which a raw payload follows, or at the end of any other file."""
+    if name != "model.seq":
+        return len(data)
+    return len(data) - len(data.split(b"\n", _HEADER_LINES)[-1])
+
+
 @st.composite
-def mutation(draw, data: bytes) -> tuple[bytes, int | None]:
-    """One mutation of `data`, and for an invalid UTF-8 byte the number of
-    the line it lands on."""
+def mutation(draw, data: bytes, end: int | None = None) -> tuple[bytes, int | None]:
+    """One mutation of `data`, and for an invalid UTF-8 byte before `end`,
+    where its text ends, the number of the line it lands on."""
     lines = data.splitlines(keepends=True)
     kind = draw(st.sampled_from(["truncate", "delete", "duplicate", "char", "byte"]))
     if kind in ("truncate", "delete", "duplicate"):
@@ -113,7 +125,8 @@ def mutation(draw, data: bytes) -> tuple[bytes, int | None]:
         char = draw(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")))
         return data[:i] + char.encode("utf-8") + data[i + 1:], None
     byte = draw(st.sampled_from([0x80, 0xbf, 0xc0, 0xe0, 0xfe, 0xff]))
-    return data[:i] + bytes([byte]) + data[i + 1:], data.count(b"\n", 0, i) + 1
+    line = data.count(b"\n", 0, i) + 1 if i < (len(data) if end is None else end) else None
+    return data[:i] + bytes([byte]) + data[i + 1:], line
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
@@ -121,7 +134,9 @@ def mutation(draw, data: bytes) -> tuple[bytes, int | None]:
 @given(data=st.data())
 def test_mutated_file_loads_or_names_file_and_line(valid, tmp_path_factory, name, data):
     original = (valid / name).read_bytes()
-    mutated, bad_byte_line = data.draw(mutation(original))
+    end = text_end(name, original)
+    mutated, bad_byte_line = data.draw(mutation(original, end))
+    payload_only = end < len(original) and mutated.startswith(original[:end])
     path = tmp_path_factory.getbasetemp() / f"mutated-{name}"
     path.write_bytes(mutated)
     try:
@@ -133,6 +148,8 @@ def test_mutated_file_loads_or_names_file_and_line(valid, tmp_path_factory, name
         return
     where = re.match(rf"{re.escape(str(path))}: (line (\d+): |({WHOLE_FILE})$)", message)
     assert where, message
+    if payload_only:
+        assert where.group(3), message
     if bad_byte_line is not None:
         assert int(where.group(2)) == bad_byte_line, message
     elif where.group(2):

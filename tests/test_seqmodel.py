@@ -1,14 +1,16 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from apisentry import seqmodel
-from apisentry.ngrams import PrefixSample
+from apisentry import cli, seqmodel
+from apisentry.ngrams import PrefixSample, _config_lines
 from apisentry.seeding import derive_seed
 from apisentry.seqmodel import (
     BiLstmConfig,
@@ -547,6 +549,8 @@ class TestPackedScan:
 # The v1 text of init_model(V1_TINY_CONFIG) and that model's distribution
 # for V1_TINY_PREFIX (one left pad, then 1, 3, 0, 2), both written by the
 # implementation that kept each gate's W, U and b as separate parameters.
+# The v1 file format is no longer read or written; the text stays as the
+# oracle of init_model's draw order and of the forward pass.
 V1_TINY_CONFIG = BiLstmConfig(vocab_size=4, embed_dim=2, hidden=3, seed=7)
 V1_TINY_PREFIX = [4, 1, 3, 0, 2]
 V1_TINY_PROBS = [0.3285918489918868, 0.24410931833574678, 0.21930130844290394,
@@ -657,6 +661,45 @@ tensor dense.b 4
 """
 
 
+def v1_params(text):
+    """The fused parameters of a v1 model text: each gate's W, U and b
+    tensor (`fw.W_i`, ...) is its column block of the direction's W, U or b,
+    in the gate order i, f, o, g of the text."""
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("tensor "))
+    blocks = {}
+    while at < len(lines):
+        _, name, *shape = lines[at].split()
+        shape = tuple(map(int, shape))
+        n_rows = math.prod(shape[:-1])
+        rows = [line.split() for line in lines[at + 1:at + 1 + n_rows]]
+        blocks.setdefault(name.partition("_")[0], []).append(
+            np.array(rows, dtype=np.float64).reshape(shape))
+        at += 1 + n_rows
+    return {key: np.concatenate(parts, axis=-1) for key, parts in blocks.items()}
+
+
+SMALL = BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2)
+
+
+def model_file(tmp_path):
+    """A model file of init_model(SMALL), its header's lines and its payload."""
+    path = tmp_path / "model.seq"
+    save_model(init_model(SMALL, seed=0), path)
+    *lines, payload = path.read_bytes().split(b"\n", seqmodel._HEADER_LINES)
+    return path, [line.decode() for line in lines], payload
+
+
+def write_model_file(path, lines, payload):
+    path.write_bytes("".join(f"{line}\n" for line in lines).encode() + payload)
+
+
+# -0.0, subnormals, the extremes of the normal range and +-1e+-300
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+               2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
+               1.7976931348623157e308, -1.7976931348623157e308]
+
+
 class TestPersistence:
     @settings(max_examples=40, deadline=None)
     @given(vocab=st.integers(1, 9), embed=st.integers(1, 6), hidden=st.integers(1, 7),
@@ -680,16 +723,138 @@ class TestPersistence:
         seq = [0] * 3
         assert np.array_equal(forward(model, seq), forward(loaded, seq))
 
-    def test_v1_text_is_pinned(self, tmp_path):
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_keeps_every_bit(self, tmp_path_factory, data):
+        cfg = BiLstmConfig(vocab_size=data.draw(st.integers(1, 6)),
+                           embed_dim=data.draw(st.integers(1, 4)),
+                           hidden=data.draw(st.integers(1, 4)))
+        model = init_model(cfg)
+        values = st.one_of(st.sampled_from(EDGE_FLOATS),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        for key, value in model.params.items():
+            drawn = data.draw(arrays(np.float64, value.shape, elements=values), key)
+            # at least one edge value in every tensor
+            drawn.flat[data.draw(st.integers(0, drawn.size - 1))] = \
+                data.draw(st.sampled_from(EDGE_FLOATS))
+            model.params[key] = drawn
+        d = tmp_path_factory.mktemp("bits")
+        save_model(model, d / "a.seq")
+        loaded = load_model(d / "a.seq")
+        assert loaded.config == cfg and loaded.params.keys() == model.params.keys()
+        for key, value in model.params.items():
+            assert loaded.params[key].dtype == np.float64
+            assert np.array_equal(loaded.params[key].view(np.int64), value.view(np.int64)), key
+        save_model(loaded, d / "b.seq")
+        assert (d / "a.seq").read_bytes() == (d / "b.seq").read_bytes()
+
+    def test_init_draws_as_the_pinned_v1_text(self):
+        """init_model draws each gate's W and U block on its own, in the v1
+        file's order, so trained weights do not move with the file format."""
+        assert V1_TINY.splitlines()[1:15] == _config_lines(V1_TINY_CONFIG)
+        want = v1_params(V1_TINY)
+        got = init_model(V1_TINY_CONFIG).params
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert np.array_equal(got[key].view(np.int64), value.view(np.int64)), key
+
+    def test_roundtrip_keeps_the_pinned_distribution(self, tmp_path):
         path = tmp_path / "tiny.seq"
         save_model(init_model(V1_TINY_CONFIG), path)
-        assert path.read_text() == V1_TINY
-        again = tmp_path / "again.seq"
         loaded = load_model(path)
-        save_model(loaded, again)
-        assert again.read_bytes() == path.read_bytes()
+        assert loaded.config == V1_TINY_CONFIG
         probs = forward(loaded, V1_TINY_PREFIX)
         assert np.abs(probs - V1_TINY_PROBS).max() < 1e-12
+
+    def test_header_is_text_and_names_each_fused_tensor(self, tmp_path):
+        _, lines, payload = model_file(tmp_path)
+        assert lines[0] == "apisentry-seqmodel v2"
+        assert lines[15:] == ["tensor emb 6 2", "tensor fw.W 2 8", "tensor fw.U 2 8",
+                              "tensor fw.b 8", "tensor bw.W 2 8", "tensor bw.U 2 8",
+                              "tensor bw.b 8", "tensor dense.W 4 5", "tensor dense.b 5",
+                              "payload 936"]
+        assert len(payload) == 936
+
+
+def _oversized(field, value):
+    """The header of SMALL with `field` set to `value`, and tensor shapes and
+    a payload size that agree with it."""
+    cfg = replace(SMALL, **{field: value})
+    shapes = seqmodel._param_shapes(cfg)
+    return (["apisentry-seqmodel v2"] + _config_lines(cfg)
+            + [f"tensor {key} " + " ".join(map(str, shape)) for key, shape in shapes.items()]
+            + [f"payload {8 * sum(math.prod(shape) for shape in shapes.values())}"])
+
+
+class TestBadModelFile:
+    """A model file the tensors do not fit exits predict-next with 1 and a
+    message that starts with the file's name."""
+
+    def refused(self, path, capsys) -> str:
+        assert cli.main(["predict-next", "--model", str(path), "--seq", "1,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = f"apisentry: error: {path}: "
+        assert captured.err.startswith(prefix), captured.err
+        return captured.err[len(prefix):].strip()
+
+    @pytest.mark.parametrize("cut", [1, 8, 936])
+    def test_truncated_payload(self, tmp_path, capsys, cut):
+        path, lines, payload = model_file(tmp_path)
+        write_model_file(path, lines, payload[:-cut])
+        assert self.refused(path, capsys) == \
+            f"the payload holds {936 - cut} bytes, not 936"
+
+    def test_payload_padded_by_one_byte(self, tmp_path, capsys):
+        path, lines, payload = model_file(tmp_path)
+        write_model_file(path, lines, payload + b"\0")
+        assert self.refused(path, capsys) == "the payload holds 937 bytes, not 936"
+
+    def test_shape_other_than_the_configs(self, tmp_path, capsys):
+        path, lines, payload = model_file(tmp_path)
+        lines[lines.index("tensor dense.W 4 5")] = "tensor dense.W 400000 5"
+        write_model_file(path, lines, payload)
+        assert self.refused(path, capsys) == \
+            "line 23: tensor 'dense.W' has wrong shape (400000, 5)"
+
+    @pytest.mark.parametrize("field, value", [
+        ("vocab_size", 10**11), ("embed_dim", 10**11), ("hidden", 10**7)])
+    def test_sizes_too_big_for_the_payload(self, tmp_path, capsys, field, value):
+        """The header agrees with itself and claims terabytes: refused for
+        the payload's size before a tensor is allocated."""
+        path, _, payload = model_file(tmp_path)
+        lines = _oversized(field, value)
+        write_model_file(path, lines, payload)
+        assert self.refused(path, capsys) == \
+            f"the payload holds 936 bytes, not {lines[-1].split()[1]}"
+
+    def test_oversized_header_allocates_nothing_of_its_claim(self, tmp_path):
+        path, _, payload = model_file(tmp_path)
+        write_model_file(path, _oversized("vocab_size", 10**11), payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="the payload holds 936 bytes"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", list(seqmodel._param_shapes(SMALL)))
+    def test_non_finite_value_is_refused(self, tmp_path, capsys, value, key):
+        path, lines, payload = model_file(tmp_path)
+        shapes = seqmodel._param_shapes(SMALL)
+        keys = list(shapes)
+        at = 8 * sum(math.prod(shapes[k]) for k in keys[:keys.index(key)])
+        write_model_file(path, lines, payload[:at] + np.float64(value).tobytes()
+                         + payload[at + 8:])
+        assert self.refused(path, capsys) == f"tensor {key!r} holds a number that is not finite"
+
+    def test_v1_file_is_not_read(self, tmp_path, capsys):
+        path = tmp_path / "model.seq"
+        path.write_text(V1_TINY)
+        assert self.refused(path, capsys) == "line 1: not an 'apisentry-seqmodel v2' file"
 
     def test_curves_csv(self, tmp_path):
         from apisentry.seqmodel import TrainReport

@@ -1,12 +1,16 @@
 """The whole-file text readers and row writers against the per-line code they
 replaced, kept here as the reference: the writers write the same bytes, the
 readers read equal arrays, and a mutated file that the reference refuses is
-refused at the same line. The new readers refuse more than the reference in
+refused at the same line. The sequence model file's reference reads and
+writes its raw payload one float at a time. The new readers refuse more than the reference in
 a few listed ways (TIGHTER), and never accept what it refuses."""
 
+import math
 import re
+import struct
 from dataclasses import fields
 from itertools import chain
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,7 +29,6 @@ from apisentry.seqmodel import (
     BiLstmModel,
     TrainReport,
     _param_shapes,
-    _v1_tensors,
     init_model,
     load_model,
     save_curves,
@@ -82,36 +85,53 @@ def ref_load_matrix(path):
     return np.asarray(vals, np.float64)[order], cols[order], indptr, (n_rows, n_cols)
 
 
-def ref_finite_row(reader):
-    row = np.array(reader.next().split(), dtype=np.float64)
-    if not np.isfinite(row).all():
-        raise ValueError("a tensor row holds a number that is not finite")
-    return row
+# The sequence model file: a text header, then every fused tensor as raw
+# little-endian float64, read and written one float at a time.
+REF_HEADER_LINES = 1 + len(fields(BiLstmConfig)) + 9 + 1  # tag, config, tensors, payload
+REF_TENSORS = ["emb", "fw.W", "fw.U", "fw.b", "bw.W", "bw.U", "bw.b", "dense.W", "dense.b"]
 
 
 def ref_load_model(path):
-    with _LineReader(path) as reader:
+    data = Path(path).read_bytes()
+    parts = data.split(b"\n", REF_HEADER_LINES)
+    payload = parts[-1] if len(parts) > REF_HEADER_LINES else b""
+    head = data[:len(data) - len(payload)]
+    with _LineReader(path, text=head) as reader:
         if reader.next() != _FORMAT_TAG:
             raise ValueError("not a sequence model file")
         cfg = _read_config(reader, BiLstmConfig)
-        params = {key: np.empty(shape) for key, shape in _param_shapes(cfg).items()}
-        for name, key, cols in _v1_tensors(cfg):
-            block = params[key][..., cols]
-            shape = tuple(int(d) for d in reader.field(f"tensor {name}").split())
-            if shape != block.shape:
-                raise ValueError(f"tensor {name!r} has wrong shape {shape}")
-            rows = [ref_finite_row(reader) for _ in np.atleast_2d(block)]
-            block[...] = np.vstack(rows).reshape(shape)
+        shapes = _param_shapes(cfg)
+        assert list(shapes) == REF_TENSORS
+        for key, want in shapes.items():
+            shape = tuple(int(d) for d in reader.field(f"tensor {key}").split())
+            if shape != want:
+                raise ValueError(f"tensor {key!r} has wrong shape {shape}")
+        n = sum(int(np.prod(shape)) for shape in shapes.values())
+        if int(reader.field("payload")) != 8 * n:
+            raise ValueError("payload size")
+        reader.pos = 0
+        if len(payload) != 8 * n:
+            raise ValueError("payload length")
+        values = [struct.unpack_from("<d", payload, 8 * k)[0] for k in range(n)]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("not finite")
+        params, start = {}, 0
+        for key, shape in shapes.items():
+            size = int(np.prod(shape))
+            params[key] = np.array(values[start:start + size], dtype=np.float64).reshape(shape)
+            start += size
     return BiLstmModel(params=params, config=cfg)
 
 
-def ref_model_text(model):
+def ref_model_bytes(model):
     lines = [_FORMAT_TAG] + ref_config_lines(model.config)
-    for name, key, cols in _v1_tensors(model.config):
-        tensor = model.params[key][..., cols]
-        lines.append(f"tensor {name} " + " ".join(map(str, tensor.shape)))
-        lines += [" ".join(map(_fmt, row)) for row in np.atleast_2d(tensor)]
-    return "\n".join(lines) + "\n"
+    floats = []
+    for key in REF_TENSORS:
+        tensor = model.params[key]
+        lines.append(f"tensor {key} " + " ".join(map(str, tensor.shape)))
+        floats += [float(x) for x in tensor.reshape(-1)]
+    lines.append(f"payload {8 * len(floats)}")
+    return ("\n".join(lines) + "\n").encode() + b"".join(struct.pack("<d", x) for x in floats)
 
 
 def ref_detect_text(labels, scores):
@@ -173,8 +193,7 @@ def _params(load):
 PAIRS = {
     "train.mat": (_matrix, ref_load_matrix,
                   r"expected 'row,col,count'|expected a 'rows,cols' header"),
-    "model.seq": (_params(load_model), _params(ref_load_model),
-                  r"expected a row of \d+ numbers|'.+' is not an integer"),
+    "model.seq": (_params(load_model), _params(ref_load_model), r"'.+' is not an integer"),
     "pred.csv": (cli._read_predictions_csv, ref_read_predictions_csv,
                  r"expected the header 'row,label,score'|expected 'row,label,score'|"
                  r"row \S+ out of order|label \S+ is not 0 or 1|score \S+ is not finite"),
@@ -280,16 +299,11 @@ def test_model_writes_and_reads_as_the_reference(tmp_path_factory, data):
         model.params[key] = data.draw(arrays(np.float64, value.shape, elements=FLOATS), key)
     path = tmp_path_factory.mktemp("m") / "model.seq"
     save_model(model, path)
-    text = path.read_text()
-    assert text == ref_model_text(model)
-    # rewrite every number in another spelling, then read both ways
-    spell = data.draw(st.sampled_from(SPELLINGS))
-    lines = [ln if ln.startswith("tensor ") or not ln[:1] in "-0123456789"
-             else " ".join(spell(float(t)) for t in ln.split()) for ln in text.splitlines()]
-    path.write_text("\n".join(lines) + "\n")  # a shorter spelling may round to inf
-    (got, got_exc), (want, want_exc) = (_outcome(read, path) for read in PAIRS["model.seq"][:2])
-    assert str(got_exc) == str(want_exc)
-    assert want_exc or _same(got, want)
+    assert path.read_bytes() == ref_model_bytes(model)
+    got, want = load_model(path).params, ref_load_model(path).params
+    assert _same(got, want)
+    for key, value in model.params.items():
+        assert np.array_equal(got[key].view(np.int64), value.view(np.int64)), key
 
 
 @settings(max_examples=100, deadline=None)
