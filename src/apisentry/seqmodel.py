@@ -10,10 +10,10 @@ under a fixed seed.
 Sequences are left-padded with the reserved id ``vocab_size``. The scans
 see a batch's rows sorted by real length, longest first, so the rows live
 at any step are a prefix of them: the cell, and BPTT, run on that prefix
-alone, while the other rows carry their state (zeros not yet started going
-forward, finished rows going backward). Pad cells cost no work, prepending
-extra padding never changes the output, and results come back in the
-caller's row order.
+alone and write its new state in place, while the other rows keep theirs
+(zeros not yet started going forward, finished rows going backward). Pad
+cells cost no work, prepending extra padding never changes the output, and
+results come back in the caller's row order.
 
 Each direction holds three tensors, with the blocks of the gates i, f, o
 and g side by side in that order: ``W`` (E,4H), ``U`` (H,4H) and ``b``
@@ -188,32 +188,27 @@ def _validate_ids(ids: np.ndarray, cfg: BiLstmConfig) -> np.ndarray:
     return mask
 
 
-def _carry(live: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`live`, the new values of the first len(live) rows, stacked on the
-    other rows of `rows`, which keep theirs; `live` itself if it is all."""
-    n = len(live)
-    return live if n == len(rows) else np.concatenate([live, rows[n:]])
-
-
-def _scan(params, direction, X, active, reverse: bool, keep_steps: bool, state=None):
-    """Run one direction over a batch whose rows are sorted longest first,
-    from `state`, an (h, c) pair or zeros. At step t only the first
-    active[t] rows are live; the cell runs on those alone and the other rows
-    carry their state: zeros not yet started going forward, finished rows
-    going backward. Returns the final (h, c) and, if keep_steps, the per-step
-    cache of the live rows for BPTT (else an empty list)."""
+def _scan(params, direction, X, active, keep_steps: bool, state=None):
+    """Run one direction ("bw" from the last step back) over a batch whose
+    rows are sorted longest first, from `state`, an (h, c) pair it
+    overwrites, or zeros. At step t the cell runs on the first active[t]
+    rows alone and writes their (h, c) in place; the other rows keep theirs:
+    zeros not yet started going forward, finished rows going backward.
+    Returns the final (h, c) and, if keep_steps, the per-step BPTT cache
+    (else an empty list), which holds copies of the live rows' previous
+    (h, c) alone."""
     B, T, _ = X.shape
     cell = {m: params[f"{direction}.{m}"] for m in "WUb"}
-    h, c = state or (np.zeros((B, cell["U"].shape[0])),) * 2
+    h, c = state or [np.zeros((B, cell["U"].shape[0])) for _ in "hc"]  # each written in place
     first = T - np.count_nonzero(active)  # the steps before hold pads alone
-    times = range(T - 1, first - 1, -1) if reverse else range(first, T)
+    times = range(T - 1, first - 1, -1) if direction == "bw" else range(first, T)
     steps = []
     for t in times:
         n = active[t]
         h_new, c_new, acts, tanh_c = _cell_step(X[:n, t], h[:n], c[:n], cell)
         if keep_steps:
-            steps.append((t, h[:n], c[:n], acts, tanh_c))
-        h, c = _carry(h_new, h), _carry(c_new, c)
+            steps.append((t, h[:n].copy(), c[:n].copy(), acts, tanh_c))
+        h[:n], c[:n] = h_new, c_new
     return (h, c), steps
 
 
@@ -221,11 +216,12 @@ def _scan_backward(params, direction, steps, X, d_final_h, dX, grads):
     """Backpropagate one direction over the live rows of each step;
     accumulates into grads and dX. Each step builds da, the (n,4H) gradient
     of the live rows' gate pre-activations, in the gate order of the fused
-    weights; the other rows carry dh and dc."""
+    weights, and writes the live rows' dh and dc in place; the other rows
+    keep theirs."""
     W, U = params[f"{direction}.W"], params[f"{direction}.U"]
     gW, gU, gb = (grads[f"{direction}.{m}"] for m in "WUb")
     H = d_final_h.shape[1]
-    dh = d_final_h
+    dh = d_final_h.copy()
     dc = np.zeros_like(dh)
     for t, h_prev, c_prev, acts, tanh_c in reversed(steps):
         n = len(acts)
@@ -243,18 +239,15 @@ def _scan_backward(params, direction, steps, X, d_final_h, dX, grads):
         gU += h_prev.T @ da
         gb += da.sum(axis=0)
         dX[:n, t] += da @ W.T
-        dh, dc = _carry(da @ U.T, dh), _carry(dc_new * f, dc)
+        dh[:n], dc[:n] = da @ U.T, dc_new * f
 
 
 def _length_order(mask: np.ndarray):
-    """The batch's rows by real length, longest first (a stable sort), or
-    None if they already are; and active, where active[t] is the number of
-    rows live at step t. Pads are a left prefix, so the live rows of every
-    step are a prefix of the sorted rows."""
-    order = np.argsort(-mask.sum(axis=1), kind="stable")
-    if np.all(order[1:] > order[:-1]):
-        order = None
-    return order, mask.sum(axis=0)
+    """The batch's rows by real length, longest first (a stable sort); and
+    active, where active[t] is the number of rows live at step t. Pads are a
+    left prefix, so the live rows of every step are a prefix of the sorted
+    rows."""
+    return np.argsort(-mask.sum(axis=1), kind="stable"), mask.sum(axis=0)
 
 
 def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
@@ -266,31 +259,27 @@ def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
 
     The scans see the rows sorted by length, longest first; everything
     returned is in the caller's row order but the cache, whose `order`
-    (None for the identity) maps sorted rows back to the caller's."""
+    maps sorted rows back to the caller's."""
     cfg = model.config
     mask = _validate_ids(ids, cfg)
     params = model.params
     order, active = _length_order(mask)
-    X = params["emb"][ids if order is None else ids[order]]
+    X = params["emb"][ids[order]]
     drop = None
     if train and cfg.dropout_rate > 0.0:
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - cfg.dropout_rate
         # drawn in the caller's row order, so each sample keeps its mask
-        drop = (rng.random(X.shape) < keep).astype(np.float64) / keep
-        if order is not None:
-            drop = drop[order]
+        drop = (rng.random(X.shape) < keep).astype(np.float64)[order] / keep
         X = X * drop
-    if state is not None and order is not None:
+    if state is not None:  # the scan's own copy, in its row order
         state = tuple(a[order] for a in state)
     new = slice(None) if state is None else slice(-1, None)
-    state, steps_f = _scan(params, "fw", X[:, new], active[new], False, want_cache, state)
-    (h_b, _), steps_b = _scan(params, "bw", X, active, reverse=True, keep_steps=want_cache)
-    feat = np.concatenate([state[0], h_b], axis=1)
-    if order is not None:
-        back = np.argsort(order)
-        feat = feat[back]
-        state = tuple(a[back] for a in state)
+    state, steps_f = _scan(params, "fw", X[:, new], active[new], want_cache, state)
+    (h_b, _), steps_b = _scan(params, "bw", X, active, want_cache)
+    back = np.argsort(order)
+    feat = np.concatenate([state[0], h_b], axis=1)[back]
+    state = tuple(a[back] for a in state)
     logits = feat @ params["dense.W"] + params["dense.b"]
     shift = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shift)
@@ -366,9 +355,8 @@ def loss_and_grads(model: BiLstmModel, samples, train: bool = True,
     grads["dense.W"] += cache["feat"].T @ dlogits
     grads["dense.b"] += dlogits.sum(axis=0)
     dfeat = dlogits @ params["dense.W"].T
-    order = cache["order"]
-    if order is not None:  # into the scans' row order
-        dfeat, ids = dfeat[order], ids[order]
+    order = cache["order"]  # into the scans' row order
+    dfeat, ids = dfeat[order], ids[order]
     H = cfg.hidden
     X = cache["X"]
     dX = np.zeros_like(X)

@@ -428,6 +428,23 @@ class TestInferenceMemory:
             assert self.traced_peak(fn) < self.B * gate_bytes / 4
         assert self.traced_peak(lambda: forward(model, samples[0][0])) < gate_bytes
 
+    def test_the_step_cache_holds_the_live_rows_alone(self):
+        # one long row and many short ones: a cached view of the whole
+        # batch's state would pin the short rows' pad steps as well
+        cfg = replace(self.CFG, hidden=4, max_prefix_len=40)
+        ids = np.full((16, 40), cfg.pad_id, dtype=np.int64)
+        ids[0] = np.arange(40) % 7
+        ids[1:, -2:] = [3, 5]
+        _, _, cache, _ = seqmodel._forward_batch(init_model(cfg), ids, False, None, True)
+        live_cells = int((ids != cfg.pad_id).sum())
+        for direction in ("steps_f", "steps_b"):
+            held = {}
+            for _, h_prev, c_prev, _, _ in cache[direction]:
+                for a in (h_prev, c_prev):
+                    owner = a if a.base is None else a.base
+                    held[id(owner)] = owner.nbytes
+            assert sum(held.values()) == 2 * 8 * cfg.hidden * live_cells, direction
+
     def test_plain_pairs_and_samples_agree(self):
         model = init_model(TINY)
         pairs = [(list(s.prefix), s.next) for s in tiny_batch()]

@@ -166,7 +166,10 @@ def test_packed_probabilities_and_state_equal_the_masked_oracle(batch, carried, 
         state = tuple(rng.normal(size=(len(ids), model.config.hidden)) for _ in "hc")
     seed = data.draw(st.integers(0, 2**63 - 1))
     train = data.draw(st.booleans())
+    before = None if state is None else tuple(a.copy() for a in state)
     probs, log_probs, _, (h, c) = _forward_batch(model, ids, train, seed, False, state)
+    if carried:  # the scan writes its own copy of the carried state
+        assert all(np.array_equal(a, b) for a, b in zip(state, before))
     ref_probs, ref_log_probs, _, (ref_h, ref_c) = reference_forward_batch(
         model, ids, train, seed, state)
     for got, expect in ((probs, ref_probs), (log_probs, ref_log_probs), (h, ref_h),
@@ -182,7 +185,10 @@ def test_a_single_row_without_pads_is_bit_exact(batch, carried):
     ids = np.array([prefix])
     state = (np.full((1, model.config.hidden), 0.25), np.full((1, model.config.hidden), -0.5))
     state = state if carried else None
+    before = None if state is None else tuple(a.copy() for a in state)
     got = _forward_batch(model, ids, False, None, False, state)
+    if carried:  # the identity order too leaves the caller's state alone
+        assert all(np.array_equal(a, b) for a, b in zip(state, before))
     expect = reference_forward_batch(model, ids, False, None, state)
     for a, b in zip((got[0], got[1], *got[3]), (expect[0], expect[1], *expect[3])):
         assert np.array_equal(a, b)
