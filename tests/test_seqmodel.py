@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from itertools import islice
@@ -561,6 +564,193 @@ class TestPackedScan:
         calls = sum(sum(1 for x in p if x != cfg.pad_id) for p, _ in samples)
         assert sum(rows) == 2 * calls
         assert min(rows) >= 1
+
+
+THREADED = seqmodel._THREADED_ROWS
+
+
+def uneven_samples(cfg, rows, seed):
+    """`rows` samples of 1 to max_prefix_len calls behind 0-2 explicit pads."""
+    rng = np.random.default_rng(seed)
+    return [(tuple([cfg.pad_id] * int(rng.integers(0, 3))
+                   + rng.integers(0, cfg.vocab_size,
+                                  int(rng.integers(1, cfg.max_prefix_len + 1))).tolist()),
+             int(rng.integers(0, cfg.vocab_size))) for _ in range(rows)]
+
+
+class TestTwoThreads:
+    """A batch of at least _THREADED_ROWS rows scans its two directions, and
+    runs their BPTT, on two threads; what it returns is the one-thread
+    pass's, bit for bit, and no thread outlives the call."""
+
+    CFG = BiLstmConfig(vocab_size=9, embed_dim=5, hidden=6, dropout_rate=0.3,
+                       max_prefix_len=12, batch_size=64, seed=4)
+
+    @staticmethod
+    def joined(fn, *args, **kwargs):
+        before = threading.active_count()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            assert threading.active_count() == before
+
+    def outputs(self, model, samples):
+        """The raw bytes of loss_and_grads, predict_distributions,
+        batch_loss, and the (h, c) of a forward pass with a carried state."""
+        [(ids, _)] = seqmodel._batches(samples, model.config, None)
+        rng = np.random.default_rng(len(ids))
+        state = tuple(rng.normal(size=(len(ids), model.config.hidden)) for _ in "hc")
+        loss, grads = self.joined(loss_and_grads, model, samples, dropout_seed=11)
+        _, _, _, (h, c) = self.joined(seqmodel._forward_batch, model, ids, True, 5, False,
+                                      state)
+        got = {"loss": loss, **grads, "h": h, "c": c,
+               "probs": self.joined(predict_distributions, model, samples),
+               "batch_loss": self.joined(batch_loss, model, samples)}
+        return {key: np.asarray(value).tobytes() for key, value in got.items()}
+
+    @pytest.mark.parametrize("rows", [THREADED - 1, THREADED])
+    def test_two_threads_give_the_one_thread_bits(self, rows, monkeypatch):
+        model = random_model(self.CFG, seed=rows)
+        samples = uneven_samples(self.CFG, rows, seed=rows)
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(seqmodel.threading, "Thread", Counted)
+        default = self.outputs(model, samples)
+        # two in loss_and_grads, one in each other call
+        assert len(started) == (5 if rows >= THREADED else 0)
+        monkeypatch.setattr(seqmodel, "_THREADED_ROWS", math.inf)
+        assert self.outputs(model, samples) == default
+        monkeypatch.setattr(seqmodel, "_THREADED_ROWS", 1)
+        started.clear()
+        assert self.outputs(model, samples) == default
+        assert len(started) == 5
+
+    def test_a_batch_below_the_threshold_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(seqmodel.threading, "Thread", refuse)
+        model = random_model(self.CFG, seed=1)
+        samples = uneven_samples(self.CFG, THREADED - 1, seed=1)
+        loss_and_grads(model, samples, dropout_seed=3)
+        predict_distributions(model, samples)
+        batch_loss(model, samples)
+        next_call_accuracy(model, samples)
+        predict_next_k(model, samples[0][0], 4)
+
+    class Failure(Exception):
+        pass
+
+    @pytest.mark.parametrize("stage", ["_scan", "_scan_backward"])
+    @pytest.mark.parametrize("direction", ["fw", "bw"])  # fw runs on the worker
+    def test_an_error_in_either_direction_reaches_the_caller(self, stage, direction,
+                                                              monkeypatch):
+        inner = getattr(seqmodel, stage)
+
+        def failing(params, name, *rest):
+            if name == direction:
+                raise self.Failure(name)
+            time.sleep(0.05)  # the other direction is still running when it fails
+            return inner(params, name, *rest)
+
+        monkeypatch.setattr(seqmodel, stage, failing)
+        model = random_model(self.CFG, seed=2)
+        with pytest.raises(self.Failure, match=direction):
+            self.joined(loss_and_grads, model, uneven_samples(self.CFG, THREADED, seed=2))
+
+    def test_the_worker_keeps_the_callers_errstate(self, monkeypatch):
+        seen = set()
+
+        def cell(x, h, c, weights):
+            seen.add((threading.get_ident(), np.geterr()["under"]))
+            return cell_step(x, h, c, weights)
+
+        monkeypatch.setattr(seqmodel, "_cell_step", cell)
+        model = random_model(self.CFG, seed=3)
+        with np.errstate(under="raise"):
+            predict_distributions(model, uneven_samples(self.CFG, THREADED, seed=3))
+        assert len(seen) == 2
+        assert {mode for _, mode in seen} == {"raise"}
+
+    def test_concurrent_callers_lose_no_update_to_dX(self, monkeypatch):
+        # two-call prefixes: the directions' BPTT add into the same dX
+        # columns at about the same time, in adds long enough for numpy to
+        # release the GIL. Four callers, each with its own worker, are more
+        # threads than cores; without the lock about 5% of calls came out
+        # wrong on 2 cores.
+        cfg = BiLstmConfig(vocab_size=9, embed_dim=512, hidden=2, dropout_rate=0.0,
+                           max_prefix_len=2, batch_size=64)
+        model = random_model(cfg, seed=6)
+        rng = np.random.default_rng(6)
+        samples = [(tuple(rng.integers(0, 9, 2).tolist()), 1) for _ in range(64)]
+        monkeypatch.setattr(seqmodel, "_THREADED_ROWS", math.inf)
+        _, expect = loss_and_grads(model, samples)
+        monkeypatch.setattr(seqmodel, "_THREADED_ROWS", THREADED)
+        wrong = []
+
+        def caller():
+            for _ in range(50):
+                _, grads = loss_and_grads(model, samples)
+                wrong.extend(key for key in grads
+                             if grads[key].tobytes() != expect[key].tobytes())
+
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert wrong == []
+
+
+class TestBpttMemory:
+    """BPTT frees each step's activations once it has used them."""
+
+    B, T, E, H = 32, 64, 48, 16
+    CFG = BiLstmConfig(vocab_size=7, embed_dim=E, hidden=H, dropout_rate=0.3,
+                       max_prefix_len=T, batch_size=B, seed=8)
+
+    def test_bptt_empties_the_step_cache(self):
+        model = random_model(self.CFG, seed=8)
+        [(ids, _)] = seqmodel._batches(uneven_samples(self.CFG, 5, seed=8), self.CFG, None)
+        _, _, cache, _ = seqmodel._forward_batch(model, ids, True, 1, True)
+        grads = {key: np.zeros_like(value) for key, value in model.params.items()}
+        dX = np.zeros_like(cache["X"])
+        for direction, steps in (("fw", cache["steps_f"]), ("bw", cache["steps_b"])):
+            assert steps
+            seqmodel._scan_backward(model.params, direction, steps, cache["X"],
+                                    np.ones((len(ids), self.H)), dX, threading.Lock(), grads)
+            assert steps == []
+
+    def test_peak_is_the_forward_cache_and_the_gradient_tensors(self):
+        model = random_model(self.CFG, seed=9)
+        samples = uneven_samples(self.CFG, self.B, seed=9)
+        [(ids, _)] = seqmodel._batches(samples, self.CFG, None)
+        T, cells = ids.shape[1], int((ids != self.CFG.pad_id).sum())
+        # per direction and live cell: the previous h and c, the four gates
+        # and tanh(c'); and about 1 KB of objects to hold each step
+        cache = 2 * (cells * 7 * self.H * 8 + T * 1024)
+        x_bytes = self.B * T * self.E * 8  # each of X, the dropout mask and dX
+        grad_bytes = 8 * sum(v.size for v in model.params.values())
+        temporaries = 2 * 8 * self.B * 4 * self.H * 8  # a step's, in each direction
+        loss_and_grads(model, samples, dropout_seed=4)  # first-call allocations
+        tracemalloc.start()
+        try:
+            loss_and_grads(model, samples, dropout_seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cache + 3 * x_bytes + grad_bytes + temporaries
 
 
 # The v1 text of init_model(V1_TINY_CONFIG) and that model's distribution

@@ -4,7 +4,8 @@ row at every step and keeps a padded row's state with `np.where`; the packed
 scan sorts the rows by length and runs the cell and BPTT on the live rows
 alone. Over random batches with uneven left pads, dropout on and off, and a
 carried forward state, probabilities, losses and carried states must agree
-to 1e-12 and gradients to a relative 1e-9. A single row without pads must
+to 1e-12 and gradients to a relative 1e-9, on one thread and on the two
+that batches of _THREADED_ROWS rows or more use. A single row without pads must
 come out bit for bit as before, as greedy decoding sees it."""
 
 import numpy as np
@@ -117,8 +118,9 @@ def reference_loss_and_grads(model, samples, train, dropout_seed):
 
 
 @st.composite
-def padded_batches(draw, max_rows=9):
-    """A model and B = 1..max_rows samples, each prefix 1-6 calls behind
+def padded_batches(draw, max_rows=24):
+    """A model and B = 1..max_rows samples (from _THREADED_ROWS rows on,
+    the scans run on two threads), each prefix 1-6 calls behind
     0-3 explicit pads, so rows are left-padded unevenly and leading
     columns may hold pads alone."""
     vocab = draw(st.integers(2, 8))
