@@ -235,13 +235,13 @@ def _cmd_split(args) -> list[Path]:
 
 def _cmd_balance(args) -> list[Path]:
     _require_inputs(args.infile, args.test_in)
+    if args.test_in and not args.test_out:
+        raise CorpusError("--test-out is required with --test-in")
     corpus = load_corpus(args.infile)
+    test_c = load_corpus(args.test_in) if args.test_in else None  # both load before a save
     save_corpus(random_oversample(corpus, derive_seed(args.seed, "balance-train")), args.out)
     outputs = [Path(args.out)]
-    if args.test_in:
-        if not args.test_out:
-            raise CorpusError("--test-out is required with --test-in")
-        test_c = load_corpus(args.test_in)
+    if test_c is not None:
         if not args.skip_test:
             test_c = random_oversample(test_c, derive_seed(args.seed, "balance-test"))
         save_corpus(test_c, args.test_out)
@@ -273,10 +273,6 @@ def _cmd_train_detector(args) -> list[Path]:
     _require_inputs(args.train, args.labels)
     X = load_matrix(args.train)
     labels = load_labels(args.labels)
-    if any(y is None for y in labels):
-        raise CorpusError("training labels must all be 0 or 1")
-    if len(labels) != X.shape[0]:
-        raise CorpusError(f"{X.shape[0]} matrix rows but {len(labels)} labels")
     configs = [replace(cfg, reg_lambda=args.reg_lambda, gamma=args.gamma,
                        min_child_hessian=args.min_child_hessian)
                for cfg in default_bagging_configs()]
@@ -302,11 +298,7 @@ def _cmd_detect(args) -> list[Path]:
 def _cmd_rank_features(args) -> list[Path]:
     _require_inputs(args.model, args.vocab)
     detector = load_detector(args.model)
-    vocab = load_vocabulary(args.vocab)
-    if len(vocab) != detector.n_features:
-        raise CorpusError(
-            f"vocabulary has {len(vocab)} columns, detector expects {detector.n_features}")
-    ranked = rank_features(detector, vocab, k=args.k)
+    ranked = rank_features(detector, load_vocabulary(args.vocab), k=args.k)
     lines = ["rank\tngram\timportance"] + _format_rows("%d\t[%s]\t%.17g", (
         (rank, ",".join(map(str, ngram)), gain) for rank, (ngram, gain) in enumerate(ranked, 1)))
     text = "\n".join(lines) + "\n"
@@ -454,13 +446,6 @@ def _cmd_reproduce(args) -> list[Path]:
 # --- parser -------------------------------------------------------------------
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", type=_InFile,
-                   help="flat key=value file of option dests; flags given here win")
-    p.add_argument("--seed", type=_INT, default=os.environ.get("APISENTRY_SEED", 42),
-                   help="task seed (default %(default)s, taken from APISENTRY_SEED if set)")
-
-
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="apisentry", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -474,7 +459,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--max-len", dest="max_len", type=_INT, default=100,
                    help="prefix cap (default %(default)s)")
     p.add_argument("--out", required=True)
-    _add_common(p)
 
     p = sub.add_parser("adapt", help="convert an upstream dataset file to canonical CSV")
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
@@ -488,7 +472,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--delimiter", dest="delimiter", default=" ")
     p.add_argument("--constant-label", dest="constant_label", type=_LABEL, default=1)
     p.add_argument("--vocab-size", dest="vocab_size", type=_INT, default=0)
-    _add_common(p)
 
     p = sub.add_parser("split", help="stratified train/test split")
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
@@ -496,7 +479,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out-test", dest="out_test", required=True)
     p.add_argument("--test-frac", dest="test_frac", type=_FLOAT, default=0.2)
     p.add_argument("--no-stratify", dest="no_stratify", action="store_true")
-    _add_common(p)
 
     p = sub.add_parser("balance", help="random-oversample the minority class")
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
@@ -505,7 +487,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--test-out", dest="test_out")
     p.add_argument("--skip-test", dest="skip_test", action="store_true",
                    help="copy the test corpus through unbalanced")
-    _add_common(p)
 
     p = sub.add_parser("featurize", help="build/apply an n-gram vocabulary and vectorize")
     p.add_argument("--vocab", type=_InFile, required=True,
@@ -516,7 +497,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
     p.add_argument("--out", required=True, help="sparse count-matrix file")
     p.add_argument("--labels-out", dest="labels_out")
-    _add_common(p)
 
     p = sub.add_parser("train-detector", help="train the 3-member boosted-tree ensemble")
     p.add_argument("--train", type=_InFile, required=True, help="count-matrix file")
@@ -529,20 +509,17 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--gamma", dest="gamma", type=_FLOAT, default=0.0)
     p.add_argument("--min-child-hessian", dest="min_child_hessian", type=_FLOAT, default=1.0)
     p.add_argument("--vocab-ref", dest="vocab_ref", default="")
-    _add_common(p)
 
     p = sub.add_parser("detect", help="score feature vectors with a trained detector")
     p.add_argument("--model", type=_InFile, required=True)
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
 
     p = sub.add_parser("rank-features", help="top n-grams by gain importance")
     p.add_argument("--model", type=_InFile, required=True)
     p.add_argument("--vocab", type=_InFile, required=True)
     p.add_argument("-k", dest="k", type=_count, default=10)
     p.add_argument("--out")
-    _add_common(p)
 
     p = sub.add_parser("train-predictor", help="train the next-call sequence model")
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
@@ -560,14 +537,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--trace-cap", dest="trace_cap", type=_count, default=0,
                    help="keep only each trace's last N calls (0 disables)")
     p.add_argument("--curves", help="write per-epoch loss curves CSV here")
-    _add_common(p)
 
     p = sub.add_parser("predict-next", help="predict the next k calls for a sequence")
     p.add_argument("--model", type=_InFile, required=True)
     p.add_argument("--seq", required=True, help="comma-separated call ids")
     p.add_argument("-k", dest="k", type=partial(_count, low=1, high=_MAX_DECODE), default=1,
                    help=f"calls to decode, 1 to {_MAX_DECODE} (default %(default)s)")
-    _add_common(p)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
     p.add_argument("--task", choices=["detect", "next-call"], default="detect")
@@ -578,7 +553,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--corpus", type=_InFile, help="corpus for rare-label frequencies")
     p.add_argument("--rare-threshold", dest="rare_threshold", type=_count, default=0)
     p.add_argument("--out", required=True)
-    _add_common(p)
 
     p = sub.add_parser("reproduce", help="run both reference pipelines and compare "
                                          "against the bundled target metrics")
@@ -593,8 +567,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="trace cap for the sequence model (0 = all; default %(default)s)")
     p.add_argument("--quick", action="store_true",
                    help="smaller models for a fast sanity pass")
-    _add_common(p)
 
+    for p in sub.choices.values():  # last, so they close every command's options
+        p.add_argument("--config", type=_InFile,
+                       help="flat key=value file of option dests; flags given here win")
+        p.add_argument("--seed", type=_INT, default=os.environ.get("APISENTRY_SEED", 42),
+                       help="task seed (default %(default)s, taken from APISENTRY_SEED if set)")
     return parser, sub.choices
 
 

@@ -374,16 +374,26 @@ def _mean_logloss(y: np.ndarray, p: np.ndarray) -> float:
     return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
 
 
+def _binary_labels(y, rows: int) -> np.ndarray:
+    """y as floats, refused unless it holds one 0 or 1 per matrix row."""
+    y = np.asarray(y)
+    if y.shape != (rows,):
+        raise ValueError(f"got {rows} rows but {y.size} labels")
+    bad = y[(y != 0) & (y != 1)].tolist()
+    if bad:
+        raise ValueError(f"labels must be 0 or 1, got {bad[0]!r}")
+    return y.astype(np.float64)
+
+
 def train_gbdt(X, y, config: GbdtConfig, base_score: float | None = None) -> GbdtModel:
     """Fit one boosted-tree model.
 
     base_score defaults to the log-odds of the training positive rate.
-    Raises on single-class labels or an empty feature space.
+    Raises on labels other than one 0 or 1 per row, single-class labels or
+    an empty feature space.
     """
     Xc = as_feature_matrix(X)
-    y = np.asarray(y, dtype=np.float64)
-    if Xc.shape[0] != len(y):
-        raise ValueError(f"got {Xc.shape[0]} rows but {len(y)} labels")
+    y = _binary_labels(y, Xc.shape[0])
     if Xc.shape[1] == 0:
         raise ValueError("empty feature space")
     positives = float(y.sum())
@@ -453,7 +463,7 @@ def train_bagged(X, y, configs: list[GbdtConfig] | None = None, seed: int = 42,
     _setting("combine", combine)  # before training, not after it
     _setting("threshold", threshold)
     Xc = as_feature_matrix(X)  # refuses a non-finite entry before resampling moves its row
-    y = np.asarray(y, dtype=np.float64)
+    y = _binary_labels(y, Xc.shape[0])  # and a bad label before resampling drops it
     n, members = Xc.shape[0], []
     for i, cfg in enumerate(configs):
         picks = (np.random.default_rng(seed + i).integers(0, n, size=n) if bootstrap
@@ -490,6 +500,9 @@ def rank_features(detector: BaggedDetector, vocab: NGramVocabulary,
     """Top-k n-grams by gain importance, normalized to total 1: each
     member's split gains summed per feature in tree-then-node order, then the
     members added in order. Ties break toward the lower column index."""
+    if len(vocab) != detector.n_features:
+        raise ValueError(
+            f"vocabulary has {len(vocab)} columns, detector expects {detector.n_features}")
     total_gain = np.zeros(detector.n_features)
     for member in detector.members:
         feature = np.concatenate([t.feature for t in member.trees] + [np.zeros(0, np.int32)])

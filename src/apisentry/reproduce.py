@@ -23,8 +23,8 @@ from .gbdt import default_bagging_configs, ensemble_predict_rows, rank_features,
     save_detector, train_bagged
 from .metrics import binary_metrics, confusion, rare_label_report, roc_auc_per_label, \
     weighted_metrics
-from .ngrams import build_vocabulary, class_frequency, corpus_matrix, save_vocabulary, \
-    trace_samples
+from .ngrams import _format_rows, build_vocabulary, class_frequency, corpus_matrix, \
+    save_vocabulary, trace_samples
 from .seeding import derive_seed
 from .seqmodel import BiLstmConfig, predict_distributions, \
     save_curves, save_model, train
@@ -113,10 +113,10 @@ def _detection_pipeline(corpus: Corpus, outdir: Path, seed: int,
                    for k in METRICS], lines)
 
     ranked = rank_features(detector, vocab, k=10)
-    feature_lines = ["rank\tngram\timportance\tclass0_count\tclass1_count"] + [
-        "%d\t[%s]\t%.6f\t%d\t%d" % (rank, ",".join(map(str, ngram)), importance,
-                                   *class_frequency(train_c, ngram))
-        for rank, (ngram, importance) in enumerate(ranked, start=1)]
+    feature_lines = ["rank\tngram\timportance\tclass0_count\tclass1_count"] + _format_rows(
+        "%d\t[%s]\t%.17g\t%d\t%d", ((rank, ",".join(map(str, ngram)), importance,
+                                     *class_frequency(train_c, ngram))
+                                    for rank, (ngram, importance) in enumerate(ranked, 1)))
     (outdir / "d1_features_top10.tsv").write_text(
         "\n".join(feature_lines) + "\n", encoding="utf-8")
     overlap = len({ng for ng, _ in ranked} & {ng for ng, _ in REFERENCE_TOP_NGRAMS})
@@ -154,9 +154,9 @@ def _nextcall_pipeline(corpus: Corpus, tag: str, vocab_size: int, outdir: Path,
     m = weighted_metrics(preds, truths, vocab_size)
     auc = roc_auc_per_label(dists, truths, vocab_size)
     rare = rare_label_report(corpus, auc)
-    rare_lines = ["label\tfrequency\tauc"] + [
-        f"{r.label}\t{r.frequency}\t" + ("undefined" if r.auc is None else f"{r.auc:.4f}")
-        for r in rare]
+    rare_lines = ["label\tfrequency\tauc"] + _format_rows("%d\t%d\t%s", (
+        (r.label, r.frequency, "undefined" if r.auc is None else "%.17g" % r.auc)
+        for r in rare))
     (outdir / f"{tag}_rare_labels.tsv").write_text(
         "\n".join(rare_lines) + "\n", encoding="utf-8")
 

@@ -209,29 +209,17 @@ _THREADED_ROWS = 16
 
 def _directions(fn, fw_args, bw_args, rows: int):
     """fn(*fw_args) and fn(*bw_args) for a batch of `rows` rows. From
-    _THREADED_ROWS rows on, the first runs on a worker thread, under a copy
-    of the caller's context (where numpy 2 keeps np.errstate), while the
-    caller runs the second; the worker is joined before this returns and
-    its exception is raised here."""
+    _THREADED_ROWS rows on, the first runs on a worker thread under a copy of
+    the caller's context (where numpy 2 keeps np.errstate) while the caller
+    runs the second; the worker's exception is raised here."""
     if rows < _THREADED_ROWS:
         return fn(*fw_args), fn(*bw_args)
-    out = {}
-
-    def work():
-        try:
-            out["fw"] = fn(*fw_args)
-        except BaseException as exc:  # re-raised in the caller
-            out["error"] = exc
-
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
-    worker.start()
-    try:
+    # imported here: start-up never needs it, and greedy decoding never threads
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1) as pool:
+        fw = pool.submit(contextvars.copy_context().run, fn, *fw_args)
         bw = fn(*bw_args)
-    finally:
-        worker.join()
-    if "error" in out:
-        raise out["error"]
-    return out["fw"], bw
+    return fw.result(), bw
 
 
 def _scan(params, direction, X, active, keep_steps: bool, state=None):

@@ -11,10 +11,11 @@ from matrices import csr
 from test_seqmodel import model_file, write_model_file
 
 import apisentry
-from apisentry import cli, seqmodel
+from apisentry import cli, reproduce, seqmodel
 from apisentry.cli import main
 from apisentry.data import demo_corpus_path, generate_demo_corpus
 from apisentry.gbdt import GbdtConfig, save_detector, train_bagged
+from apisentry.metrics import RareLabel
 from apisentry.ngrams import save_matrix
 from apisentry.seqmodel import BiLstmConfig, init_model, save_model
 
@@ -186,6 +187,27 @@ class TestPipeline:
                    "--seq-traces", 5, "--top-k", 50) == 0
         manifest = json.loads((outdir / "summary.txt.manifest.json").read_text())
         assert list(manifest["inputs"]) == [str(demo)]
+
+    def test_reproduce_top_ngrams_are_rank_features_rows(self, demo, tmp_path, capsys):
+        outdir = tmp_path / "repro"
+        assert run("reproduce", "--dataset1", demo, "--outdir", outdir, "--quick",
+                   "--seq-traces", 5, "--top-k", 50) == 0
+        capsys.readouterr()
+        assert run("rank-features", "--model", outdir / "d1_detector.det",
+                   "--vocab", outdir / "d1_vocab.tsv", "-k", 10) == 0
+        ranked = capsys.readouterr().out.splitlines()[1:]
+        top = (outdir / "d1_features_top10.tsv").read_text().splitlines()[1:]
+        assert len(top) == len(ranked) == 10
+        assert [row.rsplit("\t", 2)[0] for row in top] == ranked
+
+    def test_reproduce_rare_label_aucs_are_17_digits(self, demo, tmp_path, monkeypatch):
+        monkeypatch.setattr(reproduce, "rare_label_report", lambda corpus, auc: [
+            RareLabel(label=3, frequency=1, auc=None), RareLabel(label=4, frequency=2, auc=0.1)])
+        outdir = tmp_path / "repro"
+        assert run("reproduce", "--dataset2", demo, "--outdir", outdir, "--quick",
+                   "--seq-traces", 5) == 0
+        assert (outdir / "dataset2_rare_labels.tsv").read_text() == (
+            "label\tfrequency\tauc\n3\t1\tundefined\n4\t2\t0.10000000000000001\n")
 
     def test_reproduce_top_k_zero_keeps_every_ngram(self, demo, tmp_path):
         for top_k in (0, 10**9):
@@ -685,6 +707,20 @@ def test_malformed_line_exits_one_naming_file_and_line(case, tmp_path, capsys):
     assert run(*argv) == 1
     assert f"{paths[bad]}: line {line}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("test_args, refusal", [
+    ([], "--test-out is required with --test-in"),
+    (["--test-out", "t_bal.csv"], "t.csv: line 2: "),
+], ids=["no --test-out", "malformed --test-in"])
+def test_balance_refusal_writes_nothing(test_args, refusal, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("c.csv").write_text("0,1,2\n1,2,3\n0,3,1\n")
+    Path("t.csv").write_text("0,1,2\nx,2,3\n")
+    assert run("balance", "--in", "c.csv", "--out", "b.csv", "--test-in", "t.csv",
+               *test_args) == 1
+    assert refusal in capsys.readouterr().err
+    assert sorted(os.listdir()) == ["c.csv", "t.csv"]
 
 
 COUNT = "expected a non-negative integer, got {!r}"

@@ -154,6 +154,30 @@ class TestLeafFormula:
             train_gbdt(csr(np.zeros((4, 0))), [0, 1, 0, 1], cfg)
 
 
+class TestLabels:
+    """Both trainers take one 0 or 1 per matrix row and refuse anything else
+    before converting or resampling it."""
+
+    X = csr(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0], [3.0, 0.0]]))
+    CFG = GbdtConfig(n_estimators=1)
+
+    @pytest.mark.parametrize("y", [[0, 1, 0, 1, 1], [0, 1, 0]])
+    def test_bagged_refuses_a_label_count_other_than_the_rows(self, y):
+        with pytest.raises(ValueError, match=f"got 4 rows but {len(y)} labels"):
+            train_bagged(self.X, y, configs=[self.CFG] * 3, seed=1)
+
+    @pytest.mark.parametrize("bad, y", [(-1, [0, 1, -1, 1]), (2, [0, 2, 0, 2])])
+    def test_bagged_refuses_a_label_other_than_0_or_1(self, bad, y):
+        with pytest.raises(ValueError, match=f"labels must be 0 or 1, got {bad}$"):
+            train_bagged(self.X, y, configs=[self.CFG] * 3, seed=1)
+
+    @pytest.mark.parametrize("bad, y", [(0.5, [0, 1, 0.5, 1]), (2, [0, 2, 0, 2]),
+                                        (None, [0, 1, None, 1])])
+    def test_gbdt_refuses_a_label_other_than_0_or_1(self, bad, y):
+        with pytest.raises(ValueError, match=f"labels must be 0 or 1, got {bad}$"):
+            train_gbdt(self.X, np.array(y), self.CFG)
+
+
 class TestPredictProba:
     def test_single_leaf_tree(self):
         cfg = GbdtConfig(learning_rate=1.0, max_depth=1, n_estimators=1, reg_lambda=1.0)
@@ -430,6 +454,13 @@ class TestRankFeatures:
     def test_k_truncated_to_feature_count(self):
         det = BaggedDetector(members=self._detector_with_gains([{0: 1.0}, {}, {}]))
         assert len(rank_features(det, self._vocab(5), k=99)) == 5
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_vocabulary_of_another_width_is_refused(self, width):
+        det = BaggedDetector(members=self._detector_with_gains([{0: 1.0}, {}, {}]))
+        with pytest.raises(ValueError,
+                           match=f"vocabulary has {width} columns, detector expects 5"):
+            rank_features(det, self._vocab(width), k=3)
 
 
 class TestPersistence:
