@@ -158,6 +158,12 @@ def _require_inputs(*paths) -> None:
         raise FileNotFoundError(f"missing input file(s): {', '.join(missing)}")
 
 
+def _require_outputs(*paths) -> None:
+    missing = sorted({str(Path(p).parent) for p in paths if p and not Path(p).parent.is_dir()})
+    if missing:
+        raise FileNotFoundError(f"missing output directory(ies): {', '.join(missing)}")
+
+
 def _digest(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -224,6 +230,7 @@ def _cmd_adapt(args) -> list[Path]:
 
 def _cmd_split(args) -> list[Path]:
     _require_inputs(args.infile)
+    _require_outputs(args.out_train, args.out_test)
     corpus = load_corpus(args.infile)
     spec = SplitSpec(test_fraction=args.test_frac, seed=derive_seed(args.seed, "split"),
                      stratified=not args.no_stratify)
@@ -237,6 +244,7 @@ def _cmd_balance(args) -> list[Path]:
     _require_inputs(args.infile, args.test_in)
     if args.test_in and not args.test_out:
         raise CorpusError("--test-out is required with --test-in")
+    _require_outputs(args.out, args.test_in and args.test_out)
     corpus = load_corpus(args.infile)
     test_c = load_corpus(args.test_in) if args.test_in else None  # both load before a save
     save_corpus(random_oversample(corpus, derive_seed(args.seed, "balance-train")), args.out)
@@ -251,6 +259,7 @@ def _cmd_balance(args) -> list[Path]:
 
 def _cmd_featurize(args) -> list[Path]:
     _require_inputs(args.infile)
+    _require_outputs(args.fit and args.vocab, args.out, args.labels_out)
     corpus = load_corpus(args.infile)
     if args.fit:
         vocab = build_vocabulary(corpus, min_count=args.min_count, top_k=args.top_k or None)
@@ -311,6 +320,7 @@ def _cmd_rank_features(args) -> list[Path]:
 
 def _cmd_train_predictor(args) -> list[Path]:
     _require_inputs(args.infile)
+    _require_outputs(args.out, args.curves)
     corpus = load_corpus(args.infile)
     vocab_size = args.vocab_size or corpus.vocabulary_size
     samples = trace_samples(corpus.traces, args.trace_cap, vocab_size)

@@ -21,10 +21,11 @@ from .corpus import Corpus, CorpusError, LabeledTrace, _LineReader, _float, _int
 NGram = tuple[int, ...]
 
 
-def _sigmoid(z):
-    """Logistic function. z is clipped below at -700 so exp(-z) never
-    overflows; above 700, exp(-z) < 1e-304 and the result is already 1.0."""
-    return 1.0 / (1.0 + np.exp(-np.maximum(z, -700.0)))
+def _sigmoid(z, out=None):
+    """Logistic function, into `out` if given (z itself may be). z is clipped
+    below at -700 so exp(-z) never overflows: above 700 the result is 1.0."""
+    z = np.negative(np.maximum(z, -700.0, out=out), out=out)
+    return np.divide(1.0, np.add(1.0, np.exp(z, out=out), out=out), out=out)
 
 
 def _format_rows(fmt: str, rows) -> list[str]:

@@ -22,14 +22,16 @@ gradient per step for its n live rows. The model file (v2) is a text
 header, the config and one shape line per fused tensor, then the tensors
 as one raw little-endian float64 payload, sized before it is read.
 
-One cell function serves ``lstm_cell`` and the scan, and hands the scan the
-gate activations BPTT reuses. ``_forward_batch`` is the one forward pass:
-validation, embedding, both scans and the softmax. ``_batches`` alone turns
-samples into arrays and refuses bad ones; ``_evaluate`` is the one loop over
-it, which the loss, the accuracy and the distributions reduce. Greedy
-decoding hands the pass the forward (h, c) of the previous step, so each
-decoded call costs one forward cell step until the window slides past
-max_prefix_len; the backward direction is rescanned each step.
+One cell function serves ``lstm_cell`` and the scan: it activates a step's
+inputs times W in place, writes the live rows' new state and hands the scan
+the gate activations BPTT reuses. Training computes X[:, t] @ W as before; a
+pass without dropout or cache gathers it from per-call tables of emb @ W.
+``_forward_batch`` is the one forward pass: validation, embedding, both
+scans and the softmax. ``_batches`` alone turns samples into arrays and
+refuses bad ones; ``_evaluate`` is the one loop over it, which the loss, the
+accuracy and the distributions reduce. Greedy decoding carries the forward
+(h, c) from step to step, one forward cell step per decoded call until the
+window slides past max_prefix_len; the backward direction is rescanned.
 
 The two directions are independent until the dense layer joins their final
 states. A batch of at least ``_THREADED_ROWS`` rows scans them, and runs
@@ -154,21 +156,21 @@ def _gates(acts: np.ndarray, h: int) -> list[np.ndarray]:
     return [acts[..., k * h:(k + 1) * h] for k in range(4)]
 
 
-def _cell_step(x, h, c, cell: dict[str, np.ndarray]):
-    """The LSTM cell; returns h', c', the (..., 4H) gate activations and
-    tanh(c'), which BPTT reuses. The pre-activation is summed and activated
-    in place in one array: each further (B,4H) temporary raises the
-    process's peak memory at paper shapes."""
-    acts = x @ cell["W"]
-    acts += h @ cell["U"]
-    acts += cell["b"]
+def _cell_step(xw, h, c, cell: dict[str, np.ndarray]):
+    """The LSTM cell on xw, the live rows' inputs times W, an (n,4H) array it
+    owns and activates in place. Writes h' and c' into h and c, the live rows'
+    state; returns the gate activations and tanh(c'), which BPTT reuses."""
+    xw += h @ cell["U"]
+    xw += cell["b"]
     n = 3 * h.shape[-1]
-    acts[..., :n] = _sigmoid(acts[..., :n])
-    np.tanh(acts[..., n:], out=acts[..., n:])
-    i, f, o, g = _gates(acts, h.shape[-1])
-    c_new = f * c + i * g
-    tanh_c = np.tanh(c_new)
-    return o * tanh_c, c_new, acts, tanh_c
+    _sigmoid(xw[..., :n], out=xw[..., :n])
+    np.tanh(xw[..., n:], out=xw[..., n:])
+    i, f, o, g = _gates(xw, h.shape[-1])
+    c *= f
+    c += i * g
+    tanh_c = np.tanh(c)
+    np.multiply(o, tanh_c, out=h)
+    return xw, tanh_c
 
 
 def lstm_cell(x, h, c, cell: dict[str, np.ndarray]):
@@ -178,10 +180,12 @@ def lstm_cell(x, h, c, cell: dict[str, np.ndarray]):
     (H,4H) and ``b`` (4H,), each with the gate blocks i, f, o, g side by
     side. With a = x W + h U + b cut into those blocks, gates i, f, o are
     sigmoid(a) and the candidate g is tanh(a); then c' = f*c + i*g and
-    h' = o*tanh(c'). Accepts single vectors or batches (leading batch axis).
+    h' = o*tanh(c'), both new arrays. Accepts vectors or batches (leading axis).
     """
-    h_new, c_new, _, _ = _cell_step(x, h, c, cell)
-    return h_new, c_new
+    xw, shape = x @ cell["W"], (*np.shape(x)[:-1], len(cell["U"]))
+    h, c = (np.array(np.broadcast_to(a, shape), np.float64) for a in (h, c))  # the cell writes them
+    _cell_step(xw, h, c, cell)
+    return h, c
 
 
 def _validate_ids(ids: np.ndarray, cfg: BiLstmConfig) -> np.ndarray:
@@ -222,27 +226,29 @@ def _directions(fn, fw_args, bw_args, rows: int):
     return fw.result(), bw
 
 
-def _scan(params, direction, X, active, keep_steps: bool, state=None):
+def _scan(params, direction, X, active, keep_steps: bool, state=None, table=None):
     """Run one direction ("bw" from the last step back) over a batch whose
     rows are sorted longest first, from `state`, an (h, c) pair it
-    overwrites, or zeros. At step t the cell runs on the first active[t]
-    rows alone and writes their (h, c) in place; the other rows keep theirs:
-    zeros not yet started going forward, finished rows going backward.
-    Returns the final (h, c) and, if keep_steps, the per-step BPTT cache
-    (else an empty list), which holds copies of the live rows' previous
-    (h, c) alone."""
-    B, T, _ = X.shape
+    overwrites, or zeros. Step t's inputs are X[:n, t] @ W, or with a
+    `table` (see _tables) its rows X[:n, t], X being the ids. The cell
+    runs on the first n = active[t] rows alone and writes their (h, c) in
+    place; the other rows keep theirs: zeros not yet started going forward,
+    finished rows going backward. Returns the final (h, c) and, if
+    keep_steps, the per-step BPTT cache (else an empty list), which holds
+    copies of the live rows' previous (h, c) alone."""
+    B, T = X.shape[:2]
     cell = {m: params[f"{direction}.{m}"] for m in "WUb"}
     h, c = state or [np.zeros((B, cell["U"].shape[0])) for _ in "hc"]  # each written in place
-    first = T - np.count_nonzero(active)  # the steps before hold pads alone
+    first = active.count(0)  # the steps before hold pads alone
     times = range(T - 1, first - 1, -1) if direction == "bw" else range(first, T)
     steps = []
     for t in times:
         n = active[t]
-        h_new, c_new, acts, tanh_c = _cell_step(X[:n, t], h[:n], c[:n], cell)
+        xw = X[:n, t] @ cell["W"] if table is None else table.take(X[:n, t], axis=0)
+        prev = (h[:n].copy(), c[:n].copy()) if keep_steps else ()  # the cell overwrites them
+        acts, tanh_c = _cell_step(xw, h[:n], c[:n], cell)
         if keep_steps:
-            steps.append((t, h[:n].copy(), c[:n].copy(), acts, tanh_c))
-        h[:n], c[:n] = h_new, c_new
+            steps.append((t, *prev, acts, tanh_c))
     return (h, c), steps
 
 
@@ -284,16 +290,25 @@ def _length_order(mask: np.ndarray):
     """The batch's rows by real length, longest first (a stable sort); and
     active, where active[t] is the number of rows live at step t. Pads are a
     left prefix, so the live rows of every step are a prefix of the sorted
-    rows."""
-    return np.argsort(-mask.sum(axis=1), kind="stable"), mask.sum(axis=0)
+    rows. active is a list, which the scans index once per step."""
+    return np.argsort(-mask.sum(axis=1), kind="stable"), mask.sum(axis=0).tolist()
+
+
+def _tables(params) -> dict[str, np.ndarray]:
+    """Each direction's x W for every id, (V+1,4H), built per public call and
+    never kept (training changes the weights), in one allocation: as two,
+    malloc gave them back and refaulted them every call (+1.7 ms, paper shapes)."""
+    emb, out = params["emb"], np.empty((2, len(params["emb"]), params["fw.W"].shape[1]))
+    return {d: np.matmul(emb, params[f"{d}.W"], out=t) for d, t in zip(("fw", "bw"), out)}
 
 
 def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
-                   dropout_seed: int | None, want_cache: bool, state=None):
+                   dropout_seed: int | None, want_cache: bool, state=None, tables=None):
     """Next-call probabilities and log-probabilities of a batch, the BPTT
     cache if want_cache (else None; only the cache holds every step) and the
     forward direction's final (h, c). A carried `state`, that (h, c) after
-    every column but the last, is extended over the last column alone.
+    every column but the last, is extended over the last column alone. A pass
+    without dropout or cache reads its step inputs from `tables`, or its own.
 
     The scans see the rows sorted by length, longest first; everything
     returned is in the caller's row order but the cache, whose `order`
@@ -302,8 +317,11 @@ def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
     mask = _validate_ids(ids, cfg)
     params = model.params
     order, active = _length_order(mask)
-    X = params["emb"][ids[order]]
-    drop = None
+    X, drop = ids[order], None
+    if train and cfg.dropout_rate > 0.0 or want_cache:  # the step inputs are X[:, t] @ W
+        X, tables = params["emb"][X], {}
+    else:  # they are rows of the x W tables
+        tables = tables or _tables(params)
     if train and cfg.dropout_rate > 0.0:
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - cfg.dropout_rate
@@ -314,8 +332,8 @@ def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
         state = tuple(a[order] for a in state)
     new = slice(None) if state is None else slice(-1, None)
     (state, steps_f), ((h_b, _), steps_b) = _directions(
-        _scan, (params, "fw", X[:, new], active[new], want_cache, state),
-        (params, "bw", X, active, want_cache), len(ids))
+        _scan, (params, "fw", X[:, new], active[new], want_cache, state, tables.get("fw")),
+        (params, "bw", X, active, want_cache, None, tables.get("bw")), len(ids))
     back = np.argsort(order)
     feat = np.concatenate([state[0], h_b], axis=1)[back]
     state = tuple(a[back] for a in state)
@@ -360,8 +378,9 @@ def _batches(samples, cfg: BiLstmConfig, size: int | None):
 def _evaluate(model: BiLstmModel, samples, train: bool = False,
               dropout_seed: int | None = None):
     """The one evaluation loop: (probs, log_probs, targets) per batch."""
+    tables = None if train else _tables(model.params)
     for ids, targets in _batches(samples, model.config, model.config.batch_size):
-        yield *_forward_batch(model, ids, train, dropout_seed, want_cache=False)[:2], targets
+        yield *_forward_batch(model, ids, train, dropout_seed, False, None, tables)[:2], targets
 
 
 def batch_loss(model: BiLstmModel, samples, train: bool = False,
@@ -488,12 +507,12 @@ def _greedy(model: BiLstmModel, sequence):
     """Yield each greedy step's id and distribution; see predict_next_k."""
     window = model.config.max_prefix_len
     seq = [int(c) for c in sequence]
-    state = None
+    state, tables = None, _tables(model.params)
     while True:
         ids = np.asarray(seq[-window:], dtype=np.int64).reshape(1, -1)
         if len(seq) > window:
             state = None  # the window slid
-        probs, _, _, state = _forward_batch(model, ids, False, None, False, state)
+        probs, _, _, state = _forward_batch(model, ids, False, None, False, state, tables)
         seq.append(int(np.argmax(probs[0])))
         yield seq[-1], probs[0]
 

@@ -723,6 +723,25 @@ def test_balance_refusal_writes_nothing(test_args, refusal, tmp_path, monkeypatc
     assert sorted(os.listdir()) == ["c.csv", "t.csv"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["split", "--in", "c.csv", "--out-train", "tr.csv", "--out-test", "nodir/te.csv"],
+    ["balance", "--in", "c.csv", "--out", "b.csv", "--test-in", "t.csv",
+     "--test-out", "nodir/t.csv"],
+    ["featurize", "--vocab", "v.tsv", "--fit", "--in", "c.csv", "--out", "m.mat",
+     "--labels-out", "nodir/x"],
+    ["train-predictor", "--in", "c.csv", "--out", "model.seq", "--curves", "nodir/c.csv",
+     "--embed", "2", "--hidden", "2", "--max-epochs", "1"],
+], ids=lambda argv: argv[0])
+def test_an_output_without_its_directory_writes_nothing(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("c.csv").write_text("".join(f"{j % 2},{j % 5},{(j + 1) % 5},{(j + 2) % 5}\n"
+                                     for j in range(12)))
+    Path("t.csv").write_text("0,1,2\n1,2,3\n")
+    assert run(*argv) == 1
+    assert "missing output directory(ies): nodir" in capsys.readouterr().err
+    assert sorted(os.listdir()) == ["c.csv", "t.csv"]
+
+
 COUNT = "expected a non-negative integer, got {!r}"
 FLAG_CASES = [
     (["featurize", "--vocab", "v.tsv", "--in", "c.csv", "--out", "m.mat", "--top-k", "-5"],

@@ -1,6 +1,6 @@
 """Property tests: the packed-forest prediction path against a scalar
 per-row descent, the one-row wrappers against the rows path, the
-shared sigmoid at extreme inputs, the AUC midranks against scipy,
+shared sigmoid at extreme inputs and in place, the AUC midranks against scipy,
 save/load round trips of the corpus, vocabulary and detector files, and the
 number rule's readers on every integer and float the writers spell."""
 
@@ -12,6 +12,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
 
 from apisentry import gbdt, seqmodel
@@ -141,6 +142,23 @@ def test_seqmodel_sigmoid_extremes_do_not_overflow():
         warnings.simplefilter("error", RuntimeWarning)
         out = seqmodel._sigmoid(np.array([-800.0, 0.0, 800.0]))
     assert out[0] < 1e-300 and out[1] == 0.5 and out[2] == 1.0
+
+
+EDGES = [700.0, -700.0, 800.0, -800.0, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=arrays(np.float64, st.integers(1, 40),
+                elements=st.sampled_from(EDGES) | st.floats(allow_subnormal=True)))
+def test_sigmoid_in_place_is_the_expression_bit_for_bit(z):
+    expect = 1.0 / (1.0 + np.exp(-np.maximum(z, -700.0)))
+    assert seqmodel._sigmoid(z).tobytes() == expect.tobytes()
+    out = z.copy()
+    assert seqmodel._sigmoid(out, out=out) is out
+    assert out.tobytes() == expect.tobytes()
+    for x in z[:3].tolist():  # Python floats too, as the boosted-tree tests pass
+        expect = 1.0 / (1.0 + np.exp(-np.maximum(x, -700.0)))
+        assert np.float64(seqmodel._sigmoid(x)).tobytes() == expect.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

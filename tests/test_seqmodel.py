@@ -167,6 +167,16 @@ class TestLstmCell:
             assert np.abs(got_h - want_h).max() < 1e-12
             assert np.abs(got_c - want_c).max() < 1e-12
 
+    def test_the_callers_state_is_left_alone(self):
+        rng = np.random.default_rng(23)
+        cell = {"W": rng.normal(size=(3, 16)), "U": rng.normal(size=(4, 16)),
+                "b": rng.normal(size=16)}
+        x, h, c = rng.normal(size=(2, 3)), rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        before = h.copy(), c.copy()
+        got_h, got_c = lstm_cell(x, h, c, cell)
+        assert np.array_equal(h, before[0]) and np.array_equal(c, before[1])
+        assert not np.array_equal(got_h, h) and not np.array_equal(got_c, c)
+
 
 class TestForward:
     def test_softmax_normalized_over_random_models(self):
@@ -457,6 +467,27 @@ class TestInferenceMemory:
 
 
 class TestPredict:
+    def test_no_table_outlives_its_call(self):
+        """The x W tables are built from the weights as they are at each
+        call: weights changed in place in between must show at once."""
+        cfg = replace(TINY, vocab_size=9, max_prefix_len=8)
+        model = random_model(cfg, seed=12)
+        samples = uneven_samples(cfg, 6, seed=12)
+        seq = [1, 5, 2]
+
+        def outputs(m):
+            greedy = b"".join(p.tobytes() for _, p in islice(_greedy(m, seq), 6))
+            return predict_distributions(m, samples).tobytes(), greedy, predict_next_k(m, seq, 6)
+
+        first = outputs(model)
+        rng = np.random.default_rng(13)
+        for key in ("emb", "fw.W", "bw.W"):
+            model.params[key][...] = rng.normal(size=model.params[key].shape)
+        fresh = seqmodel.BiLstmModel(params=model.copy_params(), config=cfg)
+        second = outputs(model)
+        assert second == outputs(fresh)
+        assert second[0] != first[0] and second[1] != first[1]
+
     def test_uniform_ties_break_to_lowest_id(self):
         model = init_model(TINY)
         model.params["dense.W"][:] = 0

@@ -5,8 +5,12 @@ scan sorts the rows by length and runs the cell and BPTT on the live rows
 alone. Over random batches with uneven left pads, dropout on and off, and a
 carried forward state, probabilities, losses and carried states must agree
 to 1e-12 and gradients to a relative 1e-9, on one thread and on the two
-that batches of _THREADED_ROWS rows or more use. A single row without pads must
-come out bit for bit as before, as greedy decoding sees it."""
+that batches of _THREADED_ROWS rows or more use. The reference projects each
+step's input with its own X[:, t] @ W, so the probability test also checks
+the packed pass's input-projection tables against those products. A single
+row without pads must come out bit for bit as the reference, as greedy
+decoding sees it: from the same tables when it keeps no BPTT cache, and from
+the per-step products when it does."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -24,16 +28,19 @@ from apisentry.seqmodel import (
 )
 
 
-def reference_scan(params, direction, X, mask, reverse, keep_steps, state=None):
+def reference_scan(params, direction, X, mask, reverse, keep_steps, state=None, table=None):
     """_scan as it was: the cell runs on every row, and a padded row keeps
-    its state."""
-    B, T, _ = X.shape
+    its state. Given a table, X holds the ids and the step input is
+    table[X[:, t]], else it is X[:, t] @ W."""
+    B, T = X.shape[:2]
     cell = {m: params[f"{direction}.{m}"] for m in "WUb"}
     h, c = state or (np.zeros((B, cell["U"].shape[0])),) * 2
     times = range(T - 1, -1, -1) if reverse else range(T)
     steps = []
     for t in times:
-        h_new, c_new, acts, tanh_c = _cell_step(X[:, t], h, c, cell)
+        xw = X[:, t] @ cell["W"] if table is None else table[X[:, t]]
+        h_new, c_new = h.copy(), c.copy()
+        acts, tanh_c = _cell_step(xw, h_new, c_new, cell)
         m = mask[:, t][:, None]
         if keep_steps:
             steps.append((t, h, c, m, acts, tanh_c))
@@ -67,21 +74,27 @@ def reference_scan_backward(params, direction, steps, X, d_final_h, dX, grads):
         dc = dc_new * f + dc * (1.0 - m)
 
 
-def reference_forward_batch(model, ids, train, dropout_seed, state=None):
-    """_forward_batch as it was, over the masked scan."""
+def reference_forward_batch(model, ids, train, dropout_seed, state=None, tables=False):
+    """_forward_batch as it was, over the masked scan; with `tables`, a pass
+    without dropout reads its step inputs from (emb @ W)[ids], as the
+    packed pass without dropout or cache does."""
     cfg = model.config
     mask = _validate_ids(ids, cfg)
     params = model.params
     X = params["emb"][ids]
     drop = None
+    table = dict.fromkeys(("fw", "bw"))
+    if tables and not (train and cfg.dropout_rate > 0.0):
+        X, table = ids, {d: params["emb"] @ params[f"{d}.W"] for d in table}
     if train and cfg.dropout_rate > 0.0:
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - cfg.dropout_rate
         drop = (rng.random(X.shape) < keep).astype(np.float64) / keep
         X = X * drop
     new = slice(None) if state is None else slice(-1, None)
-    state, steps_f = reference_scan(params, "fw", X[:, new], mask[:, new], False, True, state)
-    (h_b, _), steps_b = reference_scan(params, "bw", X, mask, True, True)
+    state, steps_f = reference_scan(params, "fw", X[:, new], mask[:, new], False, True, state,
+                                    table["fw"])
+    (h_b, _), steps_b = reference_scan(params, "bw", X, mask, True, True, None, table["bw"])
     feat = np.concatenate([state[0], h_b], axis=1)
     logits = feat @ params["dense.W"] + params["dense.b"]
     shift = logits - logits.max(axis=1, keepdims=True)
@@ -191,7 +204,7 @@ def test_a_single_row_without_pads_is_bit_exact(batch, carried):
     got = _forward_batch(model, ids, False, None, False, state)
     if carried:  # the identity order too leaves the caller's state alone
         assert all(np.array_equal(a, b) for a, b in zip(state, before))
-    expect = reference_forward_batch(model, ids, False, None, state)
+    expect = reference_forward_batch(model, ids, False, None, state, tables=True)
     for a, b in zip((got[0], got[1], *got[3]), (expect[0], expect[1], *expect[3])):
         assert np.array_equal(a, b)
     loss, grads = loss_and_grads(model, [(prefix, target)], train=False)
