@@ -30,7 +30,6 @@ from .gbdt import (
     GbdtModel,
     default_bagging_configs,
     ensemble_predict,
-    predict_proba,
     rank_features,
     train_bagged,
     train_gbdt,
@@ -41,10 +40,7 @@ from .seqmodel import (
     BiLstmModel,
     TrainReport,
     batch_loss,
-    forward,
     init_model,
-    lstm_cell,
-    predict_next,
     predict_next_k,
     train,
     train_step,

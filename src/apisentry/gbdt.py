@@ -363,11 +363,6 @@ def predict_proba_rows(model: GbdtModel, X) -> np.ndarray:
     return _sigmoid(predict_margin_rows(model, X))
 
 
-def predict_proba(model: GbdtModel, x: CsrMatrix) -> float:
-    """Probability of the positive (malware) class for one 1-row matrix."""
-    return float(predict_proba_rows(model, x)[0])
-
-
 def _mean_logloss(y: np.ndarray, p: np.ndarray) -> float:
     eps = 1e-15
     p = np.clip(p, eps, 1 - eps)

@@ -22,14 +22,15 @@ gradient per step for its n live rows. The model file (v2) is a text
 header, the config and one shape line per fused tensor, then the tensors
 as one raw little-endian float64 payload, sized before it is read.
 
-One cell function serves ``lstm_cell`` and the scan: it activates a step's
+One cell function, ``_cell_step``, serves every scan: it activates a step's
 inputs times W in place, writes the live rows' new state and hands the scan
 the gate activations BPTT reuses. Training computes X[:, t] @ W as before; a
 pass without dropout or cache gathers it from per-call tables of emb @ W.
 ``_forward_batch`` is the one forward pass: validation, embedding, both
-scans and the softmax. ``_batches`` alone turns samples into arrays and
-refuses bad ones; ``_evaluate`` is the one loop over it, which the loss, the
-accuracy and the distributions reduce. Greedy decoding carries the forward
+scans and the softmax; it draws dropout from a ``dropout_seed`` or not at
+all, so every pass is reproducible. ``_batches`` alone turns samples into
+arrays and refuses bad ones; ``_evaluate`` is the one loop over it, which
+the loss and the distributions reduce. Greedy decoding carries the forward
 (h, c) from step to step, one forward cell step per decoded call until the
 window slides past max_prefix_len; the backward direction is rescanned.
 
@@ -124,7 +125,6 @@ class AdamState:
 class TrainReport:
     train_loss: list[float]
     val_loss: list[float]
-    stopped_epoch: int
     best_epoch: int
 
 
@@ -173,26 +173,12 @@ def _cell_step(xw, h, c, cell: dict[str, np.ndarray]):
     return xw, tanh_c
 
 
-def lstm_cell(x, h, c, cell: dict[str, np.ndarray]):
-    """One step of the standard LSTM cell.
-
-    ``cell`` holds one direction's fused weights: ``W`` (E,4H), ``U``
-    (H,4H) and ``b`` (4H,), each with the gate blocks i, f, o, g side by
-    side. With a = x W + h U + b cut into those blocks, gates i, f, o are
-    sigmoid(a) and the candidate g is tanh(a); then c' = f*c + i*g and
-    h' = o*tanh(c'), both new arrays. Accepts vectors or batches (leading axis).
-    """
-    xw, shape = x @ cell["W"], (*np.shape(x)[:-1], len(cell["U"]))
-    h, c = (np.array(np.broadcast_to(a, shape), np.float64) for a in (h, c))  # the cell writes them
-    _cell_step(xw, h, c, cell)
-    return h, c
-
-
 def _validate_ids(ids: np.ndarray, cfg: BiLstmConfig) -> np.ndarray:
     if ids.size == 0:
         raise ValueError("empty sequence")
     if ids.min() < 0 or ids.max() > cfg.pad_id:
-        raise ValueError("call id out of range")
+        bad = ids[(ids < 0) | (ids > cfg.pad_id)][0]
+        raise ValueError(f"call id {bad} is outside [0, {cfg.pad_id}]")
     mask = ids != cfg.pad_id
     if not mask.any(axis=1).all():
         raise ValueError("all-pad input")
@@ -302,8 +288,8 @@ def _tables(params) -> dict[str, np.ndarray]:
     return {d: np.matmul(emb, params[f"{d}.W"], out=t) for d, t in zip(("fw", "bw"), out)}
 
 
-def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
-                   dropout_seed: int | None, want_cache: bool, state=None, tables=None):
+def _forward_batch(model: BiLstmModel, ids: np.ndarray, dropout_seed: int | None,
+                   want_cache: bool, state=None, tables=None):
     """Next-call probabilities and log-probabilities of a batch, the BPTT
     cache if want_cache (else None; only the cache holds every step) and the
     forward direction's final (h, c). A carried `state`, that (h, c) after
@@ -318,11 +304,12 @@ def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
     params = model.params
     order, active = _length_order(mask)
     X, drop = ids[order], None
-    if train and cfg.dropout_rate > 0.0 or want_cache:  # the step inputs are X[:, t] @ W
+    dropout = dropout_seed is not None and cfg.dropout_rate > 0.0
+    if dropout or want_cache:  # the step inputs are X[:, t] @ W
         X, tables = params["emb"][X], {}
     else:  # they are rows of the x W tables
         tables = tables or _tables(params)
-    if train and cfg.dropout_rate > 0.0:
+    if dropout:
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - cfg.dropout_rate
         # drawn in the caller's row order, so each sample keeps its mask
@@ -346,14 +333,6 @@ def _forward_batch(model: BiLstmModel, ids: np.ndarray, train: bool,
     return exp / norm, shift - np.log(norm), cache if want_cache else None, state
 
 
-def forward(model: BiLstmModel, prefix, train: bool = False,
-            dropout_seed: int | None = None) -> np.ndarray:
-    """Probability distribution over the next call for one (possibly
-    left-padded) prefix."""
-    ids = np.asarray(list(prefix), dtype=np.int64).reshape(1, -1)
-    return _forward_batch(model, ids, train, dropout_seed, want_cache=False)[0][0]
-
-
 def _batches(samples, cfg: BiLstmConfig, size: int | None):
     """Yield (ids, targets) per `size` (prefix, next) pairs, such as
     PrefixSample, or one batch of all if size is None, each prefix clipped
@@ -375,31 +354,29 @@ def _batches(samples, cfg: BiLstmConfig, size: int | None):
         yield ids, targets
 
 
-def _evaluate(model: BiLstmModel, samples, train: bool = False,
-              dropout_seed: int | None = None):
-    """The one evaluation loop: (probs, log_probs, targets) per batch."""
-    tables = None if train else _tables(model.params)
+def _evaluate(model: BiLstmModel, samples):
+    """The one evaluation loop, no dropout: (probs, log_probs, targets) per batch."""
+    tables = _tables(model.params)
     for ids, targets in _batches(samples, model.config, model.config.batch_size):
-        yield *_forward_batch(model, ids, train, dropout_seed, False, None, tables)[:2], targets
+        yield *_forward_batch(model, ids, None, False, None, tables)[:2], targets
 
 
-def batch_loss(model: BiLstmModel, samples, train: bool = False,
-               dropout_seed: int | None = None) -> float:
+def batch_loss(model: BiLstmModel, samples) -> float:
     """Mean categorical cross-entropy of the true next call over a batch."""
     total, count = 0.0, 0
-    for _, log_probs, targets in _evaluate(model, samples, train, dropout_seed):
+    for _, log_probs, targets in _evaluate(model, samples):
         total += float(-log_probs[np.arange(len(targets)), targets].sum())
         count += len(targets)
     return total / count
 
 
-def loss_and_grads(model: BiLstmModel, samples, train: bool = True,
-                   dropout_seed: int | None = None):
-    """Exact loss and gradients for one batch via backpropagation through
-    time across both directions, the embedding, dropout and the softmax."""
+def loss_and_grads(model: BiLstmModel, samples, dropout_seed: int | None = None):
+    """Exact loss and gradients for one batch via backpropagation through time
+    across both directions, the embedding, dropout (if given a `dropout_seed`)
+    and the softmax."""
     cfg = model.config
     [(ids, targets)] = _batches(samples, cfg, None)
-    probs, log_probs, cache, _ = _forward_batch(model, ids, train, dropout_seed, True)
+    probs, log_probs, cache, _ = _forward_batch(model, ids, dropout_seed, True)
     B = len(targets)
     loss = float(-log_probs[np.arange(B), targets].sum() / B)
     if not np.isfinite(loss):
@@ -445,8 +422,7 @@ def apply_adam(model: BiLstmModel, state: AdamState, grads) -> None:
 def train_step(model: BiLstmModel, state: AdamState, samples,
                dropout_seed: int | None = None) -> float:
     """One Adam step on a batch; mutates the model and optimizer state."""
-    loss, grads = loss_and_grads(model, samples, train=True,
-                                 dropout_seed=dropout_seed)
+    loss, grads = loss_and_grads(model, samples, dropout_seed=dropout_seed)
     apply_adam(model, state, grads)
     return loss
 
@@ -479,7 +455,7 @@ def train(samples, config: BiLstmConfig) -> tuple[BiLstmModel, TrainReport]:
     train_curve: list[float] = []
     val_curve: list[float] = []
     best_loss, best_epoch, best_params = math.inf, 0, model.copy_params()
-    stale = stopped = 0
+    stale = 0
     for epoch in range(1, config.max_epochs + 1):
         perm = shuffle_rng.permutation(len(train_set))
         total = 0.0
@@ -489,7 +465,6 @@ def train(samples, config: BiLstmConfig) -> tuple[BiLstmModel, TrainReport]:
             total += train_step(model, state, batch, dropout_seed=seed) * len(batch)
         train_curve.append(total / len(train_set))
         val_curve.append(batch_loss(model, val))
-        stopped = epoch
         if val_curve[-1] < best_loss:
             best_loss, best_epoch, stale = val_curve[-1], epoch, 0
             best_params = model.copy_params()
@@ -498,9 +473,7 @@ def train(samples, config: BiLstmConfig) -> tuple[BiLstmModel, TrainReport]:
             if stale >= config.patience:
                 break
     model.params = best_params
-    report = TrainReport(train_loss=train_curve, val_loss=val_curve,
-                         stopped_epoch=stopped, best_epoch=best_epoch)
-    return model, report
+    return model, TrainReport(train_curve, val_curve, best_epoch)
 
 
 def _greedy(model: BiLstmModel, sequence):
@@ -512,35 +485,21 @@ def _greedy(model: BiLstmModel, sequence):
         ids = np.asarray(seq[-window:], dtype=np.int64).reshape(1, -1)
         if len(seq) > window:
             state = None  # the window slid
-        probs, _, _, state = _forward_batch(model, ids, False, None, False, state, tables)
+        probs, _, _, state = _forward_batch(model, ids, None, False, state, tables)
         seq.append(int(np.argmax(probs[0])))
         yield seq[-1], probs[0]
 
 
-def predict_next(model: BiLstmModel, sequence) -> tuple[int, np.ndarray]:
-    """Most likely next call id and the full distribution; ties go to the
-    lowest id. Sequences longer than max_prefix_len keep their tail."""
-    return next(_greedy(model, sequence))
-
-
 def predict_next_k(model: BiLstmModel, sequence, k: int) -> list[int]:
-    """Greedy autoregressive decoding: each prediction is appended to the
-    input before predicting the next one. The forward direction's final
-    (h, c) is carried: one cell step on the appended call extends it, until
-    the input outgrows max_prefix_len and the window slides, when it is
-    rescanned. The backward direction is rescanned every step."""
+    """Greedy autoregressive decoding: each prediction, the most likely next
+    call id (ties go to the lowest), is appended to the input before predicting
+    the next one; inputs keep their last max_prefix_len calls. The forward
+    direction's final (h, c) is carried: one cell step on the appended call
+    extends it, until the input outgrows max_prefix_len and the window slides,
+    when it is rescanned. The backward direction is rescanned every step."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return [nxt for nxt, _ in islice(_greedy(model, sequence), k)]
-
-
-def next_call_accuracy(model: BiLstmModel, samples) -> float:
-    """Fraction of samples whose argmax prediction matches the true next call."""
-    hits, count = 0, 0
-    for probs, _, targets in _evaluate(model, samples):
-        hits += int((probs.argmax(axis=1) == targets).sum())
-        count += len(targets)
-    return hits / count
 
 
 def predict_distributions(model: BiLstmModel, samples) -> np.ndarray:

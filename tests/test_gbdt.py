@@ -16,7 +16,6 @@ from apisentry.gbdt import (
     ensemble_predict,
     ensemble_predict_rows,
     load_detector,
-    predict_proba,
     predict_proba_rows,
     rank_features,
     save_detector,
@@ -141,7 +140,7 @@ class TestLeafFormula:
         cfg = GbdtConfig(n_estimators=0)
         model = train_gbdt([fv({0: 1}, 1), fv({}, 1)], [1, 0], cfg)
         x = fv({0: 3}, 1)
-        assert predict_proba(model, x) == pytest.approx(sigmoid(model.base_score))
+        assert predict_proba_rows(model, x)[0] == pytest.approx(sigmoid(model.base_score))
 
     def test_single_class_rejected_without_base(self):
         cfg = GbdtConfig(n_estimators=1)
@@ -187,7 +186,7 @@ class TestPredictProba:
             weight=np.array([0.4]), gain=np.zeros(1))
         model = GbdtModel(trees=[tree], base_score=0.0, config=cfg, n_features=2,
                           train_loss=[])
-        assert predict_proba(model, fv({}, 2)) == pytest.approx(sigmoid(0.4), abs=1e-12)
+        assert predict_proba_rows(model, fv({}, 2))[0] == pytest.approx(sigmoid(0.4), abs=1e-12)
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(10)
@@ -208,7 +207,8 @@ class TestPredictProba:
         bumped = dict(x)
         bumped[untested[0]] = bumped.get(untested[0], 0) + 7
         dim = X.shape[1]
-        assert predict_proba(model, fv(x, dim)) == predict_proba(model, fv(bumped, dim))
+        both = predict_proba_rows(model, [fv(x, dim), fv(bumped, dim)])
+        assert both[0] == both[1]
 
 
 class TestTraining:

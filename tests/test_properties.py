@@ -27,7 +27,6 @@ from apisentry.gbdt import (
     ensemble_predict_rows,
     load_detector,
     predict_margin_rows,
-    predict_proba,
     predict_proba_rows,
     save_detector,
 )
@@ -116,7 +115,7 @@ def test_forest_equals_scalar_descent(model, rows, block):
 @given(model=random_model(), row=count_rows.map(lambda rows: rows[0]))
 def test_one_vector_equals_one_row(model, row):
     X = csr(np.array([row], dtype=float))
-    assert predict_proba(model, one_row(row)) == predict_proba_rows(model, X)[0]
+    assert predict_proba_rows(model, one_row(row))[0] == predict_proba_rows(model, X)[0]
 
 
 def test_zero_trees_predict_base_score():

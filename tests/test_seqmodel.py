@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from apisentry import cli, seqmodel
+from apisentry.metrics import weighted_metrics
 from apisentry.ngrams import PrefixSample, _config_lines
 from apisentry.seeding import derive_seed
 from apisentry.seqmodel import (
@@ -20,14 +21,10 @@ from apisentry.seqmodel import (
     _cell_step as cell_step,
     _greedy,
     batch_loss,
-    forward,
     init_adam,
     init_model,
     load_model,
     loss_and_grads,
-    lstm_cell,
-    next_call_accuracy,
-    predict_next,
     predict_distributions,
     predict_next_k,
     save_curves,
@@ -67,6 +64,25 @@ def scalar_lstm_cell(x, h, c, cell):
         c_new[k] = sig(a_f) * c[k] + sig(a_i) * math.tanh(a_g)
         h_new[k] = sig(a_o) * math.tanh(c_new[k])
     return h_new, c_new
+
+
+def run_cell(x, h, c, cell):
+    """The cell on one input, from copies of h and c: (h', c')."""
+    h, c = h.copy(), c.copy()
+    cell_step(x @ cell["W"], h, c, cell)
+    return h, c
+
+
+def distribution(model, prefix):
+    """The next-call distribution of one (possibly left-padded) prefix."""
+    return predict_distributions(model, [(prefix, 0)])[0]
+
+
+def accuracy(model, samples):
+    """The share of samples whose most likely next call is the true one."""
+    truths = [y for _, y in samples]
+    preds = predict_distributions(model, samples).argmax(axis=1)
+    return weighted_metrics(preds, truths, model.config.vocab_size).accuracy
 
 
 def zero_cell(embed, hidden):
@@ -144,13 +160,13 @@ class TestInit:
 class TestLstmCell:
     def test_all_zero_parameters_zero_state(self):
         cell = zero_cell(3, 4)
-        h, c = lstm_cell(np.zeros(3), np.zeros(4), np.zeros(4), cell)
+        h, c = run_cell(np.zeros(3), np.zeros(4), np.zeros(4), cell)
         assert (h == 0).all() and (c == 0).all()
 
     def test_all_zero_parameters_carried_cell(self):
         cell = zero_cell(3, 4)
         v = np.array([1.0, -2.0, 0.5, 3.0])
-        h, c = lstm_cell(np.zeros(3), np.zeros(4), v, cell)
+        h, c = run_cell(np.zeros(3), np.zeros(4), v, cell)
         assert np.allclose(c, 0.5 * v, atol=1e-15)
         assert np.allclose(h, 0.5 * np.tanh(0.5 * v), atol=1e-15)
 
@@ -162,20 +178,10 @@ class TestLstmCell:
             x = rng.normal(size=3)
             h = rng.normal(size=4)
             c = rng.normal(size=4)
-            got_h, got_c = lstm_cell(x, h, c, cell)
+            got_h, got_c = run_cell(x, h, c, cell)
             want_h, want_c = scalar_lstm_cell(x, h, c, cell)
             assert np.abs(got_h - want_h).max() < 1e-12
             assert np.abs(got_c - want_c).max() < 1e-12
-
-    def test_the_callers_state_is_left_alone(self):
-        rng = np.random.default_rng(23)
-        cell = {"W": rng.normal(size=(3, 16)), "U": rng.normal(size=(4, 16)),
-                "b": rng.normal(size=16)}
-        x, h, c = rng.normal(size=(2, 3)), rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
-        before = h.copy(), c.copy()
-        got_h, got_c = lstm_cell(x, h, c, cell)
-        assert np.array_equal(h, before[0]) and np.array_equal(c, before[1])
-        assert not np.array_equal(got_h, h) and not np.array_equal(got_c, c)
 
 
 class TestForward:
@@ -192,33 +198,34 @@ class TestForward:
                 model.params[key] = rng.normal(size=model.params[key].shape) * 3
             length = int(rng.integers(1, 6))
             prefix = rng.integers(0, cfg.vocab_size, size=length)
-            probs = forward(model, prefix)
+            probs = distribution(model, prefix)
             assert probs.shape == (cfg.vocab_size,)
             assert (probs >= 0).all()
             assert abs(probs.sum() - 1.0) < 1e-6
 
     def test_dropout_zero_equals_infer(self):
         model = init_model(TINY)
-        probs_train = forward(model, [1, 2, 3], train=True, dropout_seed=5)
-        probs_infer = forward(model, [1, 2, 3])
+        ids = np.array([[1, 2, 3]])
+        probs_train = seqmodel._forward_batch(model, ids, 5, False)[0][0]
+        probs_infer = distribution(model, [1, 2, 3])
         assert np.allclose(probs_train, probs_infer, atol=0)
 
     def test_zero_dense_gives_uniform(self):
         model = init_model(TINY)
         model.params["dense.W"][:] = 0
         model.params["dense.b"][:] = 0
-        probs = forward(model, [1, 2])
+        probs = distribution(model, [1, 2])
         assert np.allclose(probs, 1.0 / TINY.vocab_size, atol=1e-15)
 
     def test_all_pad_rejected(self):
         model = init_model(TINY)
         with pytest.raises(ValueError, match="all-pad"):
-            forward(model, [TINY.pad_id, TINY.pad_id])
+            distribution(model, [TINY.pad_id, TINY.pad_id])
 
     def test_pad_only_as_left_prefix(self):
         model = init_model(TINY)
         with pytest.raises(ValueError, match="left prefix"):
-            forward(model, [1, TINY.pad_id, 2])
+            distribution(model, [1, TINY.pad_id, 2])
 
     @settings(max_examples=60, deadline=None)
     @given(vocab=st.integers(2, 8), embed=st.integers(1, 4), hidden=st.integers(1, 5),
@@ -229,7 +236,7 @@ class TestForward:
         model = random_model(cfg, seed)
         prefix = data.draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=6))
         pads = [cfg.pad_id] * data.draw(st.integers(0, 5))
-        assert np.array_equal(forward(model, pads + prefix), forward(model, prefix))
+        assert np.array_equal(distribution(model, pads + prefix), distribution(model, prefix))
 
     def test_direction_symmetry(self):
         rng = np.random.default_rng(23)
@@ -246,7 +253,7 @@ class TestForward:
                                                model.params["dense.W"][:H]])
         swapped.params["dense.b"] = model.params["dense.b"].copy()
         seq = [1, 5, 2, 6]
-        assert np.allclose(forward(model, seq), forward(swapped, seq[::-1]), atol=1e-12)
+        assert np.allclose(distribution(model, seq), distribution(swapped, seq[::-1]), atol=1e-12)
 
 
 class TestBatchLoss:
@@ -280,8 +287,7 @@ class TestSampleChecks:
     """Samples become arrays in one place, so every function that takes
     samples refuses the same bad input with the same message."""
 
-    @pytest.mark.parametrize("fn", [batch_loss, loss_and_grads, next_call_accuracy,
-                                    predict_distributions])
+    @pytest.mark.parametrize("fn", [batch_loss, loss_and_grads, predict_distributions])
     def test_no_samples_is_refused_alike(self, fn):
         with pytest.raises(ValueError, match="^no samples$"):
             fn(init_model(TINY), iter([]))
@@ -300,11 +306,16 @@ class TestSampleChecks:
 
 def finite_difference_check(cfg, samples, dropout_seed=None):
     """Central finite differences (eps 1e-4) against analytic gradients;
-    returns the worst relative error over every parameter tensor."""
+    returns the worst relative error over every parameter tensor. With a
+    dropout seed, the loss is loss_and_grads' under that seed's mask."""
     model = init_model(cfg)
-    train_mode = cfg.dropout_rate > 0
-    _, grads = loss_and_grads(model, samples, train=train_mode,
-                              dropout_seed=dropout_seed)
+    _, grads = loss_and_grads(model, samples, dropout_seed=dropout_seed)
+
+    def loss():
+        if dropout_seed is None:
+            return batch_loss(model, samples)
+        return loss_and_grads(model, samples, dropout_seed=dropout_seed)[0]
+
     eps = 1e-4
     worst = 0.0
     for key in model.params:
@@ -313,11 +324,9 @@ def finite_difference_check(cfg, samples, dropout_seed=None):
         for idx in range(flat.size):
             keep = flat[idx]
             flat[idx] = keep + eps
-            up = batch_loss(model, samples, train=train_mode,
-                            dropout_seed=dropout_seed)
+            up = loss()
             flat[idx] = keep - eps
-            down = batch_loss(model, samples, train=train_mode,
-                              dropout_seed=dropout_seed)
+            down = loss()
             flat[idx] = keep
             numeric = (up - down) / (2 * eps)
             analytic = grads[key].reshape(-1)[idx]
@@ -334,6 +343,16 @@ class TestGradients:
         cfg = BiLstmConfig(vocab_size=7, embed_dim=4, hidden=5, dropout_rate=0.3,
                            max_prefix_len=4, batch_size=4, seed=123)
         assert finite_difference_check(cfg, tiny_batch(), dropout_seed=99) < 1e-3
+
+    def test_a_call_without_a_seed_draws_no_dropout(self):
+        model = random_model(replace(TINY, dropout_rate=0.3), seed=14)
+        runs = [loss_and_grads(model, tiny_batch()) for _ in range(2)]
+        model.config = TINY  # the same weights, dropout rate 0
+        runs.append(loss_and_grads(model, tiny_batch()))
+        loss, grads = runs[0]
+        for other_loss, other_grads in runs[1:]:
+            assert other_loss == loss
+            assert all(other_grads[k].tobytes() == grads[k].tobytes() for k in grads)
 
     def test_zero_learning_rate_leaves_parameters(self):
         cfg = BiLstmConfig(vocab_size=7, embed_dim=4, hidden=5, dropout_rate=0.0,
@@ -376,7 +395,7 @@ class TestTrain:
                            learning_rate=0.0, max_epochs=10, patience=1,
                            val_fraction=0.25, max_prefix_len=6, batch_size=4)
         model, report = train(cyclic_samples(6), cfg)
-        assert report.stopped_epoch == 2
+        assert len(report.train_loss) == 2
         assert report.best_epoch == 1
 
     def test_deterministic_report(self):
@@ -408,8 +427,8 @@ class TestTrain:
                            max_epochs=12, patience=12, val_fraction=0.1,
                            max_prefix_len=15, batch_size=32, seed=42)
         model, _ = train(cyclic_samples(40), cfg)
-        assert next_call_accuracy(model, cyclic_samples(10, seed=9)) >= 0.99
-        assert predict_next(model, [1, 2, 3, 1, 2])[0] == 3
+        assert accuracy(model, cyclic_samples(10, seed=9)) >= 0.99
+        assert predict_next_k(model, [1, 2, 3, 1, 2], 1) == [3]
         assert predict_next_k(model, [1, 2], 4) == [3, 4, 0, 1]
 
 
@@ -436,10 +455,9 @@ class TestInferenceMemory:
                    for _ in range(self.B)]
         gate_bytes = self.T * 4 * self.HIDDEN * 8  # one direction, one row
         for fn in (lambda: predict_distributions(model, samples),
-                   lambda: batch_loss(model, samples),
-                   lambda: next_call_accuracy(model, samples)):
+                   lambda: batch_loss(model, samples)):
             assert self.traced_peak(fn) < self.B * gate_bytes / 4
-        assert self.traced_peak(lambda: forward(model, samples[0][0])) < gate_bytes
+        assert self.traced_peak(lambda: distribution(model, samples[0][0])) < gate_bytes
 
     def test_the_step_cache_holds_the_live_rows_alone(self):
         # one long row and many short ones: a cached view of the whole
@@ -448,7 +466,7 @@ class TestInferenceMemory:
         ids = np.full((16, 40), cfg.pad_id, dtype=np.int64)
         ids[0] = np.arange(40) % 7
         ids[1:, -2:] = [3, 5]
-        _, _, cache, _ = seqmodel._forward_batch(init_model(cfg), ids, False, None, True)
+        _, _, cache, _ = seqmodel._forward_batch(init_model(cfg), ids, None, True)
         live_cells = int((ids != cfg.pad_id).sum())
         for direction in ("steps_f", "steps_b"):
             held = {}
@@ -492,13 +510,13 @@ class TestPredict:
         model = init_model(TINY)
         model.params["dense.W"][:] = 0
         model.params["dense.b"][:] = 0
-        nxt, dist = predict_next(model, [2, 3, 4])
+        nxt, dist = next(_greedy(model, [2, 3, 4]))
         assert nxt == 0
         assert int(np.argmax(dist)) == nxt
 
     def test_k_one_equals_predict_next(self):
         model = init_model(TINY)
-        assert predict_next_k(model, [1, 2], 1) == [predict_next(model, [1, 2])[0]]
+        assert predict_next_k(model, [1, 2], 1) == [next(_greedy(model, [1, 2]))[0]]
 
     def test_output_length(self):
         model = init_model(TINY)
@@ -507,14 +525,19 @@ class TestPredict:
     def test_empty_sequence_rejected(self):
         model = init_model(TINY)
         with pytest.raises(ValueError, match="empty"):
-            predict_next(model, [])
+            predict_next_k(model, [], 1)
+
+    def test_an_id_outside_the_vocabulary_is_named(self):
+        model = init_model(replace(TINY, vocab_size=25))
+        with pytest.raises(ValueError, match=r"^call id 220 is outside \[0, 25\]$"):
+            predict_next_k(model, [7, 220, 237], 1)
 
     def test_long_input_keeps_tail(self):
         model = init_model(TINY)
         rng = np.random.default_rng(1)
         seq = [int(v) for v in rng.integers(0, 7, size=50)]
-        got, _ = predict_next(model, seq)
-        tail, _ = predict_next(model, seq[-TINY.max_prefix_len:])
+        got = predict_next_k(model, seq, 1)
+        tail = predict_next_k(model, seq[-TINY.max_prefix_len:], 1)
         assert got == tail
 
     @staticmethod
@@ -548,10 +571,10 @@ class TestPredict:
         carried = [probs for _, probs in islice(_greedy(model, seq), k)]
         for j in range(k):
             grown = seq + decoded[:j]
-            nxt, probs = predict_next(model, grown)
+            nxt, probs = next(_greedy(model, grown))
             assert decoded[j] == nxt
             assert np.array_equal(carried[j], probs)
-            assert np.array_equal(carried[j], forward(model, grown[-window:]))
+            assert np.array_equal(carried[j], distribution(model, grown[-window:]))
 
     @pytest.mark.parametrize("length", [1, 4, 8])
     def test_decoding_carries_the_forward_state(self, length, monkeypatch):
@@ -632,8 +655,7 @@ class TestTwoThreads:
         rng = np.random.default_rng(len(ids))
         state = tuple(rng.normal(size=(len(ids), model.config.hidden)) for _ in "hc")
         loss, grads = self.joined(loss_and_grads, model, samples, dropout_seed=11)
-        _, _, _, (h, c) = self.joined(seqmodel._forward_batch, model, ids, True, 5, False,
-                                      state)
+        _, _, _, (h, c) = self.joined(seqmodel._forward_batch, model, ids, 5, False, state)
         got = {"loss": loss, **grads, "h": h, "c": c,
                "probs": self.joined(predict_distributions, model, samples),
                "batch_loss": self.joined(batch_loss, model, samples)}
@@ -671,7 +693,6 @@ class TestTwoThreads:
         loss_and_grads(model, samples, dropout_seed=3)
         predict_distributions(model, samples)
         batch_loss(model, samples)
-        next_call_accuracy(model, samples)
         predict_next_k(model, samples[0][0], 4)
 
     class Failure(Exception):
@@ -754,7 +775,7 @@ class TestBpttMemory:
     def test_bptt_empties_the_step_cache(self):
         model = random_model(self.CFG, seed=8)
         [(ids, _)] = seqmodel._batches(uneven_samples(self.CFG, 5, seed=8), self.CFG, None)
-        _, _, cache, _ = seqmodel._forward_batch(model, ids, True, 1, True)
+        _, _, cache, _ = seqmodel._forward_batch(model, ids, 1, True)
         grads = {key: np.zeros_like(value) for key, value in model.params.items()}
         dX = np.zeros_like(cache["X"])
         for direction, steps in (("fw", cache["steps_f"]), ("bw", cache["steps_b"])):
@@ -959,7 +980,7 @@ class TestPersistence:
         for key in model.params:
             assert np.array_equal(loaded.params[key], model.params[key])
         seq = [0] * 3
-        assert np.array_equal(forward(model, seq), forward(loaded, seq))
+        assert np.array_equal(distribution(model, seq), distribution(loaded, seq))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -1001,7 +1022,7 @@ class TestPersistence:
         save_model(init_model(V1_TINY_CONFIG), path)
         loaded = load_model(path)
         assert loaded.config == V1_TINY_CONFIG
-        probs = forward(loaded, V1_TINY_PREFIX)
+        probs = distribution(loaded, V1_TINY_PREFIX)
         assert np.abs(probs - V1_TINY_PROBS).max() < 1e-12
 
     def test_header_is_text_and_names_each_fused_tensor(self, tmp_path):
@@ -1097,8 +1118,7 @@ class TestBadModelFile:
     def test_curves_csv(self, tmp_path):
         from apisentry.seqmodel import TrainReport
 
-        report = TrainReport(train_loss=[1.5, 1.0], val_loss=[1.6, 1.2],
-                             stopped_epoch=2, best_epoch=2)
+        report = TrainReport(train_loss=[1.5, 1.0], val_loss=[1.6, 1.2], best_epoch=2)
         path = tmp_path / "curves.csv"
         save_curves(report, path)
         lines = path.read_text().splitlines()

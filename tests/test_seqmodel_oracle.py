@@ -74,19 +74,21 @@ def reference_scan_backward(params, direction, steps, X, d_final_h, dX, grads):
         dc = dc_new * f + dc * (1.0 - m)
 
 
-def reference_forward_batch(model, ids, train, dropout_seed, state=None, tables=False):
-    """_forward_batch as it was, over the masked scan; with `tables`, a pass
-    without dropout reads its step inputs from (emb @ W)[ids], as the
-    packed pass without dropout or cache does."""
+def reference_forward_batch(model, ids, dropout_seed, state=None, tables=False):
+    """_forward_batch as it was, over the masked scan, with dropout drawn
+    from `dropout_seed` if one is given; with `tables`, a pass without
+    dropout reads its step inputs from (emb @ W)[ids], as the packed pass
+    without dropout or cache does."""
     cfg = model.config
     mask = _validate_ids(ids, cfg)
     params = model.params
     X = params["emb"][ids]
     drop = None
     table = dict.fromkeys(("fw", "bw"))
-    if tables and not (train and cfg.dropout_rate > 0.0):
+    dropout = dropout_seed is not None and cfg.dropout_rate > 0.0
+    if tables and not dropout:
         X, table = ids, {d: params["emb"] @ params[f"{d}.W"] for d in table}
-    if train and cfg.dropout_rate > 0.0:
+    if dropout:
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - cfg.dropout_rate
         drop = (rng.random(X.shape) < keep).astype(np.float64) / keep
@@ -104,11 +106,11 @@ def reference_forward_batch(model, ids, train, dropout_seed, state=None, tables=
     return exp / norm, shift - np.log(norm), cache, state
 
 
-def reference_loss_and_grads(model, samples, train, dropout_seed):
+def reference_loss_and_grads(model, samples, dropout_seed):
     """loss_and_grads as it was, over the masked scan and its BPTT."""
     cfg = model.config
     [(ids, targets)] = _batches(samples, cfg, None)
-    probs, log_probs, cache, _ = reference_forward_batch(model, ids, train, dropout_seed)
+    probs, log_probs, cache, _ = reference_forward_batch(model, ids, dropout_seed)
     B = len(targets)
     loss = float(-log_probs[np.arange(B), targets].sum() / B)
     params = model.params
@@ -164,8 +166,8 @@ def assert_grads_close(got, expect):
 @given(batch=padded_batches(), dropout_seed=st.integers(0, 2**63 - 1))
 def test_packed_gradients_equal_the_masked_oracle(batch, dropout_seed):
     model, samples = batch
-    loss, grads = loss_and_grads(model, samples, train=True, dropout_seed=dropout_seed)
-    ref_loss, ref_grads = reference_loss_and_grads(model, samples, True, dropout_seed)
+    loss, grads = loss_and_grads(model, samples, dropout_seed=dropout_seed)
+    ref_loss, ref_grads = reference_loss_and_grads(model, samples, dropout_seed)
     assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
     assert_grads_close(grads, ref_grads)
 
@@ -180,13 +182,13 @@ def test_packed_probabilities_and_state_equal_the_masked_oracle(batch, carried, 
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         state = tuple(rng.normal(size=(len(ids), model.config.hidden)) for _ in "hc")
     seed = data.draw(st.integers(0, 2**63 - 1))
-    train = data.draw(st.booleans())
+    seed = seed if data.draw(st.booleans()) else None  # dropout on or off
     before = None if state is None else tuple(a.copy() for a in state)
-    probs, log_probs, _, (h, c) = _forward_batch(model, ids, train, seed, False, state)
+    probs, log_probs, _, (h, c) = _forward_batch(model, ids, seed, False, state)
     if carried:  # the scan writes its own copy of the carried state
         assert all(np.array_equal(a, b) for a, b in zip(state, before))
     ref_probs, ref_log_probs, _, (ref_h, ref_c) = reference_forward_batch(
-        model, ids, train, seed, state)
+        model, ids, seed, state)
     for got, expect in ((probs, ref_probs), (log_probs, ref_log_probs), (h, ref_h),
                         (c, ref_c)):
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
@@ -201,14 +203,14 @@ def test_a_single_row_without_pads_is_bit_exact(batch, carried):
     state = (np.full((1, model.config.hidden), 0.25), np.full((1, model.config.hidden), -0.5))
     state = state if carried else None
     before = None if state is None else tuple(a.copy() for a in state)
-    got = _forward_batch(model, ids, False, None, False, state)
+    got = _forward_batch(model, ids, None, False, state)
     if carried:  # the identity order too leaves the caller's state alone
         assert all(np.array_equal(a, b) for a, b in zip(state, before))
-    expect = reference_forward_batch(model, ids, False, None, state, tables=True)
+    expect = reference_forward_batch(model, ids, None, state, tables=True)
     for a, b in zip((got[0], got[1], *got[3]), (expect[0], expect[1], *expect[3])):
         assert np.array_equal(a, b)
-    loss, grads = loss_and_grads(model, [(prefix, target)], train=False)
-    ref_loss, ref_grads = reference_loss_and_grads(model, [(prefix, target)], False, None)
+    loss, grads = loss_and_grads(model, [(prefix, target)])
+    ref_loss, ref_grads = reference_loss_and_grads(model, [(prefix, target)], None)
     assert loss == ref_loss
     for key in grads:
         assert np.array_equal(grads[key], ref_grads[key]), key
