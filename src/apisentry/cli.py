@@ -152,16 +152,15 @@ class _InFile(str):
     manifest digests each one that is not also an output."""
 
 
-def _require_inputs(*paths) -> None:
-    missing = [str(p) for p in paths if p and not Path(p).exists()]
-    if missing:
-        raise FileNotFoundError(f"missing input file(s): {', '.join(missing)}")
+class _OutFile(str):
+    """argparse type of options that name a file the command writes; `main`
+    refuses any whose directory is missing before the command starts."""
 
 
 def _require_outputs(*paths) -> None:
     missing = sorted({str(Path(p).parent) for p in paths if p and not Path(p).parent.is_dir()})
     if missing:
-        raise FileNotFoundError(f"missing output directory(ies): {', '.join(missing)}")
+        raise NotADirectoryError(f"missing output directory(ies): {', '.join(missing)}")
 
 
 def _digest(path: Path) -> str:
@@ -203,7 +202,6 @@ def _load_names(path: str | None) -> dict[int, str] | None:
 
 
 def _cmd_ingest(args) -> list[Path]:
-    _require_inputs(args.infile)
     corpus = load_corpus(args.infile,
                          format="jsonl" if args.format == "jsonl" else "canonical_csv")
     corpus = canonicalize(corpus, collapse=args.collapse, max_len=args.max_len)
@@ -212,7 +210,6 @@ def _cmd_ingest(args) -> list[Path]:
 
 
 def _cmd_adapt(args) -> list[Path]:
-    _require_inputs(args.infile)
     reader = _LineReader(args.infile)
     vocab = args.vocab_size or None
     if args.layout == "wide":
@@ -229,8 +226,6 @@ def _cmd_adapt(args) -> list[Path]:
 
 
 def _cmd_split(args) -> list[Path]:
-    _require_inputs(args.infile)
-    _require_outputs(args.out_train, args.out_test)
     corpus = load_corpus(args.infile)
     spec = SplitSpec(test_fraction=args.test_frac, seed=derive_seed(args.seed, "split"),
                      stratified=not args.no_stratify)
@@ -241,10 +236,9 @@ def _cmd_split(args) -> list[Path]:
 
 
 def _cmd_balance(args) -> list[Path]:
-    _require_inputs(args.infile, args.test_in)
-    if args.test_in and not args.test_out:
-        raise CorpusError("--test-out is required with --test-in")
-    _require_outputs(args.out, args.test_in and args.test_out)
+    if bool(args.test_in) != bool(args.test_out):
+        raise CorpusError("--test-out is required with --test-in" if args.test_in
+                          else "--test-in is required with --test-out")
     corpus = load_corpus(args.infile)
     test_c = load_corpus(args.test_in) if args.test_in else None  # both load before a save
     save_corpus(random_oversample(corpus, derive_seed(args.seed, "balance-train")), args.out)
@@ -258,14 +252,12 @@ def _cmd_balance(args) -> list[Path]:
 
 
 def _cmd_featurize(args) -> list[Path]:
-    _require_inputs(args.infile)
-    _require_outputs(args.fit and args.vocab, args.out, args.labels_out)
+    _require_outputs(args.fit and args.vocab)
     corpus = load_corpus(args.infile)
     if args.fit:
         vocab = build_vocabulary(corpus, min_count=args.min_count, top_k=args.top_k or None)
         save_vocabulary(vocab, args.vocab)
     else:
-        _require_inputs(args.vocab)
         vocab = load_vocabulary(args.vocab)
     matrix, labels = corpus_matrix(corpus, vocab)
     save_matrix(matrix, args.out)
@@ -279,7 +271,6 @@ def _cmd_featurize(args) -> list[Path]:
 
 
 def _cmd_train_detector(args) -> list[Path]:
-    _require_inputs(args.train, args.labels)
     X = load_matrix(args.train)
     labels = load_labels(args.labels)
     configs = [replace(cfg, reg_lambda=args.reg_lambda, gamma=args.gamma,
@@ -294,7 +285,6 @@ def _cmd_train_detector(args) -> list[Path]:
 
 
 def _cmd_detect(args) -> list[Path]:
-    _require_inputs(args.model, args.infile)
     detector = load_detector(args.model)
     X = load_matrix(args.infile)
     labels, scores = ensemble_predict_rows(detector, X)
@@ -305,7 +295,6 @@ def _cmd_detect(args) -> list[Path]:
 
 
 def _cmd_rank_features(args) -> list[Path]:
-    _require_inputs(args.model, args.vocab)
     detector = load_detector(args.model)
     ranked = rank_features(detector, load_vocabulary(args.vocab), k=args.k)
     lines = ["rank\tngram\timportance"] + _format_rows("%d\t[%s]\t%.17g", (
@@ -319,8 +308,6 @@ def _cmd_rank_features(args) -> list[Path]:
 
 
 def _cmd_train_predictor(args) -> list[Path]:
-    _require_inputs(args.infile)
-    _require_outputs(args.out, args.curves)
     corpus = load_corpus(args.infile)
     vocab_size = args.vocab_size or corpus.vocabulary_size
     samples = trace_samples(corpus.traces, args.trace_cap, vocab_size)
@@ -339,14 +326,11 @@ def _cmd_train_predictor(args) -> list[Path]:
 
 
 def _cmd_predict_next(args) -> list[Path]:
-    _require_inputs(args.model)
     model = load_model(args.model)
     try:
         seq = _call_ids([tok for tok in args.seq.split(",") if tok.strip()], args.seq)
     except CorpusError as exc:
         raise CorpusError(f"--seq {args.seq!r}: {exc}") from None
-    if max(seq) >= model.config.vocab_size:
-        raise CorpusError(f"sequence ids must be in [0, {model.config.vocab_size})")
     preds = predict_next_k(model, seq, k=args.k)
     sys.stdout.write(",".join(str(p) for p in preds) + "\n")
     return []
@@ -366,11 +350,13 @@ def _read_predictions_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return table["label"], table["score"]
 
 
-def _read_numbers(path: Path, kind=int) -> np.ndarray:
-    """One finite number per non-blank line, read as `kind`."""
+def _read_numbers(path: Path, kind=int, binary: bool = False) -> np.ndarray:
+    """One finite number per non-blank line, read as `kind`; each 0 or 1 if `binary`."""
     with _LineReader(path) as reader:
         numbers = reader.table(1, kind, what="one number per line")[:, 0]
         reader.refuse(np.isfinite(numbers), "{} is not finite")
+        if binary:
+            reader.refuse(np.isin(numbers, (0, 1)), "label {} is not 0 or 1")
     return numbers
 
 
@@ -387,11 +373,13 @@ def _read_score_rows(path: Path) -> np.ndarray:
 
 
 def _cmd_evaluate(args) -> list[Path]:
-    _require_inputs(args.pred, args.truth, args.scores, args.names, args.corpus)
+    # read, like every input, before anything is written, also where the task does not use them
+    corpus = load_corpus(args.corpus) if args.corpus else None
+    names = _load_names(args.names)
     report: dict[str, object]
     if args.task == "detect":
         preds, scores = _read_predictions_csv(Path(args.pred))
-        truths = _read_numbers(Path(args.truth))
+        truths = _read_numbers(Path(args.truth), binary=True)
         cm = confusion(preds, truths, 2)
         m = binary_metrics(cm)
         score_col = _read_numbers(Path(args.scores), float) if args.scores else scores
@@ -429,12 +417,9 @@ def _cmd_evaluate(args) -> list[Path]:
             auc = roc_auc_per_label(scores, truths, n_labels)
             report["auc_per_label"] = {
                 str(lab): value for lab, value in sorted(auc.per_label_auc.items())}
-            if args.corpus:
-                corpus = load_corpus(args.corpus)
+            if corpus is not None:
                 rare = rare_label_report(
-                    corpus, auc,
-                    freq_threshold=args.rare_threshold or None,
-                    names=_load_names(args.names))
+                    corpus, auc, freq_threshold=args.rare_threshold or None, names=names)
                 report["rare_labels"] = [
                     {"label": r.label, "name": r.name, "frequency": r.frequency,
                      "auc": r.auc} for r in rare]
@@ -446,7 +431,6 @@ def _cmd_evaluate(args) -> list[Path]:
 def _cmd_reproduce(args) -> list[Path]:
     from .reproduce import run_reproduction
 
-    _require_inputs(args.dataset1, args.dataset2)
     return run_reproduction(
         dataset1=args.dataset1, dataset2=args.dataset2, outdir=Path(args.outdir),
         seed=args.seed, top_k_features=args.top_k, seq_traces=args.seq_traces,
@@ -468,11 +452,11 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--collapse", action="store_true", help="drop consecutive repeated calls")
     p.add_argument("--max-len", dest="max_len", type=_INT, default=100,
                    help="prefix cap (default %(default)s)")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_OutFile, required=True)
 
     p = sub.add_parser("adapt", help="convert an upstream dataset file to canonical CSV")
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_OutFile, required=True)
     p.add_argument("--layout", choices=["wide", "seqcol"], default="wide")
     p.add_argument("--label-col", dest="label_col",
                    help="label column (default: malware for wide, none for seqcol)")
@@ -485,16 +469,16 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("split", help="stratified train/test split")
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
-    p.add_argument("--out-train", dest="out_train", required=True)
-    p.add_argument("--out-test", dest="out_test", required=True)
+    p.add_argument("--out-train", dest="out_train", type=_OutFile, required=True)
+    p.add_argument("--out-test", dest="out_test", type=_OutFile, required=True)
     p.add_argument("--test-frac", dest="test_frac", type=_FLOAT, default=0.2)
     p.add_argument("--no-stratify", dest="no_stratify", action="store_true")
 
     p = sub.add_parser("balance", help="random-oversample the minority class")
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_OutFile, required=True)
     p.add_argument("--test-in", dest="test_in", type=_InFile)
-    p.add_argument("--test-out", dest="test_out")
+    p.add_argument("--test-out", dest="test_out", type=_OutFile)
     p.add_argument("--skip-test", dest="skip_test", action="store_true",
                    help="copy the test corpus through unbalanced")
 
@@ -505,13 +489,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--min-count", dest="min_count", type=_count, default=1)
     p.add_argument("--top-k", dest="top_k", type=_count, default=0)
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
-    p.add_argument("--out", required=True, help="sparse count-matrix file")
-    p.add_argument("--labels-out", dest="labels_out")
+    p.add_argument("--out", type=_OutFile, required=True, help="sparse count-matrix file")
+    p.add_argument("--labels-out", dest="labels_out", type=_OutFile)
 
     p = sub.add_parser("train-detector", help="train the 3-member boosted-tree ensemble")
     p.add_argument("--train", type=_InFile, required=True, help="count-matrix file")
     p.add_argument("--labels", type=_InFile, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_OutFile, required=True)
     p.add_argument("--vote", choices=["mean", "majority"], default="mean")
     p.add_argument("--threshold", type=_FLOAT, default=0.5)
     p.add_argument("--no-bootstrap", dest="no_bootstrap", action="store_true")
@@ -523,18 +507,18 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = sub.add_parser("detect", help="score feature vectors with a trained detector")
     p.add_argument("--model", type=_InFile, required=True)
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_OutFile, required=True)
 
     p = sub.add_parser("rank-features", help="top n-grams by gain importance")
     p.add_argument("--model", type=_InFile, required=True)
     p.add_argument("--vocab", type=_InFile, required=True)
     p.add_argument("-k", dest="k", type=_count, default=10)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_OutFile)
 
     p = sub.add_parser("train-predictor", help="train the next-call sequence model")
     p.add_argument("--in", dest="infile", type=_InFile, required=True)
     p.add_argument("--vocab-size", dest="vocab_size", type=_INT, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_OutFile, required=True)
     p.add_argument("--embed", type=_INT, default=64)
     p.add_argument("--hidden", type=_INT, default=150)
     p.add_argument("--dropout", type=_FLOAT, default=0.3)
@@ -546,7 +530,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--max-prefix-len", dest="max_prefix_len", type=_INT, default=99)
     p.add_argument("--trace-cap", dest="trace_cap", type=_count, default=0,
                    help="keep only each trace's last N calls (0 disables)")
-    p.add_argument("--curves", help="write per-epoch loss curves CSV here")
+    p.add_argument("--curves", type=_OutFile, help="write per-epoch loss curves CSV here")
 
     p = sub.add_parser("predict-next", help="predict the next k calls for a sequence")
     p.add_argument("--model", type=_InFile, required=True)
@@ -562,7 +546,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--names", type=_InFile, help="id,name CSV for display")
     p.add_argument("--corpus", type=_InFile, help="corpus for rare-label frequencies")
     p.add_argument("--rare-threshold", dest="rare_threshold", type=_count, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_OutFile, required=True)
 
     p = sub.add_parser("reproduce", help="run both reference pipelines and compare "
                                          "against the bundled target metrics")
@@ -621,15 +605,19 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     t0 = time.monotonic()
+    config = {k: v for k, v in vars(args).items() if k != "command"}
     try:
+        _require_outputs(*(v for v in config.values() if isinstance(v, _OutFile)))
         result = _COMMANDS[args.command](args)
+    except FileNotFoundError as exc:  # outputs were checked first, so this is an input
+        sys.stderr.write(f"apisentry: error: missing input file(s): {exc.filename}\n")
+        return 1
     except (CorpusError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"apisentry: error: {exc}\n")
         return 1
     except Exception:
         traceback.print_exc()
         return 2
-    config = {k: v for k, v in vars(args).items() if k != "command"}
     inputs = [v for v in config.values() if isinstance(v, _InFile) and Path(v) not in result]
     _write_manifests(args.command, config, inputs, result, t0)
     return 0

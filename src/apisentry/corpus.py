@@ -362,29 +362,25 @@ def stratified_split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
     n = len(corpus)
     if n < 2:
         raise CorpusError("need at least 2 traces to split")
-    rng = np.random.default_rng(spec.seed)
-    test_idx: set[int] = set()
     if spec.stratified:
-        by_class: dict[int, list[int]] = {}
+        groups: dict[int | None, list[int]] = {}
         for i, t in enumerate(corpus.traces):
             if t.label is None:
                 raise CorpusError("stratified split requires every trace to be labeled")
-            by_class.setdefault(t.label, []).append(i)
-        for label in sorted(by_class):
-            members = by_class[label]
-            k = _round_half_up(len(members) * spec.test_fraction)
-            if k < 1 or k >= len(members):
-                raise CorpusError(
-                    f"class {label} has {len(members)} traces, too few to stratify "
-                    f"at test_fraction={spec.test_fraction}")
-            order = rng.permutation(len(members))
-            test_idx.update(members[j] for j in order[:k])
+            groups.setdefault(t.label, []).append(i)
     else:
-        k = _round_half_up(n * spec.test_fraction)
-        if k < 1 or k >= n:
-            raise CorpusError("test_fraction leaves one side empty")
-        order = rng.permutation(n)
-        test_idx.update(int(j) for j in order[:k])
+        groups = {None: list(range(n))}  # one group of every trace
+    rng = np.random.default_rng(spec.seed)
+    test_idx: set[int] = set()
+    for label in sorted(groups):
+        members = groups[label]
+        k = _round_half_up(len(members) * spec.test_fraction)
+        if k < 1 or k >= len(members):
+            raise CorpusError("test_fraction leaves one side empty" if label is None else
+                              f"class {label} has {len(members)} traces, too few to stratify "
+                              f"at test_fraction={spec.test_fraction}")
+        order = rng.permutation(len(members))
+        test_idx.update(members[j] for j in order[:k])
 
     train = tuple(t for i, t in enumerate(corpus.traces) if i not in test_idx)
     test = tuple(t for i, t in enumerate(corpus.traces) if i in test_idx)

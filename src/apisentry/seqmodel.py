@@ -7,13 +7,13 @@ and stops early on stalled validation loss. Everything is plain numpy with
 hand-written backpropagation through time, so runs are bit-reproducible
 under a fixed seed.
 
-Sequences are left-padded with the reserved id ``vocab_size``. The scans
-see a batch's rows sorted by real length, longest first, so the rows live
-at any step are a prefix of them: the cell, and BPTT, run on that prefix
-alone and write its new state in place, while the other rows keep theirs
-(zeros not yet started going forward, finished rows going backward). Pad
-cells cost no work, prepending extra padding never changes the output, and
-results come back in the caller's row order.
+Sequences are left-padded with the reserved id ``vocab_size``, which no
+caller's call may be. The scans see a batch's rows sorted by real length,
+longest first, so the rows live at any step are a prefix of them: the cell,
+and BPTT, run on that prefix alone and write its new state in place, while
+the other rows keep theirs (zeros not yet started going forward, finished
+rows going backward). Pad cells cost no work, extra padding never changes
+the output, and results come back in the caller's row order.
 
 Each direction holds three tensors, with the blocks of the gates i, f, o
 and g side by side in that order: ``W`` (E,4H), ``U`` (H,4H) and ``b``
@@ -174,11 +174,9 @@ def _cell_step(xw, h, c, cell: dict[str, np.ndarray]):
 
 
 def _validate_ids(ids: np.ndarray, cfg: BiLstmConfig) -> np.ndarray:
+    """The live-cell mask of padded ids, whose calls `_refuse_ids` checked."""
     if ids.size == 0:
         raise ValueError("empty sequence")
-    if ids.min() < 0 or ids.max() > cfg.pad_id:
-        bad = ids[(ids < 0) | (ids > cfg.pad_id)][0]
-        raise ValueError(f"call id {bad} is outside [0, {cfg.pad_id}]")
     mask = ids != cfg.pad_id
     if not mask.any(axis=1).all():
         raise ValueError("all-pad input")
@@ -333,6 +331,13 @@ def _forward_batch(model: BiLstmModel, ids: np.ndarray, dropout_seed: int | None
     return exp / norm, shift - np.log(norm), cache if want_cache else None, state
 
 
+def _refuse_ids(ids: np.ndarray, cfg: BiLstmConfig, what: str = "call id") -> None:
+    """Refuse a caller's id outside [0, vocab_size); vocab_size is the pad id."""
+    bad = (ids < 0) | (ids >= cfg.vocab_size)
+    if bad.any():
+        raise ValueError(f"{what} {ids[bad][0]} is outside [0, {cfg.vocab_size})")
+
+
 def _batches(samples, cfg: BiLstmConfig, size: int | None):
     """Yield (ids, targets) per `size` (prefix, next) pairs, such as
     PrefixSample, or one batch of all if size is None, each prefix clipped
@@ -344,13 +349,12 @@ def _batches(samples, cfg: BiLstmConfig, size: int | None):
     for start in range(0, len(pairs), size):
         part = pairs[start:start + size]
         targets = np.array([y for _, y in part], dtype=np.int64)
-        bad = (targets < 0) | (targets >= cfg.vocab_size)
-        if bad.any():
-            raise ValueError(f"next call id {targets[bad][0]} is outside [0, {cfg.vocab_size})")
+        _refuse_ids(targets, cfg, "next call id")
         prefixes = [p[-cfg.max_prefix_len:] for p, _ in part]
         ids = np.full((len(part), max(map(len, prefixes))), cfg.pad_id, dtype=np.int64)
         for r, p in enumerate(prefixes):
             ids[r, ids.shape[1] - len(p):] = p
+        _refuse_ids(np.fromiter(chain.from_iterable(prefixes), np.int64), cfg)  # not the pads
         yield ids, targets
 
 
@@ -480,6 +484,7 @@ def _greedy(model: BiLstmModel, sequence):
     """Yield each greedy step's id and distribution; see predict_next_k."""
     window = model.config.max_prefix_len
     seq = [int(c) for c in sequence]
+    _refuse_ids(np.array(seq), model.config)  # ids past int64 go in as objects, refused alike
     state, tables = None, _tables(model.params)
     while True:
         ids = np.asarray(seq[-window:], dtype=np.int64).reshape(1, -1)

@@ -663,6 +663,9 @@ MALFORMED_LINE_CASES = {
     "prediction label other than 0 or 1": (
         {"pred.csv": "row,label,score\n0,7,0.9\n", "truth.txt": "1\n"},
         ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "pred.csv", 2),
+    "truth label other than 0 or 1": (
+        {"pred.csv": "row,label,score\n0,1,0.9\n1,0,0.1\n", "truth.txt": "1\n2\n"},
+        ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "truth.txt", 2),
     "two truths on one line": (
         {"pred.csv": "row,label,score\n0,1,0.9\n1,0,0.1\n", "truth.txt": "1 0\n"},
         ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "truth.txt", 1),
@@ -710,36 +713,120 @@ def test_malformed_line_exits_one_naming_file_and_line(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("test_args, refusal", [
-    ([], "--test-out is required with --test-in"),
-    (["--test-out", "t_bal.csv"], "t.csv: line 2: "),
-], ids=["no --test-out", "malformed --test-in"])
+    (["--test-in", "t.csv"], "--test-out is required with --test-in"),
+    (["--test-in", "t.csv", "--test-out", "t_bal.csv"], "t.csv: line 2: "),
+    (["--test-out", "t_bal.csv"], "--test-in is required with --test-out"),
+], ids=["no --test-out", "malformed --test-in", "no --test-in"])
 def test_balance_refusal_writes_nothing(test_args, refusal, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("c.csv").write_text("0,1,2\n1,2,3\n0,3,1\n")
     Path("t.csv").write_text("0,1,2\nx,2,3\n")
-    assert run("balance", "--in", "c.csv", "--out", "b.csv", "--test-in", "t.csv",
-               *test_args) == 1
+    assert run("balance", "--in", "c.csv", "--out", "b.csv", *test_args) == 1
     assert refusal in capsys.readouterr().err
     assert sorted(os.listdir()) == ["c.csv", "t.csv"]
 
 
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A directory holding a valid file of each kind a command reads."""
+    work = tmp_path_factory.mktemp("inputs")
+    files = {
+        "c.csv": "".join(f"{j % 2},{j % 5},{(j + 1) % 5},{(j + 2) % 5}\n" for j in range(12)),
+        "t.csv": "0,1,2\n1,2,3\n",
+        "w.csv": "hash,t_0,t_1,malware\na,1,2,0\nb,3,4,1\n",
+        "p.txt": "0\n1\n", "t.txt": "0\n1\n", "s.csv": "0.5,0.5\n0.5,0.5\n",
+        "n.csv": "id,name\n0,NtOpenFile\n1,NtClose\n",
+    }
+    for name, text in files.items():
+        (work / name).write_text(text)
+    save_model(init_model(BiLstmConfig(vocab_size=5, embed_dim=2, hidden=2), seed=0),
+               work / "m.seq")
+    for argv in (["featurize", "--vocab", "v.tsv", "--fit", "--in", "c.csv", "--out", "x.mat",
+                  "--labels-out", "y.labels"],
+                 ["train-detector", "--train", "x.mat", "--labels", "y.labels", "--out", "m.det"],
+                 ["detect", "--model", "m.det", "--in", "x.mat", "--out", "p.csv"]):
+        assert run(*(work / a if a in ("v.tsv", "c.csv", "x.mat", "y.labels", "m.det", "p.csv")
+                     else a for a in argv)) == 0
+    for manifest in work.glob("*.manifest.json"):
+        manifest.unlink()
+    return work
+
+
+def untouched(*args, **kwargs):
+    raise AssertionError("train_bagged ran")
+
+
 @pytest.mark.parametrize("argv", [
+    ["ingest", "--in", "c.csv", "--out", "nodir/o.csv"],
+    ["adapt", "--in", "w.csv", "--out", "nodir/o.csv"],
     ["split", "--in", "c.csv", "--out-train", "tr.csv", "--out-test", "nodir/te.csv"],
     ["balance", "--in", "c.csv", "--out", "b.csv", "--test-in", "t.csv",
      "--test-out", "nodir/t.csv"],
-    ["featurize", "--vocab", "v.tsv", "--fit", "--in", "c.csv", "--out", "m.mat",
+    ["featurize", "--vocab", "new.tsv", "--fit", "--in", "c.csv", "--out", "m.mat",
      "--labels-out", "nodir/x"],
+    ["featurize", "--vocab", "nodir/v.tsv", "--fit", "--in", "c.csv", "--out", "m.mat"],
+    ["train-detector", "--train", "x.mat", "--labels", "y.labels", "--out", "nodir/m.det"],
+    ["detect", "--model", "m.det", "--in", "x.mat", "--out", "nodir/p.csv"],
+    ["rank-features", "--model", "m.det", "--vocab", "v.tsv", "--out", "nodir/r.tsv"],
     ["train-predictor", "--in", "c.csv", "--out", "model.seq", "--curves", "nodir/c.csv",
      "--embed", "2", "--hidden", "2", "--max-epochs", "1"],
-], ids=lambda argv: argv[0])
-def test_an_output_without_its_directory_writes_nothing(argv, tmp_path, monkeypatch, capsys):
+    ["evaluate", "--pred", "p.csv", "--truth", "y.labels", "--out", "nodir/r.json"],
+], ids=lambda argv: argv[0] + ("-vocab" if "nodir/v.tsv" in argv else ""))
+def test_an_output_without_its_directory_writes_nothing(argv, cli_inputs, tmp_path,
+                                                        monkeypatch, capsys):
+    shutil.copytree(cli_inputs, tmp_path, dirs_exist_ok=True)
     monkeypatch.chdir(tmp_path)
-    Path("c.csv").write_text("".join(f"{j % 2},{j % 5},{(j + 1) % 5},{(j + 2) % 5}\n"
-                                     for j in range(12)))
-    Path("t.csv").write_text("0,1,2\n1,2,3\n")
+    monkeypatch.setattr(cli, "train_bagged", untouched)
+    before = sorted(os.listdir())
     assert run(*argv) == 1
-    assert "missing output directory(ies): nodir" in capsys.readouterr().err
-    assert sorted(os.listdir()) == ["c.csv", "t.csv"]
+    captured = capsys.readouterr()
+    assert "missing output directory(ies): nodir" in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir()) == before
+
+
+INPUT_FLAGS = {"--in", "--test-in", "--vocab", "--train", "--labels", "--model", "--pred",
+               "--truth", "--scores", "--corpus", "--names", "--dataset1", "--dataset2"}
+# each command with every input it reads, --vocab without --fit among them, and the
+# inputs evaluate reads although its task does not use them
+READING_COMMANDS = {
+    "ingest": ["ingest", "--in", "c.csv", "--out", "o.csv"],
+    "adapt": ["adapt", "--in", "w.csv", "--out", "o.csv"],
+    "split": ["split", "--in", "c.csv", "--out-train", "tr.csv", "--out-test", "te.csv"],
+    "balance": ["balance", "--in", "c.csv", "--out", "b.csv", "--test-in", "t.csv",
+                "--test-out", "tb.csv"],
+    "featurize": ["featurize", "--vocab", "v.tsv", "--in", "c.csv", "--out", "m.mat"],
+    "train-detector": ["train-detector", "--train", "x.mat", "--labels", "y.labels",
+                       "--out", "o.det"],
+    "detect": ["detect", "--model", "m.det", "--in", "x.mat", "--out", "o.csv"],
+    "rank-features": ["rank-features", "--model", "m.det", "--vocab", "v.tsv", "--out", "r.tsv"],
+    "train-predictor": ["train-predictor", "--in", "c.csv", "--out", "o.seq", "--embed", "2",
+                        "--hidden", "2", "--max-epochs", "1"],
+    "predict-next": ["predict-next", "--model", "m.seq", "--seq", "1,2"],
+    "evaluate detect": ["evaluate", "--pred", "p.csv", "--truth", "y.labels",
+                        "--corpus", "c.csv", "--names", "n.csv", "--out", "r.json"],
+    "evaluate next-call": ["evaluate", "--task", "next-call", "--pred", "p.txt", "--truth",
+                           "t.txt", "--scores", "s.csv", "--corpus", "c.csv", "--names", "n.csv",
+                           "--out", "r.json"],
+    "reproduce": ["reproduce", "--dataset1", "c.csv", "--dataset2", "t.csv", "--outdir", "repro"],
+}
+
+
+@pytest.mark.parametrize("argv, gone", [
+    pytest.param(argv, argv[i + 1], id=f"{name} {flag}")
+    for name, argv in READING_COMMANDS.items()
+    for i, flag in enumerate(argv) if flag in INPUT_FLAGS])
+def test_a_missing_input_is_named_and_nothing_is_written(argv, gone, cli_inputs, tmp_path,
+                                                         monkeypatch, capsys):
+    shutil.copytree(cli_inputs, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    Path(gone).unlink()
+    before = sorted(os.listdir())
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: missing input file(s): {gone}\n" in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir()) == before
 
 
 COUNT = "expected a non-negative integer, got {!r}"
@@ -805,6 +892,15 @@ def test_predict_next_seq_token_other_than_ascii_digits_exits_one(seq, tmp_path,
     assert run("predict-next", "--model", model, "--seq", seq) == 1
     captured = capsys.readouterr()
     assert f"error: --seq {seq!r}: " in captured.err
+    assert captured.out == ""
+
+
+def test_predict_next_seq_holding_the_pad_id_exits_one(tmp_path, capsys):
+    model = tmp_path / "model.seq"
+    save_model(init_model(BiLstmConfig(vocab_size=12, embed_dim=2, hidden=2), seed=0), model)
+    assert run("predict-next", "--model", model, "--seq", "12,1") == 1
+    captured = capsys.readouterr()
+    assert "error: call id 12 is outside [0, 12)\n" in captured.err
     assert captured.out == ""
 
 

@@ -1,13 +1,17 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apisentry.corpus import (
     Corpus,
     CorpusError,
     LabeledTrace,
     SplitSpec,
+    _round_half_up,
     canonicalize,
     collapse_consecutive_repeats,
     convert_seq_csv,
@@ -208,6 +212,61 @@ class TestSplit:
         train, test = stratified_split(
             corpus, SplitSpec(test_fraction=0.2, seed=5, stratified=False))
         assert len(test) == 2 and len(train) == 8
+
+
+def reference_split(corpus, spec):
+    """stratified_split as it was, one branch per mode: the oracle of the
+    one loop over label groups that replaced it."""
+    n = len(corpus)
+    if n < 2:
+        raise CorpusError("need at least 2 traces to split")
+    rng = np.random.default_rng(spec.seed)
+    test_idx = set()
+    if spec.stratified:
+        by_class = {}
+        for i, t in enumerate(corpus.traces):
+            if t.label is None:
+                raise CorpusError("stratified split requires every trace to be labeled")
+            by_class.setdefault(t.label, []).append(i)
+        for label in sorted(by_class):
+            members = by_class[label]
+            k = _round_half_up(len(members) * spec.test_fraction)
+            if k < 1 or k >= len(members):
+                raise CorpusError(
+                    f"class {label} has {len(members)} traces, too few to stratify "
+                    f"at test_fraction={spec.test_fraction}")
+            order = rng.permutation(len(members))
+            test_idx.update(members[j] for j in order[:k])
+    else:
+        k = _round_half_up(n * spec.test_fraction)
+        if k < 1 or k >= n:
+            raise CorpusError("test_fraction leaves one side empty")
+        order = rng.permutation(n)
+        test_idx.update(int(j) for j in order[:k])
+    train = tuple(t for i, t in enumerate(corpus.traces) if i not in test_idx)
+    test = tuple(t for i, t in enumerate(corpus.traces) if i in test_idx)
+    base = corpus.provenance or "corpus"
+    return (
+        replace(corpus, traces=train, provenance=f"{base}/train"),
+        replace(corpus, traces=test, provenance=f"{base}/test"),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.lists(st.sampled_from([0, 0, 1, 1, 2, None]), max_size=40),
+       fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1),
+       stratified=st.booleans())
+def test_split_equals_the_two_branch_reference(labels, fraction, seed, stratified):
+    corpus = make_corpus([(label, [1]) for label in labels], vocab=2)
+    spec = SplitSpec(test_fraction=fraction, seed=seed, stratified=stratified)
+
+    def outcome(split):
+        try:
+            return split(corpus, spec)
+        except CorpusError as exc:
+            return str(exc)
+
+    assert outcome(stratified_split) == outcome(reference_split)
 
 
 class TestOversample:

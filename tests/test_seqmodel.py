@@ -3,8 +3,10 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import islice
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -73,9 +75,28 @@ def run_cell(x, h, c, cell):
     return h, c
 
 
+@contextmanager
+def explicit_pads():
+    """Let prefixes hold the pad id, which the library refuses as a call:
+    explicit left pads build the pad-only leading columns and rows that
+    padding alone never does, for the tests of the scans on them. Every
+    other id is still checked."""
+    refuse = seqmodel._refuse_ids
+    with patch.object(seqmodel, "_refuse_ids",
+                      lambda ids, cfg, *what: refuse(ids[ids != cfg.pad_id], cfg, *what)):
+        yield
+
+
+@pytest.fixture()
+def pads_allowed():
+    with explicit_pads():
+        yield
+
+
 def distribution(model, prefix):
     """The next-call distribution of one (possibly left-padded) prefix."""
-    return predict_distributions(model, [(prefix, 0)])[0]
+    with explicit_pads():
+        return predict_distributions(model, [(prefix, 0)])[0]
 
 
 def accuracy(model, samples):
@@ -485,6 +506,7 @@ class TestInferenceMemory:
 
 
 class TestPredict:
+    @pytest.mark.usefixtures("pads_allowed")
     def test_no_table_outlives_its_call(self):
         """The x W tables are built from the weights as they are at each
         call: weights changed in place in between must show at once."""
@@ -529,8 +551,23 @@ class TestPredict:
 
     def test_an_id_outside_the_vocabulary_is_named(self):
         model = init_model(replace(TINY, vocab_size=25))
-        with pytest.raises(ValueError, match=r"^call id 220 is outside \[0, 25\]$"):
+        with pytest.raises(ValueError, match=r"^call id 220 is outside \[0, 25\)$"):
             predict_next_k(model, [7, 220, 237], 1)
+
+    @pytest.mark.parametrize("seq", [[25, 7, 8], [7, 25, 8], [7, 8, 25]])
+    def test_the_pad_id_is_refused_as_a_call(self, seq):
+        model = init_model(replace(TINY, vocab_size=25))
+        refused = r"^call id 25 is outside \[0, 25\)$"
+        with pytest.raises(ValueError, match=refused):
+            predict_next_k(model, seq, 3)
+        for fn in (predict_distributions, batch_loss, loss_and_grads):
+            with pytest.raises(ValueError, match=refused):
+                fn(model, [((1, 2), 3), (tuple(seq), 3)])
+
+    def test_an_id_beyond_64_bits_is_named(self):
+        model = init_model(replace(TINY, vocab_size=25))
+        with pytest.raises(ValueError, match=rf"^call id {2**70} is outside \[0, 25\)$"):
+            predict_next_k(model, [7, 2**70], 1)
 
     def test_long_input_keeps_tail(self):
         model = init_model(TINY)
@@ -567,14 +604,15 @@ class TestPredict:
         length = self.prefix_length(kind, window, k, data.draw)
         seq = [cfg.pad_id] * pads + data.draw(
             st.lists(st.integers(0, vocab - 1), min_size=length, max_size=length))
-        decoded = predict_next_k(model, seq, k)
-        carried = [probs for _, probs in islice(_greedy(model, seq), k)]
-        for j in range(k):
-            grown = seq + decoded[:j]
-            nxt, probs = next(_greedy(model, grown))
-            assert decoded[j] == nxt
-            assert np.array_equal(carried[j], probs)
-            assert np.array_equal(carried[j], distribution(model, grown[-window:]))
+        with explicit_pads():
+            decoded = predict_next_k(model, seq, k)
+            carried = [probs for _, probs in islice(_greedy(model, seq), k)]
+            for j in range(k):
+                grown = seq + decoded[:j]
+                nxt, probs = next(_greedy(model, grown))
+                assert decoded[j] == nxt
+                assert np.array_equal(carried[j], probs)
+                assert np.array_equal(carried[j], distribution(model, grown[-window:]))
 
     @pytest.mark.parametrize("length", [1, 4, 8])
     def test_decoding_carries_the_forward_state(self, length, monkeypatch):
@@ -596,6 +634,7 @@ class TestPredict:
         assert sum(steps.values()) == 6 * length + 14
 
 
+@pytest.mark.usefixtures("pads_allowed")
 class TestPackedScan:
     """The scans run the cell on the live rows of each step alone."""
 
@@ -632,6 +671,7 @@ def uneven_samples(cfg, rows, seed):
              int(rng.integers(0, cfg.vocab_size))) for _ in range(rows)]
 
 
+@pytest.mark.usefixtures("pads_allowed")
 class TestTwoThreads:
     """A batch of at least _THREADED_ROWS rows scans its two directions, and
     runs their BPTT, on two threads; what it returns is the one-thread
@@ -765,6 +805,7 @@ class TestTwoThreads:
         assert wrong == []
 
 
+@pytest.mark.usefixtures("pads_allowed")
 class TestBpttMemory:
     """BPTT frees each step's activations once it has used them."""
 
