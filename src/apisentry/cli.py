@@ -158,9 +158,13 @@ class _OutFile(str):
 
 
 def _require_outputs(*paths) -> None:
-    missing = sorted({str(Path(p).parent) for p in paths if p and not Path(p).parent.is_dir()})
+    paths = [Path(p) for p in paths if p]
+    missing = sorted({str(p.parent) for p in paths if not p.parent.is_dir()})
     if missing:
         raise NotADirectoryError(f"missing output directory(ies): {', '.join(missing)}")
+    directories = [str(p) for p in paths if p.is_dir()]
+    if directories:
+        raise IsADirectoryError(f"output is a directory: {', '.join(directories)}")
 
 
 def _digest(path: Path) -> str:
@@ -350,13 +354,14 @@ def _read_predictions_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return table["label"], table["score"]
 
 
-def _read_numbers(path: Path, kind=int, binary: bool = False) -> np.ndarray:
-    """One finite number per non-blank line, read as `kind`; each 0 or 1 if `binary`."""
+def _read_numbers(path: Path, kind=int, rule=None) -> np.ndarray:
+    """One finite number per non-blank line, read as `kind`; each passing
+    `rule`, a (test, refusal) pair, if given."""
     with _LineReader(path) as reader:
         numbers = reader.table(1, kind, what="one number per line")[:, 0]
         reader.refuse(np.isfinite(numbers), "{} is not finite")
-        if binary:
-            reader.refuse(np.isin(numbers, (0, 1)), "label {} is not 0 or 1")
+        if rule:
+            reader.refuse(rule[0](numbers), rule[1])
     return numbers
 
 
@@ -373,16 +378,20 @@ def _read_score_rows(path: Path) -> np.ndarray:
 
 
 def _cmd_evaluate(args) -> list[Path]:
-    # read, like every input, before anything is written, also where the task does not use them
+    # every input is read, so a missing one is named, before an option is refused or a file written
     corpus = load_corpus(args.corpus) if args.corpus else None
     names = _load_names(args.names)
     report: dict[str, object]
     if args.task == "detect":
         preds, scores = _read_predictions_csv(Path(args.pred))
-        truths = _read_numbers(Path(args.truth), binary=True)
+        truths = _read_numbers(Path(args.truth), rule=(lambda v: np.isin(v, (0, 1)),
+                                                       "label {} is not 0 or 1"))
         cm = confusion(preds, truths, 2)
         m = binary_metrics(cm)
         score_col = _read_numbers(Path(args.scores), float) if args.scores else scores
+        for option in ("corpus", "names", "rare_threshold"):
+            if getattr(args, option):
+                raise CorpusError(f"only --task next-call takes --{option.replace('_', '-')}")
         if len(score_col) != len(truths):
             raise CorpusError(f"{args.scores or args.pred} has {len(score_col)} scores "
                               f"but {args.truth} has {len(truths)} truths")
@@ -397,8 +406,8 @@ def _cmd_evaluate(args) -> list[Path]:
             "auc_positive": auc_pos,
         }
     else:
-        preds = _read_numbers(Path(args.pred))
-        truths = _read_numbers(Path(args.truth))
+        rule = (lambda v: v >= 0, "call id {} is negative")
+        preds, truths = (_read_numbers(Path(path), rule=rule) for path in (args.pred, args.truth))
         scores = _read_score_rows(Path(args.scores)) if args.scores else None
         n_labels = int(max(preds.max(), truths.max())) + 1 if len(preds) else 1
         if scores is not None:

@@ -1,19 +1,20 @@
 """Gradient-boosted decision trees with logistic loss, plus a three-member
 bagged ensemble for malware detection.
 
-Training is Newton boosting: with current probability p, each sample
-contributes gradient g = p - y and hessian h = p(1 - p); a leaf's weight is
--G/(H + lambda) over its samples and a split's gain is
+Training is Newton boosting with integer row weights: with current
+probability p, a row of label y and weight w counts as w samples of gradient
+g = p - y and hessian h = p(1 - p); a leaf's weight is -G/(H + lambda) over
+its rows' weighted sums and a split's gain is
 
     0.5 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)) - gamma.
 
 Splits are found by exact greedy search over the sorted unique values of
 every feature: each (feature, distinct value) pair, 0.0 included, is coded
 once as a global bin, and a node's candidate splits are scored from per-bin
-histograms of g and h, which is equivalent to scanning the sorted column but
-shares work across features. Thresholds are midpoints between adjacent
-distinct values, or the lower value where the midpoint rounds onto the
-upper one; samples with value <= threshold go left, in training as in
+histograms of w*g, w*h and w, which is equivalent to scanning the sorted
+column but shares work across features. Thresholds are midpoints between
+adjacent distinct values, or the lower value where the midpoint rounds onto
+the upper one; samples with value <= threshold go left, in training as in
 prediction, so feature values must be finite. Ties are broken toward the
 lowest feature index, then the lowest threshold, so training is
 deterministic. A gain within a few ulps of the parent term is rounding and
@@ -21,9 +22,11 @@ makes no split. Growth skips work whose answer is known: a node is a leaf,
 with no histogram built and no split scanned, if its hessian sum is below
 twice min_child_hessian (less a few ulps), so no two children are both
 admissible, or if its rows share one (g, h), so no split gains; the root,
-the one node that holds every row, reuses per-bin sample counts kept once
-per member. A round adds to each training row the weight of the leaf growth
-put it in; nothing is re-predicted.
+the same rows in every tree, keeps its entries and cumulative counts once
+per model. A round adds to each training row the weight of the leaf growth
+put it in; nothing is re-predicted. `train_gbdt` weighs every row 1; a
+bagged member's bootstrap resample, drawn as before, is integer weights
+over one coding of the distinct training rows.
 
 Feature matrices are ngrams.CsrMatrix records, where a stored 0.0 is an
 absent entry. Prediction has one path for any number of rows (one vector is
@@ -132,15 +135,17 @@ class _CodedMatrix:
 
     Each (column, distinct value) pair, 0.0 included, is one bin; bins run
     column by column, values ascending. `values[b]` is bin b's value,
-    `offsets[j]` column j's first bin and `zero_bin[j]` its bin for 0.0,
-    which also holds the implicit and the stored zeros. `coded` holds every
-    other entry's bin; sorted by bin, those entries serve routing.
+    `column[b]` its column, `offsets[j]` column j's first bin and `zero_bin[j]`
+    its bin for 0.0, which also holds the implicit and the stored zeros.
+    `coded` holds every other entry's bin; sorted by bin, they serve routing.
     """
 
     def __init__(self, X: CsrMatrix):
         kept = X.data != 0
         indptr = np.concatenate([[0], np.cumsum(kept)])[X.indptr]
         nnz, (self.n, self.n_features) = int(indptr[-1]), X.shape
+        if not self.n_features:
+            raise ValueError("empty feature space")
         # every kept entry, then one 0.0 per column, in a row n of its own
         rows = np.repeat(np.arange(self.n + 1), np.diff(indptr, append=nnz + self.n_features))
         cols = np.concatenate([X.indices[kept], np.arange(self.n_features)])
@@ -151,8 +156,8 @@ class _CodedMatrix:
         self._sorted_bins, self._sorted_rows = np.cumsum(starts) - 1, rows[order]
         bins = np.empty(len(order), dtype=np.int64)
         bins[order] = self._sorted_bins
-        self.values = vals[starts]
-        self.offsets = np.searchsorted(cols[starts], np.arange(self.n_features + 1))
+        self.values, self.column = vals[starts], cols[starts]
+        self.offsets = np.searchsorted(self.column, np.arange(self.n_features + 1))
         self.n_bins = len(self.values)
         self.zero_bin = bins[nnz:]
         self.coded = CsrMatrix(bins[:nnz], X.indices[kept], indptr, X.shape)
@@ -164,64 +169,43 @@ class _CodedMatrix:
         out[self._sorted_rows[s:e]] = self._sorted_bins[s:e]
         return out[:-1]
 
-    def _counts(self, sub: CsrMatrix) -> np.ndarray:
-        """Per-bin sample counts of `sub`, a row gather of `coded`, with
-        implicit zeros folded into each column's zero bin."""
-        hist_n = np.bincount(sub.data, minlength=self.n_bins)
-        hist_n[self.zero_bin] += sub.shape[0] - np.bincount(sub.indices, minlength=self.n_features)
-        return hist_n
-
-    @cached_property
-    def _root_counts(self) -> np.ndarray:
-        """The root's per-bin counts: it holds every row, so they never change."""
-        hist_n = self._counts(self.coded)
-        hist_n.flags.writeable = False
-        return hist_n
-
-    def node_histograms(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray):
-        """Per-bin sums of g, h and sample counts for the given distinct,
-        ascending rows, with implicit zeros folded into each column's zero
-        bin. The root, which alone holds all n rows, is `coded` itself and
-        reuses its counts."""
-        root = len(rows) == self.n
-        sub = self.coded if root else self.coded.take(rows)
-        per_row = np.diff(sub.indptr)
-        g_rows, h_rows = g[rows], h[rows]
-        g_rep = np.repeat(g_rows, per_row)
-        h_rep = np.repeat(h_rows, per_row)
-        # bincount yields int64 on empty input regardless of the weights dtype
-        hist_g = np.bincount(sub.data, weights=g_rep, minlength=self.n_bins).astype(np.float64)
-        hist_h = np.bincount(sub.data, weights=h_rep, minlength=self.n_bins).astype(np.float64)
-        cols = sub.indices
-        col_g = np.bincount(cols, weights=g_rep, minlength=self.n_features).astype(np.float64)
-        col_h = np.bincount(cols, weights=h_rep, minlength=self.n_features).astype(np.float64)
-        hist_g[self.zero_bin] += g_rows.sum() - col_g
-        hist_h[self.zero_bin] += h_rows.sum() - col_h
-        return hist_g, hist_h, self._root_counts if root else self._counts(sub)
+    def histograms(self, sub: CsrMatrix, *per_row: np.ndarray) -> list[np.ndarray]:
+        """Per-bin sums of each array of per-row values over `sub`, a gather
+        of distinct, ascending rows of `coded`, with implicit zeros folded
+        into each column's zero bin."""
+        entries = np.diff(sub.indptr)
+        sums = []
+        for v in per_row:
+            rep = np.repeat(v, entries)
+            # bincount yields int64 on empty input regardless of the weights dtype
+            hist = np.bincount(sub.data, weights=rep, minlength=self.n_bins).astype(np.float64)
+            hist[self.zero_bin] += v.sum() - np.bincount(sub.indices, weights=rep,
+                                                         minlength=self.n_features)
+            sums.append(hist)
+        return sums
 
 
-def _segment_cumsum(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Cumulative sums restarting at each column's first bin."""
+def _segment_cumsum(flat: np.ndarray, coded: _CodedMatrix) -> np.ndarray:
+    """Cumulative sums over the bins, restarting at each column's first bin."""
     cs = np.cumsum(flat)
-    starts = offsets[:-1]
-    return cs - np.repeat(cs[starts] - flat[starts], np.diff(offsets))
+    starts = coded.offsets[:-1]
+    return cs - (cs[starts] - flat[starts])[coded.column]
 
 
-def _best_split(coded: _CodedMatrix, hist_g, hist_h, hist_n,
+def _best_split(coded: _CodedMatrix, hist_g, hist_h, left_n,
                 total_g, total_h, n_node, cfg: GbdtConfig):
     """Scan every candidate split at once; returns (feature, bin, gain) or
     None if no candidate has admissible child hessians and a gain above the
-    rounding of the parent term.
+    rounding of the parent term. `left_n` is the node's weighted per-bin
+    counts, cumulated by _segment_cumsum, and n_node their total.
 
     Ties resolve to the lowest feature index, then the lowest threshold,
     because bins are ordered by (feature, value) and argmax takes the first
     maximum.
     """
     lam = cfg.reg_lambda
-    offsets = coded.offsets
-    left_g = _segment_cumsum(hist_g, offsets)
-    left_h = _segment_cumsum(hist_h, offsets)
-    left_n = _segment_cumsum(hist_n, offsets)
+    left_g = _segment_cumsum(hist_g, coded)
+    left_h = _segment_cumsum(hist_h, coded)
     right_g = total_g - left_g
     right_h = total_h - left_h
     valid = ((left_n > 0) & (left_n < n_node)
@@ -238,39 +222,47 @@ def _best_split(coded: _CodedMatrix, hist_g, hist_h, hist_n,
     # a gain within a few ulps of the parent term is rounding, not a split
     if not np.isfinite(best) or best <= 4 * _EPS * parent:
         return None
-    return int(np.searchsorted(offsets, b, side="right")) - 1, b, float(best)
+    return int(coded.column[b]), b, float(best)
 
 
-def _grow_tree(coded: _CodedMatrix, g: np.ndarray, h: np.ndarray,
-               cfg: GbdtConfig) -> tuple[RegressionTree, np.ndarray]:
-    """Grow one tree over every row; also returns each row's leaf weight.
+def _grow_tree(coded: _CodedMatrix, g: np.ndarray, h: np.ndarray, w: np.ndarray,
+               root: tuple, cfg: GbdtConfig) -> tuple[RegressionTree, np.ndarray]:
+    """Grow one tree over root = (rows, their coded entries, their
+    cumulated weighted per-bin counts), the rows of weight above 0; also
+    returns each row's leaf weight, 0 outside the root.
 
     A node whose rows all have g = a and h = b is a leaf unscanned: a split
-    into m and n - m rows gains 0.5 * (f(m) + f(n - m) - f(n)) - gamma with
-    f(m) = a^2 m^2 / (b m + lambda), convex with f(0) = 0, so at most -gamma;
-    at lambda = 0 it is 0 up to rounding, which _best_split refuses."""
+    into weights m and n - m gains 0.5 * (f(m) + f(n - m) - f(n)) - gamma
+    with f(m) = a^2 m^2 / (b m + lambda), convex with f(0) = 0, so at most
+    -gamma; at lambda = 0 it is 0 up to rounding, which _best_split refuses."""
     row_weight = np.zeros(coded.n)
     nodes: list = [None]
-    stack = [(0, np.arange(coded.n), 0)]
+    stack = [(0, root[0], 0)]
     while stack:
         node, rows, depth = stack.pop()
-        g_rows, h_rows = g[rows], h[rows]
-        total_g, total_h = float(g_rows.sum()), float(h_rows.sum())
+        g_rows, h_rows, w_rows = g[rows], h[rows], w[rows]
+        wg, wh = w_rows * g_rows, w_rows * h_rows
+        total_g, total_h, n_node = float(wg.sum()), float(wh.sum()), float(w_rows.sum())
         split = None
         # below this, fl(total_h - left_h) < mch whenever left_h >= mch: _best_split finds nothing
-        if (depth < cfg.max_depth and len(rows) >= 2
+        if (depth < cfg.max_depth and n_node >= 2
                 and total_h >= 2 * cfg.min_child_hessian * (1 - 4 * _EPS)
                 and (np.ptp(g_rows) > 0 or np.ptp(h_rows) > 0)):
-            hist_g, hist_h, hist_n = coded.node_histograms(rows, g, h)
-            split = _best_split(coded, hist_g, hist_h, hist_n, total_g, total_h,
-                                len(rows), cfg)
+            if node == 0:
+                hist_g, hist_h = coded.histograms(root[1], wg, wh)
+                left_n = root[2]
+            else:
+                hist_g, hist_h, hist_n = coded.histograms(coded.coded.take(rows), wg, wh, w_rows)
+                left_n = _segment_cumsum(hist_n, coded)
+            split = _best_split(coded, hist_g, hist_h, left_n, total_g, total_h, n_node, cfg)
         if split is None:
             leaf = -total_g / (total_h + cfg.reg_lambda)
             nodes[node] = [-1, 0.0, -1, -1, leaf, 0.0]
             row_weight[rows] = leaf
             continue
         j, b, best_gain = split
-        nxt = b + 1 + int(np.flatnonzero(hist_n[b + 1:coded.offsets[j + 1]])[0])
+        # the next bin of column j that holds a row of the node
+        nxt = b + 1 + int(np.flatnonzero(left_n[b + 1:coded.offsets[j + 1]] > left_n[b])[0])
         thr = 0.5 * (coded.values[b] + coded.values[nxt])
         if thr == coded.values[nxt]:  # the midpoint rounded up: only values[b] separates
             thr = coded.values[b]
@@ -324,7 +316,7 @@ class GbdtModel:
     base_score: float
     config: GbdtConfig
     n_features: int
-    train_loss: list[float]  # mean logistic loss after each round; not persisted
+    train_loss: list[float]  # weighted mean logistic loss after each round; not persisted
 
     @cached_property
     def _forest(self) -> _Forest:
@@ -363,10 +355,11 @@ def predict_proba_rows(model: GbdtModel, X) -> np.ndarray:
     return _sigmoid(predict_margin_rows(model, X))
 
 
-def _mean_logloss(y: np.ndarray, p: np.ndarray) -> float:
+def _mean_logloss(y: np.ndarray, p: np.ndarray, w: np.ndarray) -> float:
+    """The w-weighted mean logistic loss."""
     eps = 1e-15
     p = np.clip(p, eps, 1 - eps)
-    return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
+    return float((w * -(y * np.log(p) + (1 - y) * np.log(1 - p))).sum() / w.sum())
 
 
 def _binary_labels(y, rows: int) -> np.ndarray:
@@ -380,36 +373,45 @@ def _binary_labels(y, rows: int) -> np.ndarray:
     return y.astype(np.float64)
 
 
-def train_gbdt(X, y, config: GbdtConfig, base_score: float | None = None) -> GbdtModel:
-    """Fit one boosted-tree model.
+def _boost(coded: _CodedMatrix, y: np.ndarray, w: np.ndarray, config: GbdtConfig,
+           base_score: float | None) -> GbdtModel:
+    """The boosting loop over coded rows, row r of label y[r] counting w[r]
+    times, as train_gbdt describes; a row of weight 0 is not trained on."""
+    w = np.asarray(w, dtype=np.float64)
+    if base_score is None:
+        positives, total = float((w * y).sum()), float(w.sum())
+        if positives == 0 or positives == total:
+            raise ValueError("labels contain a single class")
+        rate = positives / total
+        base_score = float(np.log(rate / (1.0 - rate)))
+    # the root: the same rows, entries and counts in every tree
+    rows = np.flatnonzero(w > 0)
+    sub = coded.coded.take(rows)
+    root = rows, sub, _segment_cumsum(coded.histograms(sub, w[rows])[0], coded)
+    margins = np.full(coded.n, base_score)
+    p = _sigmoid(margins)
+    trees: list[RegressionTree] = []
+    losses: list[float] = []
+    for _ in range(config.n_estimators):
+        tree, row_weight = _grow_tree(coded, p - y, p * (1.0 - p), w, root, config)
+        trees.append(tree)
+        margins = margins + config.learning_rate * row_weight
+        p = _sigmoid(margins)
+        losses.append(_mean_logloss(y, p, w))
+    return GbdtModel(trees=trees, base_score=float(base_score), config=config,
+                     n_features=coded.n_features, train_loss=losses)
 
-    base_score defaults to the log-odds of the training positive rate.
+
+def train_gbdt(X, y, config: GbdtConfig, base_score: float | None = None) -> GbdtModel:
+    """Fit one boosted-tree model, each row of weight 1.
+
+    base_score defaults to the log-odds of the weighted positive rate.
     Raises on labels other than one 0 or 1 per row, single-class labels or
     an empty feature space.
     """
     Xc = as_feature_matrix(X)
     y = _binary_labels(y, Xc.shape[0])
-    if Xc.shape[1] == 0:
-        raise ValueError("empty feature space")
-    positives = float(y.sum())
-    if base_score is None:
-        if positives == 0 or positives == len(y):
-            raise ValueError("labels contain a single class")
-        rate = positives / len(y)
-        base_score = float(np.log(rate / (1.0 - rate)))
-    coded = _CodedMatrix(Xc)
-    margins = np.full(Xc.shape[0], base_score)
-    p = _sigmoid(margins)
-    trees: list[RegressionTree] = []
-    losses: list[float] = []
-    for _ in range(config.n_estimators):
-        tree, row_weight = _grow_tree(coded, p - y, p * (1.0 - p), config)
-        trees.append(tree)
-        margins = margins + config.learning_rate * row_weight
-        p = _sigmoid(margins)
-        losses.append(_mean_logloss(y, p))
-    return GbdtModel(trees=trees, base_score=float(base_score), config=config,
-                     n_features=Xc.shape[1], train_loss=losses)
+    return _boost(_CodedMatrix(Xc), y, np.ones(Xc.shape[0]), config, base_score)
 
 
 _SETTINGS = {"members": (lambda n: n == 3, "3"),
@@ -450,7 +452,9 @@ def train_bagged(X, y, configs: list[GbdtConfig] | None = None, seed: int = 42,
                  threshold: float = 0.5, vocab_ref: str = "") -> BaggedDetector:
     """Train the three-member ensemble. Member i sees an independent
     bootstrap resample (same size, with replacement, seeded seed+i) unless
-    bootstrap is disabled, in which case all members see the full data."""
+    bootstrap is disabled, in which case all members see the full data.
+    The distinct rows are coded once; a member's resample is the number of
+    times it holds each of them, its integer row weights."""
     if configs is None:
         configs = default_bagging_configs()
     if len(configs) != 3:
@@ -459,11 +463,18 @@ def train_bagged(X, y, configs: list[GbdtConfig] | None = None, seed: int = 42,
     _setting("threshold", threshold)
     Xc = as_feature_matrix(X)  # refuses a non-finite entry before resampling moves its row
     y = _binary_labels(y, Xc.shape[0])  # and a bad label before resampling drops it
-    n, members = Xc.shape[0], []
+    # each row's index among the distinct (label, stored columns, values) in order
+    keys: dict = {}
+    inverse = np.array([keys.setdefault((label, Xc.indices[s:e].tobytes(),
+                                         Xc.data[s:e].tobytes()), len(keys))
+                        for label, s, e in zip(y, Xc.indptr[:-1], Xc.indptr[1:])], np.int64)
+    first = np.unique(inverse, return_index=True)[1]
+    coded, n, members = _CodedMatrix(Xc.take(first)), Xc.shape[0], []
     for i, cfg in enumerate(configs):
         picks = (np.random.default_rng(seed + i).integers(0, n, size=n) if bootstrap
                  else np.arange(n))
-        members.append(train_gbdt(Xc.take(picks), y[picks], replace(cfg, seed=seed + i)))
+        w = np.bincount(inverse[picks], minlength=len(first))
+        members.append(_boost(coded, y[first], w, replace(cfg, seed=seed + i), None))
     return BaggedDetector(members=members, threshold=threshold,
                           combine=combine, vocab_ref=vocab_ref)
 

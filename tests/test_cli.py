@@ -692,6 +692,12 @@ MALFORMED_LINE_CASES = {
          "c.csv": "0,0,1\n", "n.csv": "id,name\n0,NtOpenFile\n\u0661,NtClose\n"},
         ["evaluate", "--task", "next-call", "--pred", "p.txt", "--truth", "t.txt",
          "--scores", "s.csv", "--corpus", "c.csv", "--names", "n.csv"], "n.csv", 3),
+    "next-call truth id -1": (
+        {"p.txt": "0\n1\n", "t.txt": "0\n-1\n"},
+        ["evaluate", "--task", "next-call", "--pred", "p.txt", "--truth", "t.txt"], "t.txt", 2),
+    "next-call prediction id -1": (
+        {"p.txt": "-1\n1\n", "t.txt": "0\n1\n"},
+        ["evaluate", "--task", "next-call", "--pred", "p.txt", "--truth", "t.txt"], "p.txt", 1),
     "score row with nan": (
         {"p.txt": "0\n1\n", "t.txt": "0\n1\n", "s.csv": "0.5,0.5\n0.2,nan\n"},
         ["evaluate", "--task", "next-call", "--pred", "p.txt", "--truth", "t.txt",
@@ -782,6 +788,39 @@ def test_an_output_without_its_directory_writes_nothing(argv, cli_inputs, tmp_pa
     captured = capsys.readouterr()
     assert "missing output directory(ies): nodir" in captured.err
     assert captured.out == ""
+    assert sorted(os.listdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-detector", "--train", "x.mat", "--labels", "y.labels", "--out", "adir"],
+    ["detect", "--model", "m.det", "--in", "x.mat", "--out", "adir"],
+    ["rank-features", "--model", "m.det", "--vocab", "v.tsv", "--out", "adir"],
+    ["evaluate", "--pred", "p.csv", "--truth", "y.labels", "--out", "adir"],
+], ids=lambda argv: argv[0])
+def test_an_output_that_is_a_directory_writes_nothing(argv, cli_inputs, tmp_path, monkeypatch,
+                                                      capsys):
+    shutil.copytree(cli_inputs, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "train_bagged", untouched)
+    Path("adir").mkdir()
+    before = sorted(os.listdir())
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert "error: output is a directory: adir\n" in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir()) == before and os.listdir("adir") == []
+
+
+@pytest.mark.parametrize("extra", [["--rare-threshold", "3"], ["--corpus", "c.csv"],
+                                   ["--names", "n.csv"]], ids=lambda extra: extra[0])
+def test_evaluate_detect_refuses_the_next_call_options(extra, cli_inputs, tmp_path,
+                                                       monkeypatch, capsys):
+    shutil.copytree(cli_inputs, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir())
+    assert run("evaluate", "--pred", "p.csv", "--truth", "y.labels", *extra,
+               "--out", "r.json") == 1
+    assert f"error: only --task next-call takes {extra[0]}\n" in capsys.readouterr().err
     assert sorted(os.listdir()) == before
 
 

@@ -10,7 +10,9 @@ from apisentry.gbdt import (
     GbdtModel,
     RegressionTree,
     _CodedMatrix,
+    _best_split,
     _combine,
+    _segment_cumsum,
     as_feature_matrix,
     default_bagging_configs,
     ensemble_predict,
@@ -287,15 +289,31 @@ class TestTraining:
 
 @pytest.fixture
 def built(monkeypatch):
-    """The size of every node that builds histograms."""
-    sizes, node_histograms = [], _CodedMatrix.node_histograms
+    """The size of every node that builds histograms of g and h; the root's
+    counts, summed once per model, are no node's."""
+    sizes, histograms = [], _CodedMatrix.histograms
 
-    def counted(coded, rows, g, h):
-        sizes.append(len(rows))
-        return node_histograms(coded, rows, g, h)
+    def counted(coded, sub, *per_row):
+        if len(per_row) > 1:
+            sizes.append(sub.shape[0])
+        return histograms(coded, sub, *per_row)
 
-    monkeypatch.setattr(_CodedMatrix, "node_histograms", counted)
+    monkeypatch.setattr(_CodedMatrix, "histograms", counted)
     return sizes
+
+
+def node_histograms(coded, rows, g, h, w):
+    """The per-bin sums of w*g, w*h and w of a node's rows, as growth builds them."""
+    w_rows = w[rows]
+    return coded.histograms(coded.coded.take(rows), w_rows * g[rows], w_rows * h[rows], w_rows)
+
+
+def node_split(coded, rows, g, h, w, cfg):
+    """_best_split over the node of the given distinct, ascending rows."""
+    hist_g, hist_h, hist_n = node_histograms(coded, rows, g, h, w)
+    return _best_split(coded, hist_g, hist_h, _segment_cumsum(hist_n, coded),
+                       float((w[rows] * g[rows]).sum()), float((w[rows] * h[rows]).sum()),
+                       float(w[rows].sum()), cfg)
 
 
 class TestHopelessNodes:

@@ -1,19 +1,25 @@
 """Property tests: the global bin coding of the boosted trees against the
 per-column `np.unique` coding it replaced, kept here as the oracle. On random
 small CSR matrices each column's values and zero bin, each stored entry's
-bin and the histograms of a random row subset must come out equal; and the
-rows training routes must be the rows prediction routes. Gain importance,
-read off the split nodes, must equal the per-member gain dicts that training
-and loading used to fill, for trained and for reloaded detectors. Every split
-of a one-tree model must reach the brute-force maximum gain over the rows
-routed to it. Tree growth that builds no histogram for a node that cannot
-split, and reuses the root's counts, must grow the trees that growth which
-scans every node grew, kept here as the oracle too, and no split may leave a
-child without a training row. No split of rows that share one gradient and
-hessian may gain, and a separable fit, detect-d1 in small, builds the
-histograms of its roots alone."""
+bin and the weighted histograms of a random row subset must come out equal;
+and the rows training routes must be the rows prediction routes. Gain
+importance, read off the split nodes, must equal the per-member gain dicts
+that training and loading used to fill, for trained and for reloaded
+detectors. Every split of a one-tree model must reach the brute-force
+maximum gain over the rows routed to it. Weighted tree growth with weights
+of one, which builds no histogram for a node that cannot split and keeps the
+root's counts, must grow bit for bit the trees and losses of unweighted
+growth which scans every node, kept here as the oracle too, and no split may
+leave a child without a training row. Integer row weights must grow the
+trees of the explicitly repeated rows, and a bagged member the trees of its
+resample, up to ties that rounding breaks either way; without bootstrap and
+duplicate rows, bagging writes the bytes of one fit per member. No split of
+rows that share one gradient and hessian may gain, and a separable fit,
+detect-d1 in small, builds the histograms of its roots alone."""
 
+import re
 import tempfile
+from dataclasses import replace
 from itertools import pairwise
 from pathlib import Path
 
@@ -23,13 +29,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from apisentry import gbdt
 from apisentry.gbdt import (
+    BaggedDetector,
     GbdtConfig,
     RegressionTree,
+    _boost,
     _CodedMatrix,
-    _best_split,
     _mean_logloss,
     as_feature_matrix,
+    default_bagging_configs,
     load_detector,
     predict_proba_rows,
     rank_features,
@@ -39,7 +48,8 @@ from apisentry.gbdt import (
 )
 from apisentry.ngrams import CsrMatrix, NGramVocabulary, _sigmoid
 from matrices import csr, to_scipy
-from test_gbdt import assert_root_split_attains_max, built, split_gain  # noqa: F401
+from test_gbdt import (  # noqa: F401
+    assert_root_split_attains_max, built, node_histograms, node_split, split_gain)
 
 
 class ReferenceCoding:
@@ -67,24 +77,26 @@ class ReferenceCoding:
         self.codes = sparse.csc_matrix((codes + 1, csc.indices.copy(), csc.indptr.copy()),
                                        shape=X.shape).tocsr()
 
-    def node_histograms(self, rows, g, h):
+    def node_histograms(self, rows, g, h, w):
         sub = self.codes[rows]
         per_row = np.diff(sub.indptr)
-        g_rows, h_rows = g[rows], h[rows]
+        w_rows = w[rows]
+        g_rows, h_rows = w_rows * g[rows], w_rows * h[rows]
         g_rep = np.repeat(g_rows, per_row)
         h_rep = np.repeat(h_rows, per_row)
+        w_rep = np.repeat(w_rows, per_row)
         cols = sub.indices.astype(np.int64)
         key = self.offsets[cols] + sub.data.astype(np.int64) - 1
         hist_g = np.bincount(key, weights=g_rep, minlength=self.n_bins).astype(np.float64)
         hist_h = np.bincount(key, weights=h_rep, minlength=self.n_bins).astype(np.float64)
-        hist_n = np.bincount(key, minlength=self.n_bins)
+        hist_n = np.bincount(key, weights=w_rep, minlength=self.n_bins).astype(np.float64)
         col_g = np.bincount(cols, weights=g_rep, minlength=self.n_features).astype(np.float64)
         col_h = np.bincount(cols, weights=h_rep, minlength=self.n_features).astype(np.float64)
-        col_n = np.bincount(cols, minlength=self.n_features)
+        col_n = np.bincount(cols, weights=w_rep, minlength=self.n_features).astype(np.float64)
         zero_pos = self.offsets[:-1] + self.zero_code
         hist_g[zero_pos] += g_rows.sum() - col_g
         hist_h[zero_pos] += h_rows.sum() - col_h
-        hist_n[zero_pos] += len(rows) - col_n
+        hist_n[zero_pos] += w_rows.sum() - col_n
         return hist_g, hist_h, hist_n
 
 
@@ -137,8 +149,10 @@ def test_global_bins_equal_the_per_column_oracle(X, data):
         assert np.array_equal(getattr(got, part), getattr(want, part)), part
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     g, h = rng.normal(size=X.shape[0]), rng.random(X.shape[0])
+    w = rng.integers(0, 4, X.shape[0]).astype(np.float64)
     rows = row_subset(data, X.shape[0])
-    for got, expect in zip(coded.node_histograms(rows, g, h), ref.node_histograms(rows, g, h)):
+    for got, expect in zip(node_histograms(coded, rows, g, h, w),
+                           ref.node_histograms(rows, g, h, w)):
         assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
 
@@ -146,7 +160,7 @@ def assert_training_routes_as_prediction(X, y, cfg):
     # one class alone has no log-odds; any base score serves then
     base_score = None if 0 < y.sum() < len(y) else 0.0
     model = train_gbdt(X, y, cfg, base_score=base_score)
-    assert model.train_loss[-1] == _mean_logloss(y, predict_proba_rows(model, X))
+    assert model.train_loss[-1] == _mean_logloss(y, predict_proba_rows(model, X), np.ones(len(y)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -270,8 +284,8 @@ def test_every_split_attains_the_brute_force_maximum(data, n, m, max_depth, reg_
 
 
 def reference_node_histograms(coded, rows, g, h):
-    """_CodedMatrix.node_histograms as it was: every node, the root
-    included, gathers its rows' entries and counts them."""
+    """A node's histograms as unweighted growth built them: every node, the
+    root included, gathers its rows' entries and counts them."""
     sub = coded.coded.take(rows)
     per_row = np.diff(sub.indptr)
     g_rows, h_rows = g[rows], h[rows]
@@ -290,9 +304,41 @@ def reference_node_histograms(coded, rows, g, h):
     return hist_g, hist_h, hist_n
 
 
+def reference_segment_cumsum(flat, offsets):
+    cs = np.cumsum(flat)
+    starts = offsets[:-1]
+    return cs - np.repeat(cs[starts] - flat[starts], np.diff(offsets))
+
+
+def reference_best_split(coded, hist_g, hist_h, hist_n, total_g, total_h, n_node, cfg):
+    """The unweighted split scan: integer counts, every cumulative sum
+    rebuilt per node through np.repeat."""
+    lam, offsets = cfg.reg_lambda, coded.offsets
+    left_g = reference_segment_cumsum(hist_g, offsets)
+    left_h = reference_segment_cumsum(hist_h, offsets)
+    left_n = reference_segment_cumsum(hist_n, offsets)
+    right_g = total_g - left_g
+    right_h = total_h - left_h
+    valid = ((left_n > 0) & (left_n < n_node)
+             & (left_h >= cfg.min_child_hessian)
+             & (right_h >= cfg.min_child_hessian))
+    parent = total_g ** 2 / (total_h + lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = 0.5 * (left_g ** 2 / (left_h + lam)
+                      + right_g ** 2 / (right_h + lam)
+                      - parent) - cfg.gamma
+    gain[~(valid & np.isfinite(gain))] = -np.inf
+    b = int(np.argmax(gain))
+    best = gain[b]
+    if not np.isfinite(best) or best <= 4 * np.finfo(np.float64).eps * parent:
+        return None
+    return int(np.searchsorted(offsets, b, side="right")) - 1, b, float(best)
+
+
 def reference_grow_tree(coded, g, h, cfg):
-    """_grow_tree as it was: every node above max_depth with two rows builds
-    its histograms and is scanned, whatever its hessian sum."""
+    """Unweighted growth that scans every node: every node above max_depth
+    with two rows builds its histograms and is scanned, whatever its
+    hessian sum and its rows' gradients."""
     row_weight = np.zeros(coded.n)
     nodes = [None]
     stack = [(0, np.arange(coded.n), 0)]
@@ -303,8 +349,8 @@ def reference_grow_tree(coded, g, h, cfg):
         split = None
         if depth < cfg.max_depth and len(rows) >= 2:
             hist_g, hist_h, hist_n = reference_node_histograms(coded, rows, g, h)
-            split = _best_split(coded, hist_g, hist_h, hist_n, total_g, total_h,
-                                len(rows), cfg)
+            split = reference_best_split(coded, hist_g, hist_h, hist_n, total_g, total_h,
+                                         len(rows), cfg)
         if split is None:
             leaf = -total_g / (total_h + cfg.reg_lambda)
             nodes[node] = [-1, 0.0, -1, -1, leaf, 0.0]
@@ -336,22 +382,25 @@ def nodes_reached(tree, rows):
 
 
 def reference_boost(X, y, cfg, base_score):
-    """The trees of train_gbdt's boosting loop over reference_grow_tree.
-    Each round's root histograms must equal the reference's too."""
+    """The trees and mean losses of an unweighted boosting loop over
+    reference_grow_tree. Each round's root histograms of g and h must equal
+    the reference's too."""
     coded = _CodedMatrix(X)
     root = np.arange(coded.n)
     margins = np.full(coded.n, base_score)
-    trees = []
+    trees, losses = [], []
     for _ in range(cfg.n_estimators):
         p = _sigmoid(margins)
         g, h = p - y, p * (1.0 - p)
-        for got, expect in zip(coded.node_histograms(root, g, h),
+        for got, expect in zip(coded.histograms(coded.coded, g, h),
                                reference_node_histograms(coded, root, g, h)):
             assert got.dtype == expect.dtype and np.array_equal(got, expect)
         tree, row_weight = reference_grow_tree(coded, g, h, cfg)
         trees.append(tree)
         margins = margins + cfg.learning_rate * row_weight
-    return trees
+        q = np.clip(_sigmoid(margins), 1e-15, 1 - 1e-15)
+        losses.append(float(-(y * np.log(q) + (1 - y) * np.log(1 - q)).mean()))
+    return trees, losses
 
 
 @settings(max_examples=300, deadline=None)
@@ -367,11 +416,13 @@ def test_growth_that_skips_hopeless_nodes_equals_growth_that_scans_every_node(
     cfg = GbdtConfig(learning_rate=learning_rate, max_depth=max_depth,
                      n_estimators=n_estimators, reg_lambda=reg_lambda,
                      min_child_hessian=min_child_hessian)
-    trees = train_gbdt(X, y, cfg, base_score=base_score).trees
+    model = train_gbdt(X, y, cfg, base_score=base_score)
     dense = to_scipy(X).toarray()
-    for tree in trees:  # both children of every split hold a training row
+    for tree in model.trees:  # both children of every split hold a training row
         assert nodes_reached(tree, dense) == set(range(tree.n_nodes()))
-    assert_same_trees(trees, reference_boost(X, y, cfg, base_score))
+    trees, losses = reference_boost(X, y, cfg, base_score)
+    assert_same_trees(model.trees, trees)
+    assert model.train_loss == losses
 
 
 def assert_same_trees(trees, expected):
@@ -398,10 +449,11 @@ def test_no_split_gains_on_rows_that_share_one_gradient_and_hessian(
     rows = np.arange(n) if root else np.flatnonzero(rng.random(n) < rng.random())
     assume(len(rows) >= 2)
     g[rows], h[rows] = p - label, p * (1.0 - p)
+    w = rng.integers(0, 4, n).astype(np.float64)
+    w[rows] = rng.integers(1, 4, len(rows))
     coded = _CodedMatrix(X)
     cfg = GbdtConfig(reg_lambda=reg_lambda, gamma=gamma, min_child_hessian=0.0)
-    assert _best_split(coded, *coded.node_histograms(rows, g, h), float(g[rows].sum()),
-                       float(h[rows].sum()), len(rows), cfg) is None
+    assert node_split(coded, rows, g, h, w, cfg) is None
 
 
 def test_a_candidate_whose_gain_is_not_finite_leaves_the_others_admissible():
@@ -411,7 +463,7 @@ def test_a_candidate_whose_gain_is_not_finite_leaves_the_others_admissible():
     g, h = np.array([0.0, 0.0, 0.5, -0.5]), np.array([0.0, 0.0, 0.25, 0.25])
     coded = _CodedMatrix(X)
     cfg = GbdtConfig(reg_lambda=0.0, min_child_hessian=0.0)
-    j, _, gain = _best_split(coded, *coded.node_histograms(np.arange(4), g, h), 0.0, 0.5, 4, cfg)
+    j, _, gain = node_split(coded, np.arange(4), g, h, np.ones(4), cfg)
     assert (j, gain) == (1, 1.0)
 
 
@@ -436,4 +488,125 @@ def test_a_separable_fit_builds_the_histograms_of_its_roots_alone(built, reg_lam
     # each root splits the classes apart, and each child holds one class at one margin
     assert built == [X.shape[0]] * sum(tree.n_nodes() > 1 for tree in model.trees)
     assert any(tree.n_nodes() > 1 for tree in model.trees)
-    assert_same_trees(model.trees, reference_boost(X, y, cfg, model.base_score))
+    assert_same_trees(model.trees, reference_boost(X, y, cfg, model.base_score)[0])
+
+
+def close(a, b, tol=1e-12):
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def assert_same_trees_up_to_a_tie(trees, expected):
+    """Equal features and thresholds node for node, gains and leaf weights
+    within 1e-12 relative, up to the first node where the two choose
+    different splits, or a split and a leaf (of gain 0), whose gains are
+    within 1e-12: a tie that rounding broke either way, after which the fits
+    part and nothing more is compared."""
+    for got, expect in zip(trees, expected, strict=True):
+        for k in range(min(got.n_nodes(), expect.n_nodes())):
+            if got.feature[k] < 0 and expect.feature[k] < 0:
+                assert close(got.weight[k], expect.weight[k]), k
+                continue
+            assert close(got.gain[k], expect.gain[k]), k
+            if (got.feature[k], got.threshold[k]) != (expect.feature[k], expect.threshold[k]):
+                return
+        assert got.n_nodes() == expect.n_nodes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(X=matrices(), data=st.data(), n_estimators=st.integers(1, 8),
+       max_depth=st.integers(1, 4), min_child_hessian=st.sampled_from([0.0, 0.5]),
+       learning_rate=st.sampled_from([0.3, 1.0]), reg_lambda=st.sampled_from([0.0, 1.0]))
+def test_integer_weights_grow_the_trees_of_repeated_rows(X, data, n_estimators, max_depth,
+                                                         min_child_hessian, learning_rate,
+                                                         reg_lambda):
+    n = X.shape[0]
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), float)
+    w = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    assume(w.sum() > 0)
+    picks = np.repeat(np.arange(n), w)
+    base_score = None if 0 < y[picks].sum() < len(picks) else 0.0
+    cfg = GbdtConfig(learning_rate=learning_rate, max_depth=max_depth,
+                     n_estimators=n_estimators, reg_lambda=reg_lambda,
+                     min_child_hessian=min_child_hessian)
+    weighted = _boost(_CodedMatrix(X), y, w, cfg, base_score)
+    repeated = train_gbdt(X.take(picks), y[picks], cfg, base_score)
+    assert weighted.base_score == repeated.base_score
+    assert_same_trees_up_to_a_tie(weighted.trees, repeated.trees)
+
+
+def reference_bagged_members(X, y, configs, seed, bootstrap):
+    """Each member fit to its resample's rows, repeats included."""
+    n = X.shape[0]
+    members = []
+    for i, cfg in enumerate(configs):
+        picks = (np.random.default_rng(seed + i).integers(0, n, size=n) if bootstrap
+                 else np.arange(n))
+        members.append(train_gbdt(X.take(picks), y[picks], replace(cfg, seed=seed + i)))
+    return members
+
+
+@settings(max_examples=150, deadline=None)
+@given(X=matrices(), data=st.data(), seed=st.integers(0, 2**16), bootstrap=st.booleans(),
+       depths=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+       n_estimators=st.integers(0, 6))
+def test_bagged_members_equal_members_fit_to_their_resamples(X, data, seed, bootstrap, depths,
+                                                             n_estimators):
+    # repeated rows, in any order, as oversampling leaves them
+    copies = data.draw(st.lists(st.integers(0, X.shape[0] - 1), max_size=10))
+    order = data.draw(st.permutations(list(range(X.shape[0])) + copies))
+    X = X.take(np.array(order, dtype=np.int64))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=X.shape[0],
+                                    max_size=X.shape[0])), dtype=np.float64)
+    configs = [GbdtConfig(learning_rate=0.3, max_depth=d, n_estimators=n_estimators,
+                          min_child_hessian=0.0) for d in depths]
+    try:
+        expected = reference_bagged_members(X, y, configs, seed, bootstrap)
+    except ValueError as exc:  # a single-class resample
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            train_bagged(X, y, configs=configs, seed=seed, bootstrap=bootstrap)
+        return
+    detector = train_bagged(X, y, configs=configs, seed=seed, bootstrap=bootstrap)
+    for member, expect in zip(detector.members, expected, strict=True):
+        assert (member.config, member.base_score) == (expect.config, expect.base_score)
+        assert_same_trees_up_to_a_tie(member.trees, expect.trees)
+
+
+def small_configs():
+    return [replace(cfg, n_estimators=cfg.n_estimators // 10) for cfg in default_bagging_configs()]
+
+
+def test_bagging_without_bootstrap_over_distinct_rows_writes_train_gbdt_bytes(tmp_path):
+    X, y = planted_corpus()
+    rows = {(X.indices[s:e].tobytes(), X.data[s:e].tobytes()) for s, e in pairwise(X.indptr)}
+    assert len(rows) == X.shape[0]
+    configs = small_configs()
+    bagged = train_bagged(X, y, configs=configs, seed=5, bootstrap=False)
+    members = [train_gbdt(X, y, replace(cfg, seed=5 + i)) for i, cfg in enumerate(configs)]
+    for member, expect in zip(bagged.members, members):
+        assert member.train_loss == expect.train_loss
+    save_detector(bagged, tmp_path / "bagged.det")
+    save_detector(BaggedDetector(members), tmp_path / "members.det")
+    assert (tmp_path / "bagged.det").read_bytes() == (tmp_path / "members.det").read_bytes()
+
+
+def test_bagging_codes_the_distinct_rows_once(monkeypatch):
+    codings = []
+
+    class Counted(_CodedMatrix):
+        def __init__(self, X):
+            super().__init__(X)
+            codings.append(self)
+
+    monkeypatch.setattr(gbdt, "_CodedMatrix", Counted)
+    X, y = planted_corpus()
+    row9 = X.take(np.array([9]))
+    stored_zero = CsrMatrix(np.append(row9.data, 0.0), np.append(row9.indices, 29),
+                            np.array([0, row9.nnz + 1]), row9.shape)
+    assert 29 not in row9.indices
+    # repeats of rows 0 and 5 merge; row 7 under the other label and row 9
+    # with a stored zero do not
+    X2 = as_feature_matrix([X, X.take(np.array([0, 5, 0, 7])), stored_zero])
+    y2 = np.concatenate([y, y[[0, 5, 0]], 1 - y[[7]], y[[9]]])
+    detector = train_bagged(X2, y2, configs=small_configs(), seed=3)
+    assert len(codings) == 1 and codings[0].n == X.shape[0] + 2
+    assert all(m.n_features == X.shape[1] for m in detector.members)
