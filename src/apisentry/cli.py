@@ -389,9 +389,6 @@ def _cmd_evaluate(args) -> list[Path]:
         cm = confusion(preds, truths, 2)
         m = binary_metrics(cm)
         score_col = _read_numbers(Path(args.scores), float) if args.scores else scores
-        for option in ("corpus", "names", "rare_threshold"):
-            if getattr(args, option):
-                raise CorpusError(f"only --task next-call takes --{option.replace('_', '-')}")
         if len(score_col) != len(truths):
             raise CorpusError(f"{args.scores or args.pred} has {len(score_col)} scores "
                               f"but {args.truth} has {len(truths)} truths")
@@ -432,6 +429,11 @@ def _cmd_evaluate(args) -> list[Path]:
                 report["rare_labels"] = [
                     {"label": r.label, "name": r.name, "frequency": r.frequency,
                      "auc": r.auc} for r in rare]
+    # only the next-call task's rare-label report uses these, and it needs scores and a corpus
+    for option, needs in (("corpus", "scores"), ("names", "corpus"), ("rare_threshold", "corpus")):
+        if getattr(args, option) and (args.task == "detect" or not getattr(args, needs)):
+            why = "--task next-call" if args.task == "detect" else f"--{needs}"
+            raise CorpusError(f"--{option.replace('_', '-')} needs {why}")
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
     return [Path(args.out)]

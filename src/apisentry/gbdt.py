@@ -14,19 +14,21 @@ once as a global bin, and a node's candidate splits are scored from per-bin
 histograms of w*g, w*h and w, which is equivalent to scanning the sorted
 column but shares work across features. Thresholds are midpoints between
 adjacent distinct values, or the lower value where the midpoint rounds onto
-the upper one; samples with value <= threshold go left, in training as in
-prediction, so feature values must be finite. Ties are broken toward the
-lowest feature index, then the lowest threshold, so training is
-deterministic. A gain within a few ulps of the parent term is rounding and
-makes no split. Growth skips work whose answer is known: a node is a leaf,
-with no histogram built and no split scanned, if its hessian sum is below
-twice min_child_hessian (less a few ulps), so no two children are both
+the upper one; samples with value <= threshold go left, so feature values
+must be finite. Training routes a split node's rows by bin, from the entries
+its histograms were built from: a column's bins ascend with its values, so
+the same rows go left as in prediction. Ties are broken toward the lowest
+feature index, then the lowest threshold, so training is deterministic. A
+gain within a few ulps of the parent term is rounding and makes no split.
+Growth skips work whose answer is known: a node is a leaf, with no histogram
+built and no split scanned, if its hessian sum is below twice
+min_child_hessian (less a few ulps), so no two children are both
 admissible, or if its rows share one (g, h), so no split gains; the root,
 the same rows in every tree, keeps its entries and cumulative counts once
 per model. A round adds to each training row the weight of the leaf growth
-put it in; nothing is re-predicted. `train_gbdt` weighs every row 1; a
-bagged member's bootstrap resample, drawn as before, is integer weights
-over one coding of the distinct training rows.
+put it in; nothing is re-predicted and no round loss is computed.
+`train_gbdt` weighs every row 1; a bagged member's bootstrap resample is
+integer weights over one coding of the distinct training rows.
 
 Feature matrices are ngrams.CsrMatrix records, where a stored 0.0 is an
 absent entry. Prediction has one path for any number of rows (one vector is
@@ -40,7 +42,7 @@ it, read off the trees: they are a member's only record of its splits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -63,7 +65,6 @@ class GbdtConfig:
     reg_lambda: float = 1.0
     gamma: float = 0.0
     min_child_hessian: float = 1.0
-    seed: int = 42
 
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate <= 1.0:
@@ -137,7 +138,7 @@ class _CodedMatrix:
     column by column, values ascending. `values[b]` is bin b's value,
     `column[b]` its column, `offsets[j]` column j's first bin and `zero_bin[j]`
     its bin for 0.0, which also holds the implicit and the stored zeros.
-    `coded` holds every other entry's bin; sorted by bin, they serve routing.
+    `coded` holds every other entry's bin.
     """
 
     def __init__(self, X: CsrMatrix):
@@ -146,28 +147,19 @@ class _CodedMatrix:
         nnz, (self.n, self.n_features) = int(indptr[-1]), X.shape
         if not self.n_features:
             raise ValueError("empty feature space")
-        # every kept entry, then one 0.0 per column, in a row n of its own
-        rows = np.repeat(np.arange(self.n + 1), np.diff(indptr, append=nnz + self.n_features))
+        # every kept entry, then one 0.0 per column
         cols = np.concatenate([X.indices[kept], np.arange(self.n_features)])
         vals = np.concatenate([X.data[kept], np.zeros(self.n_features)])
         order = np.lexsort((vals, cols))
         cols, vals = cols[order], vals[order]
         starts = np.append(True, (cols[1:] != cols[:-1]) | (vals[1:] != vals[:-1]))
-        self._sorted_bins, self._sorted_rows = np.cumsum(starts) - 1, rows[order]
         bins = np.empty(len(order), dtype=np.int64)
-        bins[order] = self._sorted_bins
+        bins[order] = np.cumsum(starts) - 1
         self.values, self.column = vals[starts], cols[starts]
         self.offsets = np.searchsorted(self.column, np.arange(self.n_features + 1))
         self.n_bins = len(self.values)
         self.zero_bin = bins[nnz:]
         self.coded = CsrMatrix(bins[:nnz], X.indices[kept], indptr, X.shape)
-
-    def column_bins(self, j: int) -> np.ndarray:
-        """Every row's bin in column j."""
-        out = np.full(self.n + 1, self.zero_bin[j])
-        s, e = np.searchsorted(self._sorted_bins, self.offsets[j:j + 2])
-        out[self._sorted_rows[s:e]] = self._sorted_bins[s:e]
-        return out[:-1]
 
     def histograms(self, sub: CsrMatrix, *per_row: np.ndarray) -> list[np.ndarray]:
         """Per-bin sums of each array of per-row values over `sub`, a gather
@@ -249,10 +241,11 @@ def _grow_tree(coded: _CodedMatrix, g: np.ndarray, h: np.ndarray, w: np.ndarray,
                 and total_h >= 2 * cfg.min_child_hessian * (1 - 4 * _EPS)
                 and (np.ptp(g_rows) > 0 or np.ptp(h_rows) > 0)):
             if node == 0:
-                hist_g, hist_h = coded.histograms(root[1], wg, wh)
-                left_n = root[2]
+                _, sub, left_n = root
+                hist_g, hist_h = coded.histograms(sub, wg, wh)
             else:
-                hist_g, hist_h, hist_n = coded.histograms(coded.coded.take(rows), wg, wh, w_rows)
+                sub = coded.coded.take(rows)
+                hist_g, hist_h, hist_n = coded.histograms(sub, wg, wh, w_rows)
                 left_n = _segment_cumsum(hist_n, coded)
             split = _best_split(coded, hist_g, hist_h, left_n, total_g, total_h, n_node, cfg)
         if split is None:
@@ -266,8 +259,10 @@ def _grow_tree(coded: _CodedMatrix, g: np.ndarray, h: np.ndarray, w: np.ndarray,
         thr = 0.5 * (coded.values[b] + coded.values[nxt])
         if thr == coded.values[nxt]:  # the midpoint rounded up: only values[b] separates
             thr = coded.values[b]
-        # by value, as prediction routes
-        go_left = coded.values[coded.column_bins(j)[rows]] <= thr
+        # no row of the node holds a bin between b and nxt: bin <= b is value <= thr
+        go_left = np.full(len(rows), coded.zero_bin[j] <= b)
+        at = np.flatnonzero(sub.indices == j)
+        go_left[np.searchsorted(sub.indptr, at, side="right") - 1] = sub.data[at] <= b
         nodes[node] = [j, thr, len(nodes), len(nodes) + 1, 0.0, best_gain]
         stack.append((len(nodes) + 1, rows[~go_left], depth + 1))
         stack.append((len(nodes), rows[go_left], depth + 1))
@@ -316,7 +311,6 @@ class GbdtModel:
     base_score: float
     config: GbdtConfig
     n_features: int
-    train_loss: list[float]  # weighted mean logistic loss after each round; not persisted
 
     @cached_property
     def _forest(self) -> _Forest:
@@ -355,13 +349,6 @@ def predict_proba_rows(model: GbdtModel, X) -> np.ndarray:
     return _sigmoid(predict_margin_rows(model, X))
 
 
-def _mean_logloss(y: np.ndarray, p: np.ndarray, w: np.ndarray) -> float:
-    """The w-weighted mean logistic loss."""
-    eps = 1e-15
-    p = np.clip(p, eps, 1 - eps)
-    return float((w * -(y * np.log(p) + (1 - y) * np.log(1 - p))).sum() / w.sum())
-
-
 def _binary_labels(y, rows: int) -> np.ndarray:
     """y as floats, refused unless it holds one 0 or 1 per matrix row."""
     y = np.asarray(y)
@@ -389,17 +376,14 @@ def _boost(coded: _CodedMatrix, y: np.ndarray, w: np.ndarray, config: GbdtConfig
     sub = coded.coded.take(rows)
     root = rows, sub, _segment_cumsum(coded.histograms(sub, w[rows])[0], coded)
     margins = np.full(coded.n, base_score)
-    p = _sigmoid(margins)
     trees: list[RegressionTree] = []
-    losses: list[float] = []
     for _ in range(config.n_estimators):
+        p = _sigmoid(margins)
         tree, row_weight = _grow_tree(coded, p - y, p * (1.0 - p), w, root, config)
         trees.append(tree)
         margins = margins + config.learning_rate * row_weight
-        p = _sigmoid(margins)
-        losses.append(_mean_logloss(y, p, w))
     return GbdtModel(trees=trees, base_score=float(base_score), config=config,
-                     n_features=coded.n_features, train_loss=losses)
+                     n_features=coded.n_features)
 
 
 def train_gbdt(X, y, config: GbdtConfig, base_score: float | None = None) -> GbdtModel:
@@ -457,9 +441,8 @@ def train_bagged(X, y, configs: list[GbdtConfig] | None = None, seed: int = 42,
     times it holds each of them, its integer row weights."""
     if configs is None:
         configs = default_bagging_configs()
-    if len(configs) != 3:
-        raise ValueError(f"exactly 3 member configs required, got {len(configs)}")
-    _setting("combine", combine)  # before training, not after it
+    _setting("members", len(configs))  # before training, not after it
+    _setting("combine", combine)
     _setting("threshold", threshold)
     Xc = as_feature_matrix(X)  # refuses a non-finite entry before resampling moves its row
     y = _binary_labels(y, Xc.shape[0])  # and a bad label before resampling drops it
@@ -474,7 +457,7 @@ def train_bagged(X, y, configs: list[GbdtConfig] | None = None, seed: int = 42,
         picks = (np.random.default_rng(seed + i).integers(0, n, size=n) if bootstrap
                  else np.arange(n))
         w = np.bincount(inverse[picks], minlength=len(first))
-        members.append(_boost(coded, y[first], w, replace(cfg, seed=seed + i), None))
+        members.append(_boost(coded, y[first], w, cfg, None))
     return BaggedDetector(members=members, threshold=threshold,
                           combine=combine, vocab_ref=vocab_ref)
 
@@ -524,7 +507,7 @@ def rank_features(detector: BaggedDetector, vocab: NGramVocabulary,
 
 # --- persistence -------------------------------------------------------------
 
-_FORMAT_TAG = "apisentry-detector v1"
+_FORMAT_TAG = "apisentry-detector v2"
 _NODE_FIELDS = {"s": 6, "l": 2}  # s feature threshold left right gain; l weight
 
 
@@ -551,7 +534,7 @@ def save_detector(detector: BaggedDetector, path: str | Path) -> None:
 def load_detector(path: str | Path) -> BaggedDetector:
     with _LineReader(path) as reader:
         if reader.next() != _FORMAT_TAG:
-            raise ValueError("not a detector file")
+            raise ValueError(f"not an {_FORMAT_TAG!r} file")
         combine = _setting("combine", reader.field("combine"))
         threshold = _setting("threshold", _float(reader.field("threshold")))
         n_features = _int(reader.field("n_features"))
@@ -559,7 +542,7 @@ def load_detector(path: str | Path) -> BaggedDetector:
         n_members = _setting("members", _int(reader.field("members")))
         members = []
         for i in range(n_members):
-            reader.field("member")
+            _int(reader.field("member"))
             cfg = _read_config(reader, GbdtConfig)
             base_score = _finite(reader.field("base_score"))
             n_trees = _int(reader.field("trees"))
@@ -586,6 +569,6 @@ def load_detector(path: str | Path) -> BaggedDetector:
                         nodes.append([-1, 0.0, -1, -1, _finite(parts[1]), 0.0])
                 trees.append(RegressionTree.from_nodes(nodes))
             members.append(GbdtModel(trees=trees, base_score=base_score, config=cfg,
-                                     n_features=n_features, train_loss=[]))
+                                     n_features=n_features))
         return BaggedDetector(members=members, threshold=threshold,
                               combine=combine, vocab_ref=vocab_ref)

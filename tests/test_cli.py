@@ -514,7 +514,7 @@ class TestValidation:
     @pytest.mark.parametrize("spell", OTHER_SPELLINGS)
     @pytest.mark.parametrize("prefix, index", [
         ("n_features ", 1), ("members ", 1), ("max_depth ", 1), ("n_estimators ", 1),
-        ("seed ", 1), ("trees ", 1), ("tree ", 1), ("tree ", 2), ("s ", 1), ("s ", 3),
+        ("member ", 1), ("trees ", 1), ("tree ", 1), ("tree ", 2), ("s ", 1), ("s ", 3),
         ("s ", 4),
     ])
     def test_detector_integer_in_another_spelling_exits_one(self, tmp_path, capsys, spell,
@@ -811,16 +811,29 @@ def test_an_output_that_is_a_directory_writes_nothing(argv, cli_inputs, tmp_path
     assert sorted(os.listdir()) == before and os.listdir("adir") == []
 
 
-@pytest.mark.parametrize("extra", [["--rare-threshold", "3"], ["--corpus", "c.csv"],
-                                   ["--names", "n.csv"]], ids=lambda extra: extra[0])
-def test_evaluate_detect_refuses_the_next_call_options(extra, cli_inputs, tmp_path,
-                                                       monkeypatch, capsys):
+DETECT = ["--pred", "p.csv", "--truth", "y.labels"]
+NEXT_CALL = ["--task", "next-call", "--pred", "p.txt", "--truth", "t.txt"]
+SCORED = NEXT_CALL + ["--scores", "s.csv"]
+
+
+@pytest.mark.parametrize("task, extra, needs", [
+    pytest.param(task, extra, needs, id=f"{name} {extra[0]}")
+    for name, task, extra, needs in [
+        ("detect", DETECT, ["--rare-threshold", "3"], "--task next-call"),
+        ("detect", DETECT, ["--corpus", "c.csv"], "--task next-call"),
+        ("detect", DETECT, ["--names", "n.csv"], "--task next-call"),
+        ("next-call", NEXT_CALL, ["--corpus", "c.csv", "--names", "n.csv",
+                                  "--rare-threshold", "3"], "--scores"),
+        ("next-call", SCORED, ["--names", "n.csv"], "--corpus"),
+        ("next-call", SCORED, ["--rare-threshold", "3"], "--corpus"),
+    ]])
+def test_evaluate_refuses_an_option_its_task_cannot_use(task, extra, needs, cli_inputs,
+                                                        tmp_path, monkeypatch, capsys):
     shutil.copytree(cli_inputs, tmp_path, dirs_exist_ok=True)
     monkeypatch.chdir(tmp_path)
     before = sorted(os.listdir())
-    assert run("evaluate", "--pred", "p.csv", "--truth", "y.labels", *extra,
-               "--out", "r.json") == 1
-    assert f"error: only --task next-call takes {extra[0]}\n" in capsys.readouterr().err
+    assert run("evaluate", *task, *extra, "--out", "r.json") == 1
+    assert f"error: {extra[0]} needs {needs}\n" in capsys.readouterr().err
     assert sorted(os.listdir()) == before
 
 

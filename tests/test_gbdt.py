@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +32,11 @@ from matrices import csr, to_scipy
 
 def sigmoid(z):
     return 1.0 / (1.0 + math.exp(-z))
+
+
+def mean_logloss(y, p):
+    p = np.clip(p, 1e-15, 1 - 1e-15)
+    return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
 
 
 def fv(counts, dim):
@@ -186,8 +193,7 @@ class TestPredictProba:
             feature=np.array([-1], dtype=np.int32), threshold=np.zeros(1),
             left=np.array([-1], dtype=np.int32), right=np.array([-1], dtype=np.int32),
             weight=np.array([0.4]), gain=np.zeros(1))
-        model = GbdtModel(trees=[tree], base_score=0.0, config=cfg, n_features=2,
-                          train_loss=[])
+        model = GbdtModel(trees=[tree], base_score=0.0, config=cfg, n_features=2)
         assert predict_proba_rows(model, fv({}, 2))[0] == pytest.approx(sigmoid(0.4), abs=1e-12)
 
     def test_output_strictly_inside_unit_interval(self):
@@ -237,7 +243,9 @@ class TestTraining:
         for _ in range(5):
             X, y = random_count_corpus(rng, n_max=80, f_max=6)
             model = train_gbdt(csr(X), y, GbdtConfig(n_estimators=30, max_depth=3))
-            losses = np.array(model.train_loss)
+            losses = [mean_logloss(y, predict_proba_rows(replace(model, trees=model.trees[:k]),
+                                                         csr(X)))
+                      for k in range(1, len(model.trees) + 1)]
             assert (np.diff(losses) <= 1e-12).all()
 
     def test_root_split_matches_bruteforce_oracle(self):
@@ -431,7 +439,7 @@ class TestBagging:
                 right=np.array([-1], dtype=np.int32),
                 weight=np.array([float(w)]), gain=np.zeros(1))
             members.append(GbdtModel(trees=[tree], base_score=0.0, config=cfg,
-                                     n_features=1, train_loss=[]))
+                                     n_features=1))
         return members
 
     def _stub_detector(self, margins, combine="mean"):
@@ -450,7 +458,7 @@ class TestRankFeatures:
                                                 [-1, 0.0, -1, -1, 0.1, 0.0]])
                      for f, g in gains.items()]
             members.append(GbdtModel(trees=trees, base_score=0.0, config=cfg,
-                                     n_features=n_features, train_loss=[]))
+                                     n_features=n_features))
         return members
 
     def _vocab(self, n):
@@ -481,7 +489,41 @@ class TestRankFeatures:
             rank_features(det, self._vocab(width), k=3)
 
 
+# A detector file as the v1 writer wrote it: each member's config carried a
+# seed line that nothing read.
+V1_MEMBER = """\
+member {i}
+learning_rate 0.5
+max_depth 1
+n_estimators 1
+reg_lambda 1
+gamma 0
+min_child_hessian 0
+seed {seed}
+base_score 0
+trees 1
+tree 0 3
+s 0 1.5 1 2 0.17142857142857143
+l -0.2857142857142857
+l 0.40000000000000002
+"""
+V1_DETECTOR = ("apisentry-detector v1\ncombine mean\nthreshold 0.5\nn_features 2\n"
+               "vocab_ref vocab.tsv\nmembers 3\n"
+               + "".join(V1_MEMBER.format(i=i, seed=42 + i) for i in range(3)))
+
+
 class TestPersistence:
+    def test_v1_file_is_refused_naming_the_tag(self, tmp_path):
+        path = tmp_path / "v1.det"
+        path.write_text(V1_DETECTOR)
+        with pytest.raises(ValueError, match="line 1: not an 'apisentry-detector v2' file$"):
+            load_detector(path)
+        # v2 is v1 without the seed lines
+        v2 = re.sub(r"seed \d+\n", "", V1_DETECTOR.replace(" v1\n", " v2\n", 1))
+        path.write_text(v2)
+        save_detector(load_detector(path), tmp_path / "v2.det")
+        assert (tmp_path / "v2.det").read_text() == v2
+
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(17)
         X, y = random_count_corpus(rng, n_max=50, f_max=4)

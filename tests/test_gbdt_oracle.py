@@ -7,21 +7,23 @@ importance, read off the split nodes, must equal the per-member gain dicts
 that training and loading used to fill, for trained and for reloaded
 detectors. Every split of a one-tree model must reach the brute-force
 maximum gain over the rows routed to it. Weighted tree growth with weights
-of one, which builds no histogram for a node that cannot split and keeps the
-root's counts, must grow bit for bit the trees and losses of unweighted
-growth which scans every node, kept here as the oracle too, and no split may
-leave a child without a training row. Integer row weights must grow the
-trees of the explicitly repeated rows, and a bagged member the trees of its
-resample, up to ties that rounding breaks either way; without bootstrap and
-duplicate rows, bagging writes the bytes of one fit per member. No split of
-rows that share one gradient and hessian may gain, and a separable fit,
-detect-d1 in small, builds the histograms of its roots alone."""
+of one, which builds no histogram for a node that cannot split, keeps the
+root's counts and routes by bin, must grow bit for bit the trees and margins
+of unweighted growth which scans every node and routes by value, kept here
+as the oracle too, and no split may leave a child without a training row.
+Integer row weights must grow the trees of the explicitly repeated rows, and
+a bagged member the trees of its resample, up to ties that rounding breaks
+either way; without bootstrap and duplicate rows, bagging writes the bytes
+of one fit per member. No split of rows that share one gradient and hessian
+may gain, and a separable fit, detect-d1 in small, builds the histograms of
+its roots alone."""
 
 import re
 import tempfile
 from dataclasses import replace
 from itertools import pairwise
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,11 +38,10 @@ from apisentry.gbdt import (
     RegressionTree,
     _boost,
     _CodedMatrix,
-    _mean_logloss,
     as_feature_matrix,
     default_bagging_configs,
     load_detector,
-    predict_proba_rows,
+    predict_margin_rows,
     rank_features,
     save_detector,
     train_bagged,
@@ -132,18 +133,21 @@ def row_subset(data, n):
 def test_global_bins_equal_the_per_column_oracle(X, data):
     coded, ref = _CodedMatrix(X), ReferenceCoding(X)
     assert coded.n_bins == ref.n_bins
+    # each entry's bin + 1, so that an absent entry reads 0
+    got = to_scipy(coded.coded)
+    got.data = got.data + 1
     for j in range(X.shape[1]):
         lo, hi = coded.offsets[j], coded.offsets[j + 1]
         assert np.array_equal(coded.values[lo:hi], ref.uniques[j])
         assert coded.zero_bin[j] == lo + ref.zero_code[j]
         dense = ref.codes[:, j].toarray().ravel()
         want = np.where(dense > 0, dense - 1, ref.zero_code[j]) + lo
-        assert np.array_equal(coded.column_bins(j), want)
-    # each entry's bin + 1, at the oracle's entry positions: stored zeros dropped
+        # every row's bin in column j: its entry's, or the zero bin
+        column = got[:, [j]].toarray().ravel()
+        assert np.array_equal(np.where(column > 0, column - 1, coded.zero_bin[j]), want)
+    # at the oracle's entry positions: stored zeros dropped
     want = ref.codes.copy()
     want.data = want.data + ref.offsets[want.indices]
-    got = to_scipy(coded.coded)
-    got.data = got.data + 1
     got.sort_indices()
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, part), getattr(want, part)), part
@@ -157,18 +161,31 @@ def test_global_bins_equal_the_per_column_oracle(X, data):
 
 
 def assert_training_routes_as_prediction(X, y, cfg):
+    """The margins training adds up, round by round, are prediction's."""
     # one class alone has no log-odds; any base score serves then
     base_score = None if 0 < y.sum() < len(y) else 0.0
-    model = train_gbdt(X, y, cfg, base_score=base_score)
-    assert model.train_loss[-1] == _mean_logloss(y, predict_proba_rows(model, X), np.ones(len(y)))
+    row_weights, grow = [], gbdt._grow_tree
+
+    def recorded(*args):
+        tree, row_weight = grow(*args)
+        row_weights.append(row_weight)
+        return tree, row_weight
+
+    with mock.patch.object(gbdt, "_grow_tree", recorded):
+        model = train_gbdt(X, y, cfg, base_score=base_score)
+    margins = np.full(X.shape[0], model.base_score)
+    for row_weight in row_weights:
+        margins = margins + cfg.learning_rate * row_weight
+    assert len(row_weights) == cfg.n_estimators
+    assert np.array_equal(margins, predict_margin_rows(model, X))
 
 
 @settings(max_examples=300, deadline=None)
 @given(X=matrices(), data=st.data(), n_estimators=st.integers(1, 4),
        max_depth=st.integers(1, 4), min_child_hessian=st.sampled_from([0.0, 0.1]),
        learning_rate=st.sampled_from([0.3, 1.0]))
-def test_training_loss_equals_the_loss_of_prediction(X, data, n_estimators, max_depth,
-                                                      min_child_hessian, learning_rate):
+def test_training_margins_equal_the_margins_of_prediction(X, data, n_estimators, max_depth,
+                                                          min_child_hessian, learning_rate):
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=X.shape[0],
                                     max_size=X.shape[0])), dtype=np.float64)
     cfg = GbdtConfig(learning_rate=learning_rate, max_depth=max_depth,
@@ -335,10 +352,11 @@ def reference_best_split(coded, hist_g, hist_h, hist_n, total_g, total_h, n_node
     return int(np.searchsorted(offsets, b, side="right")) - 1, b, float(best)
 
 
-def reference_grow_tree(coded, g, h, cfg):
+def reference_grow_tree(coded, dense, g, h, cfg):
     """Unweighted growth that scans every node: every node above max_depth
     with two rows builds its histograms and is scanned, whatever its
-    hessian sum and its rows' gradients."""
+    hessian sum and its rows' gradients. A split routes the rows of `dense`,
+    the matrix as an array, by value, as prediction does."""
     row_weight = np.zeros(coded.n)
     nodes = [None]
     stack = [(0, np.arange(coded.n), 0)]
@@ -361,7 +379,7 @@ def reference_grow_tree(coded, g, h, cfg):
         thr = 0.5 * (coded.values[b] + coded.values[nxt])
         if thr == coded.values[nxt]:
             thr = coded.values[b]
-        go_left = coded.values[coded.column_bins(j)[rows]] <= thr
+        go_left = dense[rows, j] <= thr
         nodes[node] = [j, thr, len(nodes), len(nodes) + 1, 0.0, best_gain]
         stack.append((len(nodes) + 1, rows[~go_left], depth + 1))
         stack.append((len(nodes), rows[go_left], depth + 1))
@@ -382,25 +400,23 @@ def nodes_reached(tree, rows):
 
 
 def reference_boost(X, y, cfg, base_score):
-    """The trees and mean losses of an unweighted boosting loop over
+    """The trees and final margins of an unweighted boosting loop over
     reference_grow_tree. Each round's root histograms of g and h must equal
     the reference's too."""
-    coded = _CodedMatrix(X)
+    coded, dense = _CodedMatrix(X), to_scipy(X).toarray()
     root = np.arange(coded.n)
     margins = np.full(coded.n, base_score)
-    trees, losses = [], []
+    trees = []
     for _ in range(cfg.n_estimators):
         p = _sigmoid(margins)
         g, h = p - y, p * (1.0 - p)
         for got, expect in zip(coded.histograms(coded.coded, g, h),
                                reference_node_histograms(coded, root, g, h)):
             assert got.dtype == expect.dtype and np.array_equal(got, expect)
-        tree, row_weight = reference_grow_tree(coded, g, h, cfg)
+        tree, row_weight = reference_grow_tree(coded, dense, g, h, cfg)
         trees.append(tree)
         margins = margins + cfg.learning_rate * row_weight
-        q = np.clip(_sigmoid(margins), 1e-15, 1 - 1e-15)
-        losses.append(float(-(y * np.log(q) + (1 - y) * np.log(1 - q)).mean()))
-    return trees, losses
+    return trees, margins
 
 
 @settings(max_examples=300, deadline=None)
@@ -420,9 +436,9 @@ def test_growth_that_skips_hopeless_nodes_equals_growth_that_scans_every_node(
     dense = to_scipy(X).toarray()
     for tree in model.trees:  # both children of every split hold a training row
         assert nodes_reached(tree, dense) == set(range(tree.n_nodes()))
-    trees, losses = reference_boost(X, y, cfg, base_score)
+    trees, margins = reference_boost(X, y, cfg, base_score)
     assert_same_trees(model.trees, trees)
-    assert model.train_loss == losses
+    assert np.array_equal(predict_margin_rows(model, X), margins)
 
 
 def assert_same_trees(trees, expected):
@@ -541,7 +557,7 @@ def reference_bagged_members(X, y, configs, seed, bootstrap):
     for i, cfg in enumerate(configs):
         picks = (np.random.default_rng(seed + i).integers(0, n, size=n) if bootstrap
                  else np.arange(n))
-        members.append(train_gbdt(X.take(picks), y[picks], replace(cfg, seed=seed + i)))
+        members.append(train_gbdt(X.take(picks), y[picks], cfg))
     return members
 
 
@@ -581,9 +597,7 @@ def test_bagging_without_bootstrap_over_distinct_rows_writes_train_gbdt_bytes(tm
     assert len(rows) == X.shape[0]
     configs = small_configs()
     bagged = train_bagged(X, y, configs=configs, seed=5, bootstrap=False)
-    members = [train_gbdt(X, y, replace(cfg, seed=5 + i)) for i, cfg in enumerate(configs)]
-    for member, expect in zip(bagged.members, members):
-        assert member.train_loss == expect.train_loss
+    members = [train_gbdt(X, y, cfg) for cfg in configs]
     save_detector(bagged, tmp_path / "bagged.det")
     save_detector(BaggedDetector(members), tmp_path / "members.det")
     assert (tmp_path / "bagged.det").read_bytes() == (tmp_path / "members.det").read_bytes()

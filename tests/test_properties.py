@@ -76,7 +76,7 @@ def random_model(draw):
     cfg = GbdtConfig(learning_rate=draw(st.sampled_from([0.01, 0.1, 0.3, 1.0])),
                      max_depth=4, n_estimators=len(trees))
     return GbdtModel(trees=trees, base_score=draw(weights), config=cfg,
-                     n_features=N_FEATURES, train_loss=[])
+                     n_features=N_FEATURES)
 
 
 count_rows = st.lists(st.lists(st.integers(0, 4), min_size=N_FEATURES, max_size=N_FEATURES),
@@ -120,7 +120,7 @@ def test_one_vector_equals_one_row(model, row):
 
 def test_zero_trees_predict_base_score():
     model = GbdtModel(trees=[], base_score=0.25, config=GbdtConfig(n_estimators=0),
-                      n_features=N_FEATURES, train_loss=[])
+                      n_features=N_FEATURES)
     X = csr(np.ones((3, N_FEATURES)))
     assert predict_margin_rows(model, X).tolist() == [0.25, 0.25, 0.25]
 
