@@ -386,13 +386,20 @@ def _cmd_evaluate(args) -> list[Path]:
         preds, scores = _read_predictions_csv(Path(args.pred))
         truths = _read_numbers(Path(args.truth), rule=(lambda v: np.isin(v, (0, 1)),
                                                        "label {} is not 0 or 1"))
+        scores = _read_numbers(Path(args.scores), float) if args.scores else scores
+    else:
+        rule = (lambda v: v >= 0, "call id {} is negative")
+        preds, truths = (_read_numbers(Path(path), rule=rule) for path in (args.pred, args.truth))
+        scores = _read_score_rows(Path(args.scores)) if args.scores else None
+    for path, what, items in ((args.pred, "predictions", preds),
+                              (args.scores or args.pred, "scores", scores)):
+        if items is not None and len(items) != len(truths):
+            raise CorpusError(f"{path} has {len(items)} {what} "
+                              f"but {args.truth} has {len(truths)} truths")
+    if args.task == "detect":
         cm = confusion(preds, truths, 2)
         m = binary_metrics(cm)
-        score_col = _read_numbers(Path(args.scores), float) if args.scores else scores
-        if len(score_col) != len(truths):
-            raise CorpusError(f"{args.scores or args.pred} has {len(score_col)} scores "
-                              f"but {args.truth} has {len(truths)} truths")
-        stacked = np.stack([1.0 - score_col, score_col], axis=1)
+        stacked = np.stack([1.0 - scores, scores], axis=1)
         auc_pos = roc_auc_per_label(stacked, truths, 2).per_label_auc[1]
         report = {
             "task": "detect", "n_samples": int(cm.total()),
@@ -403,9 +410,6 @@ def _cmd_evaluate(args) -> list[Path]:
             "auc_positive": auc_pos,
         }
     else:
-        rule = (lambda v: v >= 0, "call id {} is negative")
-        preds, truths = (_read_numbers(Path(path), rule=rule) for path in (args.pred, args.truth))
-        scores = _read_score_rows(Path(args.scores)) if args.scores else None
         n_labels = int(max(preds.max(), truths.max())) + 1 if len(preds) else 1
         if scores is not None:
             n_labels = max(n_labels, scores.shape[1])

@@ -542,15 +542,18 @@ def load_detector(path: str | Path) -> BaggedDetector:
         n_members = _setting("members", _int(reader.field("members")))
         members = []
         for i in range(n_members):
-            _int(reader.field("member"))
+            if _int(reader.field("member")) != i:
+                raise ValueError(f"expected member {i}")
             cfg = _read_config(reader, GbdtConfig)
             base_score = _finite(reader.field("base_score"))
             n_trees = _int(reader.field("trees"))
             trees = []
-            for _ in range(n_trees):
+            for t in range(n_trees):
                 # node lines are read before any array is sized, so a node
                 # count beyond the end of the file allocates nothing
-                _, n_nodes = map(_int, reader.field("tree").split())
+                index, n_nodes = map(_int, reader.field("tree").split())
+                if index != t:
+                    raise ValueError(f"expected tree {t}")
                 if n_nodes < 1:
                     raise ValueError("a tree has at least one node")
                 nodes = []

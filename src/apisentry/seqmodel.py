@@ -26,29 +26,27 @@ One cell function, ``_cell_step``, serves every scan: it activates a step's
 inputs times W in place, writes the live rows' new state and hands the scan
 the gate activations BPTT reuses. Training computes X[:, t] @ W as before; a
 pass without dropout or cache gathers it from per-call tables of emb @ W.
-``_forward_batch`` is the one forward pass: validation, embedding, both
-scans and the softmax; it draws dropout from a ``dropout_seed`` or not at
-all, so every pass is reproducible. ``_batches`` alone turns samples into
-arrays and refuses bad ones; ``_evaluate`` is the one loop over it, which
-the loss and the distributions reduce. Greedy decoding carries the forward
+``_forward_batch`` is the one forward pass: embedding, both scans and the
+softmax; it draws dropout from a ``dropout_seed`` or not at all, so every
+pass is reproducible. ``_batches`` alone turns samples into arrays and
+refuses bad ones; ``_evaluate`` is the one loop over it, which the loss and
+the distributions reduce. Greedy decoding carries the forward
 (h, c) from step to step, one forward cell step per decoded call until the
 window slides past max_prefix_len; the backward direction is rescanned.
 
 The two directions are independent until the dense layer joins their final
 states. A batch of at least ``_THREADED_ROWS`` rows scans them, and runs
 their BPTT, on two threads: numpy releases the GIL in its calls, so a
-second core takes half the work. Each direction writes only its own arrays
-but ``dX``, which both add into under a lock; each cell of it receives
-exactly two terms on a zero, so the sum is the same bit for bit in either
-order, and the results equal the one-thread pass's. Greedy decoding sends
-one row at a time and stays on one thread.
+second core takes half the work. Each direction writes only its own arrays,
+its own ``dX`` too; the two are summed once both finish, so the results
+equal the one-thread pass's bit for bit. Greedy decoding sends one row at a
+time and stays on one thread.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
-import threading
 from dataclasses import dataclass, fields
 from itertools import chain, islice
 from pathlib import Path
@@ -173,20 +171,6 @@ def _cell_step(xw, h, c, cell: dict[str, np.ndarray]):
     return xw, tanh_c
 
 
-def _validate_ids(ids: np.ndarray, cfg: BiLstmConfig) -> np.ndarray:
-    """The live-cell mask of padded ids, whose calls `_refuse_ids` checked."""
-    if ids.size == 0:
-        raise ValueError("empty sequence")
-    mask = ids != cfg.pad_id
-    if not mask.any(axis=1).all():
-        raise ValueError("all-pad input")
-    # pads are only allowed as a left prefix
-    started = np.maximum.accumulate(mask, axis=1)
-    if np.any(started & ~mask):
-        raise ValueError("padding may only appear as a left prefix")
-    return mask
-
-
 # Rows at which a batch's two directions run on two threads. Full
 # two-direction scans on triage prefixes, threaded against sequential, on a
 # 2-core machine with one BLAS thread (time ratios):
@@ -236,13 +220,13 @@ def _scan(params, direction, X, active, keep_steps: bool, state=None, table=None
     return (h, c), steps
 
 
-def _scan_backward(params, direction, steps, X, d_final_h, dX, dX_lock, grads):
+def _scan_backward(params, direction, steps, X, d_final_h, dX, grads):
     """Backpropagate one direction over the live rows of each step;
-    accumulates into its own grads and, under dX_lock, into dX. Each step
-    builds da, the (n,4H) gradient of the live rows' gate pre-activations,
-    in the gate order of the fused weights, and writes the live rows' dh and
-    dc in place; the other rows keep theirs. Consumes steps, last first, so
-    each step's activations are freed once they are used."""
+    accumulates into its own grads and its own dX. Each step builds da, the
+    (n,4H) gradient of the live rows' gate pre-activations, in the gate order
+    of the fused weights, and writes the live rows' dh and dc in place; the
+    other rows keep theirs. Consumes steps, last first, so each step's
+    activations are freed once they are used."""
     W, U = params[f"{direction}.W"], params[f"{direction}.U"]
     gW, gU, gb = (grads[f"{direction}.{m}"] for m in "WUb")
     H = d_final_h.shape[1]
@@ -264,9 +248,7 @@ def _scan_backward(params, direction, steps, X, d_final_h, dX, dX_lock, grads):
         gW += x.T @ da
         gU += h_prev.T @ da
         gb += da.sum(axis=0)
-        dx = da @ W.T
-        with dX_lock:
-            dX[:n, t] += dx
+        dX[:n, t] += da @ W.T
         dh[:n], dc[:n] = da @ U.T, dc_new * f
 
 
@@ -298,9 +280,8 @@ def _forward_batch(model: BiLstmModel, ids: np.ndarray, dropout_seed: int | None
     returned is in the caller's row order but the cache, whose `order`
     maps sorted rows back to the caller's."""
     cfg = model.config
-    mask = _validate_ids(ids, cfg)
     params = model.params
-    order, active = _length_order(mask)
+    order, active = _length_order(ids != cfg.pad_id)
     X, drop = ids[order], None
     dropout = dropout_seed is not None and cfg.dropout_rate > 0.0
     if dropout or want_cache:  # the step inputs are X[:, t] @ W
@@ -311,8 +292,8 @@ def _forward_batch(model: BiLstmModel, ids: np.ndarray, dropout_seed: int | None
         rng = np.random.default_rng(dropout_seed)
         keep = 1.0 - cfg.dropout_rate
         # drawn in the caller's row order, so each sample keeps its mask
-        drop = (rng.random(X.shape) < keep).astype(np.float64)[order] / keep
-        X = X * drop
+        drop = (rng.random(X.shape) < keep)[order]
+        X = X * (drop / keep)
     if state is not None:  # the scan's own copy, in its row order
         state = tuple(a[order] for a in state)
     new = slice(None) if state is None else slice(-1, None)
@@ -351,6 +332,8 @@ def _batches(samples, cfg: BiLstmConfig, size: int | None):
         targets = np.array([y for _, y in part], dtype=np.int64)
         _refuse_ids(targets, cfg, "next call id")
         prefixes = [p[-cfg.max_prefix_len:] for p, _ in part]
+        if 0 in map(len, prefixes):
+            raise ValueError("empty sequence")
         ids = np.full((len(part), max(map(len, prefixes))), cfg.pad_id, dtype=np.int64)
         for r, p in enumerate(prefixes):
             ids[r, ids.shape[1] - len(p):] = p
@@ -398,12 +381,13 @@ def loss_and_grads(model: BiLstmModel, samples, dropout_seed: int | None = None)
     dfeat, ids = dfeat[order], ids[order]
     H = cfg.hidden
     X = cache["X"]
-    dX, lock = np.zeros_like(X), threading.Lock()
-    _directions(_scan_backward,
-                (params, "fw", cache["steps_f"], X, dfeat[:, :H], dX, lock, grads),
-                (params, "bw", cache["steps_b"], X, dfeat[:, H:], dX, lock, grads), B)
+    dX, dX_b = np.zeros_like(X), np.zeros_like(X)
+    _directions(_scan_backward, (params, "fw", cache["steps_f"], X, dfeat[:, :H], dX, grads),
+                (params, "bw", cache["steps_b"], X, dfeat[:, H:], dX_b, grads), B)
+    dX += dX_b
+    del dX_b
     if cache["drop"] is not None:
-        dX = dX * cache["drop"]
+        dX *= cache["drop"] / (1.0 - cfg.dropout_rate)
     np.add.at(grads["emb"], ids, dX)
     return loss, grads
 
@@ -484,6 +468,8 @@ def _greedy(model: BiLstmModel, sequence):
     """Yield each greedy step's id and distribution; see predict_next_k."""
     window = model.config.max_prefix_len
     seq = [int(c) for c in sequence]
+    if not seq:
+        raise ValueError("empty sequence")
     _refuse_ids(np.array(seq), model.config)  # ids past int64 go in as objects, refused alike
     state, tables = None, _tables(model.params)
     while True:

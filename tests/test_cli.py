@@ -308,17 +308,28 @@ class TestValidation:
                    "--out", tmp_path / "p.csv") == 1
         assert f"line {len(lines) + 1}: duplicate entry" in capsys.readouterr().err
 
-    def test_evaluate_detect_score_count_mismatch_exits_one(self, tmp_path, capsys):
-        pred = tmp_path / "pred.csv"
-        pred.write_text("row,label,score\n0,1,0.9\n1,0,0.2\n")
-        truth = tmp_path / "truth.txt"
-        truth.write_text("1\n0\n")
-        scores = tmp_path / "scores.txt"
-        scores.write_text("0.9\n0.2\n0.4\n")
+    @pytest.mark.parametrize("task, pred, truth, scores, refusal", [
+        ("detect", "row,label,score\n0,1,0.9\n1,0,0.2\n", "1\n0\n", "0.9\n0.2\n0.4\n",
+         "{scores} has 3 scores but {truth} has 2 truths"),
+        ("detect", "row,label,score\n0,1,0.9\n1,0,0.2\n", "1\n0\n1\n0\n1\n", None,
+         "{pred} has 2 predictions but {truth} has 5 truths"),
+        ("next-call", "1\n0\n", "1\n0\n2\n", None,
+         "{pred} has 2 predictions but {truth} has 3 truths"),
+        ("next-call", "1\n0\n", "1\n0\n", "0.5,0.5\n0.5,0.5\n1,0\n",
+         "{scores} has 3 scores but {truth} has 2 truths"),
+    ], ids=["detect-scores", "detect-pred", "next-call-pred", "next-call-scores"])
+    def test_evaluate_count_mismatch_names_both_files_and_exits_one(
+            self, tmp_path, capsys, task, pred, truth, scores, refusal):
+        paths = {"pred": tmp_path / "pred.txt", "truth": tmp_path / "truth.txt",
+                 "scores": tmp_path / "scores.txt"}
+        argv = ["evaluate", "--task", task]
+        for name, text in (("pred", pred), ("truth", truth), ("scores", scores)):
+            if text is not None:
+                paths[name].write_text(text)
+                argv += [f"--{name}", paths[name]]
         out = tmp_path / "report.json"
-        assert run("evaluate", "--task", "detect", "--pred", pred, "--truth", truth,
-                   "--scores", scores, "--out", out) == 1
-        assert "3 scores" in capsys.readouterr().err
+        assert run(*argv, "--out", out) == 1
+        assert refusal.format(**paths) in capsys.readouterr().err
         assert not out.exists()
 
     def test_truncated_sequence_model_header_exits_one(self, tmp_path, capsys):

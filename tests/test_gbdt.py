@@ -510,6 +510,8 @@ l 0.40000000000000002
 V1_DETECTOR = ("apisentry-detector v1\ncombine mean\nthreshold 0.5\nn_features 2\n"
                "vocab_ref vocab.tsv\nmembers 3\n"
                + "".join(V1_MEMBER.format(i=i, seed=42 + i) for i in range(3)))
+# v2 is v1 without the seed lines
+V2_DETECTOR = re.sub(r"seed \d+\n", "", V1_DETECTOR.replace(" v1\n", " v2\n", 1))
 
 
 class TestPersistence:
@@ -518,11 +520,20 @@ class TestPersistence:
         path.write_text(V1_DETECTOR)
         with pytest.raises(ValueError, match="line 1: not an 'apisentry-detector v2' file$"):
             load_detector(path)
-        # v2 is v1 without the seed lines
-        v2 = re.sub(r"seed \d+\n", "", V1_DETECTOR.replace(" v1\n", " v2\n", 1))
-        path.write_text(v2)
+        path.write_text(V2_DETECTOR)
         save_detector(load_detector(path), tmp_path / "v2.det")
-        assert (tmp_path / "v2.det").read_text() == v2
+        assert (tmp_path / "v2.det").read_text() == V2_DETECTOR
+
+    @pytest.mark.parametrize("line, bad, want", [("member 1", "member 7", "member 1"),
+                                                 ("tree 0 3", "tree 99 3", "tree 0")])
+    def test_an_index_off_its_position_is_refused_at_its_line(self, tmp_path, line, bad, want):
+        lines = V2_DETECTOR.splitlines()
+        at = lines.index(line)
+        lines[at] = bad
+        path = tmp_path / "bad.det"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line {at + 1}: expected {want}$"):
+            load_detector(path)
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(17)

@@ -238,16 +238,6 @@ class TestForward:
         probs = distribution(model, [1, 2])
         assert np.allclose(probs, 1.0 / TINY.vocab_size, atol=1e-15)
 
-    def test_all_pad_rejected(self):
-        model = init_model(TINY)
-        with pytest.raises(ValueError, match="all-pad"):
-            distribution(model, [TINY.pad_id, TINY.pad_id])
-
-    def test_pad_only_as_left_prefix(self):
-        model = init_model(TINY)
-        with pytest.raises(ValueError, match="left prefix"):
-            distribution(model, [1, TINY.pad_id, 2])
-
     @settings(max_examples=60, deadline=None)
     @given(vocab=st.integers(2, 8), embed=st.integers(1, 4), hidden=st.integers(1, 5),
            seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -312,6 +302,12 @@ class TestSampleChecks:
     def test_no_samples_is_refused_alike(self, fn):
         with pytest.raises(ValueError, match="^no samples$"):
             fn(init_model(TINY), iter([]))
+
+    @pytest.mark.parametrize("fn", [batch_loss, loss_and_grads, predict_distributions])
+    def test_an_empty_prefix_among_others_is_refused_alike(self, fn):
+        samples = tiny_batch() + [PrefixSample(prefix=(), next=1)]
+        with pytest.raises(ValueError, match="^empty sequence$"):
+            fn(init_model(TINY), samples)
 
     @pytest.mark.parametrize("target", [-1, TINY.vocab_size])
     def test_out_of_range_next_call_is_refused(self, target):
@@ -712,7 +708,7 @@ class TestTwoThreads:
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(seqmodel.threading, "Thread", Counted)
+        monkeypatch.setattr(threading, "Thread", Counted)
         default = self.outputs(model, samples)
         # two in loss_and_grads, one in each other call
         assert len(started) == (5 if rows >= THREADED else 0)
@@ -727,7 +723,7 @@ class TestTwoThreads:
         def refuse(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(seqmodel.threading, "Thread", refuse)
+        monkeypatch.setattr(threading, "Thread", refuse)
         model = random_model(self.CFG, seed=1)
         samples = uneven_samples(self.CFG, THREADED - 1, seed=1)
         loss_and_grads(model, samples, dropout_seed=3)
@@ -822,7 +818,7 @@ class TestBpttMemory:
         for direction, steps in (("fw", cache["steps_f"]), ("bw", cache["steps_b"])):
             assert steps
             seqmodel._scan_backward(model.params, direction, steps, cache["X"],
-                                    np.ones((len(ids), self.H)), dX, threading.Lock(), grads)
+                                    np.ones((len(ids), self.H)), dX, grads)
             assert steps == []
 
     def test_peak_is_the_forward_cache_and_the_gradient_tensors(self):
@@ -833,7 +829,7 @@ class TestBpttMemory:
         # per direction and live cell: the previous h and c, the four gates
         # and tanh(c'); and about 1 KB of objects to hold each step
         cache = 2 * (cells * 7 * self.H * 8 + T * 1024)
-        x_bytes = self.B * T * self.E * 8  # each of X, the dropout mask and dX
+        x_bytes = self.B * T * self.E * 8  # each of X and the two dX
         grad_bytes = 8 * sum(v.size for v in model.params.values())
         temporaries = 2 * 8 * self.B * 4 * self.H * 8  # a step's, in each direction
         loss_and_grads(model, samples, dropout_seed=4)  # first-call allocations

@@ -23,7 +23,6 @@ from apisentry.seqmodel import (
     _cell_step,
     _forward_batch,
     _gates,
-    _validate_ids,
     init_model,
     loss_and_grads,
 )
@@ -81,7 +80,7 @@ def reference_forward_batch(model, ids, dropout_seed, state=None, tables=False):
     dropout reads its step inputs from (emb @ W)[ids], as the packed pass
     without dropout or cache does."""
     cfg = model.config
-    mask = _validate_ids(ids, cfg)
+    mask = ids != cfg.pad_id
     params = model.params
     X = params["emb"][ids]
     drop = None
