@@ -9,17 +9,18 @@ its rows' weighted sums and a split's gain is
     0.5 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)) - gamma.
 
 Splits are found by exact greedy search over the sorted unique values of
-every feature: each (feature, distinct value) pair, 0.0 included, is coded
-once as a global bin, and a node's candidate splits are scored from per-bin
-histograms of w*g, w*h and w, which is equivalent to scanning the sorted
-column but shares work across features. Thresholds are midpoints between
-adjacent distinct values, or the lower value where the midpoint rounds onto
-the upper one; samples with value <= threshold go left, so feature values
-must be finite. Training routes a split node's rows by bin, from the entries
-its histograms were built from: a column's bins ascend with its values, so
-the same rows go left as in prediction. Ties are broken toward the lowest
-feature index, then the lowest threshold, so training is deterministic. A
-gain within a few ulps of the parent term is rounding and makes no split.
+every feature: columns equal on the training rows are coded once, as the
+lowest of them, each (column, distinct value) pair, 0.0 included, is one
+global bin, and a node's candidate splits are scored from per-bin histograms
+of w*g, w*h and w, as a scan of each sorted column would. Thresholds are
+midpoints between adjacent distinct values, or the lower value where the
+midpoint rounds onto the upper one; samples with value <= threshold go left,
+so feature values must be finite. Training routes a split node's rows by
+bin, from the entries its histograms were built from: a column's bins ascend
+with its values, so the same rows go left as in prediction. Ties go to the
+lowest coded column, then the lowest threshold, so training is deterministic;
+columns that differ but split a node alike may tie up to rounding either
+way. A gain within a few ulps of the parent term is rounding: no split.
 Growth skips work whose answer is known: a node is a leaf, with no histogram
 built and no split scanned, if its hessian sum is below twice
 min_child_hessian (less a few ulps), so no two children are both
@@ -131,35 +132,57 @@ def as_feature_matrix(X, dim: int | None = None) -> CsrMatrix:
     return X
 
 
+def _distinct(tags, indptr: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's number among the distinct ones, in order of first
+    appearance, and the first of each; segment i is tags[i] and the bytes of
+    indptr[i]:indptr[i + 1] in every array."""
+    keys: dict = {}
+    blobs = [(a.tobytes(), a.itemsize) for a in arrays]
+    spans = zip(tags, indptr[:-1].tolist(), indptr[1:].tolist())
+    inverse = np.array([keys.setdefault((tag, *(b[n * s:n * e] for b, n in blobs)), len(keys))
+                        for tag, s, e in spans], np.int64)
+    return inverse, np.unique(inverse, return_index=True)[1]
+
+
 class _CodedMatrix:
     """Global bin coding of a feature matrix for exact greedy splits.
 
-    Each (column, distinct value) pair, 0.0 included, is one bin; bins run
-    column by column, values ascending. `values[b]` is bin b's value,
-    `column[b]` its column, `offsets[j]` column j's first bin and `zero_bin[j]`
-    its bin for 0.0, which also holds the implicit and the stored zeros.
-    `coded` holds every other entry's bin.
+    Columns equal in their stored rows and values share one coded column c,
+    named by the lowest of them, `features[c]`. Each (coded column, distinct
+    value) pair, 0.0 included, is one bin; bins run coded column by coded
+    column, values ascending. `values[b]` is bin b's value, `column[b]` its
+    coded column, `offsets[c]` c's first bin and `zero_bin[c]` its bin for
+    0.0, which also holds the implicit and the stored zeros. `coded` holds
+    every other entry's bin, in the coded columns.
     """
 
     def __init__(self, X: CsrMatrix):
-        kept = X.data != 0
-        indptr = np.concatenate([[0], np.cumsum(kept)])[X.indptr]
-        nnz, (self.n, self.n_features) = int(indptr[-1]), X.shape
+        self.n, self.n_features = X.shape
         if not self.n_features:
             raise ValueError("empty feature space")
-        # every kept entry, then one 0.0 per column
-        cols = np.concatenate([X.indices[kept], np.arange(self.n_features)])
-        vals = np.concatenate([X.data[kept], np.zeros(self.n_features)])
+        kept = X.data != 0
+        rows = np.repeat(np.arange(self.n), np.diff(X.indptr))[kept]
+        cols, vals = X.indices[kept], X.data[kept]
+        by_col = np.argsort(cols, kind="stable")  # each column's entries, rows ascending
+        col_ptr = np.searchsorted(cols[by_col], np.arange(self.n_features + 1))
+        group, self.features = _distinct([0] * self.n_features, col_ptr, rows[by_col],
+                                         vals[by_col])
+        kept[kept] = self.features[group[cols]] == cols  # entries of the lowest columns
+        indptr = np.concatenate([[0], np.cumsum(kept)])[X.indptr]
+        nnz, n_coded, coded_cols = int(indptr[-1]), len(self.features), group[X.indices[kept]]
+        # every kept entry, then one 0.0 per coded column
+        cols = np.concatenate([coded_cols, np.arange(n_coded)])
+        vals = np.concatenate([X.data[kept], np.zeros(n_coded)])
         order = np.lexsort((vals, cols))
         cols, vals = cols[order], vals[order]
         starts = np.append(True, (cols[1:] != cols[:-1]) | (vals[1:] != vals[:-1]))
         bins = np.empty(len(order), dtype=np.int64)
         bins[order] = np.cumsum(starts) - 1
         self.values, self.column = vals[starts], cols[starts]
-        self.offsets = np.searchsorted(self.column, np.arange(self.n_features + 1))
+        self.offsets = np.searchsorted(self.column, np.arange(n_coded + 1))
         self.n_bins = len(self.values)
         self.zero_bin = bins[nnz:]
-        self.coded = CsrMatrix(bins[:nnz], X.indices[kept], indptr, X.shape)
+        self.coded = CsrMatrix(bins[:nnz], coded_cols, indptr, (self.n, n_coded))
 
     def histograms(self, sub: CsrMatrix, *per_row: np.ndarray) -> list[np.ndarray]:
         """Per-bin sums of each array of per-row values over `sub`, a gather
@@ -172,7 +195,7 @@ class _CodedMatrix:
             # bincount yields int64 on empty input regardless of the weights dtype
             hist = np.bincount(sub.data, weights=rep, minlength=self.n_bins).astype(np.float64)
             hist[self.zero_bin] += v.sum() - np.bincount(sub.indices, weights=rep,
-                                                         minlength=self.n_features)
+                                                         minlength=len(self.features))
             sums.append(hist)
         return sums
 
@@ -186,14 +209,15 @@ def _segment_cumsum(flat: np.ndarray, coded: _CodedMatrix) -> np.ndarray:
 
 def _best_split(coded: _CodedMatrix, hist_g, hist_h, left_n,
                 total_g, total_h, n_node, cfg: GbdtConfig):
-    """Scan every candidate split at once; returns (feature, bin, gain) or
+    """Scan every candidate split at once; returns (coded column, bin, gain) or
     None if no candidate has admissible child hessians and a gain above the
     rounding of the parent term. `left_n` is the node's weighted per-bin
     counts, cumulated by _segment_cumsum, and n_node their total.
 
-    Ties resolve to the lowest feature index, then the lowest threshold,
-    because bins are ordered by (feature, value) and argmax takes the first
-    maximum.
+    Ties resolve to the lowest coded column, then the lowest threshold,
+    because bins are ordered by (coded column, value) and argmax takes the
+    first maximum; columns that differ but split the node alike may have
+    gains apart in their last bits.
     """
     lam = cfg.reg_lambda
     left_g = _segment_cumsum(hist_g, coded)
@@ -254,7 +278,7 @@ def _grow_tree(coded: _CodedMatrix, g: np.ndarray, h: np.ndarray, w: np.ndarray,
             row_weight[rows] = leaf
             continue
         j, b, best_gain = split
-        # the next bin of column j that holds a row of the node
+        # the next bin of coded column j that holds a row of the node
         nxt = b + 1 + int(np.flatnonzero(left_n[b + 1:coded.offsets[j + 1]] > left_n[b])[0])
         thr = 0.5 * (coded.values[b] + coded.values[nxt])
         if thr == coded.values[nxt]:  # the midpoint rounded up: only values[b] separates
@@ -263,7 +287,7 @@ def _grow_tree(coded: _CodedMatrix, g: np.ndarray, h: np.ndarray, w: np.ndarray,
         go_left = np.full(len(rows), coded.zero_bin[j] <= b)
         at = np.flatnonzero(sub.indices == j)
         go_left[np.searchsorted(sub.indptr, at, side="right") - 1] = sub.data[at] <= b
-        nodes[node] = [j, thr, len(nodes), len(nodes) + 1, 0.0, best_gain]
+        nodes[node] = [coded.features[j], thr, len(nodes), len(nodes) + 1, 0.0, best_gain]
         stack.append((len(nodes) + 1, rows[~go_left], depth + 1))
         stack.append((len(nodes), rows[go_left], depth + 1))
         nodes += [None, None]
@@ -447,11 +471,7 @@ def train_bagged(X, y, configs: list[GbdtConfig] | None = None, seed: int = 42,
     Xc = as_feature_matrix(X)  # refuses a non-finite entry before resampling moves its row
     y = _binary_labels(y, Xc.shape[0])  # and a bad label before resampling drops it
     # each row's index among the distinct (label, stored columns, values) in order
-    keys: dict = {}
-    inverse = np.array([keys.setdefault((label, Xc.indices[s:e].tobytes(),
-                                         Xc.data[s:e].tobytes()), len(keys))
-                        for label, s, e in zip(y, Xc.indptr[:-1], Xc.indptr[1:])], np.int64)
-    first = np.unique(inverse, return_index=True)[1]
+    inverse, first = _distinct(y, Xc.indptr, Xc.indices, Xc.data)
     coded, n, members = _CodedMatrix(Xc.take(first)), Xc.shape[0], []
     for i, cfg in enumerate(configs):
         picks = (np.random.default_rng(seed + i).integers(0, n, size=n) if bootstrap

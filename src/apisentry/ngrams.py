@@ -8,15 +8,17 @@ and is immutable afterwards; out-of-vocabulary n-grams are dropped.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, LabeledTrace, _LineReader, _float, _int, _parse_label
+from .corpus import (Corpus, CorpusError, LabeledTrace, _LineReader, _float, _int, _loadtxt,
+                     _parse_label)
 
 NGram = tuple[int, ...]
 
@@ -243,76 +245,108 @@ def save_vocabulary(vocab: NGramVocabulary, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+_VOCAB_HEAD = ("#built_from=", "#min_count=")
+_VOCAB_ROW = "expected a column, 2 or 3 call ids and a count, each a 64-bit integer"
+
+
+def _vocabulary(lines: list[str]) -> NGramVocabulary:
+    """The vocabulary a file's lines hold, its n-gram lines read as one table
+    of integers; raises ValueError if any line breaks a rule."""
+    head = [line.partition("=")[::2] for line in lines if line.startswith(_VOCAB_HEAD)]
+    min_count = [1] + [_int(value) for key, value in head if key == "#min_count"]
+    data = [line for line in lines if line.strip() and not line.startswith(_VOCAB_HEAD)]
+    if any(line.count("\t") != 2 for line in data):
+        raise ValueError("expected 3 tab-separated fields")
+    fields = "\n".join(data).split("\t")  # each line's 3 fields in turn
+    commas = np.array([ids.count(",") for ids in fields[1::2]], np.int64)
+    # a 2-gram's third id is -1: each row is 5 wide, wider with a comma outside its ids
+    fields[1::2] = [ids + ",-1" * (n == 1) for ids, n in zip(fields[1::2], commas.tolist())]
+    table = _loadtxt(",".join(fields).split("\n")[:len(data)], 5, np.int64, ",")
+    if table is None or not np.isin(commas, (1, 2)).all():
+        raise ValueError(_VOCAB_ROW)
+    three, index = commas == 2, {}
+    grams = [g if t else g[:2] for g, t in zip(map(tuple, table[:, 1:4].tolist()), three.tolist())]
+    for bad, rule in [((table[:, 1:3] < 0).any(axis=1) | three & (table[:, 3] < 0),
+                       "call id outside 0..2**63-1 in {ids}"),
+                      (table[:, 0] != np.arange(len(table)), "column indices must be dense and ordered"),
+                      ([index.setdefault(g, k) != k for k, g in enumerate(grams)],
+                       "duplicate n-gram {gram}"),
+                      (table[:, 4] < 1, "count {count} below 1")]:
+        for k in np.flatnonzero(bad)[:1]:
+            raise ValueError(rule.format(ids=data[k].split("\t")[1], gram=grams[k],
+                                         count=table[k, 4]))
+    built_from = [""] + [value for key, value in head if key == "#built_from"]
+    return NGramVocabulary(index, tuple(table[:, 4].tolist()), built_from[-1], min_count[-1])
+
+
+def _refuses(lines: list[str]) -> bool:
+    try:
+        _vocabulary(lines)
+    except ValueError:
+        return True
+    return False
+
+
 def load_vocabulary(path: str | Path) -> NGramVocabulary:
-    built_from, min_count = "", 1
-    index: dict[NGram, int] = {}
-    counts: list[int] = []
+    """Read a vocabulary file whole. One that breaks a rule is refused at the
+    first line that breaks one with the lines before it, found by bisection."""
     with _LineReader(path) as reader:
-        for line in reader:
-            if line.startswith("#built_from="):
-                built_from = line[len("#built_from="):]
-            elif line.startswith("#min_count="):
-                min_count = _int(line[len("#min_count="):])
-            elif line.strip():
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError("expected 3 tab-separated fields")
-                col, count = _int(parts[0]), _int(parts[2])
-                ng = tuple(map(_int, parts[1].split(",")))
-                if len(ng) not in (2, 3):
-                    raise ValueError("n-gram must have 2 or 3 ids")
-                if not all(0 <= i < 2**63 for i in ng):
-                    raise ValueError(f"call id outside 0..2**63-1 in {parts[1]}")
-                if col != len(counts):
-                    raise ValueError("column indices must be dense and ordered")
-                if ng in index:
-                    raise ValueError(f"duplicate n-gram {ng}")
-                if count < 1:
-                    raise ValueError(f"count {count} below 1")
-                index[ng] = col
-                counts.append(count)
-    return NGramVocabulary(index=index, counts=tuple(counts),
-                           built_from=built_from, min_count=min_count)
+        try:
+            return _vocabulary(reader.lines)
+        except ValueError:
+            lines = reader.lines
+            reader.pos = 1 + bisect_left(range(len(lines)), True,
+                                         key=lambda k: _refuses(lines[:k + 1]))
+            _vocabulary(lines[:reader.pos])
+
+
+_MATRIX_TAG = "apisentry-matrix v2"
 
 
 def save_matrix(matrix: CsrMatrix, path: str | Path) -> None:
-    """Write a count matrix as 'row,col,count' triplets, row by row, under a
-    'rows,cols' header. Every stored value must be a non-negative integer
-    below 2**63, so load_matrix reads back what was written."""
+    """Write a count matrix: the tag, `shape R C`, `nnz N` and `payload
+    <bytes>` lines, then indptr, indices and counts as raw little-endian
+    int64. Every count must be an integer in [0, 2**63), so load_matrix
+    reads back what was written."""
     data = matrix.data
     matrix.refuse((data >= 0) & (data < 2.0 ** 63) & (np.floor(data) == data),
                   "counts must be integers in [0, 2**63)")
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    lines = [f"{matrix.shape[0]},{matrix.shape[1]}"] + _format_rows("%d,%d,%d", zip(
-        rows.tolist(), matrix.indices.tolist(), data.astype(np.int64).tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    arrays = [np.ascontiguousarray(a, "<i8") for a in (matrix.indptr, matrix.indices, data)]
+    header = [_MATRIX_TAG, "shape %d %d" % matrix.shape, f"nnz {matrix.nnz}",
+              f"payload {sum(a.nbytes for a in arrays)}\n"]
+    Path(path).write_bytes("\n".join(header).encode("utf-8") + b"".join(arrays))
 
 
 def load_matrix(path: str | Path) -> CsrMatrix:
-    """Read a matrix save_matrix wrote, its lines in any order. Each (row, col)
-    appears at most once, inside the header's shape, with a count in
-    [0, 2**63)."""
-    with _LineReader(path) as reader:
-        try:
-            n_rows, n_cols = map(_int, reader.next().split(","))
-            if min(n_rows, n_cols) < 0:
-                raise ValueError
-        except ValueError:
-            raise ValueError("expected a 'rows,cols' header") from None
-        rows, cols, counts = reader.table(3, np.int64, ",", what="'row,col,count'").T
-        reader.refuse((rows >= 0) & (rows < n_rows) & (cols >= 0) & (cols < n_cols),
-                      "entry ({},{}) outside the %dx%d shape" % (n_rows, n_cols))
-        reader.refuse(counts >= 0, "negative count {2}")
-        order = np.lexsort((cols, rows))  # stable: a repeated cell's first line comes first
-        try:
-            indptr = np.searchsorted(rows[order], np.arange(n_rows + 1))
-        except (MemoryError, OverflowError, ValueError):
-            reader.pos = 1
-            raise ValueError(f"cannot allocate the {n_rows}x{n_cols} shape") from None
-        first = np.ones(len(order), bool)
-        first[order[1:][(np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)]] = False
-        reader.refuse(first, "duplicate entry ({},{})")
-    return CsrMatrix(counts[order].astype(np.float64), cols[order], indptr, (n_rows, n_cols))
+    """A matrix save_matrix wrote. Its payload is read only once the header
+    claims its arrays' size; indptr must then rise from 0 to nnz, each row's
+    columns ascend inside the shape and each count be >= 0."""
+    with open(path, "rb") as f, _LineReader(path, b"".join(islice(f, 4))) as reader:
+        if reader.next() != _MATRIX_TAG:
+            raise ValueError(f"not an {_MATRIX_TAG!r} file")
+        shape = tuple(map(_int, reader.field("shape").split()))
+        if len(shape) != 2 or min(shape) < 0:
+            raise ValueError(f"expected two sizes >= 0, got {shape}")
+        nnz = _int(reader.field("nnz"))
+        if nnz < 0:
+            raise ValueError(f"nnz {nnz} below 0")
+        size, claimed = 8 * (shape[0] + 1 + 2 * nnz), _int(reader.field("payload"))
+        if claimed != size:
+            raise ValueError(f"the arrays take {size} bytes, not {claimed}")
+        payload, reader.pos = f.read(), 0  # what follows is about the payload as a whole
+        if len(payload) != size:
+            raise ValueError(f"the payload holds {len(payload)} bytes, not {size}")
+        indptr, indices, counts = np.split(np.frombuffer(payload, "<i8"),
+                                           [shape[0] + 1, shape[0] + 1 + nnz])
+        if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
+            raise ValueError(f"indptr must rise from 0 to {nnz}")
+        matrix = CsrMatrix(counts, indices, indptr, shape)
+        rising = np.diff(indices, prepend=-1) > 0
+        rising[indptr[:-1][np.diff(indptr) > 0]] = True  # a row's first column
+        matrix.refuse(rising & (indices >= 0) & (indices < shape[1]),
+                      f"columns must ascend within a row, in 0..{shape[1] - 1}")
+        matrix.refuse(counts >= 0, "counts must be >= 0")
+    return CsrMatrix(counts.astype(np.float64), indices, indptr, shape)
 
 
 def save_labels(labels, path: str | Path) -> None:

@@ -1,6 +1,9 @@
 """Conversions between dense arrays, scipy matrices and the package's
-CsrMatrix, for tests. scipy is a test dependency only: an oracle, and a
-short way to write a matrix down."""
+CsrMatrix, and count matrix files spelled out byte by byte, for tests.
+scipy is a test dependency only: an oracle, and a short way to write a
+matrix down."""
+
+import struct
 
 import numpy as np
 from scipy import sparse
@@ -20,3 +23,15 @@ def csr(X) -> CsrMatrix:
 def to_scipy(X: CsrMatrix) -> sparse.csr_matrix:
     """The scipy matrix of a CsrMatrix, sharing its arrays."""
     return sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+
+
+def mat_bytes(shape, indptr, indices, counts, nnz=None, payload=None) -> bytes:
+    """An `apisentry-matrix v2` file spelled out with struct: its header
+    claims nnz (len(indices) if None) and payload bytes (the arrays' size
+    if None), then indptr, indices and counts follow as little-endian int64."""
+    values = [*indptr, *indices, *counts]
+    body = struct.pack(f"<{len(values)}q", *values)
+    nnz = len(indices) if nnz is None else nnz
+    payload = len(body) if payload is None else payload
+    head = f"apisentry-matrix v2\nshape {shape[0]} {shape[1]}\nnnz {nnz}\npayload {payload}\n"
+    return head.encode() + body

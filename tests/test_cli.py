@@ -3,11 +3,12 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from matrices import csr
+from matrices import csr, mat_bytes, to_scipy
 from test_seqmodel import model_file, write_model_file
 
 import apisentry
@@ -16,7 +17,7 @@ from apisentry.cli import main
 from apisentry.data import demo_corpus_path, generate_demo_corpus
 from apisentry.gbdt import GbdtConfig, save_detector, train_bagged
 from apisentry.metrics import RareLabel
-from apisentry.ngrams import save_matrix
+from apisentry.ngrams import CsrMatrix, load_matrix, save_matrix
 from apisentry.seqmodel import BiLstmConfig, init_model, save_model
 
 
@@ -48,6 +49,7 @@ def test_cli_import_leaves_scipy_stats_out():
 
 WITHOUT_SCIPY = """
 import sys
+import tracemalloc
 from pathlib import Path
 
 
@@ -146,12 +148,14 @@ class TestPipeline:
     def test_stored_zero_lines_change_no_output(self, demo, tmp_path):
         paths = detector_pipeline(tmp_path, demo)
         for name in ("train_mat", "test_mat"):  # a 0 in each row's first empty cell
-            lines = paths[name].read_text().splitlines()
-            cells = {tuple(map(int, ln.split(",")[:2])) for ln in lines[1:]}
-            n_rows, n_cols = map(int, lines[0].split(","))
-            zeros = [f"{r},{min(set(range(n_cols)) - {c for q, c in cells if q == r})},0"
-                     for r in range(n_rows)]
-            (tmp_path / f"{name}.zeros").write_text("\n".join(lines[:1] + zeros + lines[1:]))
+            m = load_matrix(paths[name])
+            rows = np.concatenate([np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)),
+                                   np.arange(m.shape[0])])
+            cols = np.concatenate([m.indices, (to_scipy(m).toarray() == 0).argmax(axis=1)])
+            order = np.lexsort((cols, rows))
+            zeros = CsrMatrix(np.append(m.data, np.zeros(m.shape[0]))[order], cols[order],
+                              np.searchsorted(rows[order], np.arange(m.shape[0] + 1)), m.shape)
+            save_matrix(zeros, tmp_path / f"{name}.zeros")
         model, preds = tmp_path / "zeros.det", tmp_path / "zeros.csv"
         assert run("train-detector", "--train", tmp_path / "train_mat.zeros",
                    "--labels", paths["train_labels"], "--out", model,
@@ -299,14 +303,25 @@ class TestValidation:
     def test_version_flag(self, capsys):
         assert run("--version") == 0
 
-    def test_duplicate_matrix_triplet_exits_one(self, demo, tmp_path, capsys):
+    def test_repeated_matrix_column_exits_one(self, demo, tmp_path, capsys):
         paths = detector_pipeline(tmp_path, demo)
-        bad = tmp_path / "dup.mat"
-        lines = paths["test_mat"].read_text().splitlines()
-        bad.write_text("\n".join(lines + [lines[1]]) + "\n")
+        m, bad = load_matrix(paths["test_mat"]), tmp_path / "dup.mat"
+        row = int(np.flatnonzero(np.diff(m.indptr) >= 2)[0])
+        indices = m.indices.copy()
+        indices[m.indptr[row] + 1] = indices[m.indptr[row]]
+        bad.write_bytes(mat_bytes(m.shape, m.indptr, indices, m.data.astype(np.int64)))
         assert run("detect", "--model", paths["model"], "--in", bad,
                    "--out", tmp_path / "p.csv") == 1
-        assert f"line {len(lines) + 1}: duplicate entry" in capsys.readouterr().err
+        assert (f"{bad}: entry ({row},{indices[m.indptr[row]]}) holds "
+                f"{int(m.data[m.indptr[row] + 1])}; columns must ascend") in capsys.readouterr().err
+
+    def test_text_matrix_exits_one_naming_the_tag(self, tmp_path, capsys):
+        matrix, labels = tmp_path / "x.mat", tmp_path / "y.labels"
+        matrix.write_text("2,2\n0,1,1\n1,0,2\n")
+        labels.write_text("0\n1\n")
+        assert run("train-detector", "--train", matrix, "--labels", labels,
+                   "--out", tmp_path / "m.det") == 1
+        assert f"{matrix}: line 1: not an 'apisentry-matrix v2' file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("task, pred, truth, scores, refusal", [
         ("detect", "row,label,score\n0,1,0.9\n1,0,0.2\n", "1\n0\n", "0.9\n0.2\n0.4\n",
@@ -516,11 +531,20 @@ class TestValidation:
 
     def test_matrix_header_too_large_to_allocate_exits_one(self, tmp_path, capsys):
         matrix, labels = tmp_path / "huge.mat", tmp_path / "y.labels"
-        matrix.write_text("10000000000000,3\n0,0,1\n")
+        rows = 10**11
+        matrix.write_bytes(mat_bytes((rows, 3), [0, 1], [0], [1], nnz=1,
+                                     payload=8 * (rows + 3)))
         labels.write_text("1\n")
-        assert run("train-detector", "--train", matrix, "--labels", labels,
-                   "--out", tmp_path / "m.det") == 1
-        assert f"{matrix}: line 1: cannot allocate" in capsys.readouterr().err
+        tracemalloc.start()
+        try:
+            assert run("train-detector", "--train", matrix, "--labels", labels,
+                       "--out", tmp_path / "m.det") == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert f"{matrix}: the payload holds 32 bytes, not {8 * (rows + 3)}" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("spell", OTHER_SPELLINGS)
     @pytest.mark.parametrize("prefix, index", [
@@ -616,7 +640,7 @@ MALFORMED_LINE_CASES = {
         ["evaluate", "--task", "next-call", "--pred", "p.txt", "--truth", "t.txt",
          "--scores", "s.csv"], "s.csv", 2),
     "labels token": (
-        {"x.mat": "2,2\n0,1,1\n1,0,2\n", "y.labels": "zero\n1\n"},
+        {"x.mat": mat_bytes((2, 2), [0, 1, 2], [1, 0], [1, 2]), "y.labels": "zero\n1\n"},
         ["train-detector", "--train", "x.mat", "--labels", "y.labels"], "y.labels", 1),
     "vocabulary line": (
         {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=1\nx\t1,2\t1\n"},
@@ -662,9 +686,10 @@ MALFORMED_LINE_CASES = {
     "truth id beyond 64 bits": (
         {"p.txt": "0\n1\n", "t.txt": "0\n99999999999999999999\n"},
         ["evaluate", "--task", "next-call", "--pred", "p.txt", "--truth", "t.txt"], "t.txt", 2),
-    "matrix count beyond 64 bits": (
-        {"x.mat": "2,2\n0,1,1\n1,0,99999999999999999999\n", "y.labels": "0\n1\n"},
-        ["train-detector", "--train", "x.mat", "--labels", "y.labels"], "x.mat", 3),
+    "matrix shape beyond 64 bits": (
+        {"x.mat": b"apisentry-matrix v2\nshape 99999999999999999999 2\nnnz 0\npayload 8\n",
+         "y.labels": "0\n1\n"},
+        ["train-detector", "--train", "x.mat", "--labels", "y.labels"], "x.mat", 4),
     "predictions without their header": (
         {"pred.csv": "0,1,0.9\n1,0,0.1\n2,1,0.8\n", "truth.txt": "1\n0\n"},
         ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "pred.csv", 1),
@@ -688,8 +713,8 @@ MALFORMED_LINE_CASES = {
         {"pred.csv": "row,label,score\n0,1,0.9\n1,0,nan\n", "truth.txt": "1\n0\n"},
         ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "pred.csv", 3),
     "matrix header with an underscore": (
-        {"x.mat": "1_0,2\n0,1,1\n", "y.labels": "1\n"},
-        ["train-detector", "--train", "x.mat", "--labels", "y.labels"], "x.mat", 1),
+        {"x.mat": b"apisentry-matrix v2\nshape 1_0 2\nnnz 0\npayload 88\n", "y.labels": "1\n"},
+        ["train-detector", "--train", "x.mat", "--labels", "y.labels"], "x.mat", 2),
     "corpus vocabulary header with an underscore": (
         {"c.csv": "#vocab=1_0\n1,2,3\n"}, ["ingest", "--in", "c.csv"], "c.csv", 1),
     "adapt wide call column with a non-ASCII digit": (
@@ -721,7 +746,7 @@ def test_malformed_line_exits_one_naming_file_and_line(case, tmp_path, capsys):
     files, argv, bad, line = MALFORMED_LINE_CASES[case]
     paths = {name: tmp_path / name for name in files}
     for name, text in files.items():
-        paths[name].write_text(text)
+        paths[name].write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out"
     argv = [paths.get(arg, arg) for arg in argv] + ["--out", out]
     assert run(*argv) == 1

@@ -294,6 +294,17 @@ class TestTraining:
         assert tree.feature.tolist() == [2, -1, -1]
         assert tree.threshold[0] == -1.5
 
+    def test_a_column_equal_to_a_lower_one_never_splits(self):
+        # column 39 is column 1 again; summed separately, their gains could
+        # differ in the last bits and the higher index win the tie
+        rng = np.random.default_rng(2)
+        A = rng.integers(0, 4, (30, 40)) * (rng.random((30, 40)) < 0.5).astype(float)
+        A[:, 39] = A[:, 1]
+        y = rng.integers(0, 2, 30)
+        model = train_gbdt(csr(A), y, GbdtConfig(max_depth=1, n_estimators=30))
+        features = np.concatenate([tree.feature for tree in model.trees])
+        assert 1 in features and 39 not in features
+
 
 @pytest.fixture
 def built(monkeypatch):

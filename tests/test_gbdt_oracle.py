@@ -1,7 +1,9 @@
 """Property tests: the global bin coding of the boosted trees against the
 per-column `np.unique` coding it replaced, kept here as the oracle. On random
-small CSR matrices each column's values and zero bin, each stored entry's
-bin and the weighted histograms of a random row subset must come out equal;
+small CSR matrices equal columns must share one coded column, named by the
+lowest of them, and that column's values and zero bin, each of its stored
+entries' bin and the weighted histograms of a random row subset must come
+out equal;
 and the rows training routes must be the rows prediction routes. Gain
 importance, read off the split nodes, must equal the per-member gain dicts
 that training and loading used to fill, for trained and for reloaded
@@ -132,22 +134,28 @@ def row_subset(data, n):
 @given(X=matrices(), data=st.data())
 def test_global_bins_equal_the_per_column_oracle(X, data):
     coded, ref = _CodedMatrix(X), ReferenceCoding(X)
-    assert coded.n_bins == ref.n_bins
+    # columns equal on every row share one coded column, named by the lowest
+    dense = to_scipy(X).toarray()
+    columns = [tuple(dense[:, j]) for j in range(X.shape[1])]
+    lowest = sorted({columns.index(column) for column in columns})
+    assert coded.features.tolist() == lowest
+    sizes = [len(ref.uniques[j]) for j in lowest]
+    assert coded.n_bins == sum(sizes)
     # each entry's bin + 1, so that an absent entry reads 0
     got = to_scipy(coded.coded)
     got.data = got.data + 1
-    for j in range(X.shape[1]):
-        lo, hi = coded.offsets[j], coded.offsets[j + 1]
+    for c, j in enumerate(lowest):
+        lo, hi = coded.offsets[c], coded.offsets[c + 1]
         assert np.array_equal(coded.values[lo:hi], ref.uniques[j])
-        assert coded.zero_bin[j] == lo + ref.zero_code[j]
-        dense = ref.codes[:, j].toarray().ravel()
-        want = np.where(dense > 0, dense - 1, ref.zero_code[j]) + lo
-        # every row's bin in column j: its entry's, or the zero bin
-        column = got[:, [j]].toarray().ravel()
-        assert np.array_equal(np.where(column > 0, column - 1, coded.zero_bin[j]), want)
-    # at the oracle's entry positions: stored zeros dropped
-    want = ref.codes.copy()
-    want.data = want.data + ref.offsets[want.indices]
+        assert coded.zero_bin[c] == lo + ref.zero_code[j]
+        codes = ref.codes[:, j].toarray().ravel()
+        want = np.where(codes > 0, codes - 1, ref.zero_code[j]) + lo
+        # every row's bin in coded column c: its entry's, or the zero bin
+        column = got[:, [c]].toarray().ravel()
+        assert np.array_equal(np.where(column > 0, column - 1, coded.zero_bin[c]), want)
+    # at the oracle's entry positions in the lowest columns: stored zeros dropped
+    want = ref.codes[:, lowest].tocsr()
+    want.data = want.data + np.cumsum([0] + sizes)[want.indices]
     got.sort_indices()
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, part), getattr(want, part)), part
@@ -157,6 +165,7 @@ def test_global_bins_equal_the_per_column_oracle(X, data):
     rows = row_subset(data, X.shape[0])
     for got, expect in zip(node_histograms(coded, rows, g, h, w),
                            ref.node_histograms(rows, g, h, w)):
+        expect = np.concatenate([expect[ref.offsets[j]:ref.offsets[j + 1]] for j in lowest])
         assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
 
@@ -312,9 +321,9 @@ def reference_node_histograms(coded, rows, g, h):
     hist_h = np.bincount(sub.data, weights=h_rep, minlength=coded.n_bins).astype(np.float64)
     hist_n = np.bincount(sub.data, minlength=coded.n_bins)
     cols = sub.indices
-    col_g = np.bincount(cols, weights=g_rep, minlength=coded.n_features).astype(np.float64)
-    col_h = np.bincount(cols, weights=h_rep, minlength=coded.n_features).astype(np.float64)
-    col_n = np.bincount(cols, minlength=coded.n_features)
+    col_g = np.bincount(cols, weights=g_rep, minlength=len(coded.features)).astype(np.float64)
+    col_h = np.bincount(cols, weights=h_rep, minlength=len(coded.features)).astype(np.float64)
+    col_n = np.bincount(cols, minlength=len(coded.features))
     hist_g[coded.zero_bin] += g_rows.sum() - col_g
     hist_h[coded.zero_bin] += h_rows.sum() - col_h
     hist_n[coded.zero_bin] += len(rows) - col_n
@@ -329,7 +338,7 @@ def reference_segment_cumsum(flat, offsets):
 
 def reference_best_split(coded, hist_g, hist_h, hist_n, total_g, total_h, n_node, cfg):
     """The unweighted split scan: integer counts, every cumulative sum
-    rebuilt per node through np.repeat."""
+    rebuilt per node through np.repeat. Returns the coded column."""
     lam, offsets = cfg.reg_lambda, coded.offsets
     left_g = reference_segment_cumsum(hist_g, offsets)
     left_h = reference_segment_cumsum(hist_h, offsets)
@@ -356,7 +365,8 @@ def reference_grow_tree(coded, dense, g, h, cfg):
     """Unweighted growth that scans every node: every node above max_depth
     with two rows builds its histograms and is scanned, whatever its
     hessian sum and its rows' gradients. A split routes the rows of `dense`,
-    the matrix as an array, by value, as prediction does."""
+    the matrix as an array, by the value of the lowest column of the coded
+    column it chose, as prediction does."""
     row_weight = np.zeros(coded.n)
     nodes = [None]
     stack = [(0, np.arange(coded.n), 0)]
@@ -379,8 +389,8 @@ def reference_grow_tree(coded, dense, g, h, cfg):
         thr = 0.5 * (coded.values[b] + coded.values[nxt])
         if thr == coded.values[nxt]:
             thr = coded.values[b]
-        go_left = dense[rows, j] <= thr
-        nodes[node] = [j, thr, len(nodes), len(nodes) + 1, 0.0, best_gain]
+        go_left = dense[rows, coded.features[j]] <= thr
+        nodes[node] = [coded.features[j], thr, len(nodes), len(nodes) + 1, 0.0, best_gain]
         stack.append((len(nodes) + 1, rows[~go_left], depth + 1))
         stack.append((len(nodes), rows[go_left], depth + 1))
         nodes += [None, None]

@@ -18,7 +18,7 @@ from apisentry.ngrams import (
     save_vocabulary,
     vectorize,
 )
-from matrices import csr, to_scipy
+from matrices import csr, mat_bytes, to_scipy
 
 
 def trace(calls, label=1, tid="t"):
@@ -100,7 +100,8 @@ def vocabulary_file(tmp_path, body):
 
 @pytest.mark.parametrize("body, message", [
     ("0\t1,2\t3\n1\t-1,2\t5\n", "line 3: call id outside 0..2**63-1 in -1,2"),
-    (f"0\t1,{2**63},2\t3\n", f"line 2: call id outside 0..2**63-1 in 1,{2**63},2"),
+    (f"0\t1,{2**63},2\t3\n",
+     "line 2: expected a column, 2 or 3 call ids and a count, each a 64-bit integer"),
     ("0\t1,2\t3\n1\t2,3\t0\n", "line 3: count 0 below 1"),
     ("0\t-1,2\t-5\n", "line 2: call id outside 0..2**63-1 in -1,2"),
     ("0\t1,2\t-5\n", "line 2: count -5 below 1"),
@@ -259,16 +260,15 @@ def test_a_saved_matrix_loads_back_array_by_array(tmp_path_factory, case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=count_cells(), data=st.data())
-def test_shuffled_triplets_load_as_scipy_sorts_them(tmp_path_factory, case, data):
+@given(case=count_cells())
+def test_the_arrays_of_scipy_csr_load_as_scipy_holds_them(tmp_path_factory, case):
     (n_rows, n_cols), cells, counts = case
-    lines = data.draw(st.permutations([f"{r},{c},{v}" for (r, c), v in zip(cells, counts)]))
-    path = tmp_path_factory.mktemp("m") / "m.txt"
-    path.write_text("\n".join([f"{n_rows},{n_cols}"] + lines) + "\n")
     want = sparse.coo_matrix((np.array(counts, dtype=np.float64),
                               ([r for r, _ in cells], [c for _, c in cells])),
                              shape=(n_rows, n_cols)).tocsr()
     want.sort_indices()
+    path = tmp_path_factory.mktemp("m") / "m.mat"
+    path.write_bytes(mat_bytes(want.shape, want.indptr, want.indices, want.data.astype(np.int64)))
     got = load_matrix(path)
     assert got.shape == want.shape
     for part in ("data", "indices", "indptr"):
@@ -277,20 +277,20 @@ def test_shuffled_triplets_load_as_scipy_sorts_them(tmp_path_factory, case, data
 
 @settings(max_examples=200, deadline=None)
 @given(case=count_cells(), data=st.data())
-def test_a_repeated_cell_is_refused_at_its_second_line(tmp_path_factory, case, data):
+def test_a_repeated_column_in_a_row_is_refused_naming_its_entry(tmp_path_factory, case, data):
     (n_rows, n_cols), cells, counts = case
     assume(cells)
-    lines = data.draw(st.permutations([f"{r},{c},{v}" for (r, c), v in zip(cells, counts)]))
-    first = data.draw(st.integers(0, len(lines) - 1))
-    again = data.draw(st.integers(first + 1, len(lines)))
-    r, c, _ = lines[first].split(",")
-    lines.insert(again, f"{r},{c},{data.draw(st.integers(0, 9))}")
-    path = tmp_path_factory.mktemp("m") / "m.txt"
-    path.write_text("\n".join([f"{n_rows},{n_cols}"] + lines) + "\n")
+    k = data.draw(st.integers(0, len(cells) - 1))
+    r, c = cells[k]
+    cells.insert(k + 1, (r, c))
+    counts.insert(k + 1, data.draw(st.integers(0, 9)))
+    indptr = np.searchsorted([row for row, _ in cells], np.arange(n_rows + 1))
+    path = tmp_path_factory.mktemp("m") / "m.mat"
+    path.write_bytes(mat_bytes((n_rows, n_cols), indptr, [col for _, col in cells], counts))
     with pytest.raises(ValueError) as err:
         load_matrix(path)
-    # line 1 is the header
-    assert str(err.value) == f"{path}: line {again + 2}: duplicate entry ({r},{c})"
+    assert str(err.value) == (f"{path}: entry ({r},{c}) holds {counts[k + 1]}; "
+                              f"columns must ascend within a row, in 0..{n_cols - 1}")
 
 
 class TestMatrixIO:
@@ -298,38 +298,42 @@ class TestMatrixIO:
         corpus = make_corpus([(1, [1, 2, 3]), (0, [2, 3, 2])])
         vocab = build_vocabulary(corpus)
         matrix, labels = corpus_matrix(corpus, vocab)
-        path = tmp_path / "m.txt"
+        path = tmp_path / "m.mat"
         save_matrix(matrix, path)
         assert_same_matrix(load_matrix(path), matrix)
         assert labels == [1, 0]
 
-    def test_header_has_dimensions(self, tmp_path):
+    def test_header_has_shape_entries_and_payload_size(self, tmp_path):
         matrix = csr(np.array([[0, 2], [1, 0]]))
-        path = tmp_path / "m.txt"
+        path = tmp_path / "m.mat"
         save_matrix(matrix, path)
-        assert path.read_text().splitlines()[0] == "2,2"
+        header = path.read_bytes().split(b"\n", 4)[:4]
+        assert header == [b"apisentry-matrix v2", b"shape 2 2", b"nnz 2", b"payload 56"]
 
-    @pytest.mark.parametrize("body, message", [
-        ("0,1,2\n0,1,5\n", "line 3: duplicate entry (0,1)"),
-        ("0,1,-1\n", "line 2: negative count -1"),
-        ("2,0,1\n", "line 2: entry (2,0) outside the 2x3 shape"),
-        ("0,3,1\n", "line 2: entry (0,3) outside the 2x3 shape"),
-        ("-1,0,1\n", "line 2: entry (-1,0) outside the 2x3 shape"),
-        ("0,1\n", "line 2: expected 'row,col,count'"),
+    @pytest.mark.parametrize("indptr, indices, counts, message", [
+        ([0, 2, 2], [1, 1], [2, 5], "entry (0,1) holds 5; columns must ascend"),
+        ([0, 2, 2], [2, 0], [2, 5], "entry (0,0) holds 5; columns must ascend"),
+        ([0, 1, 1], [-1], [1], "entry (0,-1) holds 1; columns must ascend"),
+        ([0, 0, 1], [3], [1], "entry (1,3) holds 1; columns must ascend"),
+        ([0, 1, 2], [0, 2], [1, -1], "entry (1,2) holds -1; counts must be >= 0"),
+        ([0, 2, 1], [0, 1], [1, 1], "indptr must rise from 0 to 2"),
+        ([1, 1, 1], [0], [1], "indptr must rise from 0 to 1"),
+        ([0, 1, 1], [0, 1], [1, 1], "indptr must rise from 0 to 2"),
     ])
-    def test_bad_triplets_rejected_with_line(self, tmp_path, body, message):
-        path = tmp_path / "m.txt"
-        path.write_text("2,3\n" + body)
+    def test_bad_arrays_are_refused_as_a_fault_of_the_file(self, tmp_path, indptr, indices,
+                                                          counts, message):
+        path = tmp_path / "m.mat"
+        path.write_bytes(mat_bytes((2, 3), indptr, indices, counts))
         with pytest.raises(ValueError) as err:
             load_matrix(path)
-        assert str(err.value) == f"{path}: {message}"
+        assert str(err.value).startswith(f"{path}: {message}")
 
-    def test_text_is_pinned_for_unordered_entries(self, tmp_path):
+    def test_bytes_are_pinned(self, tmp_path):
         matrix = csr(sparse.coo_matrix(([3.0, 1.0, 2.0, 7.0], ([2, 0, 2, 0], [1, 4, 0, 0])),
                                        shape=(3, 5)))
-        path = tmp_path / "m.txt"
+        path = tmp_path / "m.mat"
         save_matrix(matrix, path)
-        assert path.read_text() == "3,5\n0,0,7\n0,4,1\n2,0,2\n2,1,3\n"
+        assert path.read_bytes() == mat_bytes((3, 5), [0, 2, 2, 4], [0, 4, 0, 1], [7, 1, 2, 3])
 
     @pytest.mark.parametrize("matrix, message", [
         (csr([[0.5, 2.7]]), "entry (0,0) holds 0.5"),
@@ -352,13 +356,35 @@ class TestMatrixIO:
         assert str(err.value) == f"{message}; counts must be integers in [0, 2**63)"
         assert not path.exists()
 
-    def test_matrix_without_entries_is_the_header_alone(self, tmp_path):
-        path = tmp_path / "m.txt"
+    def test_matrix_without_entries_is_the_header_and_indptr(self, tmp_path):
+        path = tmp_path / "m.mat"
         save_matrix(csr(np.zeros((2, 4))), path)
-        assert path.read_text() == "2,4\n"
+        assert path.read_bytes() == mat_bytes((2, 4), [0, 0, 0], [], [])
 
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("2;3\n")
-        with pytest.raises(ValueError, match="line 1"):
+    @pytest.mark.parametrize("text, message", [
+        ("2,3\n0,1,1\n", "line 1: not an 'apisentry-matrix v2' file"),
+        ("apisentry-matrix v2\nshape 1_0 3\n", "line 2: '1_0' is not an integer"),
+        ("apisentry-matrix v2\nshape 2\n", "line 2: expected two sizes >= 0, got (2,)"),
+        ("apisentry-matrix v2\nshape 2 -3\n", "line 2: expected two sizes >= 0, got (2, -3)"),
+        ("apisentry-matrix v2\nshape 2 3\nentries 0\n", "line 3: expected 'nnz', got 'entries 0'"),
+        ("apisentry-matrix v2\nshape 2 3\nnnz -1\npayload 8\n", "line 3: nnz -1 below 0"),
+        ("apisentry-matrix v2\nshape 2 3\nnnz 1\npayload 24\n",
+         "line 4: the arrays take 40 bytes, not 24"),
+        ("apisentry-matrix v2\nshape 2 3\nnnz 1\n", "line 4: unexpected end of file"),
+        ("apisentry-matrix v2\nshape 2 3\nnnz 0\npayload 24\n",
+         "the payload holds 0 bytes, not 24"),
+    ])
+    def test_bad_header_is_refused_at_its_line(self, tmp_path, text, message):
+        path = tmp_path / "m.mat"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
             load_matrix(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_a_payload_cut_short_is_refused(self, tmp_path):
+        path = tmp_path / "m.mat"
+        save_matrix(csr(np.array([[0, 2], [1, 0]])), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}: the payload holds 55 bytes, not 56"

@@ -1,8 +1,8 @@
 """Fuzzing every file reader: a valid small file with one mutation either
 loads, or raises ValueError naming the file and, for a fault on one line,
-that line's number. The sequence model file is a text header and a raw
-payload: a mutation of the payload alone loads or is a fault of the whole
-file, and any byte there may be one that is not UTF-8."""
+that line's number. The sequence model and count matrix files are a text
+header and a raw payload: a mutation of the payload alone loads or is a
+fault of the whole file, and any byte there may be one that is not UTF-8."""
 
 import re
 
@@ -42,7 +42,10 @@ from matrices import csr
 # Errors about a whole file rather than one of its lines.
 WHOLE_FILE = (r"no traces|call id \d+ exceeds vocabulary size \d+|no score rows|"
               r"the payload holds \d+ bytes, not \d+|"
-              r"tensor '[\w.]+' holds a number that is not finite")
+              r"tensor '[\w.]+' holds a number that is not finite|"
+              r"indptr must rise from 0 to \d+|"
+              r"entry \(\d+,-?\d+\) holds -?\d+; (columns must ascend within a row, in 0\.\.\d+|"
+              r"counts must be >= 0)")
 
 
 def _detector_check(path):
@@ -101,12 +104,16 @@ def valid(tmp_path_factory):
     return d
 
 
+# the text header lines of the files a raw payload follows
+HEADER_LINES = {"model.seq": _HEADER_LINES, "train.mat": 4}
+
+
 def text_end(name: str, data: bytes) -> int:
-    """Where the text of a file ends: at the end of the model.seq header,
-    which a raw payload follows, or at the end of any other file."""
-    if name != "model.seq":
+    """Where the text of a file ends: at the end of the header of a file a
+    raw payload follows, or at the end of any other file."""
+    if name not in HEADER_LINES:
         return len(data)
-    return len(data) - len(data.split(b"\n", _HEADER_LINES)[-1])
+    return len(data) - len(data.split(b"\n", HEADER_LINES[name])[-1])
 
 
 @st.composite

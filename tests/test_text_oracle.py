@@ -2,14 +2,16 @@
 replaced, kept here as the reference: the writers write the same bytes, the
 readers read equal arrays, and a mutated file that the reference refuses is
 refused at the same line. The sequence model file's reference reads and
-writes its raw payload one float at a time. The new readers refuse more than the reference in
+writes its raw payload one float at a time, the count matrix file's reads
+its raw payload one integer at a time, and the vocabulary's reads each
+line's numbers one by one. The new readers refuse more than the reference in
 a few listed ways (TIGHTER), and never accept what it refuses."""
 
 import math
 import re
 import struct
 from dataclasses import fields
-from itertools import chain
+from itertools import chain, pairwise
 from pathlib import Path
 from unittest import mock
 
@@ -18,11 +20,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from matrices import mat_bytes
 from test_readers import mutation, valid  # noqa: F401 (valid is a fixture)
 
 from apisentry import cli
-from apisentry.corpus import _LineReader
-from apisentry.ngrams import _read_config, load_matrix
+from apisentry.corpus import _int, _LineReader
+from apisentry.ngrams import (
+    _VOCAB_ROW,
+    NGramVocabulary,
+    _read_config,
+    load_matrix,
+    load_vocabulary,
+)
 from apisentry.seqmodel import (
     _FORMAT_TAG,
     BiLstmConfig,
@@ -49,40 +58,71 @@ def ref_config_lines(cfg):
 
 
 def ref_load_matrix(path):
-    cells, vals = [], []
+    """The count matrix file: a text header, then indptr, indices and counts
+    as raw little-endian int64, read one number at a time."""
+    data = Path(path).read_bytes()
+    parts = data.split(b"\n", 4)
+    payload = parts[-1] if len(parts) > 4 else b""
+    with _LineReader(path, text=data[:len(data) - len(payload)]) as reader:
+        if reader.next() != "apisentry-matrix v2":
+            raise ValueError("not a matrix file")
+        n_rows, n_cols = (int(d) for d in reader.field("shape").split())
+        if min(n_rows, n_cols) < 0:
+            raise ValueError("negative shape")
+        nnz = int(reader.field("nnz"))
+        if nnz < 0:
+            raise ValueError("negative nnz")
+        n = n_rows + 1 + 2 * nnz
+        if int(reader.field("payload")) != 8 * n:
+            raise ValueError("payload size")
+        reader.pos = 0
+        if len(payload) != 8 * n:
+            raise ValueError("payload length")
+        values = [struct.unpack_from("<q", payload, 8 * k)[0] for k in range(n)]
+        indptr, indices, counts = values[:n_rows + 1], values[n_rows + 1:n - nnz], values[n - nnz:]
+        if indptr[0] != 0 or indptr[-1] != nnz or any(a > b for a, b in pairwise(indptr)):
+            raise ValueError("indptr")
+        for lo, hi in pairwise(indptr):
+            row = indices[lo:hi]
+            if not all(0 <= c < n_cols for c in row) or any(a >= b for a, b in pairwise(row)):
+                raise ValueError("columns")
+        if any(c < 0 for c in counts):
+            raise ValueError("negative count")
+    return (np.array(counts, np.float64), np.array(indices, np.int64),
+            np.array(indptr, np.int64), (n_rows, n_cols))
+
+
+def ref_load_vocabulary(path):
+    """The vocabulary file read line by line, each number by _int."""
+    built_from, min_count = "", 1
+    index: dict = {}
+    counts: list = []
     with _LineReader(path) as reader:
-        try:
-            n_rows, n_cols = map(int, reader.next().split(","))
-            if min(n_rows, n_cols) < 0:
-                raise ValueError
-        except ValueError:
-            raise ValueError("expected a 'rows,cols' header") from None
         for line in reader:
-            if not line.strip():
-                continue
-            try:
-                r, c, v = map(int, line.split(","))
-            except ValueError:
-                raise ValueError("expected 'row,col,count'") from None
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise ValueError(f"entry ({r},{c}) outside the {n_rows}x{n_cols} shape")
-            if v < 0:
-                raise ValueError(f"negative count {v}")
-            cells.extend((r, c))
-            vals.append(v)
-        try:
-            rows, cols = np.asarray(cells, np.int64).reshape(-1, 2).T
-            order = np.lexsort((cols, rows))
-            indptr = np.searchsorted(rows[order], np.arange(n_rows + 1))
-        except (MemoryError, OverflowError, ValueError):
-            reader.pos = 1
-            raise ValueError(f"cannot allocate the {n_rows}x{n_cols} shape") from None
-        repeat = (np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)
-        if repeat.any():
-            k = int(order[1:][repeat].min())
-            reader.pos = 1 + int(np.flatnonzero([ln.strip() != "" for ln in reader.lines])[k + 1])
-            raise ValueError(f"duplicate entry ({rows[k]},{cols[k]})")
-    return np.asarray(vals, np.float64)[order], cols[order], indptr, (n_rows, n_cols)
+            if line.startswith("#built_from="):
+                built_from = line[len("#built_from="):]
+            elif line.startswith("#min_count="):
+                min_count = _int(line[len("#min_count="):])
+            elif line.strip():
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise ValueError("expected 3 tab-separated fields")
+                col, count = _int(parts[0]), _int(parts[2])
+                ng = tuple(map(_int, parts[1].split(",")))
+                if len(ng) not in (2, 3):
+                    raise ValueError("n-gram must have 2 or 3 ids")
+                if not all(0 <= i < 2**63 for i in ng):
+                    raise ValueError(f"call id outside 0..2**63-1 in {parts[1]}")
+                if col != len(counts):
+                    raise ValueError("column indices must be dense and ordered")
+                if ng in index:
+                    raise ValueError(f"duplicate n-gram {ng}")
+                if count < 1:
+                    raise ValueError(f"count {count} below 1")
+                index[ng] = col
+                counts.append(count)
+    return NGramVocabulary(index=index, counts=tuple(counts),
+                           built_from=built_from, min_count=min_count)
 
 
 # The sequence model file: a text header, then every fused tensor as raw
@@ -191,8 +231,7 @@ def _params(load):
 # name in test_readers' valid fixture: (new reader, reference, messages the
 # new reader may refuse with where the reference accepts)
 PAIRS = {
-    "train.mat": (_matrix, ref_load_matrix,
-                  r"expected 'row,col,count'|expected a 'rows,cols' header"),
+    "train.mat": (_matrix, ref_load_matrix, r"'.+' is not an integer"),
     "model.seq": (_params(load_model), _params(ref_load_model), r"'.+' is not an integer"),
     "pred.csv": (cli._read_predictions_csv, ref_read_predictions_csv,
                  r"expected the header 'row,label,score'|expected 'row,label,score'|"
@@ -310,15 +349,43 @@ def test_model_writes_and_reads_as_the_reference(tmp_path_factory, data):
 @given(data=st.data())
 def test_matrix_reads_as_the_reference(tmp_path_factory, data):
     n_rows, n_cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
-    cells = data.draw(st.lists(st.tuples(st.integers(0, max(n_rows - 1, 0)),
-                                         st.integers(0, max(n_cols - 1, 0))),
-                               unique=True, max_size=(n_rows * n_cols)))
-    lines = [f"{r},{c},{data.draw(COUNTS)}" for r, c in cells]
-    blanks = data.draw(st.lists(st.sampled_from(["", "  "]), max_size=3))
-    body = data.draw(st.permutations(lines + blanks))
+    cells = sorted(data.draw(st.sets(st.tuples(st.integers(0, max(n_rows - 1, 0)),
+                                               st.integers(0, max(n_cols - 1, 0))),
+                                     max_size=(n_rows * n_cols))))
+    indptr = np.searchsorted([r for r, _ in cells], np.arange(n_rows + 1))
+    counts = [data.draw(COUNTS) for _ in cells]
     path = tmp_path_factory.mktemp("m") / "m.mat"
-    path.write_text("\n".join([f"{n_rows},{n_cols}"] + body) + "\n")
+    path.write_bytes(mat_bytes((n_rows, n_cols), indptr, [c for _, c in cells], counts))
     assert _same(_matrix(path), ref_load_matrix(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_vocabulary_reads_as_the_reference(valid, tmp_path_factory, data):  # noqa: F811
+    """Up to three mutations: where the reference refuses the file, the
+    whole-file reader refuses it at the same line, and where it accepts,
+    the reader returns an equal vocabulary, its index in column order;
+    except that a count beyond 64 bits, which the reference reads, is
+    refused."""
+    mutated = (valid / "vocab.tsv").read_bytes()
+    for _ in range(data.draw(st.integers(1, 3))):
+        if mutated:
+            mutated, _ = data.draw(mutation(mutated))
+    path = tmp_path_factory.getbasetemp() / "oracle-vocab.tsv"
+    path.write_bytes(mutated)
+    got, got_exc = _outcome(load_vocabulary, path)
+    want, want_exc = _outcome(ref_load_vocabulary, path)
+    if got_exc is None:
+        assert want_exc is None, want_exc
+        assert got == want and list(got.index) == list(want.index)
+        return
+    assert isinstance(got_exc, ValueError), got_exc
+    line, message = _line(got_exc, path)
+    want_line = _line(want_exc, path)[0] if want_exc is not None else math.inf
+    if line != want_line:  # earlier, on a count the reference reads beyond 64 bits
+        count = mutated.decode().splitlines()[line - 1].split("\t")[-1]
+        assert line < want_line and message == _VOCAB_ROW and int(count) >= 2**63, \
+            (got_exc, want_exc)
 
 
 @settings(max_examples=100, deadline=None)
