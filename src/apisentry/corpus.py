@@ -59,10 +59,6 @@ class Corpus:
     def class_counts(self) -> dict[int, int]:
         return dict(Counter(t.label for t in self.traces if t.label is not None))
 
-    def content(self) -> list[tuple[int | None, tuple[int, ...]]]:
-        """Label/call pairs, ignoring synthetic trace ids and provenance."""
-        return [(t.label, t.calls) for t in self.traces]
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -125,17 +121,20 @@ class _LineReader:
         return line[len(name) + 1:]
 
     def table(self, width: int, dtype=np.float64, sep: str | None = None,
-              what: str = "a row") -> np.ndarray:
-        """All the rest of the lines but blank ones as an (n, width) array
-        read by one np.loadtxt; a structured dtype is 1 wide. If that fails,
-        the first line that does not read alone is refused with
-        `expected {what}`. Leaves `pos` on the last line read."""
+              what: str = "a row", rows: int | None = None) -> np.ndarray:
+        """The next `rows` lines, or all the rest of the lines but blank ones,
+        as an (n, width) array read by one np.loadtxt; a structured dtype is
+        1 wide. If that fails, the first line that does not read alone, a
+        blank one among `rows` included, is refused with `expected {what}`.
+        Leaves `pos` on the last line read."""
         start = self.pos
-        body = self.lines[start:]
-        table = _loadtxt(list(filter(str.strip, body)), width, dtype, sep)
-        if table is None:
-            for self.pos, line in enumerate(body, start + 1):
-                if line.strip() and _loadtxt([line], width, dtype, sep) is None:
+        body = self.lines[start:] if rows is None else self.lines[start:start + rows]
+        kept = list(filter(str.strip, body)) if rows is None else body
+        table = _loadtxt(kept, width, dtype, sep)
+        if table is None or len(body) < (rows or 0):  # short of `rows`: nothing to scan
+            for self.pos, line in enumerate(body if table is None else (), start + 1):
+                bad = _loadtxt([line], width, dtype, sep) is None
+                if bad and (line.strip() or rows is not None):
                     raise ValueError(f"expected {what}")
             self.pos = len(self.lines) + 1
             raise ValueError("unexpected end of file")

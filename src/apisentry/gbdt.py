@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import _LineReader, _finite, _float, _int
-from .ngrams import CsrMatrix, NGramVocabulary, _config_lines, _read_config, _sigmoid
+from .ngrams import CsrMatrix, NGramVocabulary, _config_lines, _format_rows, _read_config, _sigmoid
 
 # Rows descended together; bounds the dense split-column block and the
 # (rows, trees) node matrix whatever the number of rows scored.
@@ -103,9 +103,10 @@ class RegressionTree:
     gain: np.ndarray       # float64, split gains
 
     @classmethod
-    def from_nodes(cls, nodes: list) -> RegressionTree:
+    def from_nodes(cls, nodes) -> RegressionTree:
         """The tree whose node i is the row nodes[i] = [feature, threshold,
-        left, right, weight, gain]; a leaf's feature and children are -1."""
+        left, right, weight, gain] of a list or array; a leaf's feature and
+        children are -1, its threshold and gain 0, and a split's weight 0."""
         feature, threshold, left, right, weight, gain = np.array(nodes, dtype=np.float64).T.copy()
         return cls(feature.astype(np.int32), threshold, left.astype(np.int32),
                    right.astype(np.int32), weight, gain)
@@ -527,8 +528,10 @@ def rank_features(detector: BaggedDetector, vocab: NGramVocabulary,
 
 # --- persistence -------------------------------------------------------------
 
-_FORMAT_TAG = "apisentry-detector v2"
-_NODE_FIELDS = {"s": 6, "l": 2}  # s feature threshold left right gain; l weight
+_FORMAT_TAG = "apisentry-detector v3"
+# a node line: the row RegressionTree.from_nodes takes
+_NODE = np.dtype([("feature", np.int64), ("threshold", np.float64), ("left", np.int64),
+                  ("right", np.int64), ("weight", np.float64), ("gain", np.float64)])
 
 
 def save_detector(detector: BaggedDetector, path: str | Path) -> None:
@@ -542,12 +545,10 @@ def save_detector(detector: BaggedDetector, path: str | Path) -> None:
         lines.append(f"member {i}")
         lines += _config_lines(m.config)
         lines.append("base_score %.17g" % m.base_score)
-        lines.append(f"trees {len(m.trees)}")
-        for t, tree in enumerate(m.trees):
-            lines.append(f"tree {t} {tree.n_nodes()}")
-            lines += ["s %d %.17g %d %d %.17g" % (f, thr, lo, hi, g) if f >= 0 else "l %.17g" % w
-                      for f, thr, lo, hi, w, g in zip(tree.feature, tree.threshold, tree.left,
-                                                       tree.right, tree.weight, tree.gain)]
+        lines.append(" ".join(["trees"] + [str(t.n_nodes()) for t in m.trees]))
+        columns = [np.concatenate([getattr(t, name) for t in m.trees] + [np.zeros(0)]).tolist()
+                   for name in _NODE.names]
+        lines += _format_rows("%d %.17g %d %d %.17g %.17g", zip(*columns))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -558,6 +559,8 @@ def load_detector(path: str | Path) -> BaggedDetector:
         combine = _setting("combine", reader.field("combine"))
         threshold = _setting("threshold", _float(reader.field("threshold")))
         n_features = _int(reader.field("n_features"))
+        if not 1 <= n_features < 2**31:  # a split's feature is an int32
+            raise ValueError(f"n_features must be in 1..{2**31 - 1}, got {n_features}")
         vocab_ref = reader.field("vocab_ref")
         n_members = _setting("members", _int(reader.field("members")))
         members = []
@@ -566,31 +569,24 @@ def load_detector(path: str | Path) -> BaggedDetector:
                 raise ValueError(f"expected member {i}")
             cfg = _read_config(reader, GbdtConfig)
             base_score = _finite(reader.field("base_score"))
-            n_trees = _int(reader.field("trees"))
-            trees = []
-            for t in range(n_trees):
-                # node lines are read before any array is sized, so a node
-                # count beyond the end of the file allocates nothing
-                index, n_nodes = map(_int, reader.field("tree").split())
-                if index != t:
-                    raise ValueError(f"expected tree {t}")
-                if n_nodes < 1:
-                    raise ValueError("a tree has at least one node")
-                nodes = []
-                for node in range(n_nodes):
-                    parts = reader.next().split()
-                    if len(parts) != _NODE_FIELDS.get(parts[0] if parts else ""):
-                        raise ValueError(f"bad node line {parts!r}")
-                    if parts[0] == "s":
-                        f, lo, hi = _int(parts[1]), _int(parts[3]), _int(parts[4])
-                        # children come after their parent, so descent ends
-                        if not (0 <= f < n_features and node < lo < n_nodes
-                                and node < hi < n_nodes):
-                            raise ValueError(f"split node out of range {parts!r}")
-                        nodes.append([f, _finite(parts[2]), lo, hi, 0.0, _finite(parts[5])])
-                    else:
-                        nodes.append([-1, 0.0, -1, -1, _finite(parts[1]), 0.0])
-                trees.append(RegressionTree.from_nodes(nodes))
+            counts = [_int(n) for n in reader.field("trees").split()]
+            if min(counts, default=1) < 1:
+                raise ValueError("a tree has at least one node")
+            # read before any array is sized: counts beyond the file allocate nothing
+            table = reader.table(1, _NODE, what="a node line", rows=sum(counts))[:, 0]
+            nodes = np.column_stack([table[name] for name in _NODE.names])
+            f, thr, lo, hi, w, gain = nodes.T
+            ends = np.cumsum(counts, dtype=np.int64)
+            own = np.arange(len(nodes)) - np.repeat(ends - counts, counts)  # index in its tree
+            size, leaf = np.repeat(counts, counts), f == -1
+            reader.refuse(np.isfinite(nodes).all(1), "a node holds a number that is not finite")
+            reader.refuse(~leaf | (thr == 0) & (lo == -1) & (hi == -1) & (gain == 0),
+                          "a leaf has a threshold, children or gain")
+            reader.refuse(leaf | (w == 0), "a split has a weight")
+            # children come after their parent, so descent ends
+            reader.refuse(leaf | (0 <= f) & (f < n_features) & (own < lo) & (lo < size)
+                          & (own < hi) & (hi < size), "split node out of range")
+            trees = [RegressionTree.from_nodes(part) for part in np.split(nodes, ends)[:-1]]
             members.append(GbdtModel(trees=trees, base_score=base_score, config=cfg,
                                      n_features=n_features))
         return BaggedDetector(members=members, threshold=threshold,

@@ -42,7 +42,6 @@ class MetricsReport:
 @dataclass(frozen=True)
 class AucReport:
     per_label_auc: dict[int, float | None]   # None when only one class present
-    supports: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -72,22 +71,18 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divide(num, den, out=np.zeros_like(num), where=~zero), zero
 
 
-def binary_metrics(cm: ConfusionMatrix, positive: int = 1) -> MetricsReport:
-    """Precision/recall/F1 for the positive class plus overall accuracy."""
+def binary_metrics(cm: ConfusionMatrix) -> MetricsReport:
+    """Precision/recall/F1 for the positive class, 1, plus overall accuracy."""
     if cm.n_labels != 2:
         raise ValueError(f"binary metrics need a 2x2 confusion matrix, got {cm.n_labels}x{cm.n_labels}")
-    neg = 1 - positive
-    tp = int(cm.counts[positive, positive])
-    fp = int(cm.counts[neg, positive])
-    fn = int(cm.counts[positive, neg])
-    tn = int(cm.counts[neg, neg])
+    (tn, fp), (fn, tp) = cm.counts.tolist()
     num, den = np.array([[tp, tp + fp], [tp, tp + fn], [tp + tn, cm.total()]], np.float64).T
     (precision, recall, accuracy), zero = _ratios(num, den)
     (f1,), zero_f1 = _ratios(np.array([2 * precision * recall]), np.array([precision + recall]))
     return MetricsReport(
         accuracy=float(accuracy), precision=float(precision), recall=float(recall), f1=float(f1),
         averaging="binary_positive_class",
-        support={neg: tn + fp, positive: tp + fn},
+        support={0: tn + fp, 1: tp + fn},
         degenerate=bool(zero.any() or zero_f1[0]))
 
 
@@ -147,19 +142,17 @@ def roc_auc_per_label(scores, truths, n_labels: int) -> AucReport:
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
     per_label: dict[int, float | None] = {}
-    supports: dict[int, int] = {}
     for lab in range(n_labels):
         member = truths == lab
         n_pos = int(member.sum())
         n_neg = len(truths) - n_pos
-        supports[lab] = n_pos
         if n_pos == 0 or n_neg == 0:
             per_label[lab] = None
             continue
         ranks = _midranks(scores[:, lab])
         u = ranks[member].sum() - n_pos * (n_pos + 1) / 2.0
         per_label[lab] = float(u / (n_pos * n_neg))
-    return AucReport(per_label_auc=per_label, supports=supports)
+    return AucReport(per_label_auc=per_label)
 
 
 def rare_label_report(corpus: Corpus, auc: AucReport,

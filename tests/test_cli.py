@@ -411,19 +411,22 @@ class TestValidation:
                    "--out", tmp_path / "p.csv") == 1
         assert f"{model}: line {at + 1}: {field} must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind, index, bad", [
-        ("base_score ", 1, "inf"), ("l ", 1, "nan"), ("s ", 2, "nan"), ("s ", 5, "-inf"),
+    @pytest.mark.parametrize("kind, index, bad, message", [
+        ("base_score ", 1, "inf", "'inf' is not a finite number"),
+        ("leaf", 4, "nan", "a node holds a number that is not finite"),
+        ("split", 1, "nan", "a node holds a number that is not finite"),
+        ("split", 5, "-inf", "a node holds a number that is not finite"),
     ])
-    def test_non_finite_detector_number_exits_one(self, tmp_path, capsys, kind, index, bad):
+    def test_non_finite_detector_number_exits_one(self, tmp_path, capsys, kind, index, bad,
+                                                  message):
         model, matrix, lines = self.small_detector(tmp_path)
-        at = next(i for i, ln in enumerate(lines) if ln.startswith(kind))
+        at = self.line_of(lines, kind)
         parts = lines[at].split()
         lines[at] = " ".join(parts[:index] + [bad] + parts[index + 1:])
         model.write_text("\n".join(lines) + "\n")
         out = tmp_path / "p.csv"
         assert run("detect", "--model", model, "--in", matrix, "--out", out) == 1
-        assert f"{model}: line {at + 1}: '{bad}' is not a finite number" \
-            in capsys.readouterr().err
+        assert f"{model}: line {at + 1}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -465,12 +468,12 @@ class TestValidation:
         save_detector(train_bagged(X, np.array([0, 1, 1, 0]), configs=[config] * 3), model)
         save_matrix(X, matrix)
         lines = model.read_text().splitlines()
-        node = next(i for i, ln in enumerate(lines) if ln.startswith(("s ", "l ")))
+        node = self.line_of(lines, "leaf")
         lines[node] = ""
         model.write_text("\n".join(lines) + "\n")
         assert run("detect", "--model", model, "--in", matrix,
                    "--out", tmp_path / "p.csv") == 1
-        assert f"line {node + 1}: bad node line" in capsys.readouterr().err
+        assert f"line {node + 1}: expected a node line" in capsys.readouterr().err
 
     @staticmethod
     def small_detector(tmp_path):
@@ -484,50 +487,78 @@ class TestValidation:
         save_matrix(X, matrix)
         return model, matrix, model.read_text().splitlines()
 
+    @staticmethod
+    def line_of(lines, kind):
+        """The index of the first split node line (its feature is 0 or more),
+        leaf node line (its feature is -1) or line that starts with `kind`."""
+        first = {"split": tuple("0123456789"), "leaf": "-1 "}.get(kind, kind)
+        return next(i for i, ln in enumerate(lines) if ln.startswith(first))
+
     @pytest.mark.parametrize("kind, edit", [
-        ("s", lambda parts: parts + ["123", "junk"]), ("s", lambda parts: parts + ["7"]),
-        ("s", lambda parts: parts[:-1]), ("l", lambda parts: parts + ["7"]),
-        ("l", lambda parts: parts[:1]),
+        ("split", lambda parts: parts + ["123", "junk"]), ("split", lambda parts: parts + ["7"]),
+        ("split", lambda parts: parts[:-1]), ("leaf", lambda parts: parts + ["7"]),
+        ("leaf", lambda parts: parts[:1]), ("leaf", lambda parts: ["l"] + parts[4:5]),
     ])
     def test_node_line_with_a_field_too_many_or_too_few_exits_one(self, tmp_path, capsys,
                                                                   kind, edit):
         model, matrix, lines = self.small_detector(tmp_path)
-        node = next(i for i, ln in enumerate(lines) if ln.startswith(kind + " "))
+        node = self.line_of(lines, kind)
         lines[node] = " ".join(edit(lines[node].split()))
         model.write_text("\n".join(lines) + "\n")
         assert run("detect", "--model", model, "--in", matrix,
                    "--out", tmp_path / "p.csv") == 1
-        assert f"{model}: line {node + 1}: bad node line" in capsys.readouterr().err
+        assert f"{model}: line {node + 1}: expected a node line" in capsys.readouterr().err
 
     def test_node_count_beyond_the_file_exits_one(self, tmp_path, capsys):
+        """Read before any array is sized, the node lines a count claims
+        beyond the end of the file allocate nothing."""
         model, matrix, lines = self.small_detector(tmp_path)
-        last_tree = max(i for i, ln in enumerate(lines) if ln.startswith("tree "))
-        lines[last_tree] = "tree 1 1000000000000"
+        last_trees = max(i for i, ln in enumerate(lines) if ln.startswith("trees "))
+        lines[last_trees] = "trees 3 100000000000"
         model.write_text("\n".join(lines) + "\n")
-        assert run("detect", "--model", model, "--in", matrix,
-                   "--out", tmp_path / "p.csv") == 1
+        tracemalloc.start()
+        try:
+            assert run("detect", "--model", model, "--in", matrix,
+                       "--out", tmp_path / "p.csv") == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
         assert f"{model}: line {len(lines) + 1}: unexpected end of file" \
             in capsys.readouterr().err
 
-    def test_tree_without_nodes_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("counts", ["3 0", "0 3", "3 -3"])
+    def test_tree_without_nodes_exits_one(self, tmp_path, capsys, counts):
         model, matrix, lines = self.small_detector(tmp_path)
-        tree = max(i for i, ln in enumerate(lines) if ln.startswith("tree "))
-        lines[tree:] = ["tree 1 0"]  # the last tree, without its nodes
+        trees = max(i for i, ln in enumerate(lines) if ln.startswith("trees "))
+        lines[trees] = f"trees {counts}"
         model.write_text("\n".join(lines) + "\n")
         assert run("detect", "--model", model, "--in", matrix,
                    "--out", tmp_path / "p.csv") == 1
-        assert f"{model}: line {tree + 1}: a tree has at least one node" \
+        assert f"{model}: line {trees + 1}: a tree has at least one node" \
             in capsys.readouterr().err
 
-    def test_split_node_pointing_back_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind, index, value, message", [
+        ("leaf", 2, "1", "a leaf has a threshold, children or gain"),
+        ("leaf", 3, "2", "a leaf has a threshold, children or gain"),
+        ("leaf", 1, "0.5", "a leaf has a threshold, children or gain"),
+        ("leaf", 5, "0.25", "a leaf has a threshold, children or gain"),
+        ("split", 4, "0.125", "a split has a weight"),
+        ("split", 2, "0", "split node out of range"),   # a child not after its parent
+        ("split", 3, "3", "split node out of range"),   # a child beyond its tree
+        ("split", 0, "2", "split node out of range"),   # a feature beyond n_features
+        ("split", 0, "-2", "split node out of range"),
+    ])
+    def test_node_that_breaks_a_rule_exits_one(self, tmp_path, capsys, kind, index, value,
+                                               message):
         model, matrix, lines = self.small_detector(tmp_path)
-        node = next(i for i, ln in enumerate(lines) if ln.startswith("s "))
+        node = self.line_of(lines, kind)
         parts = lines[node].split()
-        lines[node] = " ".join(parts[:3] + ["0"] + parts[4:])
+        lines[node] = " ".join(parts[:index] + [value] + parts[index + 1:])
         model.write_text("\n".join(lines) + "\n")
         assert run("detect", "--model", model, "--in", matrix,
                    "--out", tmp_path / "p.csv") == 1
-        assert f"{model}: line {node + 1}: split node out of range" in capsys.readouterr().err
+        assert f"{model}: line {node + 1}: {message}" in capsys.readouterr().err
 
     def test_matrix_header_too_large_to_allocate_exits_one(self, tmp_path, capsys):
         matrix, labels = tmp_path / "huge.mat", tmp_path / "y.labels"
@@ -549,8 +580,7 @@ class TestValidation:
     @pytest.mark.parametrize("spell", OTHER_SPELLINGS)
     @pytest.mark.parametrize("prefix, index", [
         ("n_features ", 1), ("members ", 1), ("max_depth ", 1), ("n_estimators ", 1),
-        ("member ", 1), ("trees ", 1), ("tree ", 1), ("tree ", 2), ("s ", 1), ("s ", 3),
-        ("s ", 4),
+        ("member ", 1), ("trees ", 1), ("trees ", 2),
     ])
     def test_detector_integer_in_another_spelling_exits_one(self, tmp_path, capsys, spell,
                                                             prefix, index):
@@ -568,7 +598,7 @@ class TestValidation:
     @pytest.mark.parametrize("spell", OTHER_SPELLINGS)
     @pytest.mark.parametrize("prefix, index", [
         ("threshold ", 1), ("learning_rate ", 1), ("reg_lambda ", 1),
-        ("min_child_hessian ", 1), ("base_score ", 1), ("s ", 2), ("s ", 5), ("l ", 1),
+        ("min_child_hessian ", 1), ("base_score ", 1),
     ])
     def test_detector_float_in_another_spelling_exits_one(self, tmp_path, capsys, spell,
                                                           prefix, index):
@@ -583,6 +613,24 @@ class TestValidation:
                    "--out", tmp_path / "p.csv") == 1
         assert f"{model}: line {at + 1}: {parts[index]!r} is not a number" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spell", OTHER_SPELLINGS)
+    @pytest.mark.parametrize("kind, index", [
+        ("split", 0), ("split", 1), ("split", 2), ("split", 3), ("split", 4), ("split", 5),
+        ("leaf", 0), ("leaf", 4),
+    ])
+    def test_node_number_in_another_spelling_exits_one(self, tmp_path, capsys, spell, kind,
+                                                       index):
+        model, matrix, lines = self.small_detector(tmp_path)
+        at = self.line_of(lines, kind)
+        parts = lines[at].split()
+        sign, digits = parts[index][:parts[index].startswith("-")], parts[index].lstrip("-")
+        parts[index] = sign + spell(digits)
+        lines[at] = " ".join(parts)
+        model.write_text("\n".join(lines) + "\n")
+        assert run("detect", "--model", model, "--in", matrix,
+                   "--out", tmp_path / "p.csv") == 1
+        assert f"{model}: line {at + 1}: expected a node line" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spell", OTHER_SPELLINGS)
     @pytest.mark.parametrize("line", ["vocab_size 5", "hidden 2", "max_prefix_len 99",

@@ -523,28 +523,62 @@ V1_DETECTOR = ("apisentry-detector v1\ncombine mean\nthreshold 0.5\nn_features 2
                + "".join(V1_MEMBER.format(i=i, seed=42 + i) for i in range(3)))
 # v2 is v1 without the seed lines
 V2_DETECTOR = re.sub(r"seed \d+\n", "", V1_DETECTOR.replace(" v1\n", " v2\n", 1))
+# v3 writes each member's node counts on its trees line and every node as
+# the six fields feature threshold left right weight gain
+V3_DETECTOR = re.sub(
+    r"trees 1\ntree 0 3\ns (\S+ \S+ \S+ \S+) (\S+)\nl (\S+)\nl (\S+)\n",
+    r"trees 3\n\1 0 \2\n-1 0 -1 -1 \3 0\n-1 0 -1 -1 \4 0\n",
+    V2_DETECTOR.replace(" v2\n", " v3\n", 1))
 
 
 class TestPersistence:
-    def test_v1_file_is_refused_naming_the_tag(self, tmp_path):
-        path = tmp_path / "v1.det"
-        path.write_text(V1_DETECTOR)
-        with pytest.raises(ValueError, match="line 1: not an 'apisentry-detector v2' file$"):
+    @pytest.mark.parametrize("old", [V1_DETECTOR, V2_DETECTOR], ids=["v1", "v2"])
+    def test_an_older_file_is_refused_naming_the_tag(self, tmp_path, old):
+        path = tmp_path / "old.det"
+        path.write_text(old)
+        with pytest.raises(ValueError, match="line 1: not an 'apisentry-detector v3' file$"):
             load_detector(path)
-        path.write_text(V2_DETECTOR)
-        save_detector(load_detector(path), tmp_path / "v2.det")
-        assert (tmp_path / "v2.det").read_text() == V2_DETECTOR
 
-    @pytest.mark.parametrize("line, bad, want", [("member 1", "member 7", "member 1"),
-                                                 ("tree 0 3", "tree 99 3", "tree 0")])
-    def test_an_index_off_its_position_is_refused_at_its_line(self, tmp_path, line, bad, want):
-        lines = V2_DETECTOR.splitlines()
+    def test_v3_file_loads_and_saves_the_same_bytes(self, tmp_path):
+        path = tmp_path / "v3.det"
+        path.write_text(V3_DETECTOR)
+        detector = load_detector(path)
+        assert [t.n_nodes() for m in detector.members for t in m.trees] == [3, 3, 3]
+        save_detector(detector, tmp_path / "again.det")
+        assert (tmp_path / "again.det").read_text() == V3_DETECTOR
+
+    @pytest.mark.parametrize("line, bad, message", [("member 1", "member 7", "expected member 1"),
+                                                    ("trees 3", "trees 0",
+                                                     "a tree has at least one node")])
+    def test_an_index_off_its_position_is_refused_at_its_line(self, tmp_path, line, bad,
+                                                              message):
+        lines = V3_DETECTOR.splitlines()
         at = lines.index(line)
         lines[at] = bad
         path = tmp_path / "bad.det"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"line {at + 1}: expected {want}$"):
+        with pytest.raises(ValueError, match=f"line {at + 1}: {message}$"):
             load_detector(path)
+
+    @pytest.mark.parametrize("n_features, trees", [
+        (-5, "trees 1\n-1 0 -1 -1 0.25 0\n"),  # all leaves: no feature to compare it with
+        (0, "trees 1\n-1 0 -1 -1 0.25 0\n"),
+        (3000000000, "trees 3\n2999999999 1.5 1 2 0 1\n-1 0 -1 -1 -1 0\n-1 0 -1 -1 1 0\n"),
+    ], ids=["minus-5", "zero", "3000000000"])
+    def test_n_features_outside_int32_is_refused_at_its_line(self, tmp_path, n_features,
+                                                             trees):
+        """Split features are int32: 2999999999 would wrap to the leaf
+        marker -2147483648."""
+        text = V3_DETECTOR.replace("n_features 2", f"n_features {n_features}")
+        path = tmp_path / "wide.det"
+        path.write_text(re.sub(r"trees 3\n(.*\n){3}", lambda _: trees, text))
+        with pytest.raises(ValueError, match=f"line 4: n_features must be in 1..2147483647, "
+                                             f"got {n_features}$"):
+            load_detector(path)
+        top = 2**31 - 1
+        path.write_text(re.sub(r"\n0 1.5", f"\n{top - 1} 1.5",
+                               V3_DETECTOR.replace("n_features 2", f"n_features {top}")))
+        assert load_detector(path).members[0].trees[0].feature.tolist() == [top - 1, -1, -1]
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(17)

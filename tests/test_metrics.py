@@ -192,20 +192,19 @@ class TestRareLabels:
 
     def test_never_occurring_label(self):
         corpus = self.make_corpus()
-        auc = AucReport(per_label_auc={0: 0.9, 1: 0.8, 2: None, 3: None},
-                        supports={0: 1, 1: 1, 2: 1, 3: 0})
+        auc = AucReport(per_label_auc={0: 0.9, 1: 0.8, 2: None, 3: None})
         rows = rare_label_report(corpus, auc, freq_threshold=2)
         assert rows[0].label == 3 and rows[0].frequency == 0 and rows[0].auc is None
 
     def test_all_frequent(self):
         corpus = Corpus(traces=(LabeledTrace("a", (0, 1, 2, 3), 1),),
                         vocabulary_size=4)
-        auc = AucReport(per_label_auc={}, supports={})
+        auc = AucReport(per_label_auc={})
         assert rare_label_report(corpus, auc, freq_threshold=1) == []
 
     def test_names_attached(self):
         corpus = self.make_corpus()
-        auc = AucReport(per_label_auc={}, supports={})
+        auc = AucReport(per_label_auc={})
         rows = rare_label_report(corpus, auc, freq_threshold=2,
                                  names={2: "CopyFileW"})
         by_label = {r.label: r for r in rows}

@@ -185,7 +185,7 @@ def test_corpus_text_round_trip(traces, spare_ids, format):
                                  for i, (label, calls) in enumerate(traces)),
                     vocabulary_size=vocab)
     back = parse_corpus(serialize_corpus(corpus, format), format=format)
-    assert back.content() == corpus.content()
+    assert [(t.label, t.calls) for t in back.traces] == [(t.label, t.calls) for t in corpus.traces]
     assert back.vocabulary_size == corpus.vocabulary_size
 
 
