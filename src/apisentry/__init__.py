@@ -46,8 +46,6 @@ from .seqmodel import (
     train_step,
 )
 from .metrics import (
-    AucReport,
-    ConfusionMatrix,
     MetricsReport,
     binary_metrics,
     confusion,

@@ -400,9 +400,9 @@ def _cmd_evaluate(args) -> list[Path]:
         cm = confusion(preds, truths, 2)
         m = binary_metrics(cm)
         stacked = np.stack([1.0 - scores, scores], axis=1)
-        auc_pos = roc_auc_per_label(stacked, truths, 2).per_label_auc[1]
+        auc_pos = roc_auc_per_label(stacked, truths, 2)[1]
         report = {
-            "task": "detect", "n_samples": int(cm.total()),
+            "task": "detect", "n_samples": int(cm.sum()),
             "accuracy": m.accuracy, "precision": m.precision,
             "recall": m.recall, "f1": m.f1, "averaging": m.averaging,
             "degenerate": m.degenerate,
@@ -426,7 +426,7 @@ def _cmd_evaluate(args) -> list[Path]:
         if scores is not None:
             auc = roc_auc_per_label(scores, truths, n_labels)
             report["auc_per_label"] = {
-                str(lab): value for lab, value in sorted(auc.per_label_auc.items())}
+                str(lab): value for lab, value in sorted(auc.items())}
             if corpus is not None:
                 rare = rare_label_report(
                     corpus, auc, freq_threshold=args.rare_threshold or None, names=names)

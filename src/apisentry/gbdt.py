@@ -570,6 +570,8 @@ def load_detector(path: str | Path) -> BaggedDetector:
             cfg = _read_config(reader, GbdtConfig)
             base_score = _finite(reader.field("base_score"))
             counts = [_int(n) for n in reader.field("trees").split()]
+            if len(counts) != cfg.n_estimators:
+                raise ValueError(f"{len(counts)} trees for n_estimators {cfg.n_estimators}")
             if min(counts, default=1) < 1:
                 raise ValueError("a tree has at least one node")
             # read before any array is sized: counts beyond the file allocate nothing
@@ -589,5 +591,7 @@ def load_detector(path: str | Path) -> BaggedDetector:
             trees = [RegressionTree.from_nodes(part) for part in np.split(nodes, ends)[:-1]]
             members.append(GbdtModel(trees=trees, base_score=base_score, config=cfg,
                                      n_features=n_features))
+        for line in filter(str.strip, reader):  # blank lines alone may follow
+            raise ValueError(f"expected the end of the file, got {line!r}")
         return BaggedDetector(members=members, threshold=threshold,
                               combine=combine, vocab_ref=vocab_ref)

@@ -17,18 +17,6 @@ from .corpus import Corpus
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    counts: np.ndarray  # (L, L) int64; rows = true label, cols = predicted
-
-    @property
-    def n_labels(self) -> int:
-        return self.counts.shape[0]
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     accuracy: float
     precision: float
@@ -40,11 +28,6 @@ class MetricsReport:
 
 
 @dataclass(frozen=True)
-class AucReport:
-    per_label_auc: dict[int, float | None]   # None when only one class present
-
-
-@dataclass(frozen=True)
 class RareLabel:
     label: int
     frequency: int
@@ -52,7 +35,8 @@ class RareLabel:
     name: str | None = None
 
 
-def confusion(preds, truths, n_labels: int) -> ConfusionMatrix:
+def confusion(preds, truths, n_labels: int) -> np.ndarray:
+    """(n_labels, n_labels) int64 counts; rows = true label, cols = predicted."""
     preds = np.asarray(preds, dtype=np.int64)
     truths = np.asarray(truths, dtype=np.int64)
     if preds.shape != truths.shape:
@@ -62,7 +46,7 @@ def confusion(preds, truths, n_labels: int) -> ConfusionMatrix:
         raise ValueError("labels out of range")
     counts = np.zeros((n_labels, n_labels), dtype=np.int64)
     np.add.at(counts, (truths, preds), 1)
-    return ConfusionMatrix(counts=counts)
+    return counts
 
 
 def _ratios(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,12 +55,13 @@ def _ratios(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divide(num, den, out=np.zeros_like(num), where=~zero), zero
 
 
-def binary_metrics(cm: ConfusionMatrix) -> MetricsReport:
-    """Precision/recall/F1 for the positive class, 1, plus overall accuracy."""
-    if cm.n_labels != 2:
-        raise ValueError(f"binary metrics need a 2x2 confusion matrix, got {cm.n_labels}x{cm.n_labels}")
-    (tn, fp), (fn, tp) = cm.counts.tolist()
-    num, den = np.array([[tp, tp + fp], [tp, tp + fn], [tp + tn, cm.total()]], np.float64).T
+def binary_metrics(cm: np.ndarray) -> MetricsReport:
+    """Precision/recall/F1 for the positive class, 1, plus overall accuracy,
+    from the 2x2 counts `confusion` returns."""
+    if cm.shape != (2, 2):
+        raise ValueError(f"binary metrics need a 2x2 confusion matrix, got shape {cm.shape}")
+    (tn, fp), (fn, tp) = cm.tolist()
+    num, den = np.array([[tp, tp + fp], [tp, tp + fn], [tp + tn, tn + fp + fn + tp]], np.float64).T
     (precision, recall, accuracy), zero = _ratios(num, den)
     (f1,), zero_f1 = _ratios(np.array([2 * precision * recall]), np.array([precision + recall]))
     return MetricsReport(
@@ -91,12 +76,12 @@ def weighted_metrics(preds, truths, n_labels: int) -> MetricsReport:
     to the true-label supports. Accuracy is the confusion diagonal over the
     total, which equals the weighted recall exactly."""
     cm = confusion(preds, truths, n_labels)
-    total = cm.total()
+    total = int(cm.sum())
     if total == 0:
         raise ValueError("cannot compute metrics on empty inputs")
-    diag = np.diag(cm.counts).astype(np.float64)
-    pred_per_label = cm.counts.sum(axis=0).astype(np.float64)
-    true_per_label = cm.counts.sum(axis=1).astype(np.float64)
+    diag = np.diag(cm).astype(np.float64)
+    pred_per_label = cm.sum(axis=0).astype(np.float64)
+    true_per_label = cm.sum(axis=1).astype(np.float64)
 
     precision, d1 = _ratios(diag, pred_per_label)
     recall, _ = _ratios(diag, true_per_label)
@@ -126,7 +111,7 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def roc_auc_per_label(scores, truths, n_labels: int) -> AucReport:
+def roc_auc_per_label(scores, truths, n_labels: int) -> dict[int, float | None]:
     """One-vs-rest AUC per label from per-sample score vectors.
 
     Uses the rank statistic AUC = (U - n_pos(n_pos+1)/2) / (n_pos * n_neg)
@@ -152,10 +137,10 @@ def roc_auc_per_label(scores, truths, n_labels: int) -> AucReport:
         ranks = _midranks(scores[:, lab])
         u = ranks[member].sum() - n_pos * (n_pos + 1) / 2.0
         per_label[lab] = float(u / (n_pos * n_neg))
-    return AucReport(per_label_auc=per_label)
+    return per_label
 
 
-def rare_label_report(corpus: Corpus, auc: AucReport,
+def rare_label_report(corpus: Corpus, auc: dict[int, float | None],
                       freq_threshold: float | None = None,
                       names: dict[int, str] | None = None) -> list[RareLabel]:
     """Labels called fewer than freq_threshold times across the corpus,
@@ -164,7 +149,7 @@ def rare_label_report(corpus: Corpus, auc: AucReport,
     freq = np.bincount(calls, minlength=corpus.vocabulary_size)
     if freq_threshold is None:
         freq_threshold = 0.001 * len(calls)
-    rare = [RareLabel(label=lab, frequency=int(freq[lab]), auc=auc.per_label_auc.get(lab),
+    rare = [RareLabel(label=lab, frequency=int(freq[lab]), auc=auc.get(lab),
                       name=names.get(lab) if names else None)
             for lab in range(corpus.vocabulary_size) if freq[lab] < freq_threshold]
     return sorted(rare, key=lambda r: (r.frequency, r.label))

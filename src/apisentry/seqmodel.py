@@ -18,7 +18,7 @@ the output, and results come back in the caller's row order.
 Each direction holds three tensors, with the blocks of the gates i, f, o
 and g side by side in that order: ``W`` (E,4H), ``U`` (H,4H) and ``b``
 (4H,). A cell step is then two matmuls, and BPTT builds one (n,4H)
-gradient per step for its n live rows. The model file (v2) is a text
+gradient per step for its n live rows. The model file (v3) is a text
 header, the config and one shape line per fused tensor, then the tensors
 as one raw little-endian float64 payload, sized before it is read.
 
@@ -65,9 +65,6 @@ class BiLstmConfig:
     hidden: int = 150
     dropout_rate: float = 0.3
     learning_rate: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 128
     max_epochs: int = 50
     patience: int = 3
@@ -80,15 +77,12 @@ class BiLstmConfig:
                      "patience", "max_prefix_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("dropout_rate", "adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0,1)")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must be in [0,1)")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0,1)")
         if not 0.0 <= self.learning_rate < math.inf:
             raise ValueError("learning_rate must be >= 0 and finite")
-        if not 0.0 < self.adam_eps < math.inf:
-            raise ValueError("adam_eps must be > 0 and finite")
 
     @property
     def pad_id(self) -> int:
@@ -112,6 +106,9 @@ class BiLstmModel:
         return {k: v.copy() for k, v in self.params.items()}
 
 
+_ADAM = (0.9, 0.999, 1e-8)  # beta1, beta2 and eps: Kingma and Ba's defaults
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
@@ -123,7 +120,6 @@ class AdamState:
 class TrainReport:
     train_loss: list[float]
     val_loss: list[float]
-    best_epoch: int
 
 
 def init_model(config: BiLstmConfig, seed: int | None = None) -> BiLstmModel:
@@ -395,7 +391,7 @@ def loss_and_grads(model: BiLstmModel, samples, dropout_seed: int | None = None)
 def apply_adam(model: BiLstmModel, state: AdamState, grads) -> None:
     cfg = model.config
     state.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2, eps = _ADAM
     corr1 = 1.0 - b1 ** state.t
     corr2 = 1.0 - b2 ** state.t
     for key in model.params:
@@ -404,7 +400,7 @@ def apply_adam(model: BiLstmModel, state: AdamState, grads) -> None:
         state.v[key] = b2 * state.v[key] + (1.0 - b2) * g * g
         m_hat = state.m[key] / corr1
         v_hat = state.v[key] / corr2
-        model.params[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        model.params[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def train_step(model: BiLstmModel, state: AdamState, samples,
@@ -420,7 +416,7 @@ def train(samples, config: BiLstmConfig) -> tuple[BiLstmModel, TrainReport]:
 
     Stops once validation loss has failed to improve for ``patience``
     consecutive epochs (or at max_epochs) and returns the parameters from
-    the best epoch.
+    the first epoch of least validation loss, 1 + argmin(report.val_loss).
     """
     pairs = list(samples)
     if len(pairs) < 2:
@@ -442,9 +438,9 @@ def train(samples, config: BiLstmConfig) -> tuple[BiLstmModel, TrainReport]:
 
     train_curve: list[float] = []
     val_curve: list[float] = []
-    best_loss, best_epoch, best_params = math.inf, 0, model.copy_params()
+    best_loss, best_params = math.inf, model.copy_params()
     stale = 0
-    for epoch in range(1, config.max_epochs + 1):
+    for _ in range(config.max_epochs):
         perm = shuffle_rng.permutation(len(train_set))
         total = 0.0
         for start in range(0, len(train_set), config.batch_size):
@@ -454,14 +450,14 @@ def train(samples, config: BiLstmConfig) -> tuple[BiLstmModel, TrainReport]:
         train_curve.append(total / len(train_set))
         val_curve.append(batch_loss(model, val))
         if val_curve[-1] < best_loss:
-            best_loss, best_epoch, stale = val_curve[-1], epoch, 0
+            best_loss, stale = val_curve[-1], 0
             best_params = model.copy_params()
         else:
             stale += 1
             if stale >= config.patience:
                 break
     model.params = best_params
-    return model, TrainReport(train_curve, val_curve, best_epoch)
+    return model, TrainReport(train_curve, val_curve)
 
 
 def _greedy(model: BiLstmModel, sequence):
@@ -500,7 +496,7 @@ def predict_distributions(model: BiLstmModel, samples) -> np.ndarray:
 
 # --- persistence -------------------------------------------------------------
 
-_FORMAT_TAG = "apisentry-seqmodel v2"
+_FORMAT_TAG = "apisentry-seqmodel v3"
 # the header: the tag, the config, one line per tensor and the payload's size
 _HEADER_LINES = 2 + len(fields(BiLstmConfig)) + len(_param_shapes(BiLstmConfig(1)))
 
@@ -518,7 +514,7 @@ def save_model(model: BiLstmModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BiLstmModel:
-    """A v2 model file. Its payload is read only once the header's shapes are
+    """A v3 model file. Its payload is read only once the header's shapes are
     the config's and its size theirs; it must be that size, all finite."""
     with open(path, "rb") as f, _LineReader(path, b"".join(islice(f, _HEADER_LINES))) as reader:
         if reader.next() != _FORMAT_TAG:

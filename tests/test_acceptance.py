@@ -215,10 +215,10 @@ def test_criterion_5_metric_oracles():
             for lab in range(n_labels):
                 members = truths == lab
                 if members.all() or not members.any():
-                    assert auc.per_label_auc[lab] is None
+                    assert auc[lab] is None
                 else:
                     want = pairwise_auc(scores[:, lab], members)
-                    assert abs(auc.per_label_auc[lab] - want) <= 1e-12
+                    assert abs(auc[lab] - want) <= 1e-12
 
 
 # --- criterion 6 ---------------------------------------------------------------

@@ -363,7 +363,7 @@ class TestValidation:
         assert f"{model}: line {at + 1}: the tensors take {len(payload)} bytes, " \
             f"not {len(payload) + 8}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["learning_rate", "adam_eps"])
+    @pytest.mark.parametrize("field", ["learning_rate"])
     def test_infinite_sequence_model_setting_refused_at_its_own_line(self, tmp_path, capsys,
                                                                       field):
         model, lines, payload = model_file(tmp_path)
@@ -648,7 +648,7 @@ class TestValidation:
             in capsys.readouterr().err
 
     @pytest.mark.parametrize("spell", OTHER_SPELLINGS)
-    @pytest.mark.parametrize("field", ["dropout_rate", "learning_rate", "adam_eps"])
+    @pytest.mark.parametrize("field", ["dropout_rate", "learning_rate"])
     def test_sequence_model_float_in_another_spelling_exits_one(self, tmp_path, capsys,
                                                                 spell, field):
         model, lines, payload = model_file(tmp_path)

@@ -560,6 +560,36 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"line {at + 1}: {message}$"):
             load_detector(path)
 
+    @pytest.mark.parametrize("n_estimators, trees", [(2, "trees 3"), (0, "trees 3"),
+                                                     (1, "trees 3 3 3")])
+    def test_a_tree_count_other_than_n_estimators_is_refused_at_the_trees_line(
+            self, tmp_path, n_estimators, trees):
+        lines = V3_DETECTOR.splitlines()
+        at = lines.index("trees 3")  # member 0's
+        lines[at - 5], lines[at] = f"n_estimators {n_estimators}", trees
+        path = tmp_path / "count.det"
+        path.write_text("\n".join(lines) + "\n")
+        n_trees = len(trees.split()) - 1
+        with pytest.raises(ValueError, match=f"line {at + 1}: {n_trees} trees for "
+                                             f"n_estimators {n_estimators}$"):
+            load_detector(path)
+
+    @pytest.mark.parametrize("tail", ["this is not a detector line\n", "member 3\n",
+                                      "\n \n-1 0 -1 -1 0.5 0\n\n"])
+    def test_a_line_after_the_last_member_is_refused_at_that_line(self, tmp_path, tail):
+        path = tmp_path / "long.det"
+        path.write_text(V3_DETECTOR + tail)
+        bad = tail.strip()
+        at = V3_DETECTOR.count("\n") + tail.splitlines().index(bad) + 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"line {at}: expected the end of the file, got {bad!r}") + "$"):
+            load_detector(path)
+
+    def test_blank_lines_after_the_last_member_are_allowed(self, tmp_path):
+        path = tmp_path / "blank.det"
+        path.write_text(V3_DETECTOR + "\n \n")
+        assert [t.n_nodes() for m in load_detector(path).members for t in m.trees] == [3, 3, 3]
+
     @pytest.mark.parametrize("n_features, trees", [
         (-5, "trees 1\n-1 0 -1 -1 0.25 0\n"),  # all leaves: no feature to compare it with
         (0, "trees 1\n-1 0 -1 -1 0.25 0\n"),

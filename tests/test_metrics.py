@@ -3,7 +3,6 @@ import pytest
 
 from apisentry.corpus import Corpus, LabeledTrace
 from apisentry.metrics import (
-    AucReport,
     binary_metrics,
     confusion,
     rare_label_report,
@@ -45,15 +44,15 @@ def per_class_metrics(preds, truths, n_labels):
 class TestConfusion:
     def test_perfect_diagonal(self):
         cm = confusion([0, 1], [0, 1], 2)
-        assert cm.counts[0, 0] == 1 and cm.counts[1, 1] == 1
-        assert cm.counts.sum() == 2
+        assert cm[0, 0] == 1 and cm[1, 1] == 1
+        assert cm.sum() == 2
 
     def test_single_error(self):
         cm = confusion([1], [0], 2)
-        assert cm.counts[0, 1] == 1
+        assert cm[0, 1] == 1
 
     def test_empty(self):
-        assert confusion([], [], 3).counts.sum() == 0
+        assert confusion([], [], 3).sum() == 0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -66,7 +65,7 @@ class TestConfusion:
         perm = rng.permutation(40)
         a = confusion(preds, truths, 3)
         b = confusion(preds[perm], truths[perm], 3)
-        assert (a.counts == b.counts).all()
+        assert (a == b).all()
 
 
 class TestBinaryMetrics:
@@ -87,6 +86,11 @@ class TestBinaryMetrics:
         m = binary_metrics(confusion([0, 0], [0, 0], 2))
         assert m.precision == 0.0 and m.recall == 0.0
         assert m.degenerate
+
+    @pytest.mark.parametrize("counts", [confusion([0, 2], [1, 2], 3), np.arange(4)])
+    def test_counts_other_than_2x2_refused(self, counts):
+        with pytest.raises(ValueError, match=r"need a 2x2 confusion matrix, got shape"):
+            binary_metrics(counts)
 
 
 class TestWeightedMetrics:
@@ -126,18 +130,18 @@ class TestRocAuc:
     def test_perfect_ranking(self):
         scores = np.array([[0.1, 0.9], [0.2, 0.8], [0.9, 0.1]])
         report = roc_auc_per_label(scores, [1, 1, 0], 2)
-        assert report.per_label_auc[1] == 1.0
+        assert report[1] == 1.0
 
     def test_tie_convention(self):
         scores = np.array([[0.5, 0.5], [0.5, 0.5]])
         report = roc_auc_per_label(scores, [1, 0], 2)
-        assert report.per_label_auc[1] == 0.5
+        assert report[1] == 0.5
 
     def test_single_class_undefined(self):
         scores = np.array([[0.4, 0.6], [0.3, 0.7]])
         report = roc_auc_per_label(scores, [1, 1], 2)
-        assert report.per_label_auc[1] is None
-        assert report.per_label_auc[0] is None
+        assert report[1] is None
+        assert report[0] is None
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(2)
@@ -151,10 +155,10 @@ class TestRocAuc:
             for lab in range(n_labels):
                 members = truths == lab
                 if members.all() or not members.any():
-                    assert report.per_label_auc[lab] is None
+                    assert report[lab] is None
                     continue
                 oracle = pairwise_auc(scores[:, lab], members)
-                assert report.per_label_auc[lab] == pytest.approx(oracle, abs=1e-12)
+                assert report[lab] == pytest.approx(oracle, abs=1e-12)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(3)
@@ -162,7 +166,7 @@ class TestRocAuc:
         truths = rng.integers(0, 2, 30)
         a = roc_auc_per_label(scores, truths, 2)
         b = roc_auc_per_label(np.exp(3 * scores) + 1, truths, 2)
-        assert a.per_label_auc == b.per_label_auc
+        assert a == b
 
     def test_negation_complements_without_ties(self):
         rng = np.random.default_rng(4)
@@ -173,7 +177,7 @@ class TestRocAuc:
         a = roc_auc_per_label(scores, truths, 2)
         b = roc_auc_per_label(-scores, truths, 2)
         for lab in range(2):
-            assert a.per_label_auc[lab] + b.per_label_auc[lab] == pytest.approx(1.0)
+            assert a[lab] + b[lab] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_scores_rejected(self, bad):
@@ -192,19 +196,19 @@ class TestRareLabels:
 
     def test_never_occurring_label(self):
         corpus = self.make_corpus()
-        auc = AucReport(per_label_auc={0: 0.9, 1: 0.8, 2: None, 3: None})
+        auc = {0: 0.9, 1: 0.8, 2: None, 3: None}
         rows = rare_label_report(corpus, auc, freq_threshold=2)
         assert rows[0].label == 3 and rows[0].frequency == 0 and rows[0].auc is None
 
     def test_all_frequent(self):
         corpus = Corpus(traces=(LabeledTrace("a", (0, 1, 2, 3), 1),),
                         vocabulary_size=4)
-        auc = AucReport(per_label_auc={})
+        auc = {}
         assert rare_label_report(corpus, auc, freq_threshold=1) == []
 
     def test_names_attached(self):
         corpus = self.make_corpus()
-        auc = AucReport(per_label_auc={})
+        auc = {}
         rows = rare_label_report(corpus, auc, freq_threshold=2,
                                  names={2: "CopyFileW"})
         by_label = {r.label: r for r in rows}

@@ -135,9 +135,8 @@ def tiny_batch():
 class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("embed_dim", 0), ("hidden", 0), ("max_prefix_len", 0), ("max_prefix_len", -3),
-        ("learning_rate", -0.5), ("learning_rate", math.nan), ("adam_beta1", 1.0),
-        ("adam_beta2", -0.1), ("adam_eps", 0.0), ("adam_eps", math.nan),
-        ("learning_rate", math.inf), ("adam_eps", math.inf),
+        ("learning_rate", -0.5), ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("dropout_rate", 1.0), ("dropout_rate", -0.1),
     ])
     def test_nonsense_values_refused(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -413,7 +412,7 @@ class TestTrain:
                            val_fraction=0.25, max_prefix_len=6, batch_size=4)
         model, report = train(cyclic_samples(6), cfg)
         assert len(report.train_loss) == 2
-        assert report.best_epoch == 1
+        assert report.val_loss[1] == report.val_loss[0]
 
     def test_deterministic_report(self):
         cfg = BiLstmConfig(vocab_size=5, embed_dim=4, hidden=6, dropout_rate=0.3,
@@ -429,7 +428,7 @@ class TestTrain:
                            max_prefix_len=10, batch_size=16, seed=5)
         samples = cyclic_samples(12)
         model, report = train(samples, cfg)
-        assert report.best_epoch == 1 + int(np.argmin(report.val_loss))
+        best = int(np.argmin(report.val_loss))  # the first epoch of least validation loss
         # rebuild the validation set exactly as train() carved it
         pairs = [(tuple(s.prefix), s.next) for s in samples]
         rng = np.random.default_rng(derive_seed(cfg.seed, "val-split"))
@@ -437,7 +436,7 @@ class TestTrain:
         n_val = int(math.floor(len(pairs) * cfg.val_fraction + 0.5))
         val = [pairs[i] for i in order[:n_val]]
         assert batch_loss(model, val) == pytest.approx(
-            report.val_loss[report.best_epoch - 1], abs=1e-9)
+            report.val_loss[best], abs=1e-9)
 
     def test_learns_cycle(self):
         cfg = BiLstmConfig(vocab_size=5, embed_dim=8, hidden=16, dropout_rate=0.0,
@@ -1047,7 +1046,12 @@ class TestPersistence:
     def test_init_draws_as_the_pinned_v1_text(self):
         """init_model draws each gate's W and U block on its own, in the v1
         file's order, so trained weights do not move with the file format."""
-        assert V1_TINY.splitlines()[1:15] == _config_lines(V1_TINY_CONFIG)
+        config = V1_TINY.splitlines()[1:15]
+        assert [ln for ln in config if not ln.startswith("adam_")] == \
+            _config_lines(V1_TINY_CONFIG)
+        # the Adam settings the v1 and v2 files carried are now one constant
+        assert [float(ln.split()[1]) for ln in config if ln.startswith("adam_")] == \
+            list(seqmodel._ADAM)
         want = v1_params(V1_TINY)
         got = init_model(V1_TINY_CONFIG).params
         assert got.keys() == want.keys()
@@ -1064,8 +1068,8 @@ class TestPersistence:
 
     def test_header_is_text_and_names_each_fused_tensor(self, tmp_path):
         _, lines, payload = model_file(tmp_path)
-        assert lines[0] == "apisentry-seqmodel v2"
-        assert lines[15:] == ["tensor emb 6 2", "tensor fw.W 2 8", "tensor fw.U 2 8",
+        assert lines[0] == "apisentry-seqmodel v3"
+        assert lines[12:] == ["tensor emb 6 2", "tensor fw.W 2 8", "tensor fw.U 2 8",
                               "tensor fw.b 8", "tensor bw.W 2 8", "tensor bw.U 2 8",
                               "tensor bw.b 8", "tensor dense.W 4 5", "tensor dense.b 5",
                               "payload 936"]
@@ -1077,7 +1081,7 @@ def _oversized(field, value):
     a payload size that agree with it."""
     cfg = replace(SMALL, **{field: value})
     shapes = seqmodel._param_shapes(cfg)
-    return (["apisentry-seqmodel v2"] + _config_lines(cfg)
+    return (["apisentry-seqmodel v3"] + _config_lines(cfg)
             + [f"tensor {key} " + " ".join(map(str, shape)) for key, shape in shapes.items()]
             + [f"payload {8 * sum(math.prod(shape) for shape in shapes.values())}"])
 
@@ -1111,7 +1115,7 @@ class TestBadModelFile:
         lines[lines.index("tensor dense.W 4 5")] = "tensor dense.W 400000 5"
         write_model_file(path, lines, payload)
         assert self.refused(path, capsys) == \
-            "line 23: tensor 'dense.W' has wrong shape (400000, 5)"
+            "line 20: tensor 'dense.W' has wrong shape (400000, 5)"
 
     @pytest.mark.parametrize("field, value", [
         ("vocab_size", 10**11), ("embed_dim", 10**11), ("hidden", 10**7)])
@@ -1147,15 +1151,23 @@ class TestBadModelFile:
                          + payload[at + 8:])
         assert self.refused(path, capsys) == f"tensor {key!r} holds a number that is not finite"
 
-    def test_v1_file_is_not_read(self, tmp_path, capsys):
-        path = tmp_path / "model.seq"
-        path.write_text(V1_TINY)
-        assert self.refused(path, capsys) == "line 1: not an 'apisentry-seqmodel v2' file"
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_an_older_file_is_not_read(self, tmp_path, capsys, version):
+        """v2 is v3 with the three Adam settings as config lines."""
+        path, lines, payload = model_file(tmp_path)
+        if version == "v1":
+            path.write_text(V1_TINY)
+        else:
+            at = lines.index("learning_rate 0.01") + 1
+            lines[at:at] = ["adam_beta1 0.90000000000000002", "adam_beta2 0.999",
+                            "adam_eps 1e-08"]
+            write_model_file(path, ["apisentry-seqmodel v2"] + lines[1:], payload)
+        assert self.refused(path, capsys) == "line 1: not an 'apisentry-seqmodel v3' file"
 
     def test_curves_csv(self, tmp_path):
         from apisentry.seqmodel import TrainReport
 
-        report = TrainReport(train_loss=[1.5, 1.0], val_loss=[1.6, 1.2], best_epoch=2)
+        report = TrainReport(train_loss=[1.5, 1.0], val_loss=[1.6, 1.2])
         path = tmp_path / "curves.csv"
         save_curves(report, path)
         lines = path.read_text().splitlines()

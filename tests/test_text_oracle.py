@@ -435,8 +435,7 @@ def test_detect_writes_as_the_reference(tmp_path_factory, data):
 @settings(max_examples=100, deadline=None)
 @given(losses=st.lists(st.tuples(FLOATS, FLOATS), max_size=6))
 def test_curves_write_as_the_reference(tmp_path_factory, losses):
-    report = TrainReport(train_loss=[a for a, _ in losses], val_loss=[b for _, b in losses],
-                         best_epoch=1)
+    report = TrainReport(train_loss=[a for a, _ in losses], val_loss=[b for _, b in losses])
     path = tmp_path_factory.mktemp("c") / "curves.csv"
     save_curves(report, path)
     assert path.read_text() == ref_curves_text(report)
