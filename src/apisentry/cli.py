@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 import traceback
 from dataclasses import replace
 from functools import partial
@@ -149,29 +148,35 @@ _INT.__name__, _FLOAT.__name__, _LABEL.__name__ = "int", "float", "label"
 
 class _InFile(str):
     """argparse type of options that name a file the command may read; the
-    manifest digests each one that is not also an output."""
+    manifest digests each one."""
 
 
 class _OutFile(str):
-    """argparse type of options that name a file the command writes; `main`
-    refuses any whose directory is missing before the command starts."""
+    """argparse type of options that name a file the command writes; the
+    manifest lists each one, and `main` checks them before the command starts."""
 
 
-def _require_outputs(*paths) -> None:
-    paths = [Path(p) for p in paths if p]
-    missing = sorted({str(p.parent) for p in paths if not p.parent.is_dir()})
+def _require_outputs(outputs: list[Path], inputs: list[str]) -> None:
+    """Refuse a missing output directory, an output that is a directory, and
+    an output that resolves to an input or to another output."""
+    missing = sorted({str(p.parent) for p in outputs if not p.parent.is_dir()})
     if missing:
         raise NotADirectoryError(f"missing output directory(ies): {', '.join(missing)}")
-    directories = [str(p) for p in paths if p.is_dir()]
+    directories = [str(p) for p in outputs if p.is_dir()]
     if directories:
         raise IsADirectoryError(f"output is a directory: {', '.join(directories)}")
+    named = dict.fromkeys((Path(p).resolve() for p in inputs), "an input")
+    for p in outputs:
+        if p.resolve() in named:
+            raise ValueError(f"output {p} is also {named[p.resolve()]}")
+        named[p.resolve()] = "another output"
 
 
 def _digest(path: Path) -> str:
     return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifests(command: str, config: dict, inputs, outputs, t0: float) -> None:
+def _write_manifests(command: str, config: dict, inputs, outputs) -> None:
     manifest = {
         "tool": "apisentry",
         "version": __version__,
@@ -179,7 +184,6 @@ def _write_manifests(command: str, config: dict, inputs, outputs, t0: float) -> 
         "config": config,
         "inputs": {str(p): _digest(Path(p)) for p in inputs},
         "outputs": {str(p): _digest(Path(p)) for p in outputs},
-        "wall_time_s": round(time.monotonic() - t0, 3),
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     for out in outputs:
@@ -205,15 +209,14 @@ def _load_names(path: str | None) -> dict[int, str] | None:
 # --- command implementations --------------------------------------------------
 
 
-def _cmd_ingest(args) -> list[Path]:
+def _cmd_ingest(args) -> None:
     corpus = load_corpus(args.infile,
                          format="jsonl" if args.format == "jsonl" else "canonical_csv")
     corpus = canonicalize(corpus, collapse=args.collapse, max_len=args.max_len)
     save_corpus(corpus, args.out)
-    return [Path(args.out)]
 
 
-def _cmd_adapt(args) -> list[Path]:
+def _cmd_adapt(args) -> None:
     reader = _LineReader(args.infile)
     vocab = args.vocab_size or None
     if args.layout == "wide":
@@ -226,37 +229,31 @@ def _cmd_adapt(args) -> list[Path]:
             label_col=args.label_col or None, constant_label=args.constant_label,
             id_col=args.id_col, vocabulary_size=vocab)
     save_corpus(corpus, args.out)
-    return [Path(args.out)]
 
 
-def _cmd_split(args) -> list[Path]:
+def _cmd_split(args) -> None:
     corpus = load_corpus(args.infile)
     spec = SplitSpec(test_fraction=args.test_frac, seed=derive_seed(args.seed, "split"),
                      stratified=not args.no_stratify)
     train_c, test_c = stratified_split(corpus, spec)
     save_corpus(train_c, args.out_train)
     save_corpus(test_c, args.out_test)
-    return [Path(args.out_train), Path(args.out_test)]
 
 
-def _cmd_balance(args) -> list[Path]:
+def _cmd_balance(args) -> None:
     if bool(args.test_in) != bool(args.test_out):
         raise CorpusError("--test-out is required with --test-in" if args.test_in
                           else "--test-in is required with --test-out")
     corpus = load_corpus(args.infile)
     test_c = load_corpus(args.test_in) if args.test_in else None  # both load before a save
     save_corpus(random_oversample(corpus, derive_seed(args.seed, "balance-train")), args.out)
-    outputs = [Path(args.out)]
     if test_c is not None:
         if not args.skip_test:
             test_c = random_oversample(test_c, derive_seed(args.seed, "balance-test"))
         save_corpus(test_c, args.test_out)
-        outputs.append(Path(args.test_out))
-    return outputs
 
 
-def _cmd_featurize(args) -> list[Path]:
-    _require_outputs(args.fit and args.vocab)
+def _cmd_featurize(args) -> None:
     corpus = load_corpus(args.infile)
     if args.fit:
         vocab = build_vocabulary(corpus, min_count=args.min_count, top_k=args.top_k or None)
@@ -265,40 +262,33 @@ def _cmd_featurize(args) -> list[Path]:
         vocab = load_vocabulary(args.vocab)
     matrix, labels = corpus_matrix(corpus, vocab)
     save_matrix(matrix, args.out)
-    outputs = [Path(args.out)]
-    if args.fit:
-        outputs.append(Path(args.vocab))
     if args.labels_out:
         save_labels(labels, args.labels_out)
-        outputs.append(Path(args.labels_out))
-    return outputs
 
 
-def _cmd_train_detector(args) -> list[Path]:
+def _cmd_train_detector(args) -> None:
     X = load_matrix(args.train)
     labels = load_labels(args.labels)
     configs = [replace(cfg, reg_lambda=args.reg_lambda, gamma=args.gamma,
                        min_child_hessian=args.min_child_hessian)
                for cfg in default_bagging_configs()]
     detector = train_bagged(
-        X, np.array(labels), configs=configs,
+        X, labels, configs=configs,
         seed=derive_seed(args.seed, "bootstrap"), bootstrap=not args.no_bootstrap,
         combine=args.vote, threshold=args.threshold, vocab_ref=args.vocab_ref)
     save_detector(detector, args.out)
-    return [Path(args.out)]
 
 
-def _cmd_detect(args) -> list[Path]:
+def _cmd_detect(args) -> None:
     detector = load_detector(args.model)
     X = load_matrix(args.infile)
     labels, scores = ensemble_predict_rows(detector, X)
     lines = ["row,label,score"] + _format_rows(
         "%d,%d,%.17g", zip(range(len(labels)), labels.tolist(), scores.tolist()))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return [Path(args.out)]
 
 
-def _cmd_rank_features(args) -> list[Path]:
+def _cmd_rank_features(args) -> None:
     detector = load_detector(args.model)
     ranked = rank_features(detector, load_vocabulary(args.vocab), k=args.k)
     lines = ["rank\tngram\timportance"] + _format_rows("%d\t[%s]\t%.17g", (
@@ -307,11 +297,9 @@ def _cmd_rank_features(args) -> list[Path]:
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        return [Path(args.out)]
-    return []
 
 
-def _cmd_train_predictor(args) -> list[Path]:
+def _cmd_train_predictor(args) -> None:
     corpus = load_corpus(args.infile)
     vocab_size = args.vocab_size or corpus.vocabulary_size
     samples = trace_samples(corpus.traces, args.trace_cap, vocab_size)
@@ -322,14 +310,11 @@ def _cmd_train_predictor(args) -> list[Path]:
         max_prefix_len=args.max_prefix_len, seed=derive_seed(args.seed, "predictor"))
     model, report = train(samples, config)
     save_model(model, args.out)
-    outputs = [Path(args.out)]
     if args.curves:
         save_curves(report, args.curves)
-        outputs.append(Path(args.curves))
-    return outputs
 
 
-def _cmd_predict_next(args) -> list[Path]:
+def _cmd_predict_next(args) -> None:
     model = load_model(args.model)
     try:
         seq = _call_ids([tok for tok in args.seq.split(",") if tok.strip()], args.seq)
@@ -337,7 +322,6 @@ def _cmd_predict_next(args) -> list[Path]:
         raise CorpusError(f"--seq {args.seq!r}: {exc}") from None
     preds = predict_next_k(model, seq, k=args.k)
     sys.stdout.write(",".join(str(p) for p in preds) + "\n")
-    return []
 
 
 def _read_predictions_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -377,15 +361,14 @@ def _read_score_rows(path: Path) -> np.ndarray:
     return scores
 
 
-def _cmd_evaluate(args) -> list[Path]:
+def _cmd_evaluate(args) -> None:
     # every input is read, so a missing one is named, before an option is refused or a file written
     corpus = load_corpus(args.corpus) if args.corpus else None
     names = _load_names(args.names)
     report: dict[str, object]
     if args.task == "detect":
         preds, scores = _read_predictions_csv(Path(args.pred))
-        truths = _read_numbers(Path(args.truth), rule=(lambda v: np.isin(v, (0, 1)),
-                                                       "label {} is not 0 or 1"))
+        truths = load_labels(args.truth)
         scores = _read_numbers(Path(args.scores), float) if args.scores else scores
     else:
         rule = (lambda v: v >= 0, "call id {} is negative")
@@ -440,7 +423,6 @@ def _cmd_evaluate(args) -> list[Path]:
             raise CorpusError(f"--{option.replace('_', '-')} needs {why}")
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
-    return [Path(args.out)]
 
 
 def _cmd_reproduce(args) -> list[Path]:
@@ -619,11 +601,14 @@ def main(argv=None) -> int:
     if not args.command:
         parser.print_usage(sys.stderr)
         return 1
-    t0 = time.monotonic()
+    if args.command == "featurize" and args.fit:
+        args.vocab = _OutFile(args.vocab)  # --fit writes the vocabulary
     config = {k: v for k, v in vars(args).items() if k != "command"}
+    outputs = [Path(v) for v in config.values() if isinstance(v, _OutFile) and v]
+    inputs = [v for v in config.values() if isinstance(v, _InFile)]
     try:
-        _require_outputs(*(v for v in config.values() if isinstance(v, _OutFile)))
-        result = _COMMANDS[args.command](args)
+        _require_outputs(outputs, inputs)
+        written = _COMMANDS[args.command](args) or []  # only reproduce names its outputs
     except FileNotFoundError as exc:  # outputs were checked first, so this is an input
         sys.stderr.write(f"apisentry: error: missing input file(s): {exc.filename}\n")
         return 1
@@ -633,8 +618,7 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return 2
-    inputs = [v for v in config.values() if isinstance(v, _InFile) and Path(v) not in result]
-    _write_manifests(args.command, config, inputs, result, t0)
+    _write_manifests(args.command, config, inputs, outputs + written)
     return 0
 
 

@@ -48,7 +48,6 @@ class LabeledTrace:
 class Corpus:
     traces: tuple[LabeledTrace, ...]
     vocabulary_size: int
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -237,8 +236,7 @@ def _call_ids(tokens, text: str | None = None) -> tuple[int, ...]:
     return calls
 
 
-def _corpus(traces: list[LabeledTrace], vocabulary_size: int | None,
-            provenance: str) -> Corpus:
+def _corpus(traces: list[LabeledTrace], vocabulary_size: int | None) -> Corpus:
     """Whole-file checks: some trace, and every call id below the vocabulary size."""
     if not traces:
         raise CorpusError("no traces")
@@ -246,11 +244,10 @@ def _corpus(traces: list[LabeledTrace], vocabulary_size: int | None,
     vocab = max_id + 1 if vocabulary_size is None else vocabulary_size
     if max_id >= vocab:
         raise CorpusError(f"call id {max_id} exceeds vocabulary size {vocab}")
-    return Corpus(traces=tuple(traces), vocabulary_size=vocab, provenance=provenance)
+    return Corpus(traces=tuple(traces), vocabulary_size=vocab)
 
 
-def parse_corpus(source: str | bytes | IO, format: str = "canonical_csv",
-                 provenance: str = "") -> Corpus:
+def parse_corpus(source: str | bytes | IO, format: str = "canonical_csv") -> Corpus:
     """Parse a corpus from canonical CSV or jsonl content.
 
     The vocabulary size is the declared ``#vocab=`` header when present,
@@ -297,7 +294,7 @@ def parse_corpus(source: str | bytes | IO, format: str = "canonical_csv",
                     raise CorpusError("label must be 0, 1 or null")
                 trace_id = str(obj.get("id") or trace_id)
             traces.append(LabeledTrace(id=trace_id, calls=calls, label=label))
-        return _corpus(traces, declared_vocab, provenance)
+        return _corpus(traces, declared_vocab)
 
 
 def serialize_corpus(corpus: Corpus, format: str = "canonical_csv") -> str:
@@ -314,9 +311,7 @@ def serialize_corpus(corpus: Corpus, format: str = "canonical_csv") -> str:
 
 
 def load_corpus(path: str | Path, format: str = "canonical_csv") -> Corpus:
-    # provenance keeps the file name only, so artifacts derived from the
-    # corpus stay byte-identical across working directories
-    return parse_corpus(_LineReader(path), format=format, provenance=Path(path).name)
+    return parse_corpus(_LineReader(path), format=format)
 
 
 def save_corpus(corpus: Corpus, path: str | Path, format: str = "canonical_csv") -> None:
@@ -383,11 +378,7 @@ def stratified_split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
 
     train = tuple(t for i, t in enumerate(corpus.traces) if i not in test_idx)
     test = tuple(t for i, t in enumerate(corpus.traces) if i in test_idx)
-    base = corpus.provenance or "corpus"
-    return (
-        replace(corpus, traces=train, provenance=f"{base}/train"),
-        replace(corpus, traces=test, provenance=f"{base}/test"),
-    )
+    return replace(corpus, traces=train), replace(corpus, traces=test)
 
 
 def random_oversample(corpus: Corpus, seed: int) -> Corpus:
@@ -418,7 +409,7 @@ def _column(header: list[str], name: str | None) -> int | None:
 
 
 def _convert(text: str | _LineReader, columns, id_col: str | None,
-             vocabulary_size: int | None, provenance: str) -> Corpus:
+             vocabulary_size: int | None) -> Corpus:
     """The adapters' loop: a header, then a trace per non-blank row of as many
     fields; `columns(header)` returns the reader of a row's (calls, label)."""
     traces = []
@@ -434,7 +425,7 @@ def _convert(text: str | _LineReader, columns, id_col: str | None,
             calls, label = read(fields)
             trace_id = fields[id_pos].strip() if id_pos is not None else f"t{len(traces) + 1}"
             traces.append(LabeledTrace(id=trace_id, calls=calls, label=label))
-        return _corpus(traces, vocabulary_size, provenance)
+        return _corpus(traces, vocabulary_size)
 
 
 def convert_wide_csv(text: str | _LineReader, label_col: str, call_prefix: str,
@@ -459,7 +450,7 @@ def convert_wide_csv(text: str | _LineReader, label_col: str, call_prefix: str,
             raise CorpusError(f"no call columns with prefix {call_prefix!r}")
         return lambda fields: (_call_ids([fields[i] for _, i in call_pos]),
                                _parse_label(fields[label_pos].strip()))
-    return _convert(text, columns, id_col, vocabulary_size, "wide_csv")
+    return _convert(text, columns, id_col, vocabulary_size)
 
 
 def convert_seq_csv(text: str | _LineReader, seq_col: str, delimiter: str = " ",
@@ -476,4 +467,4 @@ def convert_seq_csv(text: str | _LineReader, seq_col: str, delimiter: str = " ",
         return lambda fields: (
             _call_ids([tok for tok in fields[seq_pos].strip().split(delimiter) if tok]),
             constant_label if label_pos is None else _parse_label(fields[label_pos].strip()))
-    return _convert(text, columns, id_col, vocabulary_size, "seq_csv")
+    return _convert(text, columns, id_col, vocabulary_size)

@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import (Corpus, CorpusError, LabeledTrace, _LineReader, _float, _int, _loadtxt,
-                     _parse_label)
+from .corpus import Corpus, CorpusError, LabeledTrace, _LineReader, _float, _int, _loadtxt
 
 NGram = tuple[int, ...]
 
@@ -63,8 +62,6 @@ class NGramVocabulary:
 
     index: dict[NGram, int]
     counts: tuple[int, ...]          # training occurrence count per column
-    built_from: str = ""
-    min_count: int = 1
 
     def __len__(self) -> int:
         return len(self.index)
@@ -178,8 +175,7 @@ def build_vocabulary(corpus: Corpus, min_count: int = 1,
     digits = ids[(unique[kept] - radix**2 * is_three)[:, None] // [radix**2, radix, 1] % radix]
     grams = [tuple(d if three else d[1:]) for d, three in zip(digits.tolist(), is_three.tolist())]
     return NGramVocabulary(index={ng: col for col, ng in enumerate(grams)},
-                           counts=tuple(counts[kept].tolist()),
-                           built_from=corpus.provenance, min_count=min_count)
+                           counts=tuple(counts[kept].tolist()))
 
 
 def _count_matrix(seqs, vocab: NGramVocabulary) -> CsrMatrix:
@@ -239,22 +235,18 @@ def corpus_matrix(corpus: Corpus, vocab: NGramVocabulary) -> tuple[CsrMatrix, li
 # --- persistence -------------------------------------------------------------
 
 def save_vocabulary(vocab: NGramVocabulary, path: str | Path) -> None:
-    lines = [f"#built_from={vocab.built_from}", f"#min_count={vocab.min_count}"]
     rows = zip(vocab.column_ngrams(), vocab.counts, strict=True)
-    lines += [f"{col}\t{','.join(map(str, ng))}\t{count}" for col, (ng, count) in enumerate(rows)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("".join(f"{col}\t{','.join(map(str, ng))}\t{count}\n"
+                                  for col, (ng, count) in enumerate(rows)), encoding="utf-8")
 
 
-_VOCAB_HEAD = ("#built_from=", "#min_count=")
 _VOCAB_ROW = "expected a column, 2 or 3 call ids and a count, each a 64-bit integer"
 
 
 def _vocabulary(lines: list[str]) -> NGramVocabulary:
     """The vocabulary a file's lines hold, its n-gram lines read as one table
     of integers; raises ValueError if any line breaks a rule."""
-    head = [line.partition("=")[::2] for line in lines if line.startswith(_VOCAB_HEAD)]
-    min_count = [1] + [_int(value) for key, value in head if key == "#min_count"]
-    data = [line for line in lines if line.strip() and not line.startswith(_VOCAB_HEAD)]
+    data = [line for line in lines if line.strip()]
     if any(line.count("\t") != 2 for line in data):
         raise ValueError("expected 3 tab-separated fields")
     fields = "\n".join(data).split("\t")  # each line's 3 fields in turn
@@ -275,8 +267,7 @@ def _vocabulary(lines: list[str]) -> NGramVocabulary:
         for k in np.flatnonzero(bad)[:1]:
             raise ValueError(rule.format(ids=data[k].split("\t")[1], gram=grams[k],
                                          count=table[k, 4]))
-    built_from = [""] + [value for key, value in head if key == "#built_from"]
-    return NGramVocabulary(index, tuple(table[:, 4].tolist()), built_from[-1], min_count[-1])
+    return NGramVocabulary(index, tuple(table[:, 4].tolist()))
 
 
 def _refuses(lines: list[str]) -> bool:
@@ -354,7 +345,9 @@ def save_labels(labels, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_labels(path: str | Path) -> list[int | None]:
-    """One label per non-blank line: 0, 1 or - (unlabeled)."""
+def load_labels(path: str | Path) -> np.ndarray:
+    """One label, 0 or 1, per non-blank line, as an int64 array."""
     with _LineReader(path) as reader:
-        return [_parse_label(line.strip()) for line in reader if line.strip()]
+        labels = reader.table(1, np.int64, what="a label of 0 or 1")[:, 0]
+        reader.refuse(np.isin(labels, (0, 1)), "label {} is not 0 or 1")
+    return labels

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,48 +239,47 @@ def test_criterion_6_prefix_sample_reproduction():
 
 # --- criterion 7 ---------------------------------------------------------------
 
-def _full_pipeline(workdir, raw, seed=42):
+ARTIFACTS = ("cooked.csv", "train.csv", "test.csv", "train_bal.csv", "test_bal.csv",
+             "vocab.tsv", "train.mat", "train.labels", "test.mat", "test.labels",
+             "model.det", "predictions.csv", "report.json", "model.seq", "curves.csv")
+
+
+def _full_pipeline(raw, seed=42):
+    """The README pipeline in the working directory, every path relative to
+    it; returns the bytes of each file there, manifests included."""
     run = lambda *argv: main([str(a) for a in argv])
-    w = workdir
-    outputs = {}
-    assert run("ingest", "--in", raw, "--collapse", "--out", w / "cooked.csv") == 0
-    assert run("split", "--in", w / "cooked.csv", "--out-train", w / "train.csv",
-               "--out-test", w / "test.csv", "--seed", seed) == 0
-    assert run("balance", "--in", w / "train.csv", "--out", w / "train_bal.csv",
-               "--test-in", w / "test.csv", "--test-out", w / "test_bal.csv",
-               "--seed", seed) == 0
-    assert run("featurize", "--vocab", w / "vocab.tsv", "--fit",
-               "--in", w / "train_bal.csv", "--out", w / "train.mat",
-               "--labels-out", w / "train.labels") == 0
-    assert run("featurize", "--vocab", w / "vocab.tsv", "--in", w / "test_bal.csv",
-               "--out", w / "test.mat", "--labels-out", w / "test.labels") == 0
-    assert run("train-detector", "--train", w / "train.mat", "--labels",
-               w / "train.labels", "--out", w / "model.det", "--seed", seed) == 0
-    assert run("detect", "--model", w / "model.det", "--in", w / "test.mat",
-               "--out", w / "predictions.csv") == 0
-    assert run("evaluate", "--task", "detect", "--pred", w / "predictions.csv",
-               "--truth", w / "test.labels", "--out", w / "report.json") == 0
-    assert run("train-predictor", "--in", w / "train.csv", "--out", w / "model.seq",
+    assert run("ingest", "--in", raw, "--collapse", "--out", "cooked.csv") == 0
+    assert run("split", "--in", "cooked.csv", "--out-train", "train.csv",
+               "--out-test", "test.csv", "--seed", seed) == 0
+    assert run("balance", "--in", "train.csv", "--out", "train_bal.csv",
+               "--test-in", "test.csv", "--test-out", "test_bal.csv", "--seed", seed) == 0
+    assert run("featurize", "--vocab", "vocab.tsv", "--fit", "--in", "train_bal.csv",
+               "--out", "train.mat", "--labels-out", "train.labels") == 0
+    assert run("featurize", "--vocab", "vocab.tsv", "--in", "test_bal.csv",
+               "--out", "test.mat", "--labels-out", "test.labels") == 0
+    assert run("train-detector", "--train", "train.mat", "--labels", "train.labels",
+               "--out", "model.det", "--seed", seed) == 0
+    assert run("detect", "--model", "model.det", "--in", "test.mat",
+               "--out", "predictions.csv") == 0
+    assert run("evaluate", "--task", "detect", "--pred", "predictions.csv",
+               "--truth", "test.labels", "--out", "report.json") == 0
+    assert run("train-predictor", "--in", "train.csv", "--out", "model.seq",
                "--embed", 8, "--hidden", 8, "--max-epochs", 2, "--batch-size", 256,
-               "--curves", w / "curves.csv", "--seed", seed) == 0
-    for name in ("cooked.csv", "train.csv", "test.csv", "train_bal.csv",
-                 "test_bal.csv", "vocab.tsv", "train.mat", "train.labels",
-                 "test.mat", "test.labels", "model.det", "predictions.csv",
-                 "report.json", "model.seq", "curves.csv"):
-        outputs[name] = (w / name).read_bytes()
-    return outputs
+               "--curves", "curves.csv", "--seed", seed) == 0
+    return {path.name: path.read_bytes() for path in Path().iterdir()}
 
 
-def test_criterion_7_pipeline_determinism(tmp_path):
-    with report(7, "seed-42 pipeline reruns are byte-identical"):
-        raw = tmp_path / "raw.csv"
-        shutil.copy(demo_corpus_path(), raw)
-        dir_a = tmp_path / "a"
-        dir_b = tmp_path / "b"
-        dir_a.mkdir()
-        dir_b.mkdir()
-        first = _full_pipeline(dir_a, raw)
-        second = _full_pipeline(dir_b, raw)
+def test_criterion_7_pipeline_determinism(tmp_path, monkeypatch):
+    with report(7, "seed-42 pipeline reruns are byte-identical, manifests included"):
+        shutil.copy(demo_corpus_path(), tmp_path / "raw.csv")
+        runs = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            runs.append(_full_pipeline(Path("..", "raw.csv")))
+        first, second = runs
+        assert set(first) == {*ARTIFACTS, *(name + ".manifest.json" for name in ARTIFACTS)}
+        assert set(second) == set(first)
         for name in first:
             assert first[name] == second[name], f"{name} differs between runs"
 

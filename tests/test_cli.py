@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -666,8 +667,7 @@ class TestValidation:
         out = tmp_path / "m.det"
         assert run("train-detector", "--train", matrix, "--labels", labels,
                    "--no-bootstrap", "--out", out) == 1
-        assert f"{labels}: line 1: label must be 0, 1 or '-', got '2'" \
-            in capsys.readouterr().err
+        assert f"{labels}: line 1: label 2 is not 0 or 1" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -691,23 +691,23 @@ MALFORMED_LINE_CASES = {
         {"x.mat": mat_bytes((2, 2), [0, 1, 2], [1, 0], [1, 2]), "y.labels": "zero\n1\n"},
         ["train-detector", "--train", "x.mat", "--labels", "y.labels"], "y.labels", 1),
     "vocabulary line": (
-        {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=1\nx\t1,2\t1\n"},
-        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 3),
-    "vocabulary n-gram id with an underscore": (
-        {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=1\n0\t1_0,2\t3\n"},
-        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 3),
-    "vocabulary n-gram id with a non-ASCII digit": (
-        {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=1\n0\t\u0663,4\t3\n"},
-        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 3),
-    "vocabulary column with an underscore": (
-        {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=1\n0_0\t1,2\t3\n"},
-        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 3),
-    "vocabulary count with a full-width digit": (
-        {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=1\n0\t1,2\t\uff13\n"},
-        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 3),
-    "vocabulary minimum count with an underscore": (
-        {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=0_1\n0\t1,2\t3\n"},
+        {"c.csv": "0,1,2,3\n", "v.tsv": "0\t1,2\t1\nx\t1,2\t1\n"},
         ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 2),
+    "vocabulary n-gram id with an underscore": (
+        {"c.csv": "0,1,2,3\n", "v.tsv": "0\t1_0,2\t3\n"},
+        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 1),
+    "vocabulary n-gram id with a non-ASCII digit": (
+        {"c.csv": "0,1,2,3\n", "v.tsv": "0\t\u0663,4\t3\n"},
+        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 1),
+    "vocabulary column with an underscore": (
+        {"c.csv": "0,1,2,3\n", "v.tsv": "0_0\t1,2\t3\n"},
+        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 1),
+    "vocabulary count with a full-width digit": (
+        {"c.csv": "0,1,2,3\n", "v.tsv": "0\t1,2\t\uff13\n"},
+        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 1),
+    "vocabulary with the provenance lines of the old format": (
+        {"c.csv": "0,1,2,3\n", "v.tsv": "#built_from=c.csv\n#min_count=1\n0\t1,2\t3\n"},
+        ["featurize", "--vocab", "v.tsv", "--in", "c.csv"], "v.tsv", 1),
     "corpus call id": (
         {"c.csv": "1,2,x\n"}, ["ingest", "--in", "c.csv"], "c.csv", 1),
     "corpus call id with an underscore": (
@@ -747,6 +747,12 @@ MALFORMED_LINE_CASES = {
     "prediction label other than 0 or 1": (
         {"pred.csv": "row,label,score\n0,7,0.9\n", "truth.txt": "1\n"},
         ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "pred.csv", 2),
+    "unlabeled trace in the training labels": (
+        {"x.mat": mat_bytes((2, 2), [0, 1, 2], [1, 0], [1, 2]), "y.labels": "0\n-\n"},
+        ["train-detector", "--train", "x.mat", "--labels", "y.labels"], "y.labels", 2),
+    "unlabeled truth": (
+        {"pred.csv": "row,label,score\n0,1,0.9\n1,0,0.1\n", "truth.txt": "1\n-\n"},
+        ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "truth.txt", 2),
     "truth label other than 0 or 1": (
         {"pred.csv": "row,label,score\n0,1,0.9\n1,0,0.1\n", "truth.txt": "1\n2\n"},
         ["evaluate", "--pred", "pred.csv", "--truth", "truth.txt"], "truth.txt", 2),
@@ -893,6 +899,56 @@ def test_an_output_that_is_a_directory_writes_nothing(argv, cli_inputs, tmp_path
     assert "error: output is a directory: adir\n" in captured.err
     assert captured.out == ""
     assert sorted(os.listdir()) == before and os.listdir("adir") == []
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["split", "--in", "c.csv", "--out-train", "c.csv", "--out-test", "te.csv"],
+     "error: output c.csv is also an input\n"),
+    (["featurize", "--vocab", "v.tsv", "--fit", "--in", "c.csv", "--out", "v.tsv"],
+     "error: output v.tsv is also another output\n"),
+    (["detect", "--model", "m.det", "--in", "x.mat", "--out", "{cwd}/m.det"],
+     "/m.det is also an input\n"),
+], ids=["split onto its input", "featurize twice onto one file", "detect onto its model"])
+def test_an_output_that_is_an_input_or_another_output_writes_nothing(argv, refusal, cli_inputs,
+                                                                    tmp_path, monkeypatch, capsys):
+    shutil.copytree(cli_inputs, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    before = {name: Path(name).read_bytes() for name in os.listdir()}
+    assert run(*(arg.format(cwd=tmp_path) for arg in argv)) == 1
+    assert refusal in capsys.readouterr().err
+    assert {name: Path(name).read_bytes() for name in os.listdir()} == before
+
+
+def sha256(path) -> str:
+    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, reads, writes", [
+    (["balance", "--in", "c.csv", "--out", "b.csv", "--test-in", "t.csv", "--test-out", "tb.csv"],
+     ["c.csv", "t.csv"], ["b.csv", "tb.csv"]),
+    (["featurize", "--vocab", "v.tsv", "--in", "c.csv", "--out", "m.mat",
+      "--labels-out", "m.labels"], ["v.tsv", "c.csv"], ["m.mat", "m.labels"]),
+    (["featurize", "--vocab", "new.tsv", "--fit", "--in", "c.csv", "--out", "m.mat"],
+     ["c.csv"], ["new.tsv", "m.mat"]),
+    (["train-predictor", "--in", "c.csv", "--out", "model.seq", "--curves", "curves.csv",
+      "--embed", "2", "--hidden", "2", "--max-epochs", "1"], ["c.csv"], ["model.seq", "curves.csv"]),
+    (["rank-features", "--model", "m.det", "--vocab", "v.tsv", "--out", "r.tsv"],
+     ["m.det", "v.tsv"], ["r.tsv"]),
+], ids=["balance --test-out", "featurize --labels-out", "featurize --fit", "train-predictor --curves",
+        "rank-features --out"])
+def test_each_output_has_a_manifest_of_what_the_command_read_and_wrote(argv, reads, writes,
+                                                                      cli_inputs, tmp_path,
+                                                                      monkeypatch):
+    shutil.copytree(cli_inputs, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    before = set(os.listdir())
+    assert run(*argv) == 0
+    assert set(os.listdir()) - before == {*writes, *(name + ".manifest.json" for name in writes)}
+    texts = {Path(name + ".manifest.json").read_text() for name in writes}
+    assert len(texts) == 1  # one manifest, beside each output
+    manifest = json.loads(texts.pop())
+    assert manifest["outputs"] == {name: sha256(name) for name in writes}
+    assert manifest["inputs"] == {name: sha256(name) for name in reads}
 
 
 DETECT = ["--pred", "p.csv", "--truth", "y.labels"]

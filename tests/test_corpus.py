@@ -246,11 +246,7 @@ def reference_split(corpus, spec):
         test_idx.update(int(j) for j in order[:k])
     train = tuple(t for i, t in enumerate(corpus.traces) if i not in test_idx)
     test = tuple(t for i, t in enumerate(corpus.traces) if i in test_idx)
-    base = corpus.provenance or "corpus"
-    return (
-        replace(corpus, traces=train, provenance=f"{base}/train"),
-        replace(corpus, traces=test, provenance=f"{base}/test"),
-    )
+    return replace(corpus, traces=train), replace(corpus, traces=test)
 
 
 @settings(max_examples=300, deadline=None)

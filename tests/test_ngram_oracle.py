@@ -139,7 +139,7 @@ def test_empty_vocabulary_gives_an_empty_feature_space():
     corpus = Corpus(traces=(LabeledTrace("a", (1,), 1), LabeledTrace("b", (2, 3), 0)),
                     vocabulary_size=4)
     vocab = build_vocabulary(corpus, min_count=2)
-    assert vocab == NGramVocabulary(index={}, counts=(), min_count=2)
+    assert vocab == NGramVocabulary(index={}, counts=())
     matrix, _ = corpus_matrix(corpus, vocab)
     assert matrix.shape == (2, 0) and matrix.nnz == 0
     assert vectorize([2, 3], vocab).shape == (1, 0)

@@ -11,9 +11,11 @@ from apisentry.ngrams import (
     build_vocabulary,
     class_frequency,
     corpus_matrix,
+    load_labels,
     load_matrix,
     load_vocabulary,
     prefix_samples,
+    save_labels,
     save_matrix,
     save_vocabulary,
     vectorize,
@@ -86,31 +88,48 @@ class TestVocabulary:
 
     def test_repeated_ngram_rejected_with_line(self, tmp_path):
         path = tmp_path / "vocab.tsv"
-        path.write_text("#min_count=1\n0\t1,2\t3\n1\t1,2\t4\n")
+        path.write_text("0\t1,2\t3\n1\t1,2\t4\n")
         with pytest.raises(ValueError) as err:
             load_vocabulary(path)
-        assert str(err.value) == f"{path}: line 3: duplicate n-gram (1, 2)"
+        assert str(err.value) == f"{path}: line 2: duplicate n-gram (1, 2)"
 
 
 def vocabulary_file(tmp_path, body):
     path = tmp_path / "vocab.tsv"
-    path.write_text("#min_count=1\n" + body)
+    path.write_text(body)
     return path
 
 
 @pytest.mark.parametrize("body, message", [
-    ("0\t1,2\t3\n1\t-1,2\t5\n", "line 3: call id outside 0..2**63-1 in -1,2"),
+    ("0\t1,2\t3\n1\t-1,2\t5\n", "line 2: call id outside 0..2**63-1 in -1,2"),
     (f"0\t1,{2**63},2\t3\n",
-     "line 2: expected a column, 2 or 3 call ids and a count, each a 64-bit integer"),
-    ("0\t1,2\t3\n1\t2,3\t0\n", "line 3: count 0 below 1"),
-    ("0\t-1,2\t-5\n", "line 2: call id outside 0..2**63-1 in -1,2"),
-    ("0\t1,2\t-5\n", "line 2: count -5 below 1"),
+     "line 1: expected a column, 2 or 3 call ids and a count, each a 64-bit integer"),
+    ("0\t1,2\t3\n1\t2,3\t0\n", "line 2: count 0 below 1"),
+    ("0\t-1,2\t-5\n", "line 1: call id outside 0..2**63-1 in -1,2"),
+    ("0\t1,2\t-5\n", "line 1: count -5 below 1"),
+    ("#built_from=c.csv\n#min_count=1\n0\t1,2\t3\n", "line 1: expected 3 tab-separated fields"),
 ])
 def test_vocabulary_refuses_ids_and_counts_build_never_writes(tmp_path, body, message):
     path = vocabulary_file(tmp_path, body)
     with pytest.raises(ValueError) as err:
         load_vocabulary(path)
     assert str(err.value) == f"{path}: {message}"
+
+
+def test_labels_read_as_int64_and_an_unlabeled_line_is_refused_at_its_line(tmp_path):
+    path = tmp_path / "y.labels"
+    save_labels([0, 1, None], path)  # featurize writes '-' for an unlabeled trace
+    assert path.read_text() == "0\n1\n-\n"
+    with pytest.raises(ValueError) as err:
+        load_labels(path)
+    assert str(err.value) == f"{path}: line 3: expected a label of 0 or 1"
+    path.write_text("1\n\n0\n2\n")
+    with pytest.raises(ValueError) as err:
+        load_labels(path)
+    assert str(err.value) == f"{path}: line 4: label 2 is not 0 or 1"
+    save_labels([1, 0], path)
+    labels = load_labels(path)
+    assert labels.dtype == np.int64 and labels.tolist() == [1, 0]
 
 
 def test_vocabulary_accepts_the_largest_64_bit_id(tmp_path):

@@ -191,12 +191,10 @@ def test_corpus_text_round_trip(traces, spare_ids, format):
 
 @settings(max_examples=100, deadline=None)
 @given(counts=st.dictionaries(st.lists(call_ids, min_size=2, max_size=3).map(tuple),
-                              st.integers(1, 10**12), max_size=12),
-       built_from=line_text, min_count=st.integers(0, 50))
-def test_vocabulary_file_round_trip(counts, built_from, min_count):
+                              st.integers(1, 10**12), max_size=12))
+def test_vocabulary_file_round_trip(counts):
     vocab = NGramVocabulary(index={ng: col for col, ng in enumerate(counts)},
-                            counts=tuple(counts.values()), built_from=built_from,
-                            min_count=min_count)
+                            counts=tuple(counts.values()))
     with TemporaryDirectory() as tmp:
         save_vocabulary(vocab, Path(tmp) / "v.tsv")
         assert load_vocabulary(Path(tmp) / "v.tsv") == vocab

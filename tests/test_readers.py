@@ -88,7 +88,7 @@ def valid(tmp_path_factory):
     X = csr(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0],
                       [2.0, 1.0, 0.0], [0.0, 3.0, 1.0]]))
     save_matrix(X, d / "train.mat")
-    save_labels([0, 1, None, 1], d / "train.labels")
+    save_labels([0, 1, 0, 1], d / "train.labels")
     config = GbdtConfig(n_estimators=2, max_depth=2)
     save_detector(train_bagged(X, np.array([0, 1, 1, 0]), configs=[config] * 3),
                   d / "model.det")

@@ -94,16 +94,11 @@ def ref_load_matrix(path):
 
 def ref_load_vocabulary(path):
     """The vocabulary file read line by line, each number by _int."""
-    built_from, min_count = "", 1
     index: dict = {}
     counts: list = []
     with _LineReader(path) as reader:
         for line in reader:
-            if line.startswith("#built_from="):
-                built_from = line[len("#built_from="):]
-            elif line.startswith("#min_count="):
-                min_count = _int(line[len("#min_count="):])
-            elif line.strip():
+            if line.strip():
                 parts = line.split("\t")
                 if len(parts) != 3:
                     raise ValueError("expected 3 tab-separated fields")
@@ -121,8 +116,7 @@ def ref_load_vocabulary(path):
                     raise ValueError(f"count {count} below 1")
                 index[ng] = col
                 counts.append(count)
-    return NGramVocabulary(index=index, counts=tuple(counts),
-                           built_from=built_from, min_count=min_count)
+    return NGramVocabulary(index=index, counts=tuple(counts))
 
 
 # The sequence model file: a text header, then every fused tensor as raw
